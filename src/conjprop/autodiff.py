@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
 Just enough operations for the models in this package: elementwise
-arithmetic, two-operand einsum, relu, log-softmax, reductions, reshaping,
-slicing, and concatenation.  Gradients are validated against central
-finite differences in the test suite.
+arithmetic, two-operand einsum, broadcasting matmul, relu, exp,
+log-softmax, reductions, reshaping, slicing, and concatenation.  Gradients
+are validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -152,12 +152,41 @@ def einsum(spec: str, a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def matmul(a, b) -> Tensor:
+    """``np.matmul`` of two operands of at least two dimensions each; the
+    batch dimensions broadcast.  Runs on BLAS, unlike ``einsum``."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul needs operands of at least two dimensions")
+    data = np.matmul(a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a.grad += _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                   a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                   b.data.shape)
+
+    return _make(data, (a, b), backward)
+
+
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
         a.grad += g * (a.data > 0.0)
+
+    return _make(data, (a,), backward)
+
+
+def exp(a) -> Tensor:
+    a = _as_tensor(a)
+    data = np.exp(a.data)
+
+    def backward(g):
+        a.grad += g * data
 
     return _make(data, (a,), backward)
 
@@ -244,6 +273,11 @@ def getitem(a, key) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def softmax_tensor(logits, axis: int = -1) -> Tensor:
+    """Softmax on the tape."""
+    return exp(log_softmax(logits, axis=axis))
+
+
 def softmax(a, axis: int = -1) -> np.ndarray:
     """Plain ndarray softmax for inference paths."""
     a = np.asarray(a, dtype=np.float64)
@@ -253,7 +287,17 @@ def softmax(a, axis: int = -1) -> np.ndarray:
 
 
 class AdamW:
-    """Adam with decoupled weight decay."""
+    """Adam with decoupled weight decay.
+
+    The update runs in place on the moments and the parameters, block by
+    block through a two-row scratch buffer shared by all parameters.  Its
+    operations are those of the textbook formula in the same order, so the
+    result is bit-identical to evaluating it with whole-array temporaries.
+    """
+
+    # elements per scratch row: the six 256 KiB rows one block touches
+    # stay in cache across its thirteen operations
+    BLOCK = 1 << 15
 
     def __init__(self, params: list[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999),
@@ -264,22 +308,44 @@ class AdamW:
         self.weight_decay = weight_decay
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros(p.data.shape) for p in params]
+        self.v = [np.zeros(p.data.shape) for p in params]
+        largest = max((p.data.size for p in params), default=0)
+        self._scratch = np.empty((2, min(largest, self.BLOCK)))
+
+    @property
+    def state_bytes(self) -> int:
+        """Bytes held by the two moments and the scratch buffer."""
+        return (sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
+                + self._scratch.nbytes)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
+        b1, b2 = self.beta1, self.beta2
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1 ** t)
-            vhat = self.v[i] / (1 - self.beta2 ** t)
-            p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
-                                 + self.weight_decay * p.data)
+            flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
+            for start in range(0, p.data.size, self.BLOCK):
+                w, g, m_, v_ = (a[start:start + self.BLOCK] for a in flat)
+                x, y = self._scratch[:, :w.size]
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(m_, b1, out=m_)
+                np.add(m_, np.multiply(g, 1 - b1, out=x), out=m_)
+                # v = b2 * v + ((1 - b2) * g) * g
+                np.multiply(v_, b2, out=v_)
+                np.multiply(np.multiply(g, 1 - b2, out=x), g, out=x)
+                np.add(v_, x, out=v_)
+                # w -= lr * (mhat / (sqrt(vhat) + eps) + wd * w)
+                np.divide(m_, 1 - b1 ** t, out=x)
+                np.divide(v_, 1 - b2 ** t, out=y)
+                np.add(np.sqrt(y, out=y), self.eps, out=y)
+                np.divide(x, y, out=x)
+                np.add(x, np.multiply(w, self.weight_decay, out=y), out=x)
+                np.subtract(w, np.multiply(x, self.lr, out=x), out=w)
+            if not p.data.flags.c_contiguous:  # reshape updated a copy
+                p.data[...] = flat[0].reshape(p.data.shape)
 
     def zero_grad(self):
         for p in self.params:

@@ -428,6 +428,11 @@ def cmd_train_parser(cfg) -> None:
     optimizer = ad.AdamW(parser.parameters(), lr=train_cfg.lr,
                          betas=train_cfg.betas,
                          weight_decay=train_cfg.weight_decay)
+    param_bytes = sum(t.data.nbytes for t in parser.params.values())
+    # parameters, their gradients, the two moments and the scratch buffer
+    footprint = 2 * param_bytes + optimizer.state_bytes
+    print(f"# parser labels {len(labels)} param-bytes {param_bytes} "
+          f"train-bytes {footprint}", file=sys.stderr)
     rng = np.random.default_rng(train_cfg.seed)
 
     dev = _read_corpus(cfg["dev"]) if cfg["dev"] else None
@@ -437,7 +442,7 @@ def cmd_train_parser(cfg) -> None:
     if dev is not None:
         dev_provider = provider if cfg["embeddings"] else hash_provider(
             dev, dim=cfg["hash-dim"], layers=cfg["hash-layers"])
-    best = {name: t.data.copy() for name, t in parser.params.items()}
+    best = None  # parameters after the best dev epoch
     best_f1 = -1.0
     patience_left = cfg["patience"]
 
@@ -459,7 +464,7 @@ def cmd_train_parser(cfg) -> None:
         if dev is not None and patience_left <= 0:
             print(f"# stopping early at epoch {epoch}", file=sys.stderr)
             break
-    if dev is not None:
+    if best is not None:
         for name, tensor in parser.params.items():
             tensor.data = best[name]
     parser.save(_model_path(cfg["model"]))

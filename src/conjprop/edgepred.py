@@ -158,54 +158,36 @@ def _forward_scores(parser: EdgeParser, stacks: np.ndarray,
         if not keep.any():
             keep[:] = True
         mix_logits = mix_logits + np.where(keep, 0.0, -1e30)
-    weights = _softmax_tensor(mix_logits)
+    weights = ad.softmax_tensor(mix_logits)
 
     if ctx is not None and ctx.cfg.token_mask_prob > 0:
         masked = ctx.rng.random(n) < ctx.cfg.token_mask_prob
         stacks = stacks * ~masked[:, None, None]
 
-    tokens = ad.einsum("l,nld->nd", weights, Tensor(stacks))
+    # every contraction is a (broadcast) matmul, so it runs on BLAS
+    mix = ad.reshape(weights, (1, parser.layers))
+    tokens = ad.reshape(ad.matmul(mix, Tensor(stacks)), (n, parser.dim))
     root = ad.reshape(p["root_embed"], (1, parser.dim))
     reps = ad.concat([root, tokens], axis=0)  # (n+1, dim)
     if ctx is not None:
         reps = _dropout(reps, ctx.cfg.output_dropout, ctx.rng)
 
-    h_head = ad.relu(ad.einsum("nd,dh->nh", reps, p["w_head"]) + p["b_head"])
+    h_head = ad.relu(ad.matmul(reps, p["w_head"]) + p["b_head"])
     h_dep_in = ad.getitem(reps, slice(1, None))
-    h_dep = ad.relu(ad.einsum("nd,dh->nh", h_dep_in, p["w_dep"]) + p["b_dep"])
+    h_dep = ad.relu(ad.matmul(h_dep_in, p["w_dep"]) + p["b_dep"])
     if ctx is not None:
         h_head = _dropout(h_head, ctx.cfg.fnn_dropout, ctx.rng)
         h_dep = _dropout(h_dep, ctx.cfg.fnn_dropout, ctx.rng)
 
-    part = ad.einsum("ih,lhk->lik", h_head, p["bilinear"])
-    bil = ad.einsum("lik,jk->lij", part, h_dep)
+    part = ad.matmul(h_head, p["bilinear"])  # (labels, n+1, hidden)
+    bil = ad.matmul(part, ad.transpose(h_dep, (1, 0)))  # (labels, n+1, n)
     scores = ad.transpose(bil, (1, 2, 0))  # (n+1, n, labels)
-    lin_head = ad.einsum("ih,hl->il", h_head,
-                         ad.getitem(p["linear"], slice(0, hidden)))
-    lin_dep = ad.einsum("jh,hl->jl", h_dep,
-                        ad.getitem(p["linear"], slice(hidden, None)))
+    lin_head = ad.matmul(h_head, ad.getitem(p["linear"], slice(0, hidden)))
+    lin_dep = ad.matmul(h_dep, ad.getitem(p["linear"], slice(hidden, None)))
     n_labels = len(parser.labels)
     scores = scores + ad.reshape(lin_head, (n + 1, 1, n_labels))
     scores = scores + ad.reshape(lin_dep, (1, n, n_labels))
     return scores + p["bias"]
-
-
-def _softmax_tensor(logits: Tensor) -> Tensor:
-    return _exp(ad.log_softmax(logits, axis=-1))
-
-
-def _exp(t: Tensor) -> Tensor:
-    data = np.exp(t.data)
-
-    def backward(g):
-        t.grad += g * data
-
-    out = Tensor(data)
-    if t.requires_grad:
-        out.requires_grad = True
-        out._parents = (t,)
-        out._backward = backward
-    return out
 
 
 def _dropout(t: Tensor, prob: float, rng: np.random.Generator) -> Tensor:
@@ -303,10 +285,13 @@ def decode_scores(probs: np.ndarray, labels: list[str]
 
     Argmax per pair, no-edge omitted; a dependent left headless receives
     its best non-no-edge (head, label), ties broken by lowest label index
-    and then lowest head position.  Returns, per dependent j, a list of
-    (head position, label), head position 0 meaning root.
+    and then lowest head position.  A token never heads itself: dependent
+    j is never given head position j+1.  Returns, per dependent j, a list
+    of (head position, label), head position 0 meaning root.
     """
     n_plus, n, n_labels = probs.shape
+    probs = probs.copy()
+    probs[np.arange(1, n_plus), np.arange(n), 1:] = -np.inf
     best = probs.argmax(axis=-1)
     edges: list[list[tuple[int, str]]] = []
     for j in range(n):

@@ -9,7 +9,7 @@ tokens, and structure read off the basic tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -29,23 +29,21 @@ def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> No
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype == np.float64:
-            dtype = "float64"
-        elif arr.dtype == np.int64:
-            dtype = "int64"
-        else:
+        dtype = arr.dtype.name  # the same for either byte order
+        if dtype not in _DTYPES:
             raise ModelFileError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        raw = arr.astype(_DTYPES[dtype]).tobytes(order="C")
+        # a view unless the byte order has to change
+        arr = arr.astype(_DTYPES[dtype], copy=False)
         manifest.append({"name": name, "dtype": dtype,
-                         "shape": list(arr.shape), "nbytes": len(raw)})
-        blobs.append(raw)
+                         "shape": list(arr.shape), "nbytes": arr.nbytes})
+        blobs.append(arr)
     header = {"format": FORMAT, "version": VERSION, "kind": kind,
               "meta": meta, "arrays": manifest}
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(line.encode("utf-8") + b"\n")
-        for raw in blobs:
-            fh.write(raw)
+        for arr in blobs:
+            fh.write(memoryview(arr))
 
 
 def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:

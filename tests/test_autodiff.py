@@ -77,6 +77,27 @@ def test_einsum_bilinear_gradients():
     check_gradients(build, [u, x])
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((4, 3), (2, 3, 5)),   # (i,h) @ (l,h,k): the parser's bilinear term
+    ((2, 4, 5), (5, 3)),   # (l,i,k) @ (k,j): its pair scores
+    ((1, 4), (3, 4, 2)),   # a single row against a stack
+])
+def test_matmul_broadcast_gradients(a_shape, b_shape):
+    a = rng.normal(size=a_shape)
+    b = rng.normal(size=b_shape)
+    weights = rng.normal(size=np.matmul(a, b).shape)
+
+    def build(ps):
+        return ad.tsum(ad.mul(ad.matmul(ps[0], ps[1]), weights))
+
+    check_gradients(build, [a, b])
+
+
+def test_matmul_rejects_vectors():
+    with pytest.raises(ValueError):
+        ad.matmul(np.ones(3), np.ones((3, 2)))
+
+
 def test_einsum_rejects_unsupported_specs():
     a = ad.Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -176,3 +197,36 @@ def test_backward_requires_scalar_without_grad_argument():
     t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         ad.mul(t, 2.0).backward()
+
+
+def test_adamw_matches_the_straight_line_formula():
+    def reference_step(params, m, v, t, lr, b1, b2, wd, eps=1e-8):
+        for i, p in enumerate(params):
+            if p.grad is None:
+                continue
+            m[i] = b1 * m[i] + (1 - b1) * p.grad
+            v[i] = b2 * v[i] + (1 - b2) * p.grad * p.grad
+            mhat = m[i] / (1 - b1 ** t)
+            vhat = v[i] / (1 - b2 ** t)
+            p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p.data)
+
+    # one parameter spans several scratch blocks, one is not contiguous,
+    # one never gets a gradient
+    arrays = [rng.normal(size=(3, ad.AdamW.BLOCK // 2 + 5)),
+              rng.normal(size=(4, 6)), rng.normal(size=(5,)), np.array(0.7)]
+    ours = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    ours[1].data = np.asfortranarray(arrays[1])
+    ref = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    opt = ad.AdamW(ours, lr=0.05, betas=(0.8, 0.99), weight_decay=0.3)
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 5):
+        for mine, theirs in zip(ours, ref):
+            grad = rng.normal(size=mine.data.shape)
+            mine.grad = None if mine is ours[2] else grad
+            theirs.grad = None if mine is ours[2] else grad.copy()
+        opt.step()
+        reference_step(ref, m, v, t, lr=0.05, b1=0.8, b2=0.99, wd=0.3)
+    for mine, theirs in zip(ours, ref):
+        assert mine.data.tobytes() == theirs.data.tobytes()
+    assert ours[2].data.tobytes() == arrays[2].tobytes()

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import io
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import conjprop
 from conjprop.cli import main
+from conjprop.modelfile import load_model
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIG1 = os.path.join(DATA, "fig1.conllu")
@@ -369,6 +374,37 @@ def test_train_parser_and_predict(run, tmp_path):
     run(["predict", "--in", str(train), "--model", str(model),
          "--hash-dim", "8", "--hash-layers", "2", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_train_parser_model_bytes_ignore_blas_threads(tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    src = os.path.dirname(os.path.dirname(conjprop.__file__))
+    script = "import sys; from conjprop.cli import main; sys.exit(main())"
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"edge{threads}.model"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train-parser", "--train",
+             str(train), "--model", str(model), "--hash-dim", "16",
+             "--hash-layers", "2", "--hidden", "256", "--epochs", "2",
+             "--batch", "3", "--seed", "4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+    footprint = re.search(
+        r"# parser labels (\d+) param-bytes (\d+) train-bytes (\d+)",
+        proc.stderr)
+    labels, param_bytes, train_bytes = map(int, footprint.groups())
+    _, meta, arrays = load_model(model)
+    assert labels == len(meta["labels"])
+    assert param_bytes == sum(arr.nbytes for arr in arrays.values())
+    assert train_bytes > 4 * param_bytes
 
 
 def test_predict_without_embeddings_is_an_error(run, tmp_path):

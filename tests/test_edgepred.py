@@ -1,10 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import make_sentence
-from conjprop.conllu import ROOT, Token, TokenId
+from conftest import make_sentence, random_sentence
+from conjprop.conllu import ROOT, Token, TokenId, parse_corpus, write_corpus
 from conjprop.edgepred import (
     NO_EDGE, EdgeParser, EdgePredError, ParserTrainConfig, _gold_grid,
     build_label_inventory, decode, decode_scores, mixture_weights,
@@ -70,17 +71,49 @@ def test_zeroed_interactions_reduce_to_softmax_of_bias():
     assert np.allclose(probs, expected, atol=1e-12)
 
 
+def test_decoded_graphs_reparse_without_self_loops():
+    rng = random.Random(5)
+    corpus = [random_sentence(rng, f"r{k}", allow_empty_nodes=k % 2 == 0)
+              for k in range(25)]
+    provider = hash_provider(corpus, dim=4, layers=2, seed=1)
+    parser = new_parser([NO_EDGE, "dep", "obj"], layers=2, dim=4, hidden=6,
+                        seed=2)
+    # every pair prefers an edge, so the self-loop pairs do as well
+    parser.params["bias"].data[:] = [0.0, 3.0, 2.0]
+    decoded = [decode(parser, sent, provider, k)
+               for k, sent in enumerate(corpus)]
+    reparsed = parse_corpus(write_corpus(decoded))
+    assert len(reparsed) == len(corpus)
+    for sent in reparsed:
+        for tok in sent.words():
+            assert tok.deps
+            assert all(head != tok.id for head, _ in tok.deps)
+
+
 def test_scores_match_straight_line_recomputation():
     sent = gold_sentence()
     provider = hash_provider([sent], dim=5, layers=3, seed=2)
     parser = new_parser([NO_EDGE, "obj", "root"], layers=3, dim=5,
                         hidden=6, seed=9)
     parser.params["mix_logits"].data[:] = [0.2, -0.4, 1.0]
-    probs = score_pairs(parser, sent, provider)
     stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
                        for t in sent.words()])
-    oracle = straight_line_probs(parser, stacks)
-    assert np.allclose(probs, oracle, rtol=1e-9, atol=1e-12)
+    probs = score_pairs(parser, sent, provider)
+    assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
+
+    # more labels and tokens, parameters far from the near-uniform start
+    sent = make_sentence([(f"w{k}", "NOUN", 0 if k == 0 else 1, "obj")
+                          for k in range(7)], sent_id="wide")
+    provider = hash_provider([sent], dim=5, layers=1, seed=3)
+    parser = new_parser([NO_EDGE] + [f"l{k}" for k in range(12)], layers=1,
+                        dim=5, hidden=64, seed=8)
+    rng = np.random.default_rng(1)
+    for tensor in parser.params.values():
+        tensor.data[...] = rng.normal(0.0, 0.5, tensor.data.shape)
+    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
+                       for t in sent.words()])
+    probs = score_pairs(parser, sent, provider)
+    assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
 
 
 def test_label_distributions_sum_to_one():
@@ -186,10 +219,23 @@ def test_decode_scores_reads_argmax_edges():
     labels = [NO_EDGE, "a", "b"]
     probs = np.zeros((3, 2, 3))
     probs[:, :, 0] = 0.8
-    probs[1, 0] = [0.05, 0.05, 0.9]
+    probs[2, 0] = [0.05, 0.05, 0.9]
     probs[0, 1] = [0.1, 0.9, 0.0]
-    probs[2, 1] = [0.1, 0.8, 0.1]
-    assert decode_scores(probs, labels) == [[(1, "b")], [(0, "a"), (2, "a")]]
+    probs[1, 1] = [0.1, 0.8, 0.1]
+    # the self-loop pairs (j+1, j) are never read as edges
+    probs[1, 0] = [0.0, 1.0, 0.0]
+    probs[2, 1] = [0.0, 0.0, 1.0]
+    assert decode_scores(probs, labels) == [[(2, "b")], [(0, "a"), (1, "a")]]
+
+
+def test_headless_fallback_never_picks_the_dependent_itself():
+    labels = [NO_EDGE, "a"]
+    probs = np.zeros((3, 2, 2))
+    probs[:, :, 0] = 0.9
+    probs[1, 0, 1] = 0.5  # self-loop of dependent 0
+    probs[2, 0, 1] = 0.1
+    probs[2, 1, 1] = 0.5  # self-loop of dependent 1
+    assert decode_scores(probs, labels) == [[(2, "a")], [(0, "a")]]
 
 
 def test_headless_fallback_breaks_ties_toward_low_label_and_head():

@@ -76,3 +76,26 @@ def test_unsupported_dtype_is_rejected(tmp_path):
     with pytest.raises(ModelFileError, match="dtype"):
         save_model(tmp_path / "m.bin", "demo", {},
                    {"x": np.zeros(2, dtype=np.float32)})
+
+
+def test_array_bytes_match_a_tobytes_construction(tmp_path):
+    rng = np.random.default_rng(3)
+    arrays = {"f": rng.normal(size=(3, 5)),
+              "i": rng.integers(-9, 9, size=(4, 2)).astype(np.int64),
+              "strided": rng.normal(size=(6, 4)).T[::2],
+              "swapped": rng.normal(size=(2, 3)).astype(">f8")}
+    path = tmp_path / "m.bin"
+    save_model(path, "demo", {}, arrays)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    expected = b"".join(
+        np.ascontiguousarray(arrays[name])
+        .astype("<i8" if name == "i" else "<f8").tobytes(order="C")
+        for name in sorted(arrays))
+    assert blob == expected
+    assert [entry["dtype"] for entry in header["arrays"]] == [
+        "float64", "int64", "float64", "float64"]
+    _, _, loaded = load_model(path)
+    for name, arr in arrays.items():
+        assert np.array_equal(loaded[name], arr)
