@@ -15,6 +15,7 @@ from .propmodel import (  # noqa: F401
 )
 from .edgepred import (  # noqa: F401
     EdgeParser, ParserTrainConfig, decode, new_parser, train_epoch,
+    train_parser,
 )
 from .evaluate import (  # noqa: F401
     agreement_matrix, diff_stats, score,

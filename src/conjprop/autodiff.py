@@ -350,3 +350,35 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+class EarlyStopping:
+    """Patience-based early stopping on a per-epoch score, higher is better.
+
+    update(score) after each scored epoch snapshots the parameters when the
+    score beats every earlier one, and returns True once `patience` scored
+    epochs in a row (patience >= 1) have not.  restore() puts back the
+    parameters of the best epoch; when no epoch was ever scored (no
+    holdout or dev set) it leaves the final parameters in place.
+    """
+
+    def __init__(self, params: list[Tensor], patience: int):
+        self.params = params
+        self.patience = patience
+        self.best_score = -np.inf
+        self.best: list[np.ndarray] | None = None
+        self._left = patience
+
+    def update(self, score: float) -> bool:
+        if score > self.best_score:
+            self.best_score = score
+            self.best = [p.data.copy() for p in self.params]
+            self._left = self.patience
+            return False
+        self._left -= 1
+        return self._left <= 0
+
+    def restore(self) -> None:
+        if self.best is not None:
+            for p, data in zip(self.params, self.best):
+                p.data = data

@@ -11,19 +11,19 @@ as "-" read stdin or write stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
-import numpy as np
-
-from . import autodiff as ad
 from .config import ConfigError, parse_value, read_config_file
-from .conllu import ROOT, ParseError, Sentence, parse_corpus, write_corpus
+from .conllu import ParseError, Sentence, decode_utf8, parse_corpus, \
+    write_corpus
 from .converter import convert_mode
 from .edgepred import (
     EdgeParser, EdgePredError, ParserTrainConfig, build_label_inventory,
-    decode, new_parser, train_epoch,
+    decode, new_parser, train_parser,
 )
 from .embeddings import EmbeddingError, EmbeddingProvider, hash_provider, \
     read_sidecar
@@ -56,6 +56,8 @@ class Opt:
     help: str = ""
     choices: tuple[str, ...] | None = None
     required: bool = False
+    low: float = -math.inf   # numeric values must lie in [low, below)
+    below: float = math.inf
 
     @property
     def dest(self) -> str:
@@ -65,7 +67,7 @@ class Opt:
 _IN = Opt("in", default="-", help="input CoNLL-U file ('-' for stdin)")
 _OUT = Opt("out", default="-", help="output file ('-' for stdout)")
 _JOBS = Opt("jobs", "int", 1, "process sentences with N worker processes; "
-                              "output order is always input order")
+                              "output order is always input order", low=1)
 _SEED = Opt("seed", "int", 0, "random seed")
 
 OPTIONS: dict[str, list[Opt]] = {
@@ -75,7 +77,6 @@ OPTIONS: dict[str, list[Opt]] = {
                                             "always"),
             help="propagation rule set"),
     ],
-    "always": [_IN, _OUT, _JOBS],
     "train-prop": [
         Opt("train", required=True, help="training corpus with gold deps"),
         Opt("model", required=True, help="model file to write"),
@@ -92,10 +93,11 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("tol", "float", 1e-3, "kernel optimizer tolerance"),
         Opt("class-weights", "bool", False,
             "weight classes by inverse frequency"),
-        Opt("epochs", "int", 50, "mlp epoch budget"),
+        Opt("epochs", "int", 50, "mlp epoch budget", low=0),
         Opt("lr", "float", 5e-5, "mlp learning rate"),
-        Opt("patience", "int", 5, "mlp early-stopping patience"),
-        Opt("holdout", "float", 0.1, "mlp early-stopping holdout fraction"),
+        Opt("patience", "int", 5, "mlp early-stopping patience", low=1),
+        Opt("holdout", "float", 0.1, "mlp early-stopping holdout fraction",
+            low=0, below=1),
         Opt("hidden", default="1500,500", help="mlp hidden layer widths"),
         _SEED,
     ],
@@ -118,14 +120,15 @@ OPTIONS: dict[str, list[Opt]] = {
             help="use built-in hash embeddings of this dimension (0 = off)"),
         Opt("hash-layers", "int", 1, "layer count for hash embeddings"),
         Opt("dev", help="development corpus for early stopping"),
-        Opt("patience", "int", 5, "early-stopping patience (with --dev)"),
+        Opt("patience", "int", 5, "early-stopping patience (with --dev)",
+            low=1),
         Opt("delexicalize", "bool", False,
             "rewrite recoverable label subtypes to placeholders before "
             "building the label inventory"),
-        Opt("hidden", "int", 1024, "projection width"),
-        Opt("batch", "int", 5, "batch size"),
+        Opt("hidden", "int", 1024, "projection width", low=1),
+        Opt("batch", "int", 5, "batch size", low=1),
         Opt("lr", "float", 5e-6, "learning rate"),
-        Opt("epochs", "int", 10, "epoch budget"),
+        Opt("epochs", "int", 10, "epoch budget", low=0),
         _SEED,
     ],
     "predict": [
@@ -139,7 +142,7 @@ OPTIONS: dict[str, list[Opt]] = {
     "evaluate": [
         Opt("system", required=True, help="system output CoNLL-U file"),
         Opt("gold", required=True, help="gold CoNLL-U file"),
-        _OUT, _JOBS,
+        _OUT,
         Opt("view", default="full", choices=("full", "coarse"),
             help="per-label table granularity"),
         Opt("keep-subtypes", default="",
@@ -151,12 +154,12 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("files", required=True,
             help="comma-separated annotator CoNLL-U files (at least two)"),
         Opt("names", help="comma-separated corpus names, one per file"),
-        _OUT, _JOBS,
+        _OUT,
     ],
     "stats": [
         Opt("original", required=True, help="corpus before editing"),
         Opt("edited", required=True, help="corpus after editing"),
-        _OUT, _JOBS,
+        _OUT,
         Opt("scope", default="conjunct",
             choices=("conjunct", "conjunct-incident", "all"),
             help="edge sets compared: links incident to conjuncts, or all"),
@@ -167,7 +170,6 @@ OPTIONS: dict[str, list[Opt]] = {
 
 COMMAND_HELP = {
     "convert": "propagate dependencies across coordinations by rule",
-    "always": "baseline that copies every incident edge of the head",
     "train-prop": "train a binary propagation classifier",
     "apply-prop": "apply a trained propagation classifier",
     "train-parser": "train the biaffine edge predictor",
@@ -211,15 +213,19 @@ def resolve_options(args: argparse.Namespace) -> dict[str, object]:
     resolved: dict[str, object] = {}
     for opt in OPTIONS[args.command]:
         value = getattr(args, opt.dest)
-        if value is not None and opt.kind in ("int", "float"):
-            value = parse_value(opt.name, value, opt.kind, "command line")
+        where = "command line"
         if value is None and opt.name in file_config:
-            value = parse_value(opt.name, file_config[opt.name], opt.kind,
-                                config_path)
+            value, where = file_config[opt.name], config_path
+        if isinstance(value, str):
+            value = parse_value(opt.name, value, opt.kind, where)
             if opt.choices and value not in opt.choices:
                 raise ConfigError(
-                    f"{config_path}: {opt.name} must be one of "
+                    f"{where}: {opt.name} must be one of "
                     f"{', '.join(opt.choices)}, got {value!r}")
+            if opt.kind in ("int", "float") \
+                    and not opt.low <= value < opt.below:
+                raise ConfigError(f"{where}: {opt.name} must be in "
+                                  f"[{opt.low}, {opt.below}), got {value}")
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -235,15 +241,23 @@ def resolve_options(args: argparse.Namespace) -> dict[str, object]:
     return resolved
 
 
+def _log(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 # ------------------------------------------------------------------ file io
 
 def _read_corpus(path: str) -> list[Sentence]:
     name = "<stdin>" if path == "-" else path
     try:
-        text = sys.stdin.read() if path == "-" else open(
-            path, encoding="utf-8").read()
+        if path == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
     except OSError as err:
         raise CliError(f"{name}: {err.strerror}") from None
+    text = decode_utf8(raw, name, CliError)
     try:
         return parse_corpus(text)
     except ParseError as err:
@@ -299,56 +313,46 @@ def _multi_layer_provider(cfg, corpus) -> EmbeddingProvider:
 
 # ------------------------------------------------------- parallel transforms
 
-_WORKER_STATE: dict = {}
+# the per-sentence function of this worker process, set by _init_worker
+_WORKER_FN = None
 
 
-def _init_apply(model, provider, config):
-    _WORKER_STATE["apply"] = (model, provider, config)
+def _init_worker(fn) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
 
 
-def _apply_one(item):
+def _run_one(item):
     index, sent = item
-    model, provider, config = _WORKER_STATE["apply"]
-    return apply_model(model, sent, provider, config, index)
+    return _WORKER_FN(sent, index=index)
 
 
-def _init_predict(parser, provider):
-    _WORKER_STATE["predict"] = (parser, provider)
+def _map_indexed(fn, corpus: list[Sentence], jobs: int) -> list:
+    """[fn(sent, index=i) for i, sent in enumerate(corpus)], in input order.
 
-
-def _predict_one(item):
-    index, sent = item
-    parser, provider = _WORKER_STATE["predict"]
-    return decode(parser, sent, provider, index)
-
-
-def _map_indexed(fn, corpus, jobs, initializer, initargs):
-    items = list(enumerate(corpus))
-    if jobs > 1 and len(items) > 1:
+    Runs in min(jobs, len(corpus), cpu count) worker processes when that
+    is more than one, else in this process.  fn must pickle.
+    """
+    workers = min(jobs, len(corpus), os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(jobs, initializer=initializer, initargs=initargs) as pool:
-            return pool.map(fn, items)
-    initializer(*initargs)
-    return [fn(item) for item in items]
+        with Pool(workers, initializer=_init_worker,
+                  initargs=(fn,)) as pool:
+            return pool.map(_run_one, list(enumerate(corpus)))
+    return [fn(sent, index=i) for i, sent in enumerate(corpus)]
+
+
+def _convert_one(sent: Sentence, mode: str, index: int) -> Sentence:
+    return convert_mode(sent, mode)
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_convert(cfg) -> None:
     corpus = _read_corpus(cfg["in"])
-    mode = cfg.get("mode", "always")
-    if cfg["jobs"] > 1 and len(corpus) > 1:
-        from functools import partial
-        from multiprocessing import Pool
-        with Pool(cfg["jobs"]) as pool:
-            out = pool.map(partial(convert_mode, mode=mode), corpus)
-    else:
-        out = [convert_mode(sent, mode) for sent in corpus]
+    out = _map_indexed(partial(_convert_one, mode=cfg["mode"]), corpus,
+                       cfg["jobs"])
     _write_text(cfg["out"], write_corpus(out))
-
-
-def cmd_always(cfg) -> None:
-    cmd_convert(cfg)
 
 
 def _feature_setup(kind: str, features_text: str, with_dense: bool):
@@ -370,8 +374,9 @@ def cmd_train_prop(cfg) -> None:
     fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
     widths = [parse_value("hidden", w, "int", "command line")
               for w in _comma_list(cfg["hidden"])]
-    if len(widths) != 2:
-        raise CliError("--hidden expects two comma-separated widths")
+    if len(widths) != 2 or min(widths) < 1:
+        raise CliError("--hidden expects two comma-separated widths of at "
+                       "least 1")
     options = PropTrainOptions(
         c=cfg["c"], tol=cfg["tol"], class_weights=cfg["class-weights"],
         epochs=cfg["epochs"],
@@ -379,8 +384,7 @@ def cmd_train_prop(cfg) -> None:
         hidden_sizes=(widths[0], widths[1]), seed=cfg["seed"])
     model = train_prop(corpus, cfg["kind"], options, provider, fc)
     model.save(_model_path(cfg["model"]))
-    print(f"# trained {cfg['kind']} model on {len(corpus)} sentences",
-          file=sys.stderr)
+    _log(f"# trained {cfg['kind']} model on {len(corpus)} sentences")
 
 
 def cmd_apply_prop(cfg) -> None:
@@ -389,102 +393,41 @@ def cmd_apply_prop(cfg) -> None:
     provider = _single_layer_provider(cfg, corpus)
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
-    out = _map_indexed(_apply_one, corpus, cfg["jobs"], _init_apply,
-                       (model, provider, apply_cfg))
+    out = _map_indexed(partial(apply_model, model, provider=provider,
+                               config=apply_cfg), corpus, cfg["jobs"])
     _write_text(cfg["out"], write_corpus(out))
-
-
-def _edge_key_set(sent: Sentence, index: int) -> set:
-    regular = {t.id for t in sent.words()} | {ROOT}
-    return {(index, head, t.id, label)
-            for t in sent.words() for head, label in t.deps
-            if head in regular}
-
-
-def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
-            provider: EmbeddingProvider) -> float:
-    tp = n_sys = n_gold = 0
-    for i, sent in enumerate(corpus):
-        gold = _edge_key_set(sent, i)
-        pred = _edge_key_set(decode(parser, sent, provider, i), i)
-        tp += len(gold & pred)
-        n_sys += len(pred)
-        n_gold += len(gold)
-    return 2.0 * tp / (n_sys + n_gold) if n_sys + n_gold else 0.0
 
 
 def cmd_train_parser(cfg) -> None:
     corpus = _read_corpus(cfg["train"])
     if cfg["delexicalize"]:
         corpus, inventory = delexicalize_corpus(corpus)
-        print(f"# delexicalized label inventory: {len(inventory)} labels",
-              file=sys.stderr)
+        _log(f"# delexicalized label inventory: {len(inventory)} labels")
     provider = _multi_layer_provider(cfg, corpus)
-    labels = build_label_inventory(corpus)
-    parser = new_parser(labels, layers=provider.layers, dim=provider.dim,
+    parser = new_parser(build_label_inventory(corpus),
+                        layers=provider.layers, dim=provider.dim,
                         hidden=cfg["hidden"], seed=cfg["seed"])
     train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
-                                  epochs=cfg["epochs"], seed=cfg["seed"])
-    optimizer = ad.AdamW(parser.parameters(), lr=train_cfg.lr,
-                         betas=train_cfg.betas,
-                         weight_decay=train_cfg.weight_decay)
-    param_bytes = sum(t.data.nbytes for t in parser.params.values())
-    # parameters, their gradients, the two moments and the scratch buffer
-    footprint = 2 * param_bytes + optimizer.state_bytes
-    print(f"# parser labels {len(labels)} param-bytes {param_bytes} "
-          f"train-bytes {footprint}", file=sys.stderr)
-    rng = np.random.default_rng(train_cfg.seed)
-
-    dev = _read_corpus(cfg["dev"]) if cfg["dev"] else None
-    if dev is not None and cfg["delexicalize"]:
-        dev, _ = delexicalize_corpus(dev)
-    dev_provider = None
-    if dev is not None:
+                                  epochs=cfg["epochs"],
+                                  patience=cfg["patience"], seed=cfg["seed"])
+    dev = dev_provider = None
+    if cfg["dev"]:
+        dev = _read_corpus(cfg["dev"])
+        if cfg["delexicalize"]:
+            dev, _ = delexicalize_corpus(dev)
         dev_provider = provider if cfg["embeddings"] else hash_provider(
             dev, dim=cfg["hash-dim"], layers=cfg["hash-layers"])
-    best = None  # parameters after the best dev epoch
-    best_f1 = -1.0
-    patience_left = cfg["patience"]
-
-    for epoch in range(1, cfg["epochs"] + 1):
-        loss = train_epoch(parser, corpus, provider, train_cfg, optimizer,
-                           rng)
-        line = f"# epoch {epoch} loss {loss:.6f}"
-        if dev is not None:
-            f1 = _dev_f1(parser, dev, dev_provider)
-            line += f" dev-f1 {100 * f1:.2f}"
-            if f1 > best_f1:
-                best_f1 = f1
-                best = {name: t.data.copy()
-                        for name, t in parser.params.items()}
-                patience_left = cfg["patience"]
-            else:
-                patience_left -= 1
-        print(line, file=sys.stderr)
-        if dev is not None and patience_left <= 0:
-            print(f"# stopping early at epoch {epoch}", file=sys.stderr)
-            break
-    if best is not None:
-        for name, tensor in parser.params.items():
-            tensor.data = best[name]
+    train_parser(parser, corpus, provider, train_cfg, dev, dev_provider,
+                 log=_log)
     parser.save(_model_path(cfg["model"]))
 
 
 def cmd_predict(cfg) -> None:
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
-    if cfg["embeddings"] and cfg["hash-dim"]:
-        raise CliError("--embeddings and --hash-dim exclude each other")
-    if cfg["embeddings"]:
-        provider = read_sidecar(cfg["embeddings"])
-    elif cfg["hash-dim"]:
-        provider = hash_provider(corpus, dim=cfg["hash-dim"],
-                                 layers=cfg["hash-layers"])
-    else:
-        raise CliError("prediction needs embeddings: give --embeddings "
-                       "or --hash-dim")
-    out = _map_indexed(_predict_one, corpus, cfg["jobs"], _init_predict,
-                       (parser, provider))
+    provider = _multi_layer_provider(cfg, corpus)
+    out = _map_indexed(partial(decode, parser, provider=provider), corpus,
+                       cfg["jobs"])
     _write_text(cfg["out"], write_corpus(out))
 
 
@@ -492,8 +435,7 @@ def cmd_evaluate(cfg) -> None:
     system = _read_corpus(cfg["system"])
     gold = _read_corpus(cfg["gold"])
     report = score(system, gold,
-                   keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])),
-                   jobs=cfg["jobs"])
+                   keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])))
     sc = report.overall
     summary = (f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
                f"P {100 * sc.precision:.1f} R {100 * sc.recall:.1f} "
@@ -512,7 +454,7 @@ def cmd_agree(cfg) -> None:
     if len(names) != len(files):
         raise CliError("--names must list one name per file")
     corpora = [_read_corpus(f) for f in files]
-    report = agreement_matrix(corpora, names, jobs=cfg["jobs"])
+    report = agreement_matrix(corpora, names)
     _write_text(cfg["out"], format_agreement(report) + "\n")
 
 
@@ -520,7 +462,7 @@ def cmd_stats(cfg) -> None:
     original = _read_corpus(cfg["original"])
     edited = _read_corpus(cfg["edited"])
     scope = "conjunct" if cfg["scope"] == "conjunct-incident" else cfg["scope"]
-    report = diff_stats(original, edited, scope=scope, jobs=cfg["jobs"])
+    report = diff_stats(original, edited, scope=scope)
     body = format_diff_records(report) if cfg["records"] \
         else format_diff_table(report)
     _write_text(cfg["out"], body + "\n")
@@ -528,7 +470,6 @@ def cmd_stats(cfg) -> None:
 
 HANDLERS = {
     "convert": cmd_convert,
-    "always": cmd_always,
     "train-prop": cmd_train_prop,
     "apply-prop": cmd_apply_prop,
     "train-parser": cmd_train_parser,
@@ -539,7 +480,7 @@ HANDLERS = {
 }
 
 _ERRORS = (CliError, ConfigError, ParseError, EmbeddingError, AlignmentError,
-           TrainingError, ApplyError, EdgePredError, ModelFileError)
+           TrainingError, ApplyError, EdgePredError, ModelFileError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -552,9 +493,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_options(args)
         HANDLERS[args.command](cfg)
     except _ERRORS as err:
-        print(f"conjprop: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
         print(f"conjprop: error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -9,6 +9,8 @@ layer so any run can be reproduced from its log.
 
 from __future__ import annotations
 
+from .conllu import decode_utf8
+
 
 class ConfigError(Exception):
     """Malformed configuration; the message names the file and line."""
@@ -17,10 +19,11 @@ class ConfigError(Exception):
 def read_config_file(path: str) -> dict[str, str]:
     """Key-value pairs from a config file; a later repeated key wins."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror}") from None
+    text = decode_utf8(raw, path, ConfigError)
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -258,6 +258,23 @@ def write_corpus(sentences: Iterable[Sentence]) -> str:
     return "".join(write_sentence(s) + "\n" for s in sentences)
 
 
+def decode_utf8(raw: bytes, name: str, error: type[Exception]) -> str:
+    """raw as text with its newlines translated, as text-mode open() reads it.
+
+    Bytes that are not UTF-8 raise error("name:line: ..."), the line
+    counted in raw up to the first bad byte.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{name}:{line}: invalid UTF-8 byte "
+                    f"0x{raw[err.start]:02x}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_file(path: str) -> list[Sentence]:
     with open(path, encoding="utf-8") as fh:
         return parse_corpus(fh.read())

@@ -14,6 +14,7 @@ ignored during training and empty nodes keep their deps at decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ class ParserTrainConfig:
     output_dropout: float = 0.5
     fnn_dropout: float = 0.33
     epochs: int = 10
+    patience: int = 5
     seed: int = 0
 
 
@@ -321,3 +323,57 @@ def decode(parser: EdgeParser, sent: Sentence, provider: EmbeddingProvider,
             deps.append((head, label))
         words[j].deps = sorted(set(deps))
     return out
+
+
+def _edge_key_set(sent: Sentence, index: int) -> set:
+    regular = {t.id for t in sent.words()} | {ROOT}
+    return {(index, head, t.id, label)
+            for t in sent.words() for head, label in t.deps
+            if head in regular}
+
+
+def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
+           provider: EmbeddingProvider) -> float:
+    """F1 of the decoded enhanced edges between regular tokens."""
+    tp = n_sys = n_gold = 0
+    for i, sent in enumerate(corpus):
+        gold = _edge_key_set(sent, i)
+        pred = _edge_key_set(decode(parser, sent, provider, i), i)
+        tp += len(gold & pred)
+        n_sys += len(pred)
+        n_gold += len(gold)
+    return 2.0 * tp / (n_sys + n_gold) if n_sys + n_gold else 0.0
+
+
+def train_parser(parser: EdgeParser, corpus: list[Sentence],
+                 provider: EmbeddingProvider, cfg: ParserTrainConfig,
+                 dev: list[Sentence] | None = None,
+                 dev_provider: EmbeddingProvider | None = None,
+                 log: Callable[[str], None] = lambda line: None) -> None:
+    """Trains for up to cfg.epochs epochs, one "# ..." log line per event.
+
+    With a dev corpus, training stops once cfg.patience epochs in a row
+    have not raised the dev F1, and the parameters of the best dev epoch
+    are put back; without one, every epoch runs and the final parameters
+    stay.
+    """
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
+                         weight_decay=cfg.weight_decay)
+    param_bytes = sum(t.data.nbytes for t in parser.params.values())
+    # parameters, their gradients, the two moments and the scratch buffer
+    footprint = 2 * param_bytes + optimizer.state_bytes
+    log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
+        f"train-bytes {footprint}")
+    rng = np.random.default_rng(cfg.seed)
+    stopper = ad.EarlyStopping(parser.parameters(), cfg.patience)
+    for epoch in range(1, cfg.epochs + 1):
+        loss = train_epoch(parser, corpus, provider, cfg, optimizer, rng)
+        if dev is None:
+            log(f"# epoch {epoch} loss {loss:.6f}")
+            continue
+        f1 = _dev_f1(parser, dev, dev_provider)
+        log(f"# epoch {epoch} loss {loss:.6f} dev-f1 {100 * f1:.2f}")
+        if stopper.update(f1):
+            log(f"# stopping early at epoch {epoch}")
+            break
+    stopper.restore()

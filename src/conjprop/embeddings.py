@@ -10,11 +10,12 @@ inferred from the first record.
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 
 import numpy as np
 
-from .conllu import Sentence, TokenId, parse_token_id
+from .conllu import Sentence, TokenId, decode_utf8, parse_token_id
 
 
 class EmbeddingError(Exception):
@@ -50,7 +51,9 @@ def read_sidecar(path) -> EmbeddingProvider:
     table: dict[tuple[str, TokenId], np.ndarray] = {}
     layers = 1
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path, EmbeddingError)
+    with io.StringIO(text) as fh:
         first = fh.readline()
         if first.startswith("layers="):
             head = dict(part.split("=", 1) for part in first.split())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .conllu import Sentence
 from .graph import Edge, basic_edges, coarse, enhanced_edges, propagated_links
@@ -24,8 +23,9 @@ def align_corpora(a: list[Sentence], b: list[Sentence]):
     if all(i is not None for i in a_ids) and all(i is not None for i in b_ids):
         if len(set(a_ids)) != len(a_ids) or len(set(b_ids)) != len(b_ids):
             raise AlignmentError("duplicate sent_id values")
-        only_a = [i for i in a_ids if i not in set(b_ids)]
-        only_b = [i for i in b_ids if i not in set(a_ids)]
+        a_set, b_set = set(a_ids), set(b_ids)
+        only_a = [i for i in a_ids if i not in b_set]
+        only_b = [i for i in b_ids if i not in a_set]
         if only_a or only_b:
             raise AlignmentError(
                 f"sentence ids do not match: only in first={only_a[:10]}, "
@@ -72,35 +72,21 @@ class EvalReport:
     coarse: dict[str, LabelScore]
 
 
-def _map_sentences(fn, sentences: list[Sentence], jobs: int) -> list:
-    """Applies fn per sentence, optionally in a process pool, keeping order."""
-    if jobs > 1 and len(sentences) > 1:
-        from multiprocessing import Pool
-        with Pool(jobs) as pool:
-            return pool.map(fn, sentences)
-    return [fn(s) for s in sentences]
-
-
-def _keyed_links(corpus_pairs, side: int, jobs: int = 1) -> set:
-    sents = [pair[1 + side] for pair in corpus_pairs]
-    link_sets = _map_sentences(propagated_links, sents, jobs)
-    return {(pair[0], e)
-            for pair, links in zip(corpus_pairs, link_sets) for e in links}
+def _keyed_links(corpus_pairs, side: int) -> set:
+    return {(pair[0], e) for pair in corpus_pairs
+            for e in propagated_links(pair[1 + side])}
 
 
 def score(system: list[Sentence], gold: list[Sentence],
-          keep_subtypes: frozenset[str] = frozenset(),
-          jobs: int = 1) -> EvalReport:
+          keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
     """Precision/recall/F1 over the union of per-sentence propagated links.
 
     keep_subtypes lists full labels kept apart in the coarse rollup; every
-    other label collapses to its coarse form there.  jobs > 1 builds the
-    per-sentence link sets in a process pool; the merge is a set union, so
-    the report does not depend on scheduling.
+    other label collapses to its coarse form there.
     """
     pairs = align_corpora(system, gold)
-    sys_links = _keyed_links(pairs, 0, jobs)
-    gold_links = _keyed_links(pairs, 1, jobs)
+    sys_links = _keyed_links(pairs, 0)
+    gold_links = _keyed_links(pairs, 1)
 
     def rollup(label: str) -> str:
         return label if label in keep_subtypes else coarse(label)
@@ -147,8 +133,7 @@ class AgreementReport:
 
 
 def agreement_matrix(corpora: list[list[Sentence]],
-                     names: list[str] | None = None,
-                     jobs: int = 1) -> AgreementReport:
+                     names: list[str] | None = None) -> AgreementReport:
     """Pairwise scores over two or more corpora of the same sentences."""
     if len(corpora) < 2:
         raise ValueError("agreement needs at least two corpora")
@@ -161,7 +146,7 @@ def agreement_matrix(corpora: list[list[Sentence]],
         for si, system in enumerate(corpora):
             if gi == si:
                 continue
-            pairwise[(names[gi], names[si])] = score(system, gold, jobs=jobs)
+            pairwise[(names[gi], names[si])] = score(system, gold)
     return AgreementReport(names=list(names), pairwise=pairwise)
 
 
@@ -192,7 +177,7 @@ def _scoped_edges(sent: Sentence, scope: str) -> set[Edge]:
 
 
 def diff_stats(original: list[Sentence], edited: list[Sentence],
-               scope: str = "conjunct", jobs: int = 1) -> DiffReport:
+               scope: str = "conjunct") -> DiffReport:
     """Added/removed edge counts per label between two corpus versions.
 
     Scope "conjunct" compares propagated-link sets; "all" compares the union
@@ -201,11 +186,9 @@ def diff_stats(original: list[Sentence], edited: list[Sentence],
     within the same scope.
     """
     pairs = align_corpora(original, edited)
-    scoped = partial(_scoped_edges, scope=scope)
-    before_sets = _map_sentences(scoped, [p[1] for p in pairs], jobs)
-    after_sets = _map_sentences(scoped, [p[2] for p in pairs], jobs)
     report = DiffReport(scope=scope, per_label={})
-    for before, after in zip(before_sets, after_sets):
+    for _, x, y in pairs:
+        before, after = _scoped_edges(x, scope), _scoped_edges(y, scope)
         touched: set[str] = set()
         for e in after - before:
             d = report.per_label.setdefault(e.label, LabelDiff())

@@ -171,9 +171,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
         neg = max(int((~y).sum()), 1)
         weights = {True: n / (2.0 * pos), False: n / (2.0 * neg)}
 
-    best = {k: t.data.copy() for k, t in params.items()}
-    best_f1 = -1.0
-    patience_left = opts.patience
+    stopper = ad.EarlyStopping(list(params.values()), opts.patience)
     for _ in range(opts.epochs):
         for i in rng.permutation(len(train_idx)):
             idx = train_idx[i]
@@ -186,18 +184,11 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
             continue
         snapshot = {k: t.data for k, t in params.items()}
         pred = _mlp_forward(snapshot, x[holdout_idx])
-        f1 = _macro_f1(pred[:, 1] >= pred[:, 0], y[holdout_idx])
-        if f1 > best_f1:
-            best_f1 = f1
-            best = {k: t.data.copy() for k, t in params.items()}
-            patience_left = opts.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
-    if n_holdout == 0:
-        best = {k: t.data.copy() for k, t in params.items()}
-    return best
+        if stopper.update(_macro_f1(pred[:, 1] >= pred[:, 0],
+                                    y[holdout_idx])):
+            break
+    stopper.restore()
+    return {k: t.data for k, t in params.items()}
 
 
 def corpus_instances(corpus: list[Sentence], with_gold: bool = True,

@@ -230,3 +230,53 @@ def test_adamw_matches_the_straight_line_formula():
     for mine, theirs in zip(ours, ref):
         assert mine.data.tobytes() == theirs.data.tobytes()
     assert ours[2].data.tobytes() == arrays[2].tobytes()
+
+
+def _scripted_stopping(scores, patience, epochs=None):
+    """Runs the early-stopping loop with epoch e setting the parameter to e;
+    returns (epochs run, restored value)."""
+    p = ad.Tensor(np.array([0.0]), requires_grad=True)
+    stopper = ad.EarlyStopping([p], patience)
+    ran = 0
+    for epoch in range(1, (len(scores) if epochs is None else epochs) + 1):
+        p.data = np.array([float(epoch)])
+        ran = epoch
+        if scores is not None and stopper.update(scores[epoch - 1]):
+            break
+    stopper.restore()
+    return ran, float(p.data[0])
+
+
+@pytest.mark.parametrize("scores, patience, ran, restored", [
+    # improvement resets the count; two flat epochs in a row stop
+    ([0.1, 0.3, 0.2, 0.4, 0.4, 0.1, 0.9], 2, 6, 4.0),
+    # patience 1 stops at the first epoch that does not improve
+    ([0.5, 0.6, 0.6, 0.9], 1, 3, 2.0),
+    # a tie is not an improvement: the earlier epoch is kept
+    ([0.2, 0.2, 0.1], 3, 3, 1.0),
+    # never stopped: the best epoch comes back, not the last
+    ([0.0, 0.7, 0.1, 0.2], 5, 4, 2.0),
+    # a zero score still beats "no score yet"
+    ([0.0, 0.0], 1, 2, 1.0),
+])
+def test_early_stopping_stops_and_restores_the_best_epoch(
+        scores, patience, ran, restored):
+    assert _scripted_stopping(scores, patience) == (ran, restored)
+
+
+def test_early_stopping_without_scores_keeps_the_final_parameters():
+    assert _scripted_stopping(None, 1, epochs=4) == (4, 4.0)
+
+
+def test_early_stopping_with_no_epochs_keeps_the_initial_parameters():
+    assert _scripted_stopping([], 1) == (0, 0.0)
+
+
+def test_early_stopping_snapshot_is_a_copy():
+    p = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    stopper = ad.EarlyStopping([p], patience=1)
+    stopper.update(0.5)
+    p.data += 10.0  # an in-place update, as AdamW.step makes
+    stopper.update(0.1)
+    stopper.restore()
+    assert p.data.tolist() == [1.0, 2.0]

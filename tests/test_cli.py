@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import io
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 import conjprop
+from conjprop import cli
 from conjprop.cli import main
 from conjprop.modelfile import load_model
 
@@ -57,7 +60,10 @@ def prop_input_text() -> str:
 def run(capsys, monkeypatch):
     def call(argv, stdin_text=None):
         if stdin_text is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+            raw = stdin_text if isinstance(stdin_text, bytes) \
+                else stdin_text.encode("utf-8")
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(raw), encoding="utf-8"))
         rc = main(argv)
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
@@ -101,12 +107,32 @@ def test_convert_reads_stdin_writes_stdout(run):
     assert "5:obl|7:obl" in out
 
 
-def test_always_subcommand_runs(run):
+def test_convert_mode_always_runs(run):
     text = open(FIG1, encoding="utf-8").read()
-    rc, out, err = run(["always"], stdin_text=text)
+    rc, out, err = run(["convert", "--mode", "always"], stdin_text=text)
     assert rc == 0
-    assert "# conjprop always" in err
+    assert "# mode = always" in err
     assert "7:nsubj" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["always"],
+    ["evaluate", "--system", FIG1, "--gold", FIG1, "--jobs", "2"],
+    ["agree", "--files", f"{FIG1},{FIG1}", "--jobs", "2"],
+    ["stats", "--original", FIG1, "--edited", FIG1, "--jobs", "2"],
+])
+def test_removed_command_and_scorer_jobs_are_usage_errors(run, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 2
+
+
+def test_scorer_config_may_still_set_jobs(run, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"system = {FIG1}\ngold = {FIG1}\njobs = 4\n")
+    rc, out, err = run(["evaluate", "--config", str(cfg)])
+    assert rc == 0
+    assert "F1 " in out and "# jobs" not in err
 
 
 def test_resolved_config_is_logged(run, tmp_path):
@@ -428,3 +454,118 @@ def test_train_parser_early_stopping_logs_dev_f1(run, tmp_path):
                       "--dev", str(train), "--patience", "1"])
     assert rc == 0
     assert "dev-f1" in err
+
+
+def _tag(sent, index, suffix):
+    return f"{sent}{index}{suffix}"
+
+
+def test_map_indexed_caps_workers_and_keeps_input_order(monkeypatch):
+    processes = []
+
+    class InProcessPool:
+        def __init__(self, n, initializer, initargs):
+            processes.append(n)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(cli, "_WORKER_FN", None)
+    fn = partial(_tag, suffix="!")
+    corpus = ["a", "b", "c"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._map_indexed(fn, corpus, 10**6) == ["a0!", "b1!", "c2!"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._map_indexed(fn, corpus, 10**6) == ["a0!", "b1!", "c2!"]
+    assert processes == [3, 2]
+    # one job, one sentence or one core: no pool at all
+    assert cli._map_indexed(fn, corpus, 1) == ["a0!", "b1!", "c2!"]
+    assert cli._map_indexed(fn, corpus[:1], 8) == ["a0!"]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._map_indexed(fn, corpus, 8) == ["a0!", "b1!", "c2!"]
+    assert processes == [3, 2]
+
+
+def _with_bad_byte(text: str, line: int) -> bytes:
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] += b"\xff"
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "stdin", "config", "sidecar"])
+def test_non_utf8_input_names_file_and_line(run, tmp_path, kind):
+    bad = tmp_path / "bad.txt"
+    fig1 = _with_bad_byte(open(FIG1, encoding="utf-8").read(), 3)
+    stdin = None
+    if kind == "corpus":
+        bad.write_bytes(fig1)
+        argv = ["convert", "--in", str(bad)]
+    elif kind == "stdin":
+        stdin, argv = fig1, ["convert"]
+    elif kind == "config":
+        bad.write_bytes(_with_bad_byte(f"mode = rbc\n\nin = {FIG1}\n", 3))
+        argv = ["convert", "--config", str(bad)]
+    else:
+        bad.write_bytes(_with_bad_byte(
+            "sh0\t1\t0.1 0.2\nsh0\t2\t0.3 0.4\nsh0\t3\t0.5 0.6\n", 3))
+        train = tmp_path / "train.conllu"
+        train.write_text(prop_training_text())
+        argv = ["train-prop", "--train", str(train), "--model",
+                str(tmp_path / "m"), "--embeddings", str(bad)]
+    rc, _, err = run(argv, stdin_text=stdin)
+    name = "<stdin>" if kind == "stdin" else str(bad)
+    assert rc == 1
+    assert f"conjprop: error: {name}:3: invalid UTF-8 byte 0xff" in err
+
+
+def test_crlf_corpus_reads_like_lf(run, tmp_path):
+    crlf = tmp_path / "crlf.conllu"
+    crlf.write_bytes(open(FIG1, "rb").read().replace(b"\n", b"\r\n"))
+    rc, out, _ = run(["convert", "--mode", "rbc2", "--in", str(crlf)])
+    _, expected, _ = run(["convert", "--mode", "rbc2", "--in", FIG1])
+    assert rc == 0 and out == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-parser", "--batch", "0"], "batch must be in [1, inf), got 0"),
+    (["train-parser", "--hidden", "0"], "hidden must be in [1, inf), got 0"),
+    (["train-parser", "--epochs", "-1"], "epochs must be in [0, inf), got -1"),
+    (["train-parser", "--patience", "0"],
+     "patience must be in [1, inf), got 0"),
+    (["train-prop", "--patience", "0"], "patience must be in [1, inf), got 0"),
+    (["train-prop", "--epochs", "-2"], "epochs must be in [0, inf), got -2"),
+    (["train-prop", "--holdout", "1"],
+     "holdout must be in [0, 1), got 1.0"),
+    (["train-prop", "--holdout", "-0.1"],
+     "holdout must be in [0, 1), got -0.1"),
+    (["train-prop", "--holdout", "nan"],
+     "holdout must be in [0, 1), got nan"),
+    (["train-prop", "--hidden", "8,0"], "--hidden expects two"),
+    (["convert", "--jobs", "0"], "jobs must be in [1, inf), got 0"),
+    (["apply-prop", "--jobs", "-3"], "jobs must be in [1, inf), got -3"),
+])
+def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
+    model = str(tmp_path / "m")
+    inputs = {"convert": ["--in", FIG1],
+              "apply-prop": ["--in", FIG1, "--model", model],
+              "train-prop": ["--train", FIG1, "--model", model],
+              "train-parser": ["--train", FIG1, "--model", model]}
+    rc, _, err = run(argv + inputs[argv[0]])
+    assert rc == 1
+    assert "conjprop: error: " in err and message in err
+
+
+def test_out_of_range_config_value_names_the_file(run, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"train = {FIG1}\nmodel = {tmp_path / 'm'}\nbatch = 0\n")
+    rc, _, err = run(["train-parser", "--config", str(cfg)])
+    assert rc == 1
+    assert f"conjprop: error: {cfg}: batch must be in [1, inf), got 0" in err

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import make_sentence, random_sentence
 from conjprop.conllu import ROOT, Token, TokenId, parse_corpus, write_corpus
+from conjprop import edgepred
 from conjprop.edgepred import (
     NO_EDGE, EdgeParser, EdgePredError, ParserTrainConfig, _gold_grid,
     build_label_inventory, decode, decode_scores, mixture_weights,
-    new_parser, score_pairs, sentence_loss, train_epoch,
+    new_parser, score_pairs, sentence_loss, train_epoch, train_parser,
 )
 from conjprop.embeddings import EmbeddingProvider, hash_provider
 from conjprop.modelfile import save_model
@@ -312,6 +313,35 @@ def test_training_reduces_the_loss():
     for _ in range(4):
         last = train_epoch(parser, corpus, provider, cfg)
     assert last < first
+
+
+def test_train_parser_restores_the_best_dev_epoch(monkeypatch):
+    corpus = tiny_corpus()
+    provider = hash_provider(corpus, dim=4, layers=2)
+    labels = build_label_inventory(corpus)
+    scores = iter([0.2, 0.5, 0.4, 0.3, 0.9])
+    monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
+    cfg = ParserTrainConfig(lr=1e-2, epochs=5, patience=2, seed=4)
+    lines = []
+    parser = new_parser(labels, layers=2, dim=4, hidden=6, seed=4)
+    train_parser(parser, corpus, provider, cfg, dev=corpus,
+                 dev_provider=provider, log=lines.append)
+    assert lines[0].startswith("# parser labels ")
+    assert [line.split(" dev-f1 ")[1] for line in lines[1:-1]] == [
+        "20.00", "50.00", "40.00", "30.00"]
+    assert lines[-1] == "# stopping early at epoch 4"
+
+    # decoding the dev set draws no random numbers, so two epochs without
+    # a dev set reach the parameters of the best epoch
+    again = new_parser(labels, layers=2, dim=4, hidden=6, seed=4)
+    plain = []
+    train_parser(again, corpus, provider,
+                 ParserTrainConfig(lr=1e-2, epochs=2, seed=4),
+                 log=plain.append)
+    assert [line.split(" loss ")[0] for line in plain[1:]] == [
+        "# epoch 1", "# epoch 2"]
+    for name, tensor in parser.params.items():
+        assert tensor.data.tobytes() == again.params[name].data.tobytes()
 
 
 def test_inference_is_deterministic():

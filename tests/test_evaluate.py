@@ -219,3 +219,16 @@ def test_formatting_smoke(fig1, fig1_gold):
     assert all(len(line.split("\t")) == 7 for line in lines)
     d = diff_stats([fig1_gold], [fig1_gold])
     assert format_diff_records(d).endswith("0\t0\t0\t3")
+
+
+def test_alignment_mismatch_lists_first_ten_ids_in_input_order():
+    def corpus(ids):
+        return [make_sentence([("x", "NOUN", 0, "root")], sent_id=i)
+                for i in ids]
+    a_only = [f"a{k}" for k in (12, 3, 7, 1, 9, 11, 4, 8, 2, 10, 6, 5)]
+    b_only = [f"b{k}" for k in (2, 1)]
+    with pytest.raises(AlignmentError) as err:
+        align_corpora(corpus(["s"] + a_only), corpus(b_only + ["s"]))
+    assert str(err.value) == (
+        f"sentence ids do not match: only in first={a_only[:10]}, "
+        f"only in second={b_only}")
