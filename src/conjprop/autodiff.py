@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
 Just enough operations for the models in this package: elementwise
-arithmetic, two-operand einsum, broadcasting matmul, relu, exp,
-log-softmax, reductions, reshaping, slicing, and concatenation.  Gradients
-are validated against central finite differences in the test suite.
+arithmetic, broadcasting matmul, relu, exp, log-softmax, sums, reshaping,
+slicing, and concatenation.  Gradients are validated against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -126,35 +126,9 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def einsum(spec: str, a, b) -> Tensor:
-    """Two-operand einsum with gradients by index rearrangement.
-
-    Requires every index of each operand to appear in the output or in the
-    other operand, and no repeated index within one operand; that covers
-    matrix products, bilinear forms, and batched contractions.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    inputs, out_spec = spec.replace(" ", "").split("->")
-    a_spec, b_spec = inputs.split(",")
-    for one, other in ((a_spec, b_spec), (b_spec, a_spec)):
-        if len(set(one)) != len(one):
-            raise ValueError(f"repeated index within operand: {spec!r}")
-        if not set(one) <= set(other) | set(out_spec):
-            raise ValueError(f"unsupported contraction: {spec!r}")
-    data = np.einsum(spec, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data)
-        if b.requires_grad:
-            b.grad += np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.data)
-
-    return _make(data, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     """``np.matmul`` of two operands of at least two dimensions each; the
-    batch dimensions broadcast.  Runs on BLAS, unlike ``einsum``."""
+    batch dimensions broadcast.  Runs on BLAS."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul needs operands of at least two dimensions")
@@ -217,12 +191,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         a.grad += np.broadcast_to(g, a.data.shape)
 
     return _make(data, (a,), backward)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, shape) -> Tensor:

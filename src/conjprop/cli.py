@@ -257,11 +257,7 @@ def _read_corpus(path: str) -> list[Sentence]:
                 raw = fh.read()
     except OSError as err:
         raise CliError(f"{name}: {err.strerror}") from None
-    text = decode_utf8(raw, name, CliError)
-    try:
-        return parse_corpus(text)
-    except ParseError as err:
-        raise CliError(f"{name}: {err}") from None
+    return parse_corpus(decode_utf8(raw, name), name)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -285,30 +281,26 @@ def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _single_layer_provider(cfg, corpus) -> EmbeddingProvider | None:
+def _provider(cfg, corpus) -> EmbeddingProvider | None:
+    """The embeddings --embeddings or --hash-dim names.  The parser's
+    commands, which have --hash-layers, need them and take any layer
+    count; the classifiers' take a single layer or none."""
+    for_parser = "hash-layers" in cfg
     if cfg["embeddings"] and cfg["hash-dim"]:
         raise CliError("--embeddings and --hash-dim exclude each other")
     if cfg["embeddings"]:
         provider = read_sidecar(cfg["embeddings"])
-        if provider.layers != 1:
+        if provider.layers != 1 and not for_parser:
             raise CliError(f"{cfg['embeddings']}: expected a single-layer "
                            f"sidecar, found layers={provider.layers}")
         return provider
     if cfg["hash-dim"]:
-        return hash_provider(corpus, dim=cfg["hash-dim"])
-    return None
-
-
-def _multi_layer_provider(cfg, corpus) -> EmbeddingProvider:
-    if cfg["embeddings"] and cfg["hash-dim"]:
-        raise CliError("--embeddings and --hash-dim exclude each other")
-    if cfg["embeddings"]:
-        return read_sidecar(cfg["embeddings"])
-    if cfg["hash-dim"]:
         return hash_provider(corpus, dim=cfg["hash-dim"],
-                             layers=cfg["hash-layers"])
-    raise CliError("the edge parser needs embeddings: give --embeddings "
-                   "or --hash-dim")
+                             layers=cfg.get("hash-layers", 1))
+    if for_parser:
+        raise CliError("the edge parser needs embeddings: give --embeddings "
+                       "or --hash-dim")
+    return None
 
 
 # ------------------------------------------------------- parallel transforms
@@ -370,7 +362,7 @@ def _feature_setup(kind: str, features_text: str, with_dense: bool):
 
 def cmd_train_prop(cfg) -> None:
     corpus = _read_corpus(cfg["train"])
-    provider = _single_layer_provider(cfg, corpus)
+    provider = _provider(cfg, corpus)
     fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
     widths = [parse_value("hidden", w, "int", "command line")
               for w in _comma_list(cfg["hidden"])]
@@ -390,7 +382,7 @@ def cmd_train_prop(cfg) -> None:
 def cmd_apply_prop(cfg) -> None:
     corpus = _read_corpus(cfg["in"])
     model = PropModel.load(_model_path(cfg["model"]))
-    provider = _single_layer_provider(cfg, corpus)
+    provider = _provider(cfg, corpus)
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
     out = _map_indexed(partial(apply_model, model, provider=provider,
@@ -403,7 +395,7 @@ def cmd_train_parser(cfg) -> None:
     if cfg["delexicalize"]:
         corpus, inventory = delexicalize_corpus(corpus)
         _log(f"# delexicalized label inventory: {len(inventory)} labels")
-    provider = _multi_layer_provider(cfg, corpus)
+    provider = _provider(cfg, corpus)
     parser = new_parser(build_label_inventory(corpus),
                         layers=provider.layers, dim=provider.dim,
                         hidden=cfg["hidden"], seed=cfg["seed"])
@@ -425,7 +417,7 @@ def cmd_train_parser(cfg) -> None:
 def cmd_predict(cfg) -> None:
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
-    provider = _multi_layer_provider(cfg, corpus)
+    provider = _provider(cfg, corpus)
     out = _map_indexed(partial(decode, parser, provider=provider), corpus,
                        cfg["jobs"])
     _write_text(cfg["out"], write_corpus(out))

@@ -23,7 +23,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raw = fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror}") from None
-    text = decode_utf8(raw, path, ConfigError)
+    text = decode_utf8(raw, path)
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -19,11 +19,16 @@ COLUMN_NAMES = (
 
 
 class ParseError(ValueError):
-    """Raised on malformed input; carries the 1-based line number and column name."""
+    """Raised on malformed input; carries the 1-based line number, the
+    column name and, when known, the file: "path:line, FIELD: message"."""
 
-    def __init__(self, message: str, line: int, fieldname: str | None = None):
-        where = f"line {line}" if fieldname is None else f"line {line}, {fieldname}"
+    def __init__(self, message: str, line: int, fieldname: str | None = None,
+                 path: str | None = None):
+        where = f"line {line}" if path is None else f"{path}:{line}"
+        if fieldname is not None:
+            where += f", {fieldname}"
         super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
         self.field = fieldname
 
@@ -154,49 +159,65 @@ def _parse_head(text: str, line: int) -> TokenId | None:
     return tid
 
 
-def _finish_sentence(sent: Sentence, start_line: int) -> Sentence:
+def _finish_sentence(sent: Sentence, start_line: int,
+                     token_lines: list[int]) -> Sentence:
+    """Checks the sentence's ids and heads; token_lines[i] is the line of
+    sent.tokens[i], which errors name."""
     if not sent.tokens:
         raise ParseError("sentence has no token lines", start_line)
     ids = {t.id for t in sent.tokens}
     expected = 1
     prev: TokenId | None = None
-    for t in sent.tokens:
+    for t, line in zip(sent.tokens, token_lines):
         if prev is not None and t.id <= prev:
-            raise ParseError(f"token id {t.id} out of order", start_line, "ID")
+            raise ParseError(f"token id {t.id} out of order", line, "ID")
         prev = t.id
         if not t.id.is_empty:
             if t.id.major != expected:
                 raise ParseError(
                     f"token ids not contiguous: expected {expected}, got {t.id.major}",
-                    start_line, "ID")
+                    line, "ID")
             expected += 1
-    for t in sent.tokens:
+    for t, line in zip(sent.tokens, token_lines):
         if t.head is not None and t.head != ROOT and t.head not in ids:
             raise ParseError(f"token {t.id} has dangling head {t.head}",
-                             start_line, "HEAD")
+                             line, "HEAD")
         for h, _ in t.deps:
             if h != ROOT and h not in ids:
                 raise ParseError(f"token {t.id} has dangling deps head {h}",
-                                 start_line, "DEPS")
+                                 line, "DEPS")
     return sent
 
 
-def parse_corpus(text: str) -> list[Sentence]:
-    """Parse a whole CoNLL-U document. Raises ParseError on the first problem."""
+def parse_corpus(text: str, path: str | None = None) -> list[Sentence]:
+    """Parse a whole CoNLL-U document. Raises ParseError on the first
+    problem; given the document's path, the error names it."""
+    try:
+        return _parse_lines(text)
+    except ParseError as err:
+        if path is None:
+            raise
+        raise ParseError(err.message, err.line, err.field, path) from None
+
+
+def _parse_lines(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     current = Sentence()
+    token_lines: list[int] = []
     start_line = 1
     in_sentence = False
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             if in_sentence:
-                sentences.append(_finish_sentence(current, start_line))
+                sentences.append(
+                    _finish_sentence(current, start_line, token_lines))
                 current = Sentence()
                 in_sentence = False
             continue
         if not in_sentence:
             start_line = lineno
+            token_lines = []
             in_sentence = True
         if line.startswith("#"):
             if current.tokens:
@@ -219,6 +240,7 @@ def parse_corpus(text: str) -> list[Sentence]:
         deprel = None if cols[7] == "_" else cols[7]
         if head is not None and deprel is None:
             raise ParseError("HEAD given but DEPREL empty", lineno, "DEPREL")
+        token_lines.append(lineno)
         current.tokens.append(Token(
             id=tid,
             form=cols[1],
@@ -232,7 +254,7 @@ def parse_corpus(text: str) -> list[Sentence]:
             misc=cols[9],
         ))
     if in_sentence:
-        sentences.append(_finish_sentence(current, start_line))
+        sentences.append(_finish_sentence(current, start_line, token_lines))
     return sentences
 
 
@@ -258,26 +280,26 @@ def write_corpus(sentences: Iterable[Sentence]) -> str:
     return "".join(write_sentence(s) + "\n" for s in sentences)
 
 
-def decode_utf8(raw: bytes, name: str, error: type[Exception]) -> str:
+def decode_utf8(raw: bytes, name: str) -> str:
     """raw as text with its newlines translated, as text-mode open() reads it.
 
-    Bytes that are not UTF-8 raise error("name:line: ..."), the line
+    Bytes that are not UTF-8 raise a ParseError naming name and the line,
     counted in raw up to the first bad byte.
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         line = raw.count(b"\n", 0, err.start) + 1
-        raise error(f"{name}:{line}: invalid UTF-8 byte "
-                    f"0x{raw[err.start]:02x}") from None
+        raise ParseError(f"invalid UTF-8 byte 0x{raw[err.start]:02x}", line,
+                         path=name) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
 def read_file(path: str) -> list[Sentence]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh.read())
+    with open(path, "rb") as fh:
+        return parse_corpus(decode_utf8(fh.read(), path), path)
 
 
 def write_file(sentences: Iterable[Sentence], path: str) -> None:

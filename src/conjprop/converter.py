@@ -18,8 +18,8 @@ from .graph import (
     has_child_with_label, subject_edges_at,
 )
 
-# incoming labels of gov never copied over to the conjunct
-DEFAULT_GOVERNOR_EXCEPTIONS = frozenset(
+# incoming labels of gov never copied over to the conjunct, by coarse label
+GOVERNOR_EXCEPTIONS = frozenset(
     {"vocative", "discourse", "root", "punct", "cc", "conj", "mark"})
 
 SUBJECT_LABELS = frozenset({"nsubj", "csubj"})
@@ -32,7 +32,6 @@ class ConverterConfig:
     propagate_non_core: bool = False
     iterate_to_fixpoint: bool = False
     passive_imperative_fix: bool = False
-    governor_exceptions: frozenset[str] = DEFAULT_GOVERNOR_EXCEPTIONS
 
 
 MODES = {
@@ -50,8 +49,12 @@ def seed_enhanced(sent: Sentence) -> None:
             t.deps.append((t.head, t.deprel))
 
 
-def _needs_seed(sent: Sentence) -> bool:
-    return all(not t.deps for t in sent.tokens)
+def seeded_copy(sent: Sentence) -> Sentence:
+    """A copy of sent, its DEPS seeded from the basic layer when all empty."""
+    work = sent.clone()
+    if all(not t.deps for t in work.tokens):
+        seed_enhanced(work)
+    return work
 
 
 def _has_subject(sent: Sentence, dep) -> bool:
@@ -59,9 +62,9 @@ def _has_subject(sent: Sentence, dep) -> bool:
 
 
 def _subject_label(dep_tok: Token, candidate: str, has_auxpass: bool,
-                   cfg: ConverterConfig) -> str | None:
+                   passive_imperative_fix: bool) -> str | None:
     """Final label for a subject copied onto dep_tok, or None to suppress it."""
-    if cfg.passive_imperative_fix:
+    if passive_imperative_fix:
         if coarse(candidate) == "nsubj" and dep_tok.feats.get("Mood") == "Imp":
             return None
         if candidate == "nsubj:pass":
@@ -89,7 +92,7 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
         # labels stay local unless non-core propagation is switched on, so
         # the default config introduces no obl/advmod/advcl edge anywhere
         for e in incoming.get(gov, ()):
-            if e.label in cfg.governor_exceptions or coarse(e.label) in cfg.governor_exceptions:
+            if coarse(e.label) in GOVERNOR_EXCEPTIONS:
                 continue
             if not cfg.propagate_non_core and coarse(e.label) in NON_CORE_LABELS:
                 continue
@@ -105,7 +108,8 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
             if base in SUBJECT_LABELS:
                 if _has_subject(work, dep):
                     continue
-                label = _subject_label(dep_tok, e.label, has_auxpass, cfg)
+                label = _subject_label(dep_tok, e.label, has_auxpass,
+                                       cfg.passive_imperative_fix)
                 if label is None:
                     continue
                 changed |= add_dep(by_id[e.dep], dep, label)
@@ -122,9 +126,7 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
 
 def convert(sent: Sentence, cfg: ConverterConfig = ConverterConfig()) -> Sentence:
     """Propagated copy of sent. Seeds DEPS from the basic layer when empty."""
-    work = sent.clone()
-    if _needs_seed(work):
-        seed_enhanced(work)
+    work = seeded_copy(sent)
     while _one_pass(work, cfg):
         if not cfg.iterate_to_fixpoint:
             break
@@ -137,9 +139,7 @@ def always_baseline(sent: Sentence) -> Sentence:
     Single pass with live reads, so copies chain left to right. Only the conj
     edge to the conjunct itself is skipped; self loops are never produced.
     """
-    work = sent.clone()
-    if _needs_seed(work):
-        seed_enhanced(work)
+    work = seeded_copy(sent)
     by_id = work.token_by_id()
     for gov, dep in conj_pairs(work):
         dep_tok = by_id[dep]
@@ -163,7 +163,4 @@ def convert_mode(sent: Sentence, mode: str) -> Sentence:
 
 def added_edges(before: Sentence, after: Sentence) -> set[Edge]:
     """Enhanced edges present in after but not in before (after seeding)."""
-    seeded = before.clone()
-    if _needs_seed(seeded):
-        seed_enhanced(seeded)
-    return enhanced_edges(after) - enhanced_edges(seeded)
+    return enhanced_edges(after) - enhanced_edges(seeded_copy(before))

@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider
 from .labels import lexicalize_label
-from .modelfile import load_model, save_model
+from .modelfile import load_model, require, save_model
 
 NO_EDGE = "∅"
 
@@ -73,6 +73,8 @@ class EdgeParser:
         kind, meta, arrays = load_model(path)
         if kind != "edge-parser":
             raise EdgePredError(f"{path}: not an edge parser (kind {kind!r})")
+        require(path, "edge-parser meta", meta,
+                ("labels", "layers", "dim", "hidden"))
         parser = cls(labels=meta["labels"], layers=meta["layers"],
                      dim=meta["dim"], hidden=meta["hidden"])
         parser.params = {name: Tensor(arr, requires_grad=True)
@@ -201,9 +203,7 @@ def _dropout(t: Tensor, prob: float, rng: np.random.Generator) -> Tensor:
 
 def mixture_weights(parser: EdgeParser) -> np.ndarray:
     """Inference-time layer weights; always sums to 1."""
-    logits = parser.params["mix_logits"].data
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    return ad.softmax(parser.params["mix_logits"].data)
 
 
 def score_pairs(parser: EdgeParser, sent: Sentence,

@@ -10,7 +10,6 @@ inferred from the first record.
 from __future__ import annotations
 
 import hashlib
-import io
 import struct
 
 import numpy as np
@@ -52,44 +51,46 @@ def read_sidecar(path) -> EmbeddingProvider:
     layers = 1
     dim = None
     with open(path, "rb") as fh:
-        text = decode_utf8(fh.read(), path, EmbeddingError)
-    with io.StringIO(text) as fh:
-        first = fh.readline()
-        if first.startswith("layers="):
-            head = dict(part.split("=", 1) for part in first.split())
-            layers = int(head["layers"])
-            dim = int(head["dim"])
-        elif first.strip():
-            _consume_record(first, 1, table, layers, dim)
+        lines = decode_utf8(fh.read(), path).split("\n")
+    start = 0
+    if lines[0].startswith("layers="):
+        try:
+            head = dict(part.split("=", 1) for part in lines[0].split())
+            layers, dim = int(head["layers"]), int(head["dim"])
+        except (KeyError, ValueError):
+            layers = dim = 0
+        if min(layers, dim) < 1:
+            raise EmbeddingError(f"{path}:1: expected the header 'layers=L "
+                                 f"dim=D' with L, D >= 1, got {lines[0]!r}")
+        start = 1
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        _consume_record(line, f"{path}:{lineno}", table, layers, dim)
+        if dim is None:
             dim = next(iter(table.values())).shape[-1]
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            _consume_record(line, lineno, table, layers, dim)
-            if dim is None:
-                dim = next(iter(table.values())).shape[-1]
     if dim is None:
         raise EmbeddingError(f"empty sidecar file: {path}")
     return EmbeddingProvider(table, dim=dim, layers=layers)
 
 
-def _consume_record(line, lineno, table, layers, dim):
-    parts = line.rstrip("\n").split("\t")
+def _consume_record(line, where, table, layers, dim):
+    parts = line.split("\t")
     if len(parts) != 3:
         raise EmbeddingError(
-            f"sidecar line {lineno}: expected 3 tab-separated fields, "
-            f"got {len(parts)}")
+            f"{where}: expected 3 tab-separated fields, got {len(parts)}")
     sent_id, tid_text, values = parts
     try:
         tid = parse_token_id(tid_text)
     except Exception:
-        raise EmbeddingError(
-            f"sidecar line {lineno}: bad token id {tid_text!r}") from None
-    vec = np.array([float(v) for v in values.split()], dtype=np.float64)
+        raise EmbeddingError(f"{where}: bad token id {tid_text!r}") from None
+    try:
+        vec = np.array([float(v) for v in values.split()], dtype=np.float64)
+    except ValueError as err:
+        raise EmbeddingError(f"{where}: {err}") from None
     if dim is not None and vec.size != layers * dim:
         raise EmbeddingError(
-            f"sidecar line {lineno}: expected {layers * dim} values, "
-            f"got {vec.size}")
+            f"{where}: expected {layers * dim} values, got {vec.size}")
     if layers > 1:
         vec = vec.reshape(layers, -1)
     table[(sent_id, tid)] = vec

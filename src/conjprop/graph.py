@@ -7,8 +7,6 @@ from typing import NamedTuple
 
 from .conllu import ROOT, Sentence, Token, TokenId
 
-VERBAL = frozenset({"VERB", "AUX"})
-
 
 class Edge(NamedTuple):
     head: TokenId
@@ -44,22 +42,14 @@ def enhanced_edges(sent: Sentence) -> set[Edge]:
     return out
 
 
-def conj_pairs(sent: Sentence, verbs_only: bool = False) -> list[tuple[TokenId, TokenId]]:
-    """(gov, dep) for every basic conj edge, in surface order of dep.
-
-    With verbs_only, both members must be VERB or AUX by UPOS.
-    """
-    by_id = sent.token_by_id()
+def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
+    """(gov, dep) for every basic conj edge, in surface order of dep."""
     pairs = []
     for t in sent.tokens:
         if t.id.is_empty or t.head is None or t.head == ROOT:
             continue
         if not is_conj_label(t.deprel):
             continue
-        if verbs_only:
-            gov = by_id.get(t.head)
-            if gov is None or gov.upos not in VERBAL or t.upos not in VERBAL:
-                continue
         pairs.append((t.head, t.id))
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs

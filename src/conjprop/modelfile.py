@@ -11,6 +11,7 @@ dtype, shape, and byte count.  See docs/model_format.md.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,6 +23,15 @@ _DTYPES = {"float64": "<f8", "int64": "<i8"}
 
 class ModelFileError(Exception):
     pass
+
+
+def require(path, what: str, value, keys) -> None:
+    """Raises ModelFileError unless value is an object with every key."""
+    missing = [k for k in keys if k not in value] \
+        if isinstance(value, dict) else list(keys)
+    if missing:
+        raise ModelFileError(
+            f"{path}: {what} lacks the key(s) {', '.join(missing)}")
 
 
 def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -54,13 +64,30 @@ def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFileError(f"{path}: bad model header: {exc}") from None
-        if header.get("format") != FORMAT:
+        if not isinstance(header, dict) or header.get("format") != FORMAT:
             raise ModelFileError(f"{path}: not a {FORMAT} file")
         if header.get("version") != VERSION:
             raise ModelFileError(
                 f"{path}: unsupported version {header.get('version')!r}")
+        require(path, "header", header, ("kind", "meta", "arrays"))
+        if not (isinstance(header["meta"], dict)
+                and isinstance(header["arrays"], list)):
+            raise ModelFileError(
+                f"{path}: header meta must be an object and arrays a list")
         arrays = {}
-        for entry in header["arrays"]:
+        for i, entry in enumerate(header["arrays"]):
+            require(path, f"array entry {i}", entry,
+                    ("name", "dtype", "shape", "nbytes"))
+            if str(entry["dtype"]) not in _DTYPES:
+                raise ModelFileError(f"{path}: array {entry['name']!r} has "
+                                     f"unsupported dtype {entry['dtype']!r}")
+            shape, nbytes = entry["shape"], entry["nbytes"]
+            if not (isinstance(entry["name"], str) and isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)
+                    and type(nbytes) is int and nbytes == 8 * math.prod(shape)):
+                raise ModelFileError(
+                    f"{path}: array {entry['name']!r} has shape {shape} and "
+                    f"nbytes {nbytes!r}, which do not agree")
             raw = fh.read(entry["nbytes"])
             if len(raw) != entry["nbytes"]:
                 raise ModelFileError(

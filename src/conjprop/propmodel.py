@@ -14,14 +14,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .conllu import Sentence
-from .converter import ConverterConfig, SUBJECT_LABELS, _subject_label, \
-    _needs_seed, seed_enhanced
+from .converter import SUBJECT_LABELS, _subject_label, seeded_copy
 from .graph import add_dep, coarse, has_child_with_label
 from .instances import (
     FeatureConfig, InstanceConfig, PropagationInstance, default_feature_config,
     build_vocabulary, extract_instances, featurize, vectorize,
 )
-from .modelfile import load_model, save_model
+from .modelfile import load_model, require, save_model
 from .svm import SVMModel, TrainingError, train_svm
 
 
@@ -46,7 +45,6 @@ class PropTrainOptions:
 class ApplyConfig:
     passive_imperative_fix: bool = False
     iterate_to_fixpoint: bool = False
-    instance_config: InstanceConfig = InstanceConfig()
 
 
 @dataclass
@@ -96,6 +94,11 @@ class PropModel:
         kind, meta, arrays = load_model(path)
         if kind not in ("kernel", "mlp"):
             raise ApplyError(f"{path}: not a propagation model (kind {kind!r})")
+        require(path, f"{kind} model meta", meta,
+                ("vocab", "dense_dim", "features", "outgoing_exclusions"))
+        require(path, f"{kind} model arrays", arrays,
+                ("support_vectors", "dual_coef", "bias") if kind == "kernel"
+                else ("w1", "b1", "w2", "b2", "w3", "b3"))
         fc = FeatureConfig(**meta["features"])
         ic = InstanceConfig(frozenset(meta["outgoing_exclusions"]))
         model = cls(kind=kind, vocab=meta["vocab"],
@@ -142,9 +145,9 @@ def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
              target: int, weight: float = 1.0) -> ad.Tensor:
     """Cross-entropy of one instance; params are tape tensors."""
     xs = ad.Tensor(x.reshape(1, -1))
-    h = ad.relu(ad.einsum("bi,ij->bj", xs, params["w1"]) + params["b1"])
-    h = ad.relu(ad.einsum("bi,ij->bj", h, params["w2"]) + params["b2"])
-    logits = ad.einsum("bi,ij->bj", h, params["w3"]) + params["b3"]
+    h = ad.relu(ad.matmul(xs, params["w1"]) + params["b1"])
+    h = ad.relu(ad.matmul(h, params["w2"]) + params["b2"])
+    logits = ad.matmul(h, params["w3"]) + params["b3"]
     log_probs = ad.log_softmax(logits, axis=-1)
     onehot = np.zeros((1, 2))
     onehot[0, target] = 1.0
@@ -250,6 +253,7 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 index: int = 0) -> Sentence:
     """Adds an enhanced edge for every instance the model accepts.
 
+    Candidates are extracted with the model's own outgoing exclusions.
     Iterated application re-extracts instances from the working graph so
     freshly added edges can seed further propagation.  Subject labels go
     through the converter's passive/imperative adjustments when the fix is
@@ -267,15 +271,11 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 f"embedding dimension {provider.dim} does not match the "
                 f"model's expected {model.dense_dim}")
 
-    work = sent.clone()
-    if _needs_seed(work):
-        seed_enhanced(work)
+    work = seeded_copy(sent)
     by_id = work.token_by_id()
-    conv_cfg = ConverterConfig(
-        passive_imperative_fix=config.passive_imperative_fix)
 
     while True:
-        instances = extract_instances(work, config=config.instance_config,
+        instances = extract_instances(work, config=model.instance_config,
                                       index=index, layer="working")
         changed = False
         if instances:
@@ -294,7 +294,7 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                     dep_tok = by_id[inst.conj_dep]
                     auxpass = has_child_with_label(work, inst.conj_dep,
                                                    "aux:pass")
-                    label = _subject_label(dep_tok, label, auxpass, conv_cfg)
+                    label = _subject_label(dep_tok, label, auxpass, True)
                     if label is None:
                         continue
                 edge = inst.edge_at_conjunct()

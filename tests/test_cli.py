@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import multiprocessing
 import os
 import re
@@ -198,7 +199,7 @@ def test_parse_error_names_line(run, tmp_path):
     bad.write_text("1\tonly three\tcolumns\n\n")
     rc, _, err = run(["convert", "--in", str(bad)])
     assert rc == 1
-    assert "bad.conllu" in err and "line 1" in err
+    assert f"conjprop: error: {bad}:1: expected 10 columns" in err
 
 
 def test_missing_required_option_is_reported(run):
@@ -569,3 +570,79 @@ def test_out_of_range_config_value_names_the_file(run, tmp_path):
     rc, _, err = run(["train-parser", "--config", str(cfg)])
     assert rc == 1
     assert f"conjprop: error: {cfg}: batch must be in [1, inf), got 0" in err
+
+
+def _model_file(header: dict, payload: bytes = b"") -> bytes:
+    """A model file; header entries set to None are left out."""
+    base = {"format": "conjprop-model", "version": 1, "kind": "kernel",
+            "meta": {}, "arrays": []}
+    header = {k: v for k, v in {**base, **header}.items() if v is not None}
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+_PROP_META = {"vocab": {}, "dense_dim": 0, "outgoing_exclusions": []}
+_TOKEN = "{}\tw\tw\tX\t_\t_\t{}\tdep\t{}\t_\n"
+_SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
+
+
+@pytest.mark.parametrize("kind, content, where", [
+    # damaged model files
+    ("prop-model", _model_file({"arrays": None}),
+     ": header lacks the key(s) arrays"),
+    ("prop-model", _model_file({"arrays": [
+        {"name": "bias", "dtype": "int8", "shape": [1], "nbytes": 1}]},
+        b"\0"), ": array 'bias' has unsupported dtype 'int8'"),
+    ("prop-model", _model_file({"arrays": [
+        {"name": "bias", "dtype": "float64", "shape": [1]}]}, bytes(8)),
+     ": array entry 0 lacks the key(s) nbytes"),
+    ("prop-model", _model_file({"arrays": [
+        {"name": "bias", "dtype": "float64", "shape": [2], "nbytes": 8}]},
+        bytes(8)), ": array 'bias' has shape [2] and nbytes 8"),
+    ("prop-model", _model_file({"meta": _PROP_META}),
+     ": kernel model meta lacks the key(s) features"),
+    ("prop-model", _model_file({"kind": "mlp", "meta": _PROP_META}),
+     ": mlp model meta lacks the key(s) features"),
+    ("parser-model", _model_file({"kind": "edge-parser", "meta": {
+        "layers": 1, "dim": 4, "hidden": 8}}),
+     ": edge-parser meta lacks the key(s) labels"),
+    # bad sidecars
+    ("sidecar", b"sh0\t1\t0.1 0.2\nsh0\t2\t0.3 x\n", ":2: could not convert"),
+    ("parser-sidecar", b"layers=x dim=2\nsh0\t1\t0.1 0.2\n",
+     ":1: expected the header"),
+    ("parser-sidecar", b"layers=2\nsh0\t1\t0.1 0.2\n",
+     ":1: expected the header"),
+    ("parser-sidecar", b"layers=-1 dim=-2\nsh0\t1\t0.1 0.2\n",
+     ":1: expected the header"),
+    # sentence-level errors name the token's own line
+    ("corpus", (_SENT_START + "1.2\te\te\tX\t_\t_\t_\t_\t_\t_\n"
+                "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
+     ":4, ID: token id 1.1 out of order"),
+    ("corpus", (_SENT_START + _TOKEN.format(3, 1, "_") + "\n").encode(),
+     ":3, ID: token ids not contiguous"),
+    ("corpus", (_SENT_START + _TOKEN.format(2, 9, "_") + "\n").encode(),
+     ":3, HEAD: token 2 has dangling head 9"),
+    ("corpus", (_SENT_START + _TOKEN.format(2, 1, "7:dep") + "\n").encode(),
+     ":3, DEPS: token 2 has dangling deps head 7"),
+], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
+        "mlp-meta", "parser-meta", "sidecar-value", "sidecar-layers",
+        "sidecar-no-dim", "sidecar-negative", "out-of-order", "non-contiguous", "dangling-head",
+        "dangling-deps"])
+def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
+                                           where):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    model = str(tmp_path / "m")
+    argv = {
+        "prop-model": ["apply-prop", "--in", FIG1, "--model", str(bad)],
+        "parser-model": ["predict", "--in", FIG1, "--model", str(bad),
+                         "--hash-dim", "4"],
+        "sidecar": ["train-prop", "--train", FIG1, "--model", model,
+                    "--embeddings", str(bad)],
+        "parser-sidecar": ["train-parser", "--train", FIG1, "--model", model,
+                           "--embeddings", str(bad)],
+        "corpus": ["convert", "--in", str(bad)],
+    }[kind]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert f"conjprop: error: {bad}{where}" in err
+    assert "Traceback" not in err

@@ -113,6 +113,17 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 2
 
 
+def test_read_file_reports_bad_bytes_as_a_parse_error(tmp_path):
+    path = tmp_path / "bad.conllu"
+    raw = open(data_path("fig1.conllu"), "rb").read().split(b"\n")
+    raw[2] += b"\xff"
+    path.write_bytes(b"\n".join(raw))
+    with pytest.raises(ParseError) as err:
+        read_file(path)
+    assert str(err.value) == f"{path}:3: invalid UTF-8 byte 0xff"
+    assert err.value.line == 3
+
+
 def test_out_of_order_empty_node_rejected():
     doc = ("1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n"
            "1.2\te\te\tX\t_\t_\t_\t_\t_\t_\n"

@@ -6,8 +6,8 @@ import pytest
 
 from conjprop.conllu import ROOT, TokenId, parse_corpus, write_corpus
 from conjprop.converter import (
-    ConverterConfig, MODES, added_edges, always_baseline, convert,
-    convert_mode, seed_enhanced,
+    GOVERNOR_EXCEPTIONS, ConverterConfig, MODES, added_edges,
+    always_baseline, convert, convert_mode, seed_enhanced,
 )
 from conjprop.graph import Edge, enhanced_edges, propagated_links
 from conftest import make_sentence, random_sentence
@@ -201,10 +201,14 @@ def test_governor_edge_copied_and_exceptions_respected():
     ])
     out = convert(sent, RBC)
     assert edge(1, 5, "ccomp") in added_edges(sent, out)
-    # with ccomp added to the exception list, it is not
-    cfg = ConverterConfig(governor_exceptions=frozenset(
-        {"vocative", "discourse", "root", "punct", "cc", "conj", "mark", "ccomp"}))
-    assert edge(1, 5, "ccomp") not in added_edges(sent, convert(sent, cfg))
+    # a governor edge whose coarse label is an exception is not copied
+    assert "ccomp" not in GOVERNOR_EXCEPTIONS
+    for label in sorted(GOVERNOR_EXCEPTIONS):
+        for full in (label, label + ":sub"):
+            relabeled = sent.clone()
+            relabeled.tokens[2].deprel = full
+            out = convert(relabeled, RBC2)
+            assert edge(1, 5, full) not in added_edges(relabeled, out)
 
 
 def test_non_core_governor_edge_follows_the_flag():

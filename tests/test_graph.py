@@ -85,7 +85,6 @@ def test_relabeled_edge_counts_as_propagated(fig3a):
 
 def test_conj_pairs_fig3c(fig3c):
     assert conj_pairs(fig3c) == [(TokenId(1), TokenId(4)), (TokenId(5), TokenId(10))]
-    assert conj_pairs(fig3c, verbs_only=True) == [(TokenId(5), TokenId(10))]
     assert conjunct_ids(fig3c) == {TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
 
 

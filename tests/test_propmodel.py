@@ -6,7 +6,9 @@ from conjprop import autodiff as ad
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider
 from conjprop.graph import Edge, coarse, enhanced_edges
-from conjprop.instances import FeatureConfig
+from conjprop.instances import (
+    DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
+)
 from conjprop.propmodel import (
     ApplyConfig, ApplyError, PropModel, PropTrainOptions, apply_model,
     corpus_instances, mlp_loss, train_prop,
@@ -159,6 +161,18 @@ def test_imperative_suppression_follows_fix_flag(fig3b):
                            config=ApplyConfig(passive_imperative_fix=True)))
     assert not any(e.label.startswith("nsubj") and e.dep == T(1, 0)
                    for e in fixed)
+
+
+def test_apply_honours_the_saved_outgoing_exclusions(fig1, tmp_path):
+    everything = added_edges(fig1, apply_model(constant_model(True), fig1))
+    assert any(coarse(e.label) == "obj" for e in everything)
+    model = constant_model(True)
+    model.instance_config = InstanceConfig(
+        DEFAULT_OUTGOING_EXCLUSIONS | {"obj"})
+    model.save(tmp_path / "m.model")
+    loaded = PropModel.load(tmp_path / "m.model")
+    added = added_edges(fig1, apply_model(loaded, fig1))
+    assert added == {e for e in everything if coarse(e.label) != "obj"}
 
 
 def test_kernel_save_load_is_bit_identical(tmp_path):
