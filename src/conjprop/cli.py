@@ -17,29 +17,18 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .config import ConfigError, parse_value, read_config_file
+from .config import ConfigError, InputError, parse_value, read_config_file
 from .conllu import ParseError, Sentence, decode_utf8, parse_corpus, \
     write_corpus
 from .converter import convert_mode
-from .edgepred import (
-    EdgeParser, EdgePredError, ParserTrainConfig, build_label_inventory,
-    decode, new_parser, train_parser,
-)
-from .embeddings import EmbeddingError, EmbeddingProvider, hash_provider, \
-    read_sidecar
 from .evaluate import (
     AlignmentError, agreement_matrix, diff_stats, format_agreement,
     format_diff_records, format_diff_table, format_score_records,
     format_score_table, score,
 )
-from .instances import default_feature_config
-from .labels import delexicalize_corpus
-from .modelfile import ModelFileError
-from .propmodel import (
-    ApplyConfig, ApplyError, PropModel, PropTrainOptions, apply_model,
-    train_prop,
-)
-from .svm import TrainingError
+
+# The numpy-backed layers, and labels, are imported by the commands that
+# use them: the text commands never load numpy.
 
 
 class CliError(Exception):
@@ -281,10 +270,11 @@ def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _provider(cfg, corpus) -> EmbeddingProvider | None:
-    """The embeddings --embeddings or --hash-dim names.  The parser's
-    commands, which have --hash-layers, need them and take any layer
-    count; the classifiers' take a single layer or none."""
+def _provider(cfg, corpus):
+    """The EmbeddingProvider --embeddings or --hash-dim names, or None.
+    The parser's commands, which have --hash-layers, need one and take any
+    layer count; the classifiers' take a single layer or none."""
+    from .embeddings import hash_provider, read_sidecar
     for_parser = "hash-layers" in cfg
     if cfg["embeddings"] and cfg["hash-dim"]:
         raise CliError("--embeddings and --hash-dim exclude each other")
@@ -352,6 +342,7 @@ def _feature_setup(kind: str, features_text: str, with_dense: bool):
     unknown = groups - {"instance", "token", "tree"}
     if unknown:
         raise CliError(f"unknown feature groups: {', '.join(sorted(unknown))}")
+    from .instances import default_feature_config
     fc = default_feature_config(kind)
     fc = replace(fc, token_features="token" in groups,
                  tree_features="tree" in groups)
@@ -361,6 +352,7 @@ def _feature_setup(kind: str, features_text: str, with_dense: bool):
 
 
 def cmd_train_prop(cfg) -> None:
+    from .propmodel import PropTrainOptions, train_prop
     corpus = _read_corpus(cfg["train"])
     provider = _provider(cfg, corpus)
     fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
@@ -380,6 +372,7 @@ def cmd_train_prop(cfg) -> None:
 
 
 def cmd_apply_prop(cfg) -> None:
+    from .propmodel import ApplyConfig, PropModel, apply_model
     corpus = _read_corpus(cfg["in"])
     model = PropModel.load(_model_path(cfg["model"]))
     provider = _provider(cfg, corpus)
@@ -391,6 +384,10 @@ def cmd_apply_prop(cfg) -> None:
 
 
 def cmd_train_parser(cfg) -> None:
+    from .edgepred import (
+        ParserTrainConfig, build_label_inventory, new_parser, train_parser)
+    from .embeddings import hash_provider
+    from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
     if cfg["delexicalize"]:
         corpus, inventory = delexicalize_corpus(corpus)
@@ -415,6 +412,7 @@ def cmd_train_parser(cfg) -> None:
 
 
 def cmd_predict(cfg) -> None:
+    from .edgepred import EdgeParser, decode
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
     provider = _provider(cfg, corpus)
@@ -471,8 +469,8 @@ HANDLERS = {
     "stats": cmd_stats,
 }
 
-_ERRORS = (CliError, ConfigError, ParseError, EmbeddingError, AlignmentError,
-           TrainingError, ApplyError, EdgePredError, ModelFileError, OSError)
+_ERRORS = (CliError, ConfigError, ParseError, AlignmentError, InputError,
+           OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

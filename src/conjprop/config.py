@@ -16,6 +16,10 @@ class ConfigError(Exception):
     """Malformed configuration; the message names the file and line."""
 
 
+class InputError(Exception):
+    """Base of the bad-input errors of the numpy-backed modules."""
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Key-value pairs from a config file; a later repeated key wins."""
     try:
@@ -41,25 +45,18 @@ def read_config_file(path: str) -> dict[str, str]:
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 
+# kind -> (converter, what a bad value should have been)
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+          "bool": (lambda text: _BOOLEANS[text.lower()], "true or false")}
+
 
 def parse_value(key: str, text: str, kind: str, where: str):
     """Converts a raw config string to kind; errors name the source."""
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: {key} expects an integer, got {text!r}") from None
-    if kind == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: {key} expects a number, got {text!r}") from None
-    if kind == "bool":
-        try:
-            return _BOOLEANS[text.lower()]
-        except KeyError:
-            raise ConfigError(
-                f"{where}: {key} expects true or false, got {text!r}") from None
-    return text
+    if kind not in _KINDS:
+        return text
+    convert, expected = _KINDS[kind]
+    try:
+        return convert(text)
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{where}: {key} expects {expected}, got {text!r}") from None

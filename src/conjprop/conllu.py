@@ -12,12 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-COLUMN_NAMES = (
-    "ID", "FORM", "LEMMA", "UPOS", "XPOS",
-    "FEATS", "HEAD", "DEPREL", "DEPS", "MISC",
-)
-
-
 class ParseError(ValueError):
     """Raised on malformed input; carries the 1-based line number, the
     column name and, when known, the file: "path:line, FIELD: message"."""
@@ -53,17 +47,25 @@ class TokenId(NamedTuple):
 ROOT = TokenId(0, 0)
 
 
+# One shared TokenId per canonical spelling (str(tid)) for the ID, HEAD and
+# DEPS fields; other spellings ("01", "+1") are parsed anew, never stored.
+_TOKEN_IDS: dict[str, TokenId] = {}
+
+
 def parse_token_id(text: str, line: int = 0, fieldname: str = "ID") -> TokenId:
-    try:
-        if "." in text:
-            major, minor = text.split(".", 1)
-            tid = TokenId(int(major), int(minor))
-            if tid.minor < 1:
+    tid = _TOKEN_IDS.get(text)
+    if tid is None:
+        major, dot, minor = text.partition(".")
+        try:
+            tid = TokenId(int(major), int(minor) if dot else 0)
+            if dot and tid.minor < 1:
                 raise ValueError
-            return tid
-        return TokenId(int(text), 0)
-    except ValueError:
-        raise ParseError(f"unparseable token id {text!r}", line, fieldname) from None
+        except ValueError:
+            raise ParseError(f"unparseable token id {text!r}", line,
+                             fieldname) from None
+        if str(tid) == text:
+            _TOKEN_IDS[text] = tid
+    return tid
 
 
 @dataclass
@@ -150,15 +152,6 @@ def _parse_deps(text: str, line: int) -> list[tuple[TokenId, str]]:
     return deps
 
 
-def _parse_head(text: str, line: int) -> TokenId | None:
-    if text == "_":
-        return None
-    tid = parse_token_id(text, line, "HEAD")
-    if tid.is_empty:
-        raise ParseError("HEAD cannot reference an empty node", line, "HEAD")
-    return tid
-
-
 def _finish_sentence(sent: Sentence, start_line: int,
                      token_lines: list[int]) -> Sentence:
     """Checks the sentence's ids and heads; token_lines[i] is the line of
@@ -234,25 +227,22 @@ def _parse_lines(text: str) -> list[Sentence]:
             current.ranges.setdefault(len(current.tokens), []).append(line)
             continue
         tid = parse_token_id(cols[0], lineno)
-        head = _parse_head(cols[6], lineno)
-        if not tid.is_empty and head is None:
+        head = None
+        if cols[6] != "_":
+            head = parse_token_id(cols[6], lineno, "HEAD")
+            if head.is_empty:
+                raise ParseError("HEAD cannot reference an empty node",
+                                 lineno, "HEAD")
+        elif not tid.is_empty:
             raise ParseError("regular token lacks a HEAD", lineno, "HEAD")
         deprel = None if cols[7] == "_" else cols[7]
         if head is not None and deprel is None:
             raise ParseError("HEAD given but DEPREL empty", lineno, "DEPREL")
         token_lines.append(lineno)
         current.tokens.append(Token(
-            id=tid,
-            form=cols[1],
-            lemma=cols[2],
-            upos=cols[3],
-            xpos=cols[4],
-            feats=_parse_feats(cols[5], lineno),
-            head=head,
-            deprel=deprel,
-            deps=_parse_deps(cols[8], lineno),
-            misc=cols[9],
-        ))
+            tid, cols[1], cols[2], cols[3], cols[4],  # FORM to XPOS
+            _parse_feats(cols[5], lineno), head, deprel,
+            _parse_deps(cols[8], lineno), cols[9]))
     if in_sentence:
         sentences.append(_finish_sentence(current, start_line, token_lines))
     return sentences

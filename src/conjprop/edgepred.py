@@ -20,15 +20,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import InputError
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider
 from .labels import lexicalize_label
-from .modelfile import load_model, require, save_model
+from .modelfile import expect, load_model, require, save_model
 
 NO_EDGE = "∅"
 
 
-class EdgePredError(Exception):
+class EdgePredError(InputError):
     pass
 
 
@@ -75,8 +76,27 @@ class EdgeParser:
             raise EdgePredError(f"{path}: not an edge parser (kind {kind!r})")
         require(path, "edge-parser meta", meta,
                 ("labels", "layers", "dim", "hidden"))
-        parser = cls(labels=meta["labels"], layers=meta["layers"],
-                     dim=meta["dim"], hidden=meta["hidden"])
+        labels, layers, dim, hidden = (meta[k] for k in
+                                       ("labels", "layers", "dim", "hidden"))
+        expect(path, isinstance(labels, list) and labels[:1] == [NO_EDGE]
+               and all(isinstance(label, str) for label in labels),
+               f"meta labels must be a list of strings starting with "
+               f"{NO_EDGE!r}")
+        for key in ("layers", "dim", "hidden"):
+            expect(path, type(meta[key]) is int and meta[key] >= 1,
+                   f"meta {key} must be an integer >= 1, got {meta[key]!r}")
+        n = len(labels)
+        shapes = {"mix_logits": (layers,), "root_embed": (dim,),
+                  "w_head": (dim, hidden), "b_head": (hidden,),
+                  "w_dep": (dim, hidden), "b_dep": (hidden,),
+                  "bilinear": (n, hidden, hidden),
+                  "linear": (2 * hidden, n), "bias": (n,)}
+        require(path, "edge-parser arrays", arrays, shapes)
+        for name, shape in shapes.items():
+            expect(path, arrays[name].shape == shape,
+                   f"array {name!r} has shape {arrays[name].shape}, "
+                   f"expected {shape}")
+        parser = cls(labels=labels, layers=layers, dim=dim, hidden=hidden)
         parser.params = {name: Tensor(arr, requires_grad=True)
                          for name, arr in arrays.items()}
         return parser

@@ -14,10 +14,11 @@ import struct
 
 import numpy as np
 
+from .config import InputError
 from .conllu import Sentence, TokenId, decode_utf8, parse_token_id
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(InputError):
     """Lookup or format failure, with the offending sentence/token named."""
 
 

@@ -15,13 +15,15 @@ import math
 
 import numpy as np
 
+from .config import InputError
+
 FORMAT = "conjprop-model"
 VERSION = 1
 
 _DTYPES = {"float64": "<f8", "int64": "<i8"}
 
 
-class ModelFileError(Exception):
+class ModelFileError(InputError):
     pass
 
 
@@ -32,6 +34,12 @@ def require(path, what: str, value, keys) -> None:
     if missing:
         raise ModelFileError(
             f"{path}: {what} lacks the key(s) {', '.join(missing)}")
+
+
+def expect(path, ok: bool, message: str) -> None:
+    """Raises ModelFileError("path: message") unless ok."""
+    if not ok:
+        raise ModelFileError(f"{path}: {message}")
 
 
 def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

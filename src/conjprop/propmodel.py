@@ -8,23 +8,25 @@ holdout.  Positive decisions materialize enhanced edges at the conjunct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import InputError
 from .conllu import Sentence
 from .converter import SUBJECT_LABELS, _subject_label, seeded_copy
 from .graph import add_dep, coarse, has_child_with_label
 from .instances import (
-    FeatureConfig, InstanceConfig, PropagationInstance, default_feature_config,
-    build_vocabulary, extract_instances, featurize, vectorize,
+    DENSE_ROLES, FeatureConfig, InstanceConfig, PropagationInstance,
+    default_feature_config, build_vocabulary, extract_instances, featurize,
+    vectorize,
 )
-from .modelfile import load_model, require, save_model
+from .modelfile import expect, load_model, require, save_model
 from .svm import SVMModel, TrainingError, train_svm
 
 
-class ApplyError(Exception):
+class ApplyError(InputError):
     """Model and inputs disagree (missing provider, wrong vector width)."""
 
 
@@ -99,11 +101,39 @@ class PropModel:
         require(path, f"{kind} model arrays", arrays,
                 ("support_vectors", "dual_coef", "bias") if kind == "kernel"
                 else ("w1", "b1", "w2", "b2", "w3", "b3"))
-        fc = FeatureConfig(**meta["features"])
-        ic = InstanceConfig(frozenset(meta["outgoing_exclusions"]))
-        model = cls(kind=kind, vocab=meta["vocab"],
-                    dense_dim=meta["dense_dim"], feature_config=fc,
-                    instance_config=ic)
+        vocab, dense_dim, features, exclusions = (meta[k] for k in (
+            "vocab", "dense_dim", "features", "outgoing_exclusions"))
+        expect(path, isinstance(vocab, dict)
+               and all(type(i) is int for i in vocab.values())
+               and sorted(vocab.values()) == list(range(len(vocab))),
+               "meta vocab must number its features 0, 1, 2, ...")
+        expect(path, type(dense_dim) is int and dense_dim >= 0,
+               f"meta dense_dim must be an integer >= 0, got {dense_dim!r}")
+        names = [f.name for f in fields(FeatureConfig)]
+        expect(path, isinstance(features, dict)
+               and all(k in names and type(v) is bool
+                       for k, v in features.items()),
+               f"meta features must map some of {', '.join(names)} to "
+               f"true or false, got {features!r}")
+        expect(path, isinstance(exclusions, list)
+               and all(isinstance(label, str) for label in exclusions),
+               "meta outgoing_exclusions must be a list of strings")
+        width = len(vocab) + len(DENSE_ROLES) * dense_dim
+        if kind == "kernel":
+            n_sv = arrays["dual_coef"].size
+            shapes = {"support_vectors": (n_sv, width), "dual_coef": (n_sv,),
+                      "bias": (1,)}
+        else:
+            h1, h2 = arrays["b1"].size, arrays["b2"].size
+            shapes = {"w1": (width, h1), "b1": (h1,), "w2": (h1, h2),
+                      "b2": (h2,), "w3": (h2, 2), "b3": (2,)}
+        for name, shape in shapes.items():
+            expect(path, arrays[name].shape == shape,
+                   f"array {name!r} has shape {arrays[name].shape}, "
+                   f"expected {shape}")
+        model = cls(kind=kind, vocab=vocab, dense_dim=dense_dim,
+                    feature_config=FeatureConfig(**features),
+                    instance_config=InstanceConfig(frozenset(exclusions)))
         if kind == "kernel":
             model.svm = SVMModel(support_vectors=arrays["support_vectors"],
                                  dual_coef=arrays["dual_coef"],

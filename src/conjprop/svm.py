@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import InputError
 
-class TrainingError(Exception):
+
+class TrainingError(InputError):
     pass
 
 

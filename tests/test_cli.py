@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -16,10 +17,12 @@ import pytest
 import conjprop
 from conjprop import cli
 from conjprop.cli import main
+from conjprop.conllu import parse_corpus
 from conjprop.modelfile import load_model
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIG1 = os.path.join(DATA, "fig1.conllu")
+FIG1_GOLD = os.path.join(DATA, "fig1_gold.conllu")
 
 SHARED_SUBJECT = """\
 # sent_id = sh{i}
@@ -646,3 +649,193 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
     assert rc == 1
     assert f"conjprop: error: {bad}{where}" in err
     assert "Traceback" not in err
+
+
+_GOOD_MODELS = {
+    "kernel": ({"vocab": {"a": 0, "b": 1}, "dense_dim": 0, "features": {},
+                "outgoing_exclusions": ["cc"]},
+               {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
+    "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
+             "features": {"dense_tokens": True},
+             "outgoing_exclusions": []},
+            {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
+             "w3": (2, 2), "b3": (2,)}),
+    "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
+                     "hidden": 3},
+                    {"mix_logits": (1,), "root_embed": (4,),
+                     "w_head": (4, 3), "b_head": (3,), "w_dep": (4, 3),
+                     "b_dep": (3,), "bilinear": (2, 3, 3), "linear": (6, 2),
+                     "bias": (2,)}),
+}
+
+
+def _arrays_model(kind: str, meta: dict | None = None,
+                  shapes: dict | None = None) -> bytes:
+    """The good model of kind with meta and array shapes updated; an
+    update to None drops the entry.  Arrays hold zeros."""
+    good_meta, good_shapes = _GOOD_MODELS[kind]
+    meta = {k: v for k, v in {**good_meta, **(meta or {})}.items()
+            if v is not None}
+    shapes = {k: v for k, v in {**good_shapes, **(shapes or {})}.items()
+              if v is not None}
+    entries = [{"name": name, "dtype": "float64", "shape": list(shape),
+                "nbytes": 8 * math.prod(shape)}
+               for name, shape in sorted(shapes.items())]
+    return _model_file({"kind": kind, "meta": meta, "arrays": entries},
+                       bytes(sum(e["nbytes"] for e in entries)))
+
+
+def _model_argv(kind: str, path) -> list[str]:
+    if kind == "edge-parser":
+        return ["predict", "--in", FIG1, "--model", str(path),
+                "--hash-dim", "4"]
+    argv = ["apply-prop", "--in", FIG1, "--model", str(path)]
+    return argv + (["--hash-dim", "1"] if kind == "mlp" else [])
+
+
+@pytest.mark.parametrize("kind", sorted(_GOOD_MODELS))
+def test_well_formed_model_files_load_and_run(run, tmp_path, kind):
+    good = tmp_path / "good"
+    good.write_bytes(_arrays_model(kind))
+    rc, out, err = run(_model_argv(kind, good))
+    assert rc == 0, err
+    assert parse_corpus(out)
+
+
+@pytest.mark.parametrize("kind, meta, shapes, where", [
+    ("kernel", {"features": ["token_features"]}, None,
+     "meta features must map some of"),
+    ("kernel", {"features": {"colour": True}}, None,
+     "meta features must map some of"),
+    ("kernel", {"features": {"token_features": "no"}}, None,
+     "meta features must map some of"),
+    ("kernel", {"dense_dim": -1}, None,
+     "meta dense_dim must be an integer >= 0, got -1"),
+    ("kernel", {"dense_dim": 1.0}, None, "meta dense_dim must be an integer"),
+    ("kernel", {"outgoing_exclusions": "cc"}, None,
+     "meta outgoing_exclusions must be a list of strings"),
+    ("kernel", {"outgoing_exclusions": [1]}, None,
+     "meta outgoing_exclusions must be a list of strings"),
+    ("kernel", {"vocab": {"a": 0, "b": 2}}, None,
+     "meta vocab must number its features"),
+    ("kernel", {"vocab": ["a", "b"]}, None,
+     "meta vocab must number its features"),
+    ("kernel", None, {"support_vectors": (2, 3)},
+     "array 'support_vectors' has shape (2, 3), expected (2, 2)"),
+    ("kernel", None, {"dual_coef": (3,)},
+     "array 'support_vectors' has shape (2, 2), expected (3, 2)"),
+    ("kernel", None, {"bias": (2,)},
+     "array 'bias' has shape (2,), expected (1,)"),
+    ("mlp", None, {"w1": (1, 3)},
+     "array 'w1' has shape (1, 3), expected (4, 3)"),
+    ("mlp", {"dense_dim": 2}, None,
+     "array 'w1' has shape (4, 3), expected (7, 3)"),
+    ("mlp", None, {"w2": (3, 1)},
+     "array 'w2' has shape (3, 1), expected (3, 2)"),
+    ("mlp", None, {"b3": (3,)}, "array 'b3' has shape (3,), expected (2,)"),
+    ("edge-parser", None, {name: None for name in _GOOD_MODELS[
+        "edge-parser"][1]},
+     "edge-parser arrays lacks the key(s) mix_logits, root_embed, w_head, "
+     "b_head, w_dep, b_dep, bilinear, linear, bias"),
+    ("edge-parser", None, {"linear": None},
+     "edge-parser arrays lacks the key(s) linear"),
+    ("edge-parser", {"layers": "1"}, None,
+     "meta layers must be an integer >= 1, got '1'"),
+    ("edge-parser", {"hidden": 0}, None,
+     "meta hidden must be an integer >= 1, got 0"),
+    ("edge-parser", {"labels": ["nsubj"]}, None,
+     "meta labels must be a list of strings starting with"),
+    ("edge-parser", {"labels": "∅"}, None,
+     "meta labels must be a list of strings starting with"),
+    ("edge-parser", {"layers": 2}, None,
+     "array 'mix_logits' has shape (1,), expected (2,)"),
+    ("edge-parser", {"dim": 5}, None,
+     "array 'root_embed' has shape (4,), expected (5,)"),
+    ("edge-parser", None, {"w_dep": (4, 2)},
+     "array 'w_dep' has shape (4, 2), expected (4, 3)"),
+    ("edge-parser", None, {"b_head": (4,)},
+     "array 'b_head' has shape (4,), expected (3,)"),
+    ("edge-parser", {"labels": ["∅", "nsubj", "obj"]}, None,
+     "array 'bilinear' has shape (2, 3, 3), expected (3, 3, 3)"),
+    ("edge-parser", None, {"linear": (3, 2)},
+     "array 'linear' has shape (3, 2), expected (6, 2)"),
+    ("edge-parser", None, {"bias": (3,)},
+     "array 'bias' has shape (3,), expected (2,)"),
+])
+def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
+                                              shapes, where):
+    bad = tmp_path / "bad"
+    bad.write_bytes(_arrays_model(kind, meta, shapes))
+    rc, _, err = run(_model_argv(kind, bad))
+    assert rc == 1
+    assert f"conjprop: error: {bad}: {where}" in err
+    assert "Traceback" not in err
+
+
+def _fresh_main(args: list[str]) -> subprocess.CompletedProcess:
+    """main(args) in a new interpreter, which then prints whether numpy
+    got loaded."""
+    src = os.path.dirname(os.path.dirname(conjprop.__file__))
+    script = ("import sys; from conjprop.cli import main; rc = main(sys.argv"
+              "[1:]); print('numpy' in sys.modules, file=sys.stderr); "
+              "sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["convert", "--mode", "rbc2", "--in", FIG1],
+    ["evaluate", "--system", FIG1, "--gold", FIG1_GOLD],
+    ["stats", "--original", FIG1, "--edited", FIG1_GOLD],
+    ["agree", "--files", f"{FIG1},{FIG1_GOLD}"],
+], ids=["convert", "evaluate", "stats", "agree"])
+def test_text_commands_never_load_numpy(args):
+    proc = _fresh_main(args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_numpy_commands_report_bad_input_in_a_fresh_interpreter(tmp_path):
+    damaged = tmp_path / "damaged.model"
+    damaged.write_bytes(_arrays_model("kernel", {"features": []}))
+    sidecar = tmp_path / "bad.vec"
+    sidecar.write_bytes(b"fig1\t1\t0.1 x\n")
+    for args, where in [
+            (["apply-prop", "--in", FIG1, "--model", str(damaged)],
+             f"{damaged}: meta features"),
+            (["train-prop", "--train", FIG1_GOLD, "--model",
+              str(tmp_path / "m"), "--embeddings", str(sidecar)],
+             f"{sidecar}:1: could not convert")]:
+        proc = _fresh_main(args)
+        assert proc.returncode == 1
+        assert f"conjprop: error: {where}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# every name conjprop exported when it imported all its modules eagerly
+PACKAGE_EXPORTS = (
+    "ROOT ParseError Sentence Token TokenId parse_corpus read_file "
+    "write_corpus write_file Edge coarse conj_pairs enhanced_edges "
+    "propagated_links convert_mode ApplyConfig PropModel PropTrainOptions "
+    "apply_model train_prop EdgeParser ParserTrainConfig decode new_parser "
+    "train_epoch train_parser agreement_matrix diff_stats score "
+    "delexicalize_corpus lexicalize_label hash_provider read_sidecar main "
+    "__version__").split()
+
+
+@pytest.mark.parametrize("name", PACKAGE_EXPORTS)
+def test_package_exports_still_import(name):
+    namespace: dict = {}
+    exec(f"from conjprop import {name}", namespace)
+    assert namespace[name] is getattr(conjprop, name)
+    module = getattr(namespace[name], "__module__", None)
+    if module is not None and module.startswith("conjprop."):
+        assert namespace[name] is getattr(sys.modules[module], name)
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        conjprop.nothing  # noqa: B018
+    assert not hasattr(conjprop, "nothing")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conjprop import conllu
 from conjprop.conllu import (
     ROOT, ParseError, Token, TokenId, parse_corpus, parse_token_id,
     read_file, write_corpus,
 )
-from conftest import data_path
+from conftest import data_path, perturb_enhanced, random_sentence
 
 FIG_FILES = ["fig1.conllu", "fig1_gold.conllu", "fig3a.conllu",
              "fig3b.conllu", "fig3c.conllu"]
@@ -164,3 +167,59 @@ def test_feats_round_trip(feats):
 def test_token_id_ordering_matches_tuple_order(pairs):
     ids = [TokenId(a, b) for a, b in pairs]
     assert sorted(ids) == [TokenId(a, b) for a, b in sorted(pairs)]
+
+
+def _uncached_parse_token_id(text: str, line: int = 0,
+                             fieldname: str = "ID") -> TokenId:
+    """parse_token_id as it was before ids were interned: the oracle."""
+    try:
+        if "." in text:
+            major, minor = text.split(".", 1)
+            tid = TokenId(int(major), int(minor))
+            if tid.minor < 1:
+                raise ValueError
+            return tid
+        return TokenId(int(text), 0)
+    except ValueError:
+        raise ParseError(f"unparseable token id {text!r}", line,
+                         fieldname) from None
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text, 3, "HEAD")
+    except ParseError as err:
+        return str(err)
+
+
+SPELLINGS = ["01", "+1", " 1", "1 ", "1_0", "1.0", "1.01", "8.1", "8.-1",
+             "1.2.3", ".1", "1.", "x", "", "7", "-1"]
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_interned_ids_parse_as_before(text):
+    # twice: the second call may be answered from the cache
+    for _ in range(2):
+        assert _outcome(parse_token_id, text) == \
+            _outcome(_uncached_parse_token_id, text)
+
+
+def test_only_canonical_spellings_are_interned():
+    for text in SPELLINGS + ["10", "10.2", "0"]:
+        _outcome(parse_token_id, text)
+    for text in conllu._TOKEN_IDS:
+        assert str(conllu._TOKEN_IDS[text]) == text
+    for text in ("01", "+1", " 1", "1 ", "1_0", "1.01", "", "x", "1.0"):
+        assert text not in conllu._TOKEN_IDS
+    assert parse_token_id("10.2") is parse_token_id("10.2")
+    assert parse_token_id("01") == parse_token_id("1") == TokenId(1)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_write_parse_round_trip_is_byte_identical(seed):
+    rng = random.Random(seed)
+    sents = [perturb_enhanced(rng, random_sentence(rng, f"s{k}",
+                                                   max_tokens=30))
+             for k in range(3)]
+    text = write_corpus(sents)
+    assert write_corpus(parse_corpus(text)) == text
