@@ -55,13 +55,13 @@ class Opt:
 
 _IN = Opt("in", default="-", help="input CoNLL-U file ('-' for stdin)")
 _OUT = Opt("out", default="-", help="output file ('-' for stdout)")
-_JOBS = Opt("jobs", "int", 1, "process sentences with N worker processes; "
-                              "output order is always input order", low=1)
 _SEED = Opt("seed", "int", 0, "random seed")
 
 OPTIONS: dict[str, list[Opt]] = {
     "convert": [
-        _IN, _OUT, _JOBS,
+        _IN, _OUT,
+        Opt("jobs", "int", 1, "convert N contiguous slices of the input "
+                              "text in up to N processes", low=1),
         Opt("mode", default="rbc", choices=("rbc", "rbc2", "rbc2+fix",
                                             "always"),
             help="propagation rule set"),
@@ -91,7 +91,7 @@ OPTIONS: dict[str, list[Opt]] = {
         _SEED,
     ],
     "apply-prop": [
-        _IN, _OUT, _JOBS,
+        _IN, _OUT,
         Opt("model", required=True, help="trained propagation model"),
         Opt("embeddings", help="single-layer embedding sidecar file"),
         Opt("hash-dim", "int", 0,
@@ -121,7 +121,7 @@ OPTIONS: dict[str, list[Opt]] = {
         _SEED,
     ],
     "predict": [
-        _IN, _OUT, _JOBS,
+        _IN, _OUT,
         Opt("model", required=True, help="trained edge-parser model"),
         Opt("embeddings", help="multi-layer embedding sidecar file"),
         Opt("hash-dim", "int", 0,
@@ -236,7 +236,8 @@ def _log(line: str) -> None:
 
 # ------------------------------------------------------------------ file io
 
-def _read_corpus(path: str) -> list[Sentence]:
+def _read_text(path: str) -> tuple[str, str]:
+    """The file's decoded text, and the name that messages give it."""
     name = "<stdin>" if path == "-" else path
     try:
         if path == "-":
@@ -246,7 +247,11 @@ def _read_corpus(path: str) -> list[Sentence]:
                 raw = fh.read()
     except OSError as err:
         raise CliError(f"{name}: {err.strerror}") from None
-    return parse_corpus(decode_utf8(raw, name), name)
+    return decode_utf8(raw, name), name
+
+
+def _read_corpus(path: str) -> list[Sentence]:
+    return parse_corpus(*_read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -293,48 +298,42 @@ def _provider(cfg, corpus):
     return None
 
 
-# ------------------------------------------------------- parallel transforms
-
-# the per-sentence function of this worker process, set by _init_worker
-_WORKER_FN = None
-
-
-def _init_worker(fn) -> None:
-    global _WORKER_FN
-    _WORKER_FN = fn
-
-
-def _run_one(item):
-    index, sent = item
-    return _WORKER_FN(sent, index=index)
-
-
-def _map_indexed(fn, corpus: list[Sentence], jobs: int) -> list:
-    """[fn(sent, index=i) for i, sent in enumerate(corpus)], in input order.
-
-    Runs in min(jobs, len(corpus), cpu count) worker processes when that
-    is more than one, else in this process.  fn must pickle.
-    """
-    workers = min(jobs, len(corpus), os.cpu_count() or 1)
-    if workers > 1:
-        from multiprocessing import Pool
-        with Pool(workers, initializer=_init_worker,
-                  initargs=(fn,)) as pool:
-            return pool.map(_run_one, list(enumerate(corpus)))
-    return [fn(sent, index=i) for i, sent in enumerate(corpus)]
-
-
-def _convert_one(sent: Sentence, mode: str, index: int) -> Sentence:
-    return convert_mode(sent, mode)
-
-
 # ---------------------------------------------------------------- commands
 
+def _split_text(text: str, pieces: int) -> list[tuple[int, str]]:
+    """text in at most `pieces` contiguous slices of about equal size, each
+    with its first line number, cut just after blank lines."""
+    chunks, start, line = [], 0, 1
+    for k in range(1, pieces):
+        cut = text.find("\n\n", max(start, len(text) * k // pieces)) + 2
+        if not 2 <= cut < len(text):
+            break
+        chunks.append((line, text[start:cut]))
+        line += text.count("\n", start, cut)
+        start = cut
+    return chunks + [(line, text[start:])]
+
+
+def _convert_chunk(chunk: tuple[int, str], name: str, mode: str) -> str:
+    first_line, text = chunk
+    corpus = parse_corpus(text, name, first_line)
+    return write_corpus(convert_mode(sent, mode) for sent in corpus)
+
+
 def cmd_convert(cfg) -> None:
-    corpus = _read_corpus(cfg["in"])
-    out = _map_indexed(partial(_convert_one, mode=cfg["mode"]), corpus,
-                       cfg["jobs"])
-    _write_text(cfg["out"], write_corpus(out))
+    text, name = _read_text(cfg["in"])
+    chunks = _split_text(text, min(cfg["jobs"], os.cpu_count() or 1))
+    convert = partial(_convert_chunk, name=name, mode=cfg["mode"])
+    if len(chunks) > 1:
+        # any start method works; fork, the default on Linux up to Python
+        # 3.13, is safe because convert runs no other thread
+        from multiprocessing import Pool
+        with Pool(len(chunks)) as pool:
+            # imap yields in input order, so the file's first error is raised
+            out = "".join(pool.imap(convert, chunks))
+    else:
+        out = convert(chunks[0])
+    _write_text(cfg["out"], out)
 
 
 def _feature_setup(kind: str, features_text: str, with_dense: bool):
@@ -378,9 +377,9 @@ def cmd_apply_prop(cfg) -> None:
     provider = _provider(cfg, corpus)
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
-    out = _map_indexed(partial(apply_model, model, provider=provider,
-                               config=apply_cfg), corpus, cfg["jobs"])
-    _write_text(cfg["out"], write_corpus(out))
+    _write_text(cfg["out"], write_corpus(
+        apply_model(model, sent, provider, apply_cfg, index=i)
+        for i, sent in enumerate(corpus)))
 
 
 def cmd_train_parser(cfg) -> None:
@@ -416,9 +415,9 @@ def cmd_predict(cfg) -> None:
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
     provider = _provider(cfg, corpus)
-    out = _map_indexed(partial(decode, parser, provider=provider), corpus,
-                       cfg["jobs"])
-    _write_text(cfg["out"], write_corpus(out))
+    _write_text(cfg["out"], write_corpus(
+        decode(parser, sent, provider, index=i)
+        for i, sent in enumerate(corpus)))
 
 
 def cmd_evaluate(cfg) -> None:
@@ -430,7 +429,7 @@ def cmd_evaluate(cfg) -> None:
     summary = (f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
                f"P {100 * sc.precision:.1f} R {100 * sc.recall:.1f} "
                f"F1 {100 * sc.f1:.1f}")
-    body = format_score_records(report) if cfg["records"] \
+    body = format_score_records(report, cfg["view"]) if cfg["records"] \
         else format_score_table(report, cfg["view"])
     _write_text(cfg["out"], summary + "\n" + body + "\n")
 
@@ -443,6 +442,10 @@ def cmd_agree(cfg) -> None:
         [os.path.splitext(os.path.basename(f))[0] for f in files]
     if len(names) != len(files):
         raise CliError("--names must list one name per file")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise CliError(f"agree: more than one file is named "
+                       f"{', '.join(repeated)}; give distinct --names")
     corpora = [_read_corpus(f) for f in files]
     report = agreement_matrix(corpora, names)
     _write_text(cfg["out"], format_agreement(report) + "\n")

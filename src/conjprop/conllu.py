@@ -25,6 +25,11 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.field = fieldname
+        self.path = path
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses processes
+        return type(self), (self.message, self.line, self.field, self.path)
 
 
 class TokenId(NamedTuple):
@@ -182,25 +187,26 @@ def _finish_sentence(sent: Sentence, start_line: int,
     return sent
 
 
-def parse_corpus(text: str, path: str | None = None) -> list[Sentence]:
-    """Parse a whole CoNLL-U document. Raises ParseError on the first
-    problem; given the document's path, the error names it."""
+def parse_corpus(text: str, path: str | None = None,
+                 first_line: int = 1) -> list[Sentence]:
+    """Parse a CoNLL-U document, or its slice from line first_line on.
+    Raises ParseError on the first problem, naming path when given."""
     try:
-        return _parse_lines(text)
+        return _parse_lines(text, first_line)
     except ParseError as err:
         if path is None:
             raise
         raise ParseError(err.message, err.line, err.field, path) from None
 
 
-def _parse_lines(text: str) -> list[Sentence]:
+def _parse_lines(text: str, first_line: int) -> list[Sentence]:
     sentences: list[Sentence] = []
     current = Sentence()
     token_lines: list[int] = []
-    start_line = 1
+    start_line = first_line
     in_sentence = False
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=first_line):
         if line == "":
             if in_sentence:
                 sentences.append(

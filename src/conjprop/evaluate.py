@@ -141,6 +141,8 @@ def agreement_matrix(corpora: list[list[Sentence]],
         names = [f"corpus{i+1}" for i in range(len(corpora))]
     if len(names) != len(corpora):
         raise ValueError("one name per corpus required")
+    if len(set(names)) != len(names):
+        raise ValueError(f"corpus names repeat: {names}")
     pairwise = {}
     for gi, gold in enumerate(corpora):
         for si, system in enumerate(corpora):
@@ -230,9 +232,10 @@ def format_score_table(report: EvalReport, view: str = "full") -> str:
     return "\n".join(lines)
 
 
-def format_score_records(report: EvalReport) -> str:
+def format_score_records(report: EvalReport, view: str = "full") -> str:
+    rows = report.per_label if view == "full" else report.coarse
     lines = []
-    for label, sc in list(report.per_label.items()) + [("total", report.overall)]:
+    for label, sc in list(rows.items()) + [("total", report.overall)]:
         lines.append("\t".join((label, str(sc.tp), str(sc.n_sys), str(sc.n_gold),
                                 _pct(sc.precision), _pct(sc.recall), _pct(sc.f1))))
     return "\n".join(lines)

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 
@@ -124,6 +123,8 @@ def test_convert_mode_always_runs(run):
     ["evaluate", "--system", FIG1, "--gold", FIG1, "--jobs", "2"],
     ["agree", "--files", f"{FIG1},{FIG1}", "--jobs", "2"],
     ["stats", "--original", FIG1, "--edited", FIG1, "--jobs", "2"],
+    ["apply-prop", "--in", FIG1, "--model", FIG1, "--jobs", "2"],
+    ["predict", "--in", FIG1, "--model", FIG1, "--jobs", "2"],
 ])
 def test_removed_command_and_scorer_jobs_are_usage_errors(run, argv):
     with pytest.raises(SystemExit) as exit_:
@@ -261,6 +262,23 @@ def test_evaluate_records_are_tab_separated(run, tmp_path):
     assert last[4:] == ["100.0", "100.0", "100.0"]
 
 
+def test_evaluate_records_follow_the_view(run, tmp_path):
+    # rbc copies the passive subject label, subtype and all
+    sys_path = tmp_path / "sys.conllu"
+    run(["convert", "--mode", "rbc", "--in",
+         os.path.join(DATA, "fig3a.conllu"), "--out", str(sys_path)])
+    base = ["evaluate", "--system", str(sys_path), "--gold", str(sys_path)]
+    rows = {}
+    for view in ("full", "coarse"):
+        _, table, _ = run(base + ["--view", view])
+        _, records, _ = run(base + ["--view", view, "--records"])
+        rows[view] = [line.split("\t") for line in records.splitlines()[1:]]
+        assert [line.split() for line in table.splitlines()[2:]] \
+            == rows[view]
+    assert [row[0] for row in rows["full"]] == ["nsubj:pass", "total"]
+    assert [row[0] for row in rows["coarse"]] == ["nsubj", "total"]
+
+
 def test_agree_on_identical_annotations(run, tmp_path):
     a = tmp_path / "ann_a.conllu"
     b = tmp_path / "ann_b.conllu"
@@ -280,6 +298,22 @@ def test_agree_needs_two_files(run, tmp_path):
     rc, _, err = run(["agree", "--files", str(a)])
     assert rc == 1
     assert "two" in err
+
+
+@pytest.mark.parametrize("layout", ["names", "basenames"])
+def test_agree_rejects_repeated_corpus_names(run, tmp_path, layout):
+    a, b = tmp_path / "a" / "x.conllu", tmp_path / "b" / "x.conllu"
+    for path in (a, b):
+        path.parent.mkdir()
+        run(["convert", "--in", FIG1, "--out", str(path)])
+    argv = ["agree", "--files", f"{a},{b}"]
+    if layout == "names":
+        argv += ["--names", "p,p"]
+    rc, out, err = run(argv)
+    repeated = "p" if layout == "names" else "x"
+    assert rc == 1 and out == ""
+    assert f"conjprop: error: agree: more than one file is named {repeated};" \
+        in err
 
 
 def test_stats_between_rule_sets(run, tmp_path):
@@ -365,18 +399,21 @@ def test_train_prop_rerun_is_byte_identical(run, tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
 
 
-def test_apply_prop_parallel_matches_serial(run, tmp_path):
+def test_apply_prop_and_predict_ignore_jobs_in_a_config_file(run,
+                                                             tmp_path):
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
-    model = tmp_path / "prop.model"
-    run(["train-prop", "--train", str(train), "--model", str(model)])
-    serial = tmp_path / "serial.out"
-    parallel = tmp_path / "parallel.out"
-    run(["apply-prop", "--in", str(train), "--model", str(model),
-         "--out", str(serial)])
-    run(["apply-prop", "--in", str(train), "--model", str(model),
-         "--out", str(parallel), "--jobs", "2"])
-    assert serial.read_bytes() == parallel.read_bytes()
+    prop, edge = tmp_path / "prop.model", tmp_path / "edge.model"
+    run(["train-prop", "--train", str(train), "--model", str(prop)])
+    run(["train-parser", "--train", str(train), "--model", str(edge),
+         "--hash-dim", "8", "--hidden", "8", "--epochs", "1"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"in = {train}\nhash-dim = 8\njobs = 4\n")
+    for command, model in (("apply-prop", prop), ("predict", edge)):
+        rc, out, err = run([command, "--config", str(cfg),
+                            "--model", str(model)])
+        assert rc == 0 and "# jobs" not in err
+        assert len(parse_corpus(out)) == 8
 
 
 def test_train_parser_and_predict(run, tmp_path):
@@ -460,17 +497,33 @@ def test_train_parser_early_stopping_logs_dev_f1(run, tmp_path):
     assert "dev-f1" in err
 
 
-def _tag(sent, index, suffix):
-    return f"{sent}{index}{suffix}"
+def test_split_text_cuts_only_after_blank_lines():
+    text = prop_training_text() + "\n\n" + prop_input_text()
+    whole = parse_corpus(text)
+    for pieces in range(1, 15):
+        chunks = cli._split_text(text, pieces)
+        assert 1 <= len(chunks) <= pieces
+        assert "".join(chunk for _, chunk in chunks) == text
+        offset = 0
+        for first_line, chunk in chunks:
+            assert first_line == text.count("\n", 0, offset) + 1
+            assert offset == 0 or text[offset - 2:offset] == "\n\n"
+            offset += len(chunk)
+        parsed = [s for first_line, chunk in chunks
+                  for s in parse_corpus(chunk, None, first_line)]
+        assert [s.sent_id for s in parsed] == [s.sent_id for s in whole]
+    assert len(cli._split_text(text, 4)) == 4
+    assert cli._split_text("", 4) == [(1, "")]
+    one = prop_input_text()
+    assert cli._split_text(one, 4) == [(1, one)]
 
 
-def test_map_indexed_caps_workers_and_keeps_input_order(monkeypatch):
-    processes = []
+def test_convert_jobs_caps_pieces_by_cpu_count(run, monkeypatch):
+    sizes = []
 
     class InProcessPool:
-        def __init__(self, n, initializer, initargs):
-            processes.append(n)
-            initializer(*initargs)
+        def __init__(self, n):
+            sizes.append(n)
 
         def __enter__(self):
             return self
@@ -478,24 +531,64 @@ def test_map_indexed_caps_workers_and_keeps_input_order(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(cli, "_WORKER_FN", None)
-    fn = partial(_tag, suffix="!")
-    corpus = ["a", "b", "c"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert cli._map_indexed(fn, corpus, 10**6) == ["a0!", "b1!", "c2!"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli._map_indexed(fn, corpus, 10**6) == ["a0!", "b1!", "c2!"]
-    assert processes == [3, 2]
-    # one job, one sentence or one core: no pool at all
-    assert cli._map_indexed(fn, corpus, 1) == ["a0!", "b1!", "c2!"]
-    assert cli._map_indexed(fn, corpus[:1], 8) == ["a0!"]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._map_indexed(fn, corpus, 8) == ["a0!", "b1!", "c2!"]
-    assert processes == [3, 2]
+    text = prop_training_text()
+    _, serial, _ = run(["convert", "--mode", "rbc2"], stdin_text=text)
+    for cpus, jobs in ((64, "3"), (64, "1000000"), (2, "1000000"),
+                       (None, "8"), (1, "8")):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rc, out, _ = run(["convert", "--mode", "rbc2", "--jobs", jobs],
+                         stdin_text=text)
+        assert rc == 0 and out == serial
+    # eight sentences are eight pieces at most; one core or none, no pool
+    assert sizes == [3, 8, 2]
+    rc, out, _ = run(["convert", "--jobs", "4"], stdin_text="")
+    assert rc == 0 and out == "" and sizes == [3, 8, 2]
+
+
+def _two_cpus(start_method: str | None = None) -> str:
+    """A _fresh_main prelude: two CPUs, and pools of the given start
+    method.  A fresh interpreter runs no thread that fork could copy."""
+    pool = "" if start_method is None else (
+        f"multiprocessing.Pool = multiprocessing.get_context("
+        f"{start_method!r}).Pool; ")
+    return "import multiprocessing, os; os.cpu_count = lambda: 2; " + pool
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"])
+def test_parallel_convert_on_stdin_matches_serial(run, start_method):
+    text = prop_training_text()
+    assert len(cli._split_text(text, 2)) == 2
+    _, serial, _ = run(["convert", "--mode", "rbc2"], stdin_text=text)
+    proc = _fresh_main(["convert", "--mode", "rbc2", "--jobs", "2"],
+                       _two_cpus(start_method), stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serial and len(parse_corpus(serial)) == 8
+
+
+@pytest.mark.parametrize("broken", [(3, -4), (-4,)])
+def test_parallel_convert_reports_the_first_error_in_file_order(
+        run, tmp_path, broken):
+    lines = prop_training_text().split("\n")
+    # token lines of the first and of the last sentence, 0-based
+    broken = [k % len(lines) for k in broken]
+    for k in broken:
+        lines[k] = lines[k].replace("\t", " ", 1)
+    bad = tmp_path / "bad.conllu"
+    bad.write_text("\n".join(lines))
+    assert len(cli._split_text(bad.read_text(), 2)) == 2
+    expected = (f"conjprop: error: {bad}:{broken[0] + 1}: expected 10 "
+                f"columns, got 9")
+    rc, _, err = run(["convert", "--in", str(bad)])
+    assert rc == 1 and err.splitlines()[-1] == expected
+    proc = _fresh_main(["convert", "--in", str(bad), "--jobs", "2"],
+                       _two_cpus())
+    # the last line says whether numpy got loaded
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-2:] == [expected, "False"]
 
 
 def _with_bad_byte(text: str, line: int) -> bytes:
@@ -554,7 +647,7 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
      "holdout must be in [0, 1), got nan"),
     (["train-prop", "--hidden", "8,0"], "--hidden expects two"),
     (["convert", "--jobs", "0"], "jobs must be in [1, inf), got 0"),
-    (["apply-prop", "--jobs", "-3"], "jobs must be in [1, inf), got -3"),
+    (["convert", "--jobs", "-3"], "jobs must be in [1, inf), got -3"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")
@@ -772,17 +865,19 @@ def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
     assert "Traceback" not in err
 
 
-def _fresh_main(args: list[str]) -> subprocess.CompletedProcess:
-    """main(args) in a new interpreter, which then prints whether numpy
-    got loaded."""
+def _fresh_main(args: list[str], prelude: str = "",
+                stdin: str | None = None) -> subprocess.CompletedProcess:
+    """main(args) in a new interpreter, after the statements in prelude;
+    the interpreter then prints whether numpy got loaded."""
     src = os.path.dirname(os.path.dirname(conjprop.__file__))
-    script = ("import sys; from conjprop.cli import main; rc = main(sys.argv"
-              "[1:]); print('numpy' in sys.modules, file=sys.stderr); "
-              "sys.exit(rc)")
+    script = (prelude + "import sys; from conjprop.cli import main; "
+              "rc = main(sys.argv[1:]); "
+              "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], input=stdin,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("args", [

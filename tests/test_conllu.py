@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -114,6 +115,26 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_corpus(doc)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("err", [
+    ParseError("bad", 3),
+    ParseError("bad value", 7, "HEAD", "a/b.conllu"),
+])
+def test_parse_error_survives_pickling(err):
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is ParseError and str(copy) == str(err)
+    assert (copy.message, copy.line, copy.field, copy.path) \
+        == (err.message, err.line, err.field, err.path)
+
+
+def test_parse_corpus_numbers_lines_from_first_line():
+    doc = ("1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n\n"
+           "1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n"
+           "2\tv\tv\tX\t_\t_\t1\tdep\tbad\t_\n\n")
+    with pytest.raises(ParseError) as err:
+        parse_corpus(doc, "c.conllu", first_line=41)
+    assert str(err.value) == "c.conllu:44, DEPS: malformed deps item 'bad'"
 
 
 def test_read_file_reports_bad_bytes_as_a_parse_error(tmp_path):

@@ -164,6 +164,13 @@ def test_agreement_needs_two():
         agreement_matrix([[]])
 
 
+def test_agreement_rejects_repeated_names():
+    rng = random.Random(6)
+    corpus = [random_sentence(rng, "rep0")]
+    with pytest.raises(ValueError, match="repeat"):
+        agreement_matrix([corpus, corpus, corpus], names=["A", "B", "A"])
+
+
 def test_diff_stats_small():
     orig, edited = _two_sentence_corpora()
     rep = diff_stats([orig], [edited], scope="conjunct")
