@@ -32,18 +32,22 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without grad needs a scalar")
             grad = np.ones_like(self.data)
+        # depth-first post-order without recursion: no recursion limit,
+        # and no self-referencing closure that would keep the tape alive
+        # until the cyclic collector runs
         topo: list[Tensor] = []
-        seen = set()
-
-        def visit(t: Tensor):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))] if self.requires_grad else []
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         # leaves keep accumulating across calls until zero_grad; fresh
         # intermediates start at None every forward pass
         for t in topo:

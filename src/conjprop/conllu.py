@@ -73,7 +73,7 @@ def parse_token_id(text: str, line: int = 0, fieldname: str = "ID") -> TokenId:
     return tid
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     id: TokenId
     form: str
@@ -145,18 +145,6 @@ def _parse_feats(text: str, line: int) -> dict[str, str]:
     return feats
 
 
-def _parse_deps(text: str, line: int) -> list[tuple[TokenId, str]]:
-    if text == "_":
-        return []
-    deps = []
-    for item in text.split("|"):
-        head, sep, label = item.partition(":")
-        if not sep or not label:
-            raise ParseError(f"malformed deps item {item!r}", line, "DEPS")
-        deps.append((parse_token_id(head, line, "DEPS"), label))
-    return deps
-
-
 def _finish_sentence(sent: Sentence, start_line: int,
                      token_lines: list[int]) -> Sentence:
     """Checks the sentence's ids and heads; token_lines[i] is the line of
@@ -200,6 +188,7 @@ def parse_corpus(text: str, path: str | None = None,
 
 
 def _parse_lines(text: str, first_line: int) -> list[Sentence]:
+    interned = _TOKEN_IDS.get  # parse_token_id parses and interns the rest
     sentences: list[Sentence] = []
     current = Sentence()
     token_lines: list[int] = []
@@ -232,10 +221,10 @@ def _parse_lines(text: str, first_line: int) -> list[Sentence]:
                 raise ParseError(f"malformed range id {cols[0]!r}", lineno, "ID")
             current.ranges.setdefault(len(current.tokens), []).append(line)
             continue
-        tid = parse_token_id(cols[0], lineno)
+        tid = interned(cols[0]) or parse_token_id(cols[0], lineno)
         head = None
         if cols[6] != "_":
-            head = parse_token_id(cols[6], lineno, "HEAD")
+            head = interned(cols[6]) or parse_token_id(cols[6], lineno, "HEAD")
             if head.is_empty:
                 raise ParseError("HEAD cannot reference an empty node",
                                  lineno, "HEAD")
@@ -244,11 +233,21 @@ def _parse_lines(text: str, first_line: int) -> list[Sentence]:
         deprel = None if cols[7] == "_" else cols[7]
         if head is not None and deprel is None:
             raise ParseError("HEAD given but DEPREL empty", lineno, "DEPREL")
+        feats = _parse_feats(cols[5], lineno)
+        deps = []
+        if cols[8] != "_":
+            for item in cols[8].split("|"):
+                dep_head, sep, label = item.partition(":")
+                if not sep or not label:
+                    raise ParseError(f"malformed deps item {item!r}", lineno,
+                                     "DEPS")
+                deps.append((interned(dep_head)
+                             or parse_token_id(dep_head, lineno, "DEPS"),
+                             label))
         token_lines.append(lineno)
         current.tokens.append(Token(
             tid, cols[1], cols[2], cols[3], cols[4],  # FORM to XPOS
-            _parse_feats(cols[5], lineno), head, deprel,
-            _parse_deps(cols[8], lineno), cols[9]))
+            feats, head, deprel, deps, cols[9]))
     if in_sentence:
         sentences.append(_finish_sentence(current, start_line, token_lines))
     return sentences

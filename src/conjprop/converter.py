@@ -57,10 +57,6 @@ def seeded_copy(sent: Sentence) -> Sentence:
     return work
 
 
-def _has_subject(sent: Sentence, dep) -> bool:
-    return bool(subject_edges_at(sent, dep))
-
-
 def _subject_label(dep_tok: Token, candidate: str, has_auxpass: bool,
                    passive_imperative_fix: bool) -> str | None:
     """Final label for a subject copied onto dep_tok, or None to suppress it."""
@@ -77,6 +73,9 @@ def _subject_label(dep_tok: Token, candidate: str, has_auxpass: bool,
 
 
 def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
+    pairs = conj_pairs(work)
+    if not pairs:
+        return False
     by_id = work.token_by_id()
     snapshot = sorted(enhanced_edges(work))
     incoming: dict = {}
@@ -86,7 +85,7 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
         outgoing.setdefault(e.head, []).append(e)
 
     changed = False
-    for gov, dep in conj_pairs(work):
+    for gov, dep in pairs:
         dep_tok = by_id[dep]
         # governors of gov are copied, modulo the exception list; non-core
         # labels stay local unless non-core propagation is switched on, so
@@ -106,7 +105,7 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
                 continue
             base = coarse(e.label)
             if base in SUBJECT_LABELS:
-                if _has_subject(work, dep):
+                if subject_edges_at(work, dep):
                     continue
                 label = _subject_label(dep_tok, e.label, has_auxpass,
                                        cfg.passive_imperative_fix)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conllu import Sentence
 from .graph import Edge, basic_edges, coarse, enhanced_edges, propagated_links
@@ -15,6 +15,7 @@ class AlignmentError(ValueError):
 def align_corpora(a: list[Sentence], b: list[Sentence]):
     """Pair up sentences by sent_id when available, else by position.
 
+    Returns (i, j) for each a[i] aligned with b[j], in the order of a.
     Token counts must match per pair; mismatched or duplicated ids raise
     AlignmentError naming the offenders.
     """
@@ -30,18 +31,19 @@ def align_corpora(a: list[Sentence], b: list[Sentence]):
             raise AlignmentError(
                 f"sentence ids do not match: only in first={only_a[:10]}, "
                 f"only in second={only_b[:10]}")
-        b_map = {s.sent_id: s for s in b}
-        pairs = [(i, s, b_map[i]) for i, s in zip(a_ids, a)]
+        b_pos = {sid: j for j, sid in enumerate(b_ids)}
+        pairs = [(i, b_pos[sid]) for i, sid in enumerate(a_ids)]
     else:
         if len(a) != len(b):
             raise AlignmentError(
                 f"corpora differ in length ({len(a)} vs {len(b)}) and lack sent_id")
-        pairs = [(str(k), x, y) for k, (x, y) in enumerate(zip(a, b))]
-    for key, x, y in pairs:
-        if len(x.tokens) != len(y.tokens):
+        pairs = [(k, k) for k in range(len(a))]
+        a_ids = range(len(a))  # messages name sentences by position
+    for i, j in pairs:
+        if len(a[i].tokens) != len(b[j].tokens):
             raise AlignmentError(
-                f"sentence {key}: token count differs "
-                f"({len(x.tokens)} vs {len(y.tokens)})")
+                f"sentence {a_ids[i]}: token count differs "
+                f"({len(a[i].tokens)} vs {len(b[j].tokens)})")
     return pairs
 
 
@@ -72,41 +74,38 @@ class EvalReport:
     coarse: dict[str, LabelScore]
 
 
-def _keyed_links(corpus_pairs, side: int) -> set:
-    return {(pair[0], e) for pair in corpus_pairs
-            for e in propagated_links(pair[1 + side])}
-
-
 def score(system: list[Sentence], gold: list[Sentence],
-          keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
-    """Precision/recall/F1 over the union of per-sentence propagated links.
+          keep_subtypes: frozenset[str] = frozenset(),
+          links: tuple[list, list] | None = None) -> EvalReport:
+    """Precision/recall/F1 over the propagated links of aligned sentences.
 
-    keep_subtypes lists full labels kept apart in the coarse rollup; every
-    other label collapses to its coarse form there.
+    links holds the per-sentence link sets of system and gold in corpus
+    order when the caller has them, so each corpus's links are extracted
+    once.  keep_subtypes lists full labels kept apart in the coarse rollup;
+    every other label collapses to its coarse form there.
     """
     pairs = align_corpora(system, gold)
-    sys_links = _keyed_links(pairs, 0)
-    gold_links = _keyed_links(pairs, 1)
-
-    def rollup(label: str) -> str:
-        return label if label in keep_subtypes else coarse(label)
-
+    sys_links, gold_links = links or ([propagated_links(s) for s in system],
+                                      [propagated_links(s) for s in gold])
     overall = LabelScore()
     per_label: dict[str, LabelScore] = {}
     coarse_scores: dict[str, LabelScore] = {}
-    for link in sys_links:
-        label = link[1].label
-        hit = link in gold_links
-        for bucket in (overall,
-                       per_label.setdefault(label, LabelScore()),
-                       coarse_scores.setdefault(rollup(label), LabelScore())):
-            bucket.n_sys += 1
-            bucket.tp += 1 if hit else 0
-    for link in gold_links:
-        label = link[1].label
-        overall.n_gold += 1
-        per_label.setdefault(label, LabelScore()).n_gold += 1
-        coarse_scores.setdefault(rollup(label), LabelScore()).n_gold += 1
+
+    def buckets(label: str) -> tuple[LabelScore, ...]:
+        rolled = label if label in keep_subtypes else coarse(label)
+        return (overall, per_label.setdefault(label, LabelScore()),
+                coarse_scores.setdefault(rolled, LabelScore()))
+
+    for i, j in pairs:
+        expected = gold_links[j]
+        for link in sys_links[i]:
+            hit = link in expected
+            for bucket in buckets(link.label):
+                bucket.n_sys += 1
+                bucket.tp += hit
+        for link in expected:
+            for bucket in buckets(link.label):
+                bucket.n_gold += 1
     return EvalReport(overall=overall,
                       per_label=dict(sorted(per_label.items())),
                       coarse=dict(sorted(coarse_scores.items())))
@@ -134,7 +133,8 @@ class AgreementReport:
 
 def agreement_matrix(corpora: list[list[Sentence]],
                      names: list[str] | None = None) -> AgreementReport:
-    """Pairwise scores over two or more corpora of the same sentences."""
+    """Pairwise scores over two or more corpora of the same sentences,
+    extracting each corpus's links once."""
     if len(corpora) < 2:
         raise ValueError("agreement needs at least two corpora")
     if names is None:
@@ -143,12 +143,14 @@ def agreement_matrix(corpora: list[list[Sentence]],
         raise ValueError("one name per corpus required")
     if len(set(names)) != len(names):
         raise ValueError(f"corpus names repeat: {names}")
+    links = [[propagated_links(s) for s in corpus] for corpus in corpora]
     pairwise = {}
     for gi, gold in enumerate(corpora):
         for si, system in enumerate(corpora):
             if gi == si:
                 continue
-            pairwise[(names[gi], names[si])] = score(system, gold)
+            pairwise[(names[gi], names[si])] = score(
+                system, gold, links=(links[si], links[gi]))
     return AgreementReport(names=list(names), pairwise=pairwise)
 
 
@@ -189,8 +191,9 @@ def diff_stats(original: list[Sentence], edited: list[Sentence],
     """
     pairs = align_corpora(original, edited)
     report = DiffReport(scope=scope, per_label={})
-    for _, x, y in pairs:
-        before, after = _scoped_edges(x, scope), _scoped_edges(y, scope)
+    for i, j in pairs:
+        before = _scoped_edges(original[i], scope)
+        after = _scoped_edges(edited[j], scope)
         touched: set[str] = set()
         for e in after - before:
             d = report.per_label.setdefault(e.label, LabelDiff())
@@ -223,12 +226,9 @@ def format_score_table(report: EvalReport, view: str = "full") -> str:
     rows = report.per_label if view == "full" else report.coarse
     header = f"{'label':<24} {'tp':>6} {'sys':>6} {'gold':>6} {'P':>6} {'R':>6} {'F1':>6}"
     lines = [header]
-    for label, sc in rows.items():
+    for label, sc in list(rows.items()) + [("total", report.overall)]:
         lines.append(f"{label:<24} {sc.tp:>6} {sc.n_sys:>6} {sc.n_gold:>6} "
                      f"{_pct(sc.precision):>6} {_pct(sc.recall):>6} {_pct(sc.f1):>6}")
-    sc = report.overall
-    lines.append(f"{'total':<24} {sc.tp:>6} {sc.n_sys:>6} {sc.n_gold:>6} "
-                 f"{_pct(sc.precision):>6} {_pct(sc.recall):>6} {_pct(sc.f1):>6}")
     return "\n".join(lines)
 
 
@@ -254,20 +254,16 @@ def format_pair_table(report: EvalReport) -> str:
 def format_diff_table(report: DiffReport) -> str:
     header = f"{'label':<24} {'added':>7} {'removed':>8} {'sents':>7} {'total':>8}"
     lines = [header]
-    for label, d in report.per_label.items():
+    for label, d in list(report.per_label.items()) + [("total", report)]:
         lines.append(f"{label:<24} {d.added:>7} {d.removed:>8} {d.sentences:>7} {d.total:>8}")
-    lines.append(f"{'total':<24} {report.added:>7} {report.removed:>8} "
-                 f"{report.sentences:>7} {report.total:>8}")
     return "\n".join(lines)
 
 
 def format_diff_records(report: DiffReport) -> str:
     lines = []
-    for label, d in report.per_label.items():
+    for label, d in list(report.per_label.items()) + [("total", report)]:
         lines.append("\t".join((label, str(d.added), str(d.removed),
                                 str(d.sentences), str(d.total))))
-    lines.append("\t".join(("total", str(report.added), str(report.removed),
-                            str(report.sentences), str(report.total))))
     return "\n".join(lines)
 
 

@@ -25,32 +25,24 @@ def is_conj_label(label: str) -> bool:
 
 def basic_edges(sent: Sentence) -> set[Edge]:
     """One edge per regular token from its HEAD/DEPREL columns."""
-    out = set()
-    for t in sent.tokens:
-        if t.id.is_empty or t.head is None:
-            continue
-        out.add(Edge(t.head, t.id, t.deprel))
-    return out
+    return {Edge(t.head, t.id, t.deprel) for t in sent.tokens
+            if t.head is not None and not t.id.is_empty}
 
 
 def enhanced_edges(sent: Sentence) -> set[Edge]:
     """Union of all DEPS entries, empty nodes included."""
-    out = set()
-    for t in sent.tokens:
-        for head, label in t.deps:
-            out.add(Edge(head, t.id, label))
-    return out
+    return {Edge(head, t.id, label) for t in sent.tokens
+            for head, label in t.deps}
 
 
 def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     """(gov, dep) for every basic conj edge, in surface order of dep."""
     pairs = []
     for t in sent.tokens:
-        if t.id.is_empty or t.head is None or t.head == ROOT:
+        if t.head is None or t.head == ROOT or not is_conj_label(t.deprel):
             continue
-        if not is_conj_label(t.deprel):
-            continue
-        pairs.append((t.head, t.id))
+        if not t.id.is_empty:
+            pairs.append((t.head, t.id))
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs
 
@@ -69,16 +61,15 @@ def propagated_links(sent: Sentence) -> set[Edge]:
 
     Membership in the basic layer is exact-triple equality, so a relabeled
     edge counts as propagated. Edges labeled conj (any subtype) are excluded.
+    A sentence without a basic conj edge has no conjunct, so no link.
     """
-    basic = basic_edges(sent)
     conjuncts = conjunct_ids(sent)
-    out = set()
-    for e in enhanced_edges(sent):
-        if e in basic or is_conj_label(e.label):
-            continue
-        if e.head in conjuncts or e.dep in conjuncts:
-            out.add(e)
-    return out
+    if not conjuncts:
+        return set()
+    basic = basic_edges(sent)
+    return {e for e in enhanced_edges(sent)
+            if e not in basic and not is_conj_label(e.label)
+            and (e.head in conjuncts or e.dep in conjuncts)}
 
 
 def has_child_with_label(sent: Sentence, head: TokenId, label: str) -> bool:

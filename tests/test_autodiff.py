@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,74 @@ def test_shared_subexpression_gradient():
     y = ad.add(ad.mul(p, p), p)
     y.backward()
     assert np.allclose(p.grad, [7.0])
+
+
+def _recursive_backward(out):
+    """The recursive post-order traversal, as a reference for the order."""
+    topo, seen = [], set()
+
+    def visit(t):
+        if id(t) in seen or not t.requires_grad:
+            return
+        seen.add(id(t))
+        for p in t._parents:
+            visit(p)
+        topo.append(t)
+
+    visit(out)
+    for t in topo:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+    out.grad = out.grad + np.ones_like(out.data)
+    for t in reversed(topo):
+        if t._backward is not None:
+            t._backward(t.grad)
+
+
+def test_backward_order_matches_the_recursive_traversal():
+    # shared subexpressions reached along paths of different lengths, so
+    # the summation order of their gradients shows in the last bits
+    def build(x, w):
+        h = ad.relu(ad.matmul(x, w))
+        s = ad.add(ad.mul(h, h), ad.exp(ad.mul(h, 0.1)))
+        z = ad.add(ad.log_softmax(ad.add(s, h)), ad.mul(ad.transpose(
+            ad.matmul(ad.transpose(x, (1, 0)), h), (1, 0)), 0.3)[:, :4])
+        return ad.tsum(ad.add(ad.mul(z, s), h))
+
+    x0, w0 = rng.normal(size=(4, 5)), rng.normal(size=(5, 4))
+    grads = []
+    for backward in (ad.Tensor.backward, _recursive_backward):
+        x = ad.Tensor(x0, requires_grad=True)
+        w = ad.Tensor(w0, requires_grad=True)
+        backward(build(x, w))
+        grads.append((x.grad.tobytes(), w.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_backward_leaves_no_cyclic_garbage():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        p = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = ad.tsum(ad.mul(ad.add(p, 1.0), p))
+        y.backward()
+        del y
+        # the tape was freed by reference counting alone
+        assert gc.collect() == 0
+        assert np.allclose(p.grad, [3.0, 5.0])
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_backward_through_a_long_chain():
+    p = ad.Tensor(np.array([0.5]), requires_grad=True)
+    y = p
+    for _ in range(5000):
+        y = ad.add(y, 1.0)
+    y.backward()
+    assert p.grad.tolist() == [1.0]
 
 
 def test_adamw_zero_lr_is_identity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -206,6 +207,27 @@ def test_parse_error_names_line(run, tmp_path):
     assert f"conjprop: error: {bad}:1: expected 10 columns" in err
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_leave_the_collector_as_they_found_it(run, tmp_path,
+                                                       enabled):
+    bad = tmp_path / "bad.conllu"
+    bad.write_text("1\tx\tx\tX\t_\t_\t0\troot\t0:root\t_\n"
+                   "2\tx\tx\tX\t_\tBad\t1\tdep\t1:dep\t_\n\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in [
+                (["evaluate", "--system", FIG1, "--gold", FIG1_GOLD], 0),
+                (["convert", "--jobs", "1", "--in", FIG1], 0),
+                (["evaluate", "--system", str(bad), "--gold", FIG1], 1)]:
+            rc, _, err = run(argv)
+            assert rc == code, err
+            assert gc.isenabled() is enabled
+        assert f"{bad}:2, FEATS: malformed feature" in err
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_missing_required_option_is_reported(run):
     rc, _, err = run(["train-prop", "--train", FIG1])
     assert rc == 1
@@ -351,7 +373,13 @@ def test_convert_rerun_is_byte_identical(run, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_parallel_convert_matches_serial(run, tmp_path):
+@pytest.fixture
+def small_slices(monkeypatch):
+    """Lets the short test corpora split into slices of one character on."""
+    monkeypatch.setattr(cli, "_MIN_SLICE_CHARS", 1)
+
+
+def test_parallel_convert_matches_serial(run, tmp_path, small_slices):
     big = tmp_path / "big.conllu"
     big.write_text(prop_training_text())
     serial = tmp_path / "serial.out"
@@ -497,7 +525,7 @@ def test_train_parser_early_stopping_logs_dev_f1(run, tmp_path):
     assert "dev-f1" in err
 
 
-def test_split_text_cuts_only_after_blank_lines():
+def test_split_text_cuts_only_after_blank_lines(small_slices):
     text = prop_training_text() + "\n\n" + prop_input_text()
     whole = parse_corpus(text)
     for pieces in range(1, 15):
@@ -518,7 +546,19 @@ def test_split_text_cuts_only_after_blank_lines():
     assert cli._split_text(one, 4) == [(1, one)]
 
 
-def test_convert_jobs_caps_pieces_by_cpu_count(run, monkeypatch):
+def test_split_text_keeps_short_inputs_whole(monkeypatch):
+    monkeypatch.setattr(cli, "_MIN_SLICE_CHARS", 1000)
+    text = "".join(SHARED_SUBJECT.format(i=i, extra="") + "\n"
+                   for i in range(20))
+    for pieces in (2, 8, 100):
+        sizes = [len(chunk) for _, chunk in cli._split_text(text, pieces)]
+        assert len(sizes) == min(pieces, len(text) // 1000)
+        assert min(sizes) >= 1000 * 0.9
+    assert len(cli._split_text(text[:1999], 8)) == 1
+
+
+def test_convert_jobs_caps_pieces_by_cpu_count(run, monkeypatch,
+                                              small_slices):
     sizes = []
 
     class InProcessPool:
@@ -547,31 +587,43 @@ def test_convert_jobs_caps_pieces_by_cpu_count(run, monkeypatch):
     assert sizes == [3, 8, 2]
     rc, out, _ = run(["convert", "--jobs", "4"], stdin_text="")
     assert rc == 0 and out == "" and sizes == [3, 8, 2]
+    # at the real slice size, a short input is converted without a pool
+    monkeypatch.undo()
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rc, out, _ = run(["convert", "--mode", "rbc2", "--jobs", "8"],
+                     stdin_text=text)
+    assert rc == 0 and out == serial and sizes == [3, 8, 2]
 
 
 def _two_cpus(start_method: str | None = None) -> str:
-    """A _fresh_main prelude: two CPUs, and pools of the given start
-    method.  A fresh interpreter runs no thread that fork could copy."""
-    pool = "" if start_method is None else (
-        f"multiprocessing.Pool = multiprocessing.get_context("
-        f"{start_method!r}).Pool; ")
-    return "import multiprocessing, os; os.cpu_count = lambda: 2; " + pool
+    """A _fresh_main prelude: two CPUs, slices of one character on, and
+    pools of the given start method that log "# pool N" to stderr.  A fresh
+    interpreter runs no thread that fork could copy."""
+    pool = "multiprocessing" if start_method is None else (
+        f"multiprocessing.get_context({start_method!r})")
+    return ("import multiprocessing, os, sys; os.cpu_count = lambda: 2; "
+            "import conjprop.cli; conjprop.cli._MIN_SLICE_CHARS = 1; "
+            f"multiprocessing.Pool = lambda n, pool={pool}.Pool: "
+            "(print('# pool', n, file=sys.stderr), pool(n))[1]; ")
 
 
 @pytest.mark.parametrize("start_method", [None, "spawn"])
-def test_parallel_convert_on_stdin_matches_serial(run, start_method):
+def test_parallel_convert_on_stdin_matches_serial(run, start_method,
+                                                 small_slices):
     text = prop_training_text()
     assert len(cli._split_text(text, 2)) == 2
     _, serial, _ = run(["convert", "--mode", "rbc2"], stdin_text=text)
     proc = _fresh_main(["convert", "--mode", "rbc2", "--jobs", "2"],
                        _two_cpus(start_method), stdin=text)
     assert proc.returncode == 0, proc.stderr
+    assert "# pool 2" in proc.stderr.splitlines()
     assert proc.stdout == serial and len(parse_corpus(serial)) == 8
 
 
 @pytest.mark.parametrize("broken", [(3, -4), (-4,)])
 def test_parallel_convert_reports_the_first_error_in_file_order(
-        run, tmp_path, broken):
+        run, tmp_path, broken, small_slices):
     lines = prop_training_text().split("\n")
     # token lines of the first and of the last sentence, 0-based
     broken = [k % len(lines) for k in broken]
@@ -588,6 +640,7 @@ def test_parallel_convert_reports_the_first_error_in_file_order(
                        _two_cpus())
     # the last line says whether numpy got loaded
     assert proc.returncode == 1
+    assert "# pool 2" in proc.stderr.splitlines()
     assert proc.stderr.splitlines()[-2:] == [expected, "False"]
 
 

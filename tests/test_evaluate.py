@@ -3,15 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conjprop import evaluate
 from conjprop.conllu import Sentence, TokenId
 from conjprop.converter import MODES, convert
 from conjprop.evaluate import (
-    AlignmentError, LabelScore, agreement_matrix, align_corpora, diff_stats,
-    format_diff_records, format_score_records, format_score_table, score,
+    AlignmentError, EvalReport, LabelScore, agreement_matrix, align_corpora,
+    diff_stats, format_diff_records, format_score_records,
+    format_score_table, score,
 )
-from conjprop.graph import propagated_links
-from conftest import make_sentence, perturb_enhanced, random_sentence
+from conjprop.graph import coarse, propagated_links
+from conftest import (
+    LABEL_POOL, make_sentence, perturb_enhanced, random_sentence,
+)
 
 
 def _pct(x):
@@ -103,6 +108,91 @@ def test_score_matches_brute_force_oracle():
     assert sum(sc.tp for sc in rep.per_label.values()) == tp
     assert sum(sc.n_sys for sc in rep.per_label.values()) == len(sys_links)
     assert sum(sc.n_gold for sc in rep.per_label.values()) == len(gold_links)
+
+
+def _keyed_score(system, gold, keep_subtypes=frozenset()):
+    """Reference definition: every link keyed by its sentence's alignment
+    key, and the corpus-wide keyed sets compared."""
+    ids = [s.sent_id for s in system + gold]
+    by_id = all(i is not None for i in ids)
+    keys = [s.sent_id if by_id else str(k) for k, s in enumerate(system)]
+    gold_keys = [s.sent_id if by_id else str(k) for k, s in enumerate(gold)]
+    sys_links = {(k, e) for k, s in zip(keys, system)
+                 for e in propagated_links(s)}
+    gold_links = {(k, e) for k, s in zip(gold_keys, gold)
+                  for e in propagated_links(s)}
+    overall, per_label, coarse_scores = LabelScore(), {}, {}
+
+    def buckets(label):
+        rolled = label if label in keep_subtypes else coarse(label)
+        return (overall, per_label.setdefault(label, LabelScore()),
+                coarse_scores.setdefault(rolled, LabelScore()))
+
+    for link in sys_links:
+        for bucket in buckets(link[1].label):
+            bucket.n_sys += 1
+            bucket.tp += link in gold_links
+    for link in gold_links:
+        for bucket in buckets(link[1].label):
+            bucket.n_gold += 1
+    return EvalReport(overall, dict(sorted(per_label.items())),
+                      dict(sorted(coarse_scores.items())))
+
+
+def _annotated(rng, sent):
+    """One annotation of sent: a rule converter's output, or random edits."""
+    mode = rng.choice(["rbc", "rbc2", "rbc2+fix", None])
+    return perturb_enhanced(rng, sent) if mode is None \
+        else convert(sent, MODES[mode])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+       ids=st.sampled_from(["all", "none", "some"]), shuffle=st.booleans(),
+       keep=st.sets(st.sampled_from(LABEL_POOL), max_size=4),
+       view=st.sampled_from(["full", "coarse"]))
+def test_score_equals_the_keyed_set_definition(seed, n, ids, shuffle, keep,
+                                               view):
+    rng = random.Random(seed)
+    base = [random_sentence(rng, f"k{i}") for i in range(n)]
+    system = [_annotated(rng, s) for s in base]
+    gold = [_annotated(rng, s) for s in base]
+    for corpus in (system, gold):
+        for k, sent in enumerate(corpus):
+            if ids == "none" or (ids == "some" and k % 3 == 1):
+                sent.comments = []
+    if shuffle and ids == "all":
+        rng.shuffle(gold)
+    keep = frozenset(keep)
+    expected = _keyed_score(system, gold, keep)
+    links = ([propagated_links(s) for s in system],
+             [propagated_links(s) for s in gold])
+    for report in (score(system, gold, keep),
+                   score(system, gold, keep, links=links)):
+        assert report == expected
+        assert format_score_table(report, view) == \
+            format_score_table(expected, view)
+        assert format_score_records(report, view) == \
+            format_score_records(expected, view)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_agreement_extracts_each_corpus_links_once(monkeypatch, k):
+    calls = []
+
+    def counted(sent):
+        calls.append(sent)
+        return propagated_links(sent)
+
+    monkeypatch.setattr(evaluate, "propagated_links", counted)
+    rng = random.Random(k)
+    base = [random_sentence(rng, f"once{i}") for i in range(7)]
+    corpora = [[_annotated(rng, s) for s in base] for _ in range(k)]
+    rep = agreement_matrix(corpora, names=[f"c{i}" for i in range(k)])
+    assert len(calls) == k * len(base)
+    for (gname, sname), pair in rep.pairwise.items():
+        gold, system = corpora[int(gname[1:])], corpora[int(sname[1:])]
+        assert pair == _keyed_score(system, gold)
 
 
 def test_coarse_rollup():

@@ -69,6 +69,25 @@ def test_propagated_links_need_conjunct_incidence():
     assert propagated_links(sent) == set()
 
 
+def test_propagated_links_need_a_basic_conj_edge():
+    sent = make_sentence([
+        ("Ann", "PROPN", 2, "nsubj"),
+        ("sang", "VERB", 0, "root"),
+        ("and", "CCONJ", 4, "cc"),
+        ("danced", "VERB", 2, "advcl"),
+    ])
+    for t in sent.tokens:
+        t.deps = [(t.head, t.deprel)]
+    # a conj edge and a shared subject in the enhanced layer only
+    sent.tokens[3].deps.append((TokenId(2), "conj:and"))
+    sent.tokens[0].deps.append((TokenId(4), "nsubj"))
+    assert conj_pairs(sent) == []
+    assert propagated_links(sent) == set()
+    # the same edges count once the basic layer has the conj edge
+    sent.tokens[3].deprel = "conj"
+    assert propagated_links(sent) == {edge(4, 1, "nsubj"), edge(2, 4, "advcl")}
+
+
 def test_propagated_links_exclude_conj_labels(fig1_gold):
     fig1_gold.tokens[6].deps.append((TokenId(9), "conj:and"))
     assert propagated_links(fig1_gold) == {
