@@ -49,12 +49,10 @@ class Tensor:
                 stack.pop()
                 topo.append(t)
         # leaves keep accumulating across calls until zero_grad; fresh
-        # intermediates start at None every forward pass
-        for t in topo:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-        incoming = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
-        self.grad = self.grad + incoming
+        # intermediates start at None every forward pass, and each grad
+        # starts as its first contribution (see _accumulate)
+        incoming = np.array(grad, dtype=np.float64).reshape(self.data.shape)
+        self.grad = incoming if self.grad is None else self.grad + incoming
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
@@ -94,6 +92,19 @@ def _make(data, parents, backward) -> Tensor:
     return out
 
 
+def _accumulate(t: Tensor, contrib, g: np.ndarray) -> None:
+    """t.grad += contrib, without a zero fill: the first contribution
+    becomes t.grad.  A fresh array (a matmul or elementwise product) is
+    kept as it is; one that views the upstream gradient g (a reshape,
+    transpose, slice or broadcast of it) is copied."""
+    if t.grad is not None:
+        t.grad += contrib
+    elif np.may_share_memory(contrib, g):
+        t.grad = np.array(contrib, order="C")
+    else:
+        t.grad = np.asarray(contrib)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sums grad over the axes that broadcasting expanded."""
     while grad.ndim > len(shape):
@@ -110,9 +121,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape), g)
 
     return _make(data, (a, b), backward)
 
@@ -123,9 +134,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), g)
 
     return _make(data, (a, b), backward)
 
@@ -140,11 +151,11 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                   a.data.shape)
+            _accumulate(a, _unbroadcast(
+                np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape), g)
         if b.requires_grad:
-            b.grad += _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                   b.data.shape)
+            _accumulate(b, _unbroadcast(
+                np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape), g)
 
     return _make(data, (a, b), backward)
 
@@ -154,7 +165,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        a.grad += g * (a.data > 0.0)
+        _accumulate(a, g * (a.data > 0.0), g)
 
     return _make(data, (a,), backward)
 
@@ -164,7 +175,7 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
-        a.grad += g * data
+        _accumulate(a, g * data, g)
 
     return _make(data, (a,), backward)
 
@@ -177,7 +188,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         soft = np.exp(data)
-        a.grad += g - soft * g.sum(axis=axis, keepdims=True)
+        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), g)
 
     return _make(data, (a,), backward)
 
@@ -187,12 +198,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a.grad += np.broadcast_to(g, a.data.shape)
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.data.shape)
+        _accumulate(a, np.broadcast_to(g, a.data.shape), g)
 
     return _make(data, (a,), backward)
 
@@ -202,7 +210,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g):
-        a.grad += g.reshape(a.data.shape)
+        _accumulate(a, g.reshape(a.data.shape), g)
 
     return _make(data, (a,), backward)
 
@@ -213,7 +221,7 @@ def transpose(a, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        a.grad += np.transpose(g, inverse)
+        _accumulate(a, np.transpose(g, inverse), g)
 
     return _make(data, (a,), backward)
 
@@ -228,7 +236,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
-                t.grad += g[tuple(index)]
+                _accumulate(t, g[tuple(index)], g)
 
     return _make(data, tuple(tensors), backward)
 
@@ -237,10 +245,16 @@ def getitem(a, key) -> Tensor:
     a = _as_tensor(a)
     data = a.data[key]
 
+    basic = all(isinstance(k, (slice, int, type(None), type(Ellipsis)))
+                for k in (key if isinstance(key, tuple) else (key,)))
+
     def backward(g):
-        scatter = np.zeros_like(a.data)
-        np.add.at(scatter, key, g)
-        a.grad += scatter
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        if basic:  # a view: no index repeats
+            a.grad[key] += g
+        else:
+            np.add.at(a.grad, key, g)
 
     return _make(data, (a,), backward)
 
@@ -285,12 +299,6 @@ class AdamW:
         largest = max((p.data.size for p in params), default=0)
         self._scratch = np.empty((2, min(largest, self.BLOCK)))
 
-    @property
-    def state_bytes(self) -> int:
-        """Bytes held by the two moments and the scratch buffer."""
-        return (sum(m.nbytes + v.nbytes for m, v in zip(self.m, self.v))
-                + self._scratch.nbytes)
-
     def step(self):
         self.step_count += 1
         t = self.step_count
@@ -329,9 +337,11 @@ class EarlyStopping:
 
     update(score) after each scored epoch snapshots the parameters when the
     score beats every earlier one, and returns True once `patience` scored
-    epochs in a row (patience >= 1) have not.  restore() puts back the
-    parameters of the best epoch; when no epoch was ever scored (no
-    holdout or dev set) it leaves the final parameters in place.
+    epochs in a row (patience >= 1) have not.  With final=True (the last
+    epoch that will run) a best score takes no snapshot: the parameters in
+    place are the best.  restore() puts back the parameters of the best
+    epoch; when no epoch was ever scored (no holdout or dev set) or the
+    final one was best, it leaves the parameters in place.
     """
 
     def __init__(self, params: list[Tensor], patience: int):
@@ -341,10 +351,12 @@ class EarlyStopping:
         self.best: list[np.ndarray] | None = None
         self._left = patience
 
-    def update(self, score: float) -> bool:
+    def update(self, score: float, final: bool = False) -> bool:
         if score > self.best_score:
             self.best_score = score
-            self.best = [p.data.copy() for p in self.params]
+            self.best = None  # free the old snapshot before taking one
+            if not final:
+                self.best = [p.data.copy() for p in self.params]
             self._left = self.patience
             return False
         self._left -= 1

@@ -11,6 +11,7 @@ as "-" read stdin or write stdout.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import math
 import os
@@ -406,9 +407,17 @@ def cmd_apply_prop(cfg) -> None:
         for i, sent in enumerate(corpus)))
 
 
+def _physical_memory() -> float:
+    """Bytes of RAM; infinite where sysconf does not know them."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def cmd_train_parser(cfg) -> None:
-    from .edgepred import (
-        ParserTrainConfig, build_label_inventory, new_parser, train_parser)
+    from .edgepred import (ParserTrainConfig, build_label_inventory,
+                           new_parser, train_footprint, train_parser)
     from .embeddings import hash_provider
     from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
@@ -416,8 +425,16 @@ def cmd_train_parser(cfg) -> None:
         corpus, inventory = delexicalize_corpus(corpus)
         _log(f"# delexicalized label inventory: {len(inventory)} labels")
     provider = _provider(cfg, corpus)
-    parser = new_parser(build_label_inventory(corpus),
-                        layers=provider.layers, dim=provider.dim,
+    labels = build_label_inventory(corpus)
+    _, needed = train_footprint(
+        len(labels), provider.layers, provider.dim, cfg["hidden"],
+        snapshot=bool(cfg["dev"]) and cfg["epochs"] > 1)
+    ram = _physical_memory()
+    if needed > ram:
+        raise CliError(f"train-parser: hidden {cfg['hidden']} with "
+                       f"{len(labels)} labels needs {needed} bytes to train, "
+                       f"more than the {ram} bytes of physical memory")
+    parser = new_parser(labels, layers=provider.layers, dim=provider.dim,
                         hidden=cfg["hidden"], seed=cfg["seed"])
     train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
                                   epochs=cfg["epochs"],
@@ -506,12 +523,22 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_help(sys.stderr)
         return 2
+    # _parse freezes each corpus.  Unfreezing afterwards keeps no command's
+    # garbage frozen for good in a process that runs many; freezing again
+    # at exit spares the interpreter's last collections, which would only
+    # free memory the process is giving back anyway.
+    frozen = gc.get_freeze_count()
     try:
         cfg = resolve_options(args)
         HANDLERS[args.command](cfg)
     except _ERRORS as err:
         print(f"conjprop: error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if frozen == 0:
+            gc.unfreeze()
+            atexit.unregister(gc.freeze)  # one registration per process
+            atexit.register(gc.freeze)
     return 0
 
 

@@ -13,6 +13,8 @@ ignored during training and empty nodes keep their deps at decoding.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,12 +87,7 @@ class EdgeParser:
         for key in ("layers", "dim", "hidden"):
             expect(path, type(meta[key]) is int and meta[key] >= 1,
                    f"meta {key} must be an integer >= 1, got {meta[key]!r}")
-        n = len(labels)
-        shapes = {"mix_logits": (layers,), "root_embed": (dim,),
-                  "w_head": (dim, hidden), "b_head": (hidden,),
-                  "w_dep": (dim, hidden), "b_dep": (hidden,),
-                  "bilinear": (n, hidden, hidden),
-                  "linear": (2 * hidden, n), "bias": (n,)}
+        shapes = param_shapes(len(labels), layers, dim, hidden)
         require(path, "edge-parser arrays", arrays, shapes)
         for name, shape in shapes.items():
             expect(path, arrays[name].shape == shape,
@@ -100,6 +97,28 @@ class EdgeParser:
         parser.params = {name: Tensor(arr, requires_grad=True)
                          for name, arr in arrays.items()}
         return parser
+
+
+def param_shapes(n_labels: int, layers: int, dim: int,
+                 hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parser parameter."""
+    return {"mix_logits": (layers,), "root_embed": (dim,),
+            "w_head": (dim, hidden), "b_head": (hidden,),
+            "w_dep": (dim, hidden), "b_dep": (hidden,),
+            "bilinear": (n_labels, hidden, hidden),
+            "linear": (2 * hidden, n_labels), "bias": (n_labels,)}
+
+
+def train_footprint(n_labels: int, layers: int, dim: int, hidden: int,
+                    snapshot: bool) -> tuple[int, int]:
+    """(parameter bytes, bytes that training holds), known before any
+    allocation: the parameters, their gradients, the two AdamW moments and
+    its scratch buffer, and with `snapshot` one early-stopping copy."""
+    sizes = [math.prod(shape) for shape in
+             param_shapes(n_labels, layers, dim, hidden).values()]
+    param_bytes = 8 * sum(sizes)
+    scratch_bytes = 8 * 2 * min(max(sizes), ad.AdamW.BLOCK)
+    return param_bytes, (4 + snapshot) * param_bytes + scratch_bytes
 
 
 def build_label_inventory(corpus: list[Sentence]) -> list[str]:
@@ -165,16 +184,13 @@ class _TrainContext:
     cfg: ParserTrainConfig
 
 
-def _forward_scores(parser: EdgeParser, stacks: np.ndarray,
-                    ctx: _TrainContext | None = None) -> Tensor:
-    """Score tensor (n+1, n, |labels|) on the tape.
-
-    With a training context, token masking and the three dropouts are
-    applied; without one the pass is deterministic.
-    """
+def _encode(parser: EdgeParser, stacks: np.ndarray,
+            ctx: _TrainContext | None) -> tuple[Tensor, Tensor]:
+    """Head (n+1, hidden) and dependent (n, hidden) vectors of one sentence
+    on the tape.  With a training context, token masking and the three
+    dropouts are applied; without one the pass is deterministic."""
     p = parser.params
     n = stacks.shape[0]
-    hidden = parser.hidden
 
     mix_logits = p["mix_logits"]
     if ctx is not None and ctx.cfg.layer_dropout > 0 and parser.layers > 1:
@@ -202,16 +218,39 @@ def _forward_scores(parser: EdgeParser, stacks: np.ndarray,
     if ctx is not None:
         h_head = _dropout(h_head, ctx.cfg.fnn_dropout, ctx.rng)
         h_dep = _dropout(h_dep, ctx.cfg.fnn_dropout, ctx.rng)
+    return h_head, h_dep
 
-    part = ad.matmul(h_head, p["bilinear"])  # (labels, n+1, hidden)
-    bil = ad.matmul(part, ad.transpose(h_dep, (1, 0)))  # (labels, n+1, n)
-    scores = ad.transpose(bil, (1, 2, 0))  # (n+1, n, labels)
-    lin_head = ad.matmul(h_head, ad.getitem(p["linear"], slice(0, hidden)))
-    lin_dep = ad.matmul(h_dep, ad.getitem(p["linear"], slice(hidden, None)))
+
+def _forward_scores(parser: EdgeParser, batch: list[np.ndarray],
+                    ctx: _TrainContext | None = None) -> list[Tensor]:
+    """Score tensors (n+1, n, |labels|) on the tape, one per token stack.
+
+    The sentences are encoded one by one, so the random draws come in
+    sentence order.  Their head rows are then packed, so the labels x
+    hidden^2 bilinear tensor is read once per batch, forward and backward.
+    """
+    p = parser.params
+    hidden = parser.hidden
     n_labels = len(parser.labels)
-    scores = scores + ad.reshape(lin_head, (n + 1, 1, n_labels))
-    scores = scores + ad.reshape(lin_dep, (1, n, n_labels))
-    return scores + p["bias"]
+    encoded = [_encode(parser, stacks, ctx) for stacks in batch]
+    packed = ad.concat([h_head for h_head, _ in encoded], axis=0)
+    part = ad.matmul(packed, p["bilinear"])  # (labels, rows, hidden)
+    w_lin_head = ad.getitem(p["linear"], slice(0, hidden))
+    w_lin_dep = ad.getitem(p["linear"], slice(hidden, None))
+    out = []
+    row = 0
+    for h_head, h_dep in encoded:
+        n = h_dep.data.shape[0]
+        mine = ad.getitem(part, (slice(None), slice(row, row + n + 1)))
+        row += n + 1
+        bil = ad.matmul(mine, ad.transpose(h_dep, (1, 0)))  # (labels, n+1, n)
+        scores = ad.transpose(bil, (1, 2, 0))  # (n+1, n, labels)
+        lin_head = ad.matmul(h_head, w_lin_head)
+        lin_dep = ad.matmul(h_dep, w_lin_dep)
+        scores = scores + ad.reshape(lin_head, (n + 1, 1, n_labels))
+        scores = scores + ad.reshape(lin_dep, (1, n, n_labels))
+        out.append(scores + p["bias"])
+    return out
 
 
 def _dropout(t: Tensor, prob: float, rng: np.random.Generator) -> Tensor:
@@ -230,7 +269,7 @@ def score_pairs(parser: EdgeParser, sent: Sentence,
                 provider: EmbeddingProvider, index: int = 0) -> np.ndarray:
     """Label probabilities, shape (n+1, n, |labels|); rows sum to 1."""
     stacks = _token_stacks(parser, sent, provider, index)
-    scores = _forward_scores(parser, stacks)
+    scores = _forward_scores(parser, [stacks])[0]
     return ad.softmax(scores.data, axis=-1)
 
 
@@ -262,26 +301,41 @@ def _gold_grid(parser: EdgeParser, sent: Sentence) -> np.ndarray:
     return grid
 
 
+def batch_losses(parser: EdgeParser, sents: list[Sentence],
+                 provider: EmbeddingProvider, indices: list[int],
+                 ctx: _TrainContext | None = None) -> list[Tensor]:
+    """Per sentence, the mean cross-entropy over its (n+1) x n ordered
+    pairs; all on one tape, so one backward serves the batch."""
+    batch = [_token_stacks(parser, sent, provider, index)
+             for sent, index in zip(sents, indices)]
+    losses = []
+    for sent, scores in zip(sents, _forward_scores(parser, batch, ctx)):
+        grid = _gold_grid(parser, sent)
+        n_plus, n = grid.shape
+        onehot = np.zeros((n_plus, n, len(parser.labels)))
+        heads, deps = np.indices(grid.shape)
+        onehot[heads, deps, grid] = 1.0
+        log_probs = ad.log_softmax(scores, axis=-1)
+        losses.append(ad.mul(ad.tsum(ad.mul(log_probs, onehot)),
+                             -1.0 / (n_plus * n)))
+    return losses
+
+
 def sentence_loss(parser: EdgeParser, sent: Sentence,
                   provider: EmbeddingProvider, index: int = 0,
                   ctx: _TrainContext | None = None) -> Tensor:
     """Mean cross-entropy over all (n+1) x n ordered pairs."""
-    stacks = _token_stacks(parser, sent, provider, index)
-    scores = _forward_scores(parser, stacks, ctx)
-    grid = _gold_grid(parser, sent)
-    n_plus, n = grid.shape
-    onehot = np.zeros((n_plus, n, len(parser.labels)))
-    heads, deps = np.indices(grid.shape)
-    onehot[heads, deps, grid] = 1.0
-    log_probs = ad.log_softmax(scores, axis=-1)
-    return ad.mul(ad.tsum(ad.mul(log_probs, onehot)), -1.0 / (n_plus * n))
+    return batch_losses(parser, [sent], provider, [index], ctx)[0]
 
 
 def train_epoch(parser: EdgeParser, corpus: list[Sentence],
                 provider: EmbeddingProvider, cfg: ParserTrainConfig,
                 optimizer: ad.AdamW | None = None,
                 rng: np.random.Generator | None = None) -> float:
-    """One pass of shuffled mini-batch updates; returns the mean loss."""
+    """One pass of shuffled mini-batch updates; returns the mean loss.
+
+    Each batch makes one forward pass and one backward pass; every
+    sentence loss enters the gradient with weight 1/len(batch)."""
     if optimizer is None:
         optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
                              weight_decay=cfg.weight_decay)
@@ -291,12 +345,14 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
     order = rng.permutation(len(corpus))
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
-        batch = order[start:start + cfg.batch_size]
+        batch = [int(idx) for idx in order[start:start + cfg.batch_size]]
         optimizer.zero_grad()
-        for idx in batch:
-            loss = sentence_loss(parser, corpus[idx], provider, int(idx), ctx)
+        losses = batch_losses(parser, [corpus[idx] for idx in batch],
+                              provider, batch, ctx)
+        for loss in losses:
             total += float(loss.data)
-            loss.backward(np.array(1.0 / len(batch)))
+        functools.reduce(ad.add, losses).backward(
+            np.array(1.0 / len(batch)))
         optimizer.step()
     return total / max(len(corpus), 1)
 
@@ -377,13 +433,13 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
     are put back; without one, every epoch runs and the final parameters
     stay.
     """
-    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
-                         weight_decay=cfg.weight_decay)
-    param_bytes = sum(t.data.nbytes for t in parser.params.values())
-    # parameters, their gradients, the two moments and the scratch buffer
-    footprint = 2 * param_bytes + optimizer.state_bytes
+    param_bytes, footprint = train_footprint(
+        len(parser.labels), parser.layers, parser.dim, parser.hidden,
+        snapshot=dev is not None and cfg.epochs > 1)
     log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
         f"train-bytes {footprint}")
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
+                         weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     stopper = ad.EarlyStopping(parser.parameters(), cfg.patience)
     for epoch in range(1, cfg.epochs + 1):
@@ -393,7 +449,7 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
             continue
         f1 = _dev_f1(parser, dev, dev_provider)
         log(f"# epoch {epoch} loss {loss:.6f} dev-f1 {100 * f1:.2f}")
-        if stopper.update(f1):
+        if stopper.update(f1, final=epoch == cfg.epochs):
             log(f"# stopping early at epoch {epoch}")
             break
     stopper.restore()

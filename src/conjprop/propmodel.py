@@ -205,7 +205,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
         weights = {True: n / (2.0 * pos), False: n / (2.0 * neg)}
 
     stopper = ad.EarlyStopping(list(params.values()), opts.patience)
-    for _ in range(opts.epochs):
+    for epoch in range(1, opts.epochs + 1):
         for i in rng.permutation(len(train_idx)):
             idx = train_idx[i]
             loss = mlp_loss(params, x[idx], int(y[idx]),
@@ -218,7 +218,8 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
         snapshot = {k: t.data for k, t in params.items()}
         pred = _mlp_forward(snapshot, x[holdout_idx])
         if stopper.update(_macro_f1(pred[:, 1] >= pred[:, 0],
-                                    y[holdout_idx])):
+                                    y[holdout_idx]),
+                          final=epoch == opts.epochs):
             break
     stopper.restore()
     return {k: t.data for k, t in params.items()}

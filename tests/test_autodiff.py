@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ def test_reshape_concat_getitem_transpose_gradients():
         return ad.tsum(ad.mul(ad.transpose(part, (1, 0)), 2.0))
 
     check_gradients(build, [a, b])
+
+
+def test_getitem_with_repeated_indices_adds_every_copy():
+    p = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    ad.tsum(ad.mul(ad.getitem(p, np.array([0, 0, 2])), 2.0)).backward()
+    assert p.grad.tolist() == [4.0, 0.0, 2.0]
+
+
+def test_first_gradient_contributions_do_not_alias():
+    # add hands views of one upstream gradient to both operands; a or b
+    # keeping such a view as its grad would leak a's second contribution
+    a = ad.Tensor(np.ones(3), requires_grad=True)
+    b = ad.Tensor(np.ones(3), requires_grad=True)
+    ad.tsum(ad.add(ad.add(a, b), a)).backward()
+    assert a.grad.tolist() == [2.0, 2.0, 2.0]
+    assert b.grad.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_backward_holds_no_copy_of_a_weight_beyond_its_gradient():
+    x = ad.Tensor(rng.normal(size=(4, 256)))
+    w = ad.Tensor(rng.normal(size=(256, 512)), requires_grad=True)
+    loss = ad.tsum(ad.matmul(x, w))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gradient itself; a zero fill plus the product would be twice that
+    assert peak < 1.5 * w.data.nbytes
+    assert np.allclose(w.grad, x.data.sum(axis=0)[:, None])
 
 
 def test_mean_and_sum_axis_gradients():
@@ -327,3 +359,23 @@ def test_early_stopping_snapshot_is_a_copy():
     stopper.update(0.1)
     stopper.restore()
     assert p.data.tolist() == [1.0, 2.0]
+
+
+def test_early_stopping_takes_no_snapshot_when_the_final_epoch_is_best():
+    p = ad.Tensor(np.arange(4096.0), requires_grad=True)
+    stopper = ad.EarlyStopping([p], patience=2)
+    stopper.update(0.1)
+    assert stopper.best is not None
+    data = p.data
+    data += 1.0
+    tracemalloc.start()
+    try:
+        assert not stopper.update(0.5, final=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.nbytes
+    assert stopper.best is None
+    stopper.restore()
+    assert p.data is data
+    assert p.data[:3].tolist() == [1.0, 2.0, 3.0]

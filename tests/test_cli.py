@@ -214,6 +214,7 @@ def test_commands_leave_the_collector_as_they_found_it(run, tmp_path,
     bad.write_text("1\tx\tx\tX\t_\t_\t0\troot\t0:root\t_\n"
                    "2\tx\tx\tX\t_\tBad\t1\tdep\t1:dep\t_\n\n")
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         for argv, code in [
@@ -223,7 +224,13 @@ def test_commands_leave_the_collector_as_they_found_it(run, tmp_path,
             rc, _, err = run(argv)
             assert rc == code, err
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
         assert f"{bad}:2, FEATS: malformed feature" in err
+        # the frozen corpora of earlier calls do not pile up
+        for _ in range(5):
+            assert run(["evaluate", "--system", FIG1,
+                        "--gold", FIG1_GOLD])[0] == 0
+            assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
 
@@ -500,6 +507,31 @@ def test_train_parser_model_bytes_ignore_blas_threads(tmp_path):
     assert labels == len(meta["labels"])
     assert param_bytes == sum(arr.nbytes for arr in arrays.values())
     assert train_bytes > 4 * param_bytes
+
+
+def test_train_parser_fails_early_when_training_exceeds_ram(
+        run, tmp_path, monkeypatch):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    model = tmp_path / "edge.model"
+    # a machine of 1000 pages of 4096 bytes
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}[name])
+    rc, _, err = run(["train-parser", "--train", str(train), "--model",
+                      str(model), "--hash-dim", "8", "--hidden", "256",
+                      "--epochs", "1"])
+    assert rc == 1
+    assert re.search(r"conjprop: error: train-parser: hidden 256 with \d+ "
+                     r"labels needs \d+ bytes to train, more than the "
+                     r"4096000 bytes of physical memory", err), err
+    assert "Traceback" not in err
+    assert not model.exists()
+    # the same run fits once the footprint does
+    rc, _, err = run(["train-parser", "--train", str(train), "--model",
+                      str(model), "--hash-dim", "8", "--hidden", "8",
+                      "--epochs", "1"])
+    assert rc == 0, err
+    assert model.exists()
 
 
 def test_predict_without_embeddings_is_an_error(run, tmp_path):

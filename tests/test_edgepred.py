@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import make_sentence, random_sentence
 from conjprop.conllu import ROOT, Token, TokenId, parse_corpus, write_corpus
+from conjprop import autodiff as ad
 from conjprop import edgepred
 from conjprop.edgepred import (
     NO_EDGE, EdgeParser, EdgePredError, ParserTrainConfig, _gold_grid,
@@ -115,6 +117,91 @@ def test_scores_match_straight_line_recomputation():
                        for t in sent.words()])
     probs = score_pairs(parser, sent, provider)
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
+
+
+def packed_setup(hidden=32):
+    """Sentences of different lengths and a parser far from its start."""
+    corpus = [make_sentence([(f"w{k}", "NOUN", 0 if k == 0 else 1,
+                              "root" if k == 0 else "obj")
+                             for k in range(length)], sent_id=f"p{length}")
+              for length in (4, 1, 7, 2)]
+    for sent in corpus:
+        for t in sent.tokens:
+            t.deps = [(t.head, t.deprel)]
+    provider = hash_provider(corpus, dim=5, layers=3, seed=4)
+    parser = new_parser(build_label_inventory(corpus) + ["x", "y"],
+                        layers=3, dim=5, hidden=hidden, seed=3)
+    rng = np.random.default_rng(2)
+    for tensor in parser.params.values():
+        tensor.data[...] = rng.normal(0.0, 0.5, tensor.data.shape)
+    return corpus, provider, parser
+
+
+def test_packed_scores_match_a_batch_of_one():
+    corpus, provider, parser = packed_setup()
+    stacks = [edgepred._token_stacks(parser, sent, provider, k)
+              for k, sent in enumerate(corpus)]
+    packed = edgepred._forward_scores(parser, stacks)
+    for k, sent in enumerate(corpus):
+        alone = edgepred._forward_scores(parser, [stacks[k]])[0]
+        assert packed[k].data.shape == alone.data.shape
+        assert np.abs(packed[k].data - alone.data).max() <= 1e-12
+        probs = score_pairs(parser, sent, provider, k)
+        assert np.abs(ad.softmax(packed[k].data) - probs).max() <= 1e-12
+
+
+def test_packed_batch_gradient_is_the_sum_of_sentence_gradients():
+    corpus, provider, parser = packed_setup()
+    # dropouts and token masking on: the draws must come in sentence order
+    cfg = ParserTrainConfig(token_mask_prob=0.3)
+    weight = np.array(1.0 / len(corpus))
+
+    ctx = edgepred._TrainContext(rng=np.random.default_rng(5), cfg=cfg)
+    losses = edgepred.batch_losses(parser, corpus, provider,
+                                   list(range(len(corpus))), ctx)
+    functools.reduce(ad.add, losses).backward(weight)
+    packed = {k: t.grad for k, t in parser.params.items()}
+
+    # the loop that trained before packing: one backward per sentence
+    for t in parser.params.values():
+        t.grad = None
+    ctx = edgepred._TrainContext(rng=np.random.default_rng(5), cfg=cfg)
+    for k, sent in enumerate(corpus):
+        loss = sentence_loss(parser, sent, provider, k, ctx)
+        assert abs(float(loss.data) - float(losses[k].data)) <= 1e-12
+        loss.backward(weight)
+    for name, tensor in parser.params.items():
+        assert np.abs(packed[name] - tensor.grad).max() <= 1e-12, name
+
+
+def test_train_parser_keeps_the_parameters_when_the_final_epoch_is_best(
+        monkeypatch):
+    corpus = tiny_corpus()
+    provider = hash_provider(corpus, dim=4, layers=2)
+    scores = iter([0.2, 0.5, 0.7])
+    monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
+    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
+                        hidden=6, seed=4)
+    arrays = {name: t.data for name, t in parser.params.items()}
+    train_parser(parser, corpus, provider,
+                 ParserTrainConfig(lr=1e-2, epochs=3, seed=4), dev=corpus,
+                 dev_provider=provider)
+    # AdamW updates in place, and no snapshot replaced the arrays
+    for name, tensor in parser.params.items():
+        assert tensor.data is arrays[name]
+
+
+def test_train_footprint_counts_every_parameter_sized_array():
+    corpus = tiny_corpus()
+    labels = build_label_inventory(corpus)
+    parser = new_parser(labels, layers=2, dim=4, hidden=6)
+    param_bytes = sum(t.data.nbytes for t in parser.params.values())
+    optimizer = ad.AdamW(parser.parameters(), lr=1.0)
+    scratch = optimizer._scratch.nbytes
+    assert edgepred.train_footprint(len(labels), 2, 4, 6, False) == (
+        param_bytes, 4 * param_bytes + scratch)
+    assert edgepred.train_footprint(len(labels), 2, 4, 6, True) == (
+        param_bytes, 5 * param_bytes + scratch)
 
 
 def test_label_distributions_sum_to_one():
