@@ -279,6 +279,8 @@ class AdamW:
     block through a two-row scratch buffer shared by all parameters.  Its
     operations are those of the textbook formula in the same order, so the
     result is bit-identical to evaluating it with whole-array temporaries.
+    step() updates every parameter that has a gradient; update() takes one
+    part's gradient, so a large tensor can be updated slice by slice.
     """
 
     # elements per scratch row: the six 256 KiB rows one block touches
@@ -294,38 +296,46 @@ class AdamW:
         self.weight_decay = weight_decay
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros(p.data.shape) for p in params]
-        self.v = [np.zeros(p.data.shape) for p in params]
+        self._moments = {id(p): (np.zeros(p.data.shape),
+                                 np.zeros(p.data.shape)) for p in params}
         largest = max((p.data.size for p in params), default=0)
         self._scratch = np.empty((2, min(largest, self.BLOCK)))
 
     def step(self):
         self.step_count += 1
+        for p in self.params:
+            if p.grad is not None:
+                self.update(p, p.grad)
+
+    def update(self, p: Tensor, grad: np.ndarray, key=...) -> None:
+        """Updates p.data[key] and its moments by grad at this step."""
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            flat = [a.reshape(-1) for a in (p.data, p.grad, m, v)]
-            for start in range(0, p.data.size, self.BLOCK):
-                w, g, m_, v_ = (a[start:start + self.BLOCK] for a in flat)
-                x, y = self._scratch[:, :w.size]
-                # m = b1 * m + (1 - b1) * g
-                np.multiply(m_, b1, out=m_)
-                np.add(m_, np.multiply(g, 1 - b1, out=x), out=m_)
-                # v = b2 * v + ((1 - b2) * g) * g
-                np.multiply(v_, b2, out=v_)
-                np.multiply(np.multiply(g, 1 - b2, out=x), g, out=x)
-                np.add(v_, x, out=v_)
-                # w -= lr * (mhat / (sqrt(vhat) + eps) + wd * w)
-                np.divide(m_, 1 - b1 ** t, out=x)
-                np.divide(v_, 1 - b2 ** t, out=y)
-                np.add(np.sqrt(y, out=y), self.eps, out=y)
-                np.divide(x, y, out=x)
+        m, v = self._moments[id(p)]
+        data = p.data[key]
+        flat = [a.reshape(-1) for a in (data, grad, m[key], v[key])]
+        for start in range(0, data.size, self.BLOCK):
+            w, g, m_, v_ = (a[start:start + self.BLOCK] for a in flat)
+            x, y = self._scratch[:, :w.size]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m_, b1, out=m_)
+            np.add(m_, np.multiply(g, 1 - b1, out=x), out=m_)
+            # v = b2 * v + ((1 - b2) * g) * g
+            np.multiply(v_, b2, out=v_)
+            np.multiply(np.multiply(g, 1 - b2, out=x), g, out=x)
+            np.add(v_, x, out=v_)
+            # w -= lr * (mhat / (sqrt(vhat) + eps) + wd * w)
+            np.divide(m_, 1 - b1 ** t, out=x)
+            np.divide(v_, 1 - b2 ** t, out=y)
+            np.add(np.sqrt(y, out=y), self.eps, out=y)
+            np.divide(x, y, out=x)
+            # skipped at 0, where it could only turn x = -0 into +0, and
+            # w - lr * x would be w either way
+            if self.weight_decay:
                 np.add(x, np.multiply(w, self.weight_decay, out=y), out=x)
-                np.subtract(w, np.multiply(x, self.lr, out=x), out=w)
-            if not p.data.flags.c_contiguous:  # reshape updated a copy
-                p.data[...] = flat[0].reshape(p.data.shape)
+            np.subtract(w, np.multiply(x, self.lr, out=x), out=w)
+        if not data.flags.c_contiguous:  # reshape updated a copy
+            data[...] = flat[0].reshape(data.shape)
 
     def zero_grad(self):
         for p in self.params:

@@ -253,15 +253,9 @@ def _read_text(path: str) -> tuple[str, str]:
 
 
 def _parse(text: str, name: str, first_line: int = 1) -> list[Sentence]:
-    """parse_corpus with the cyclic collector paused, the corpus then
-    frozen out of later collections: it holds no reference cycle."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        corpus = parse_corpus(text, name, first_line)
-    finally:
-        if enabled:
-            gc.enable()
+    """parse_corpus, the corpus then frozen out of later collections: it
+    holds no reference cycle."""
+    corpus = parse_corpus(text, name, first_line)
     gc.freeze()
     return corpus
 
@@ -452,13 +446,12 @@ def cmd_train_parser(cfg) -> None:
 
 
 def cmd_predict(cfg) -> None:
-    from .edgepred import EdgeParser, decode
+    from .edgepred import EdgeParser, decode_corpus
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
     provider = _provider(cfg, corpus)
     _write_text(cfg["out"], write_corpus(
-        decode(parser, sent, provider, index=i)
-        for i, sent in enumerate(corpus)))
+        decode_corpus(parser, corpus, provider)))
 
 
 def cmd_evaluate(cfg) -> None:

@@ -9,6 +9,7 @@ DEPS serialize sorted by head id. Columns that the toolkit never interprets
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -178,13 +179,19 @@ def _finish_sentence(sent: Sentence, start_line: int,
 def parse_corpus(text: str, path: str | None = None,
                  first_line: int = 1) -> list[Sentence]:
     """Parse a CoNLL-U document, or its slice from line first_line on.
-    Raises ParseError on the first problem, naming path when given."""
+    Raises ParseError on the first problem, naming path when given.  The
+    cyclic collector is paused: the tokens hold no cycle for it to find."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _parse_lines(text, first_line)
     except ParseError as err:
         if path is None:
             raise
         raise ParseError(err.message, err.line, err.field, path) from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_lines(text: str, first_line: int) -> list[Sentence]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -112,13 +112,16 @@ def param_shapes(n_labels: int, layers: int, dim: int,
 def train_footprint(n_labels: int, layers: int, dim: int, hidden: int,
                     snapshot: bool) -> tuple[int, int]:
     """(parameter bytes, bytes that training holds), known before any
-    allocation: the parameters, their gradients, the two AdamW moments and
-    its scratch buffer, and with `snapshot` one early-stopping copy."""
+    allocation: the parameters, the two AdamW moments and its scratch
+    buffer, the gradients of all but the bilinear tensor, one label slice
+    of its gradient, and with `snapshot` one early-stopping copy."""
     sizes = [math.prod(shape) for shape in
              param_shapes(n_labels, layers, dim, hidden).values()]
     param_bytes = 8 * sum(sizes)
+    grad_bytes = param_bytes - 8 * (n_labels - 1) * hidden * hidden
     scratch_bytes = 8 * 2 * min(max(sizes), ad.AdamW.BLOCK)
-    return param_bytes, (4 + snapshot) * param_bytes + scratch_bytes
+    return param_bytes, ((3 + snapshot) * param_bytes + grad_bytes
+                         + scratch_bytes)
 
 
 def build_label_inventory(corpus: list[Sentence]) -> list[str]:
@@ -182,6 +185,9 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
 class _TrainContext:
     rng: np.random.Generator
     cfg: ParserTrainConfig
+    # a list: the bilinear tensor is then a constant on the tape, and each
+    # forward pass appends its input rows and output, for train_epoch
+    bilinear_inputs: list[tuple[Tensor, Tensor]] | None = None
 
 
 def _encode(parser: EdgeParser, stacks: np.ndarray,
@@ -234,7 +240,11 @@ def _forward_scores(parser: EdgeParser, batch: list[np.ndarray],
     n_labels = len(parser.labels)
     encoded = [_encode(parser, stacks, ctx) for stacks in batch]
     packed = ad.concat([h_head for h_head, _ in encoded], axis=0)
-    part = ad.matmul(packed, p["bilinear"])  # (labels, rows, hidden)
+    if ctx is None or ctx.bilinear_inputs is None:
+        part = ad.matmul(packed, p["bilinear"])  # (labels, rows, hidden)
+    else:
+        part = ad.matmul(packed, Tensor(p["bilinear"].data))
+        ctx.bilinear_inputs.append((packed, part))
     w_lin_head = ad.getitem(p["linear"], slice(0, hidden))
     w_lin_dep = ad.getitem(p["linear"], slice(hidden, None))
     out = []
@@ -335,13 +345,16 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
     """One pass of shuffled mini-batch updates; returns the mean loss.
 
     Each batch makes one forward pass and one backward pass; every
-    sentence loss enters the gradient with weight 1/len(batch)."""
+    sentence loss enters the gradient with weight 1/len(batch).  The
+    bilinear tensor's gradient is formed and applied one label slice at a
+    time, so the whole of it never exists."""
     if optimizer is None:
         optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
                              weight_decay=cfg.weight_decay)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    ctx = _TrainContext(rng=rng, cfg=cfg)
+    ctx = _TrainContext(rng=rng, cfg=cfg, bilinear_inputs=[])
+    bilinear = parser.params["bilinear"]
     order = rng.permutation(len(corpus))
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
@@ -354,6 +367,11 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
         functools.reduce(ad.add, losses).backward(
             np.array(1.0 / len(batch)))
         optimizer.step()
+        packed, part = ctx.bilinear_inputs.pop()
+        for label in range(len(parser.labels)):
+            optimizer.update(bilinear, packed.data.T @ part.grad[label],
+                             label)
+        del losses, loss, packed, part  # free the tape before the next one
     return total / max(len(corpus), 1)
 
 
@@ -387,7 +405,26 @@ def decode_scores(probs: np.ndarray, labels: list[str]
 def decode(parser: EdgeParser, sent: Sentence, provider: EmbeddingProvider,
            index: int = 0) -> Sentence:
     """Writes the predicted graph into a copy's deps columns."""
-    probs = score_pairs(parser, sent, provider, index)
+    return _write_graph(parser, sent,
+                        score_pairs(parser, sent, provider, index))
+
+
+def decode_corpus(parser: EdgeParser, corpus: list[Sentence],
+                  provider: EmbeddingProvider,
+                  batch_size: int = ParserTrainConfig.batch_size
+                  ) -> Iterator[Sentence]:
+    """decode for every sentence, batch_size of them scored in one pass."""
+    for start in range(0, len(corpus), batch_size):
+        sents = corpus[start:start + batch_size]
+        batch = [_token_stacks(parser, sent, provider, start + k)
+                 for k, sent in enumerate(sents)]
+        for sent, scores in zip(sents, _forward_scores(parser, batch)):
+            yield _write_graph(parser, sent,
+                               ad.softmax(scores.data, axis=-1))
+
+
+def _write_graph(parser: EdgeParser, sent: Sentence,
+                 probs: np.ndarray) -> Sentence:
     out = sent.clone()
     words = out.words()
     ids = [t.id for t in words]
@@ -409,12 +446,13 @@ def _edge_key_set(sent: Sentence, index: int) -> set:
 
 
 def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
-           provider: EmbeddingProvider) -> float:
+            provider: EmbeddingProvider, batch_size: int) -> float:
     """F1 of the decoded enhanced edges between regular tokens."""
     tp = n_sys = n_gold = 0
-    for i, sent in enumerate(corpus):
+    decoded = decode_corpus(parser, corpus, provider, batch_size)
+    for i, (sent, pred) in enumerate(zip(corpus, decoded)):
         gold = _edge_key_set(sent, i)
-        pred = _edge_key_set(decode(parser, sent, provider, i), i)
+        pred = _edge_key_set(pred, i)
         tp += len(gold & pred)
         n_sys += len(pred)
         n_gold += len(gold)
@@ -447,7 +485,7 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
         if dev is None:
             log(f"# epoch {epoch} loss {loss:.6f}")
             continue
-        f1 = _dev_f1(parser, dev, dev_provider)
+        f1 = _dev_f1(parser, dev, dev_provider, cfg.batch_size)
         log(f"# epoch {epoch} loss {loss:.6f} dev-f1 {100 * f1:.2f}")
         if stopper.update(f1, final=epoch == cfg.epochs):
             log(f"# stopping early at epoch {epoch}")

@@ -279,6 +279,12 @@ def test_backward_requires_scalar_without_grad_argument():
 
 
 def test_adamw_matches_the_straight_line_formula():
+    # weight decay 0 skips its two passes, and must still match
+    for weight_decay in (0.3, 0.0):
+        _adamw_matches_the_straight_line_formula(weight_decay)
+
+
+def _adamw_matches_the_straight_line_formula(weight_decay):
     def reference_step(params, m, v, t, lr, b1, b2, wd, eps=1e-8):
         for i, p in enumerate(params):
             if p.grad is None:
@@ -296,7 +302,8 @@ def test_adamw_matches_the_straight_line_formula():
     ours = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
     ours[1].data = np.asfortranarray(arrays[1])
     ref = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    opt = ad.AdamW(ours, lr=0.05, betas=(0.8, 0.99), weight_decay=0.3)
+    opt = ad.AdamW(ours, lr=0.05, betas=(0.8, 0.99),
+                   weight_decay=weight_decay)
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     for t in range(1, 5):
@@ -305,7 +312,8 @@ def test_adamw_matches_the_straight_line_formula():
             mine.grad = None if mine is ours[2] else grad
             theirs.grad = None if mine is ours[2] else grad.copy()
         opt.step()
-        reference_step(ref, m, v, t, lr=0.05, b1=0.8, b2=0.99, wd=0.3)
+        reference_step(ref, m, v, t, lr=0.05, b1=0.8, b2=0.99,
+                       wd=weight_decay)
     for mine, theirs in zip(ours, ref):
         assert mine.data.tobytes() == theirs.data.tobytes()
     assert ours[2].data.tobytes() == arrays[2].tobytes()

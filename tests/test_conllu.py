@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 
@@ -107,6 +108,26 @@ def test_parse_errors(bad, what):
     with pytest.raises(ParseError) as err:
         parse_corpus(bad)
     assert what in str(err.value)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_corpus_restores_the_collector(enabled):
+    good = "1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n\n"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    phases = []
+    gc.callbacks.append(lambda phase, info: phases.append(phase))
+    try:
+        # enough objects to set off collections, were the collector running
+        assert len(parse_corpus(good * 2000)) == 2000
+        assert phases == []
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            parse_corpus(good.replace("\t0\t", "\t4\t"), "bad.conllu")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.pop()
+        (gc.enable if was else gc.disable)()
 
 
 def test_parse_error_carries_line_number():

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ def test_packed_scores_match_a_batch_of_one():
         assert np.abs(ad.softmax(packed[k].data) - probs).max() <= 1e-12
 
 
+@pytest.mark.parametrize("batch_size", [1, 3, 5])
+def test_decode_corpus_matches_decode(batch_size):
+    corpus, provider, parser = packed_setup()
+    decoded = list(edgepred.decode_corpus(parser, corpus, provider,
+                                          batch_size))
+    assert write_corpus(decoded) == write_corpus(
+        decode(parser, sent, provider, k) for k, sent in enumerate(corpus))
+
+
 def test_packed_batch_gradient_is_the_sum_of_sentence_gradients():
     corpus, provider, parser = packed_setup()
     # dropouts and token masking on: the draws must come in sentence order
@@ -198,10 +208,66 @@ def test_train_footprint_counts_every_parameter_sized_array():
     param_bytes = sum(t.data.nbytes for t in parser.params.values())
     optimizer = ad.AdamW(parser.parameters(), lr=1.0)
     scratch = optimizer._scratch.nbytes
+    # every gradient but the bilinear tensor's, of which one label slice
+    bilinear = parser.params["bilinear"].data
+    grads = param_bytes - bilinear.nbytes + bilinear[0].nbytes
     assert edgepred.train_footprint(len(labels), 2, 4, 6, False) == (
-        param_bytes, 4 * param_bytes + scratch)
+        param_bytes, 3 * param_bytes + grads + scratch)
     assert edgepred.train_footprint(len(labels), 2, 4, 6, True) == (
-        param_bytes, 5 * param_bytes + scratch)
+        param_bytes, 4 * param_bytes + grads + scratch)
+
+
+def test_sliced_bilinear_updates_match_adamw_step_over_the_tape_gradient():
+    corpus, provider, parser = packed_setup()
+    reference = EdgeParser(parser.labels, parser.layers, parser.dim,
+                           parser.hidden, {name: ad.Tensor(
+                               t.data.copy(), requires_grad=True)
+                               for name, t in parser.params.items()})
+    # dropouts and token masking on; two epochs of two batches of two
+    cfg = ParserTrainConfig(batch_size=2, lr=1e-2, token_mask_prob=0.3)
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        train_epoch(parser, corpus, provider, cfg, optimizer, rng)
+    assert parser.params["bilinear"].grad is None
+
+    # the same draws, with the whole bilinear gradient on the tape
+    optimizer = ad.AdamW(reference.parameters(), lr=cfg.lr)
+    rng = np.random.default_rng(5)
+    batches = 0
+    for _ in range(2):
+        order = rng.permutation(len(corpus))
+        ctx = edgepred._TrainContext(rng=rng, cfg=cfg)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [int(k) for k in order[start:start + cfg.batch_size]]
+            optimizer.zero_grad()
+            losses = edgepred.batch_losses(
+                reference, [corpus[k] for k in batch], provider, batch, ctx)
+            functools.reduce(ad.add, losses).backward(
+                np.array(1.0 / len(batch)))
+            assert reference.params["bilinear"].grad is not None
+            optimizer.step()
+            batches += 1
+    assert batches >= 3
+    for name, tensor in parser.params.items():
+        assert tensor.data.tobytes() == \
+            reference.params[name].data.tobytes(), name
+
+
+def test_a_training_batch_allocates_less_than_the_bilinear_tensor():
+    # hidden well above the 18 packed rows, as at the paper's 1024
+    corpus, provider, parser = packed_setup(hidden=512)
+    cfg = ParserTrainConfig(batch_size=len(corpus))
+    # the moments exist before the batch, as they do from the second on
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        train_epoch(parser, corpus, provider, cfg, optimizer, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < parser.params["bilinear"].data.nbytes
 
 
 def test_label_distributions_sum_to_one():
