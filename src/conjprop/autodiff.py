@@ -1,9 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over float64 arrays.
+"""Minimal reverse-mode automatic differentiation over float arrays.
 
 Just enough operations for the models in this package: elementwise
 arithmetic, broadcasting matmul, relu, exp, log-softmax, sums, reshaping,
 slicing, and concatenation.  Gradients are validated against central
 finite differences in the test suite.
+
+A tensor keeps the float dtype of its data (anything else becomes
+float64); constants, seed gradients and optimizer state take the dtype of
+the tensors they meet, so a float32 model computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -12,20 +16,17 @@ import numpy as np
 
 
 class Tensor:
-    """A float64 array plus the tape bookkeeping for backprop."""
+    """A float array plus the tape bookkeeping for backprop."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def backward(self, grad=None):
         if grad is None:
@@ -51,7 +52,8 @@ class Tensor:
         # leaves keep accumulating across calls until zero_grad; fresh
         # intermediates start at None every forward pass, and each grad
         # starts as its first contribution (see _accumulate)
-        incoming = np.array(grad, dtype=np.float64).reshape(self.data.shape)
+        incoming = np.array(grad, dtype=self.data.dtype).reshape(
+            self.data.shape)
         self.grad = incoming if self.grad is None else self.grad + incoming
         for t in reversed(topo):
             if t._backward is not None:
@@ -60,27 +62,21 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+def _as_tensor(x, like=None) -> Tensor:
+    """x, or the constant x in the dtype of the tensor like: a float64
+    constant would promote a float32 operand, even a 0-d one (NEP 50)."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, like.data.dtype if like else None))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
+    return a, _as_tensor(b, a)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -116,7 +112,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -129,7 +125,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -144,7 +140,7 @@ def mul(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     """``np.matmul`` of two operands of at least two dimensions each; the
     batch dimensions broadcast.  Runs on BLAS."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul needs operands of at least two dimensions")
     data = np.matmul(a.data, b.data)
@@ -265,7 +261,8 @@ def softmax_tensor(logits, axis: int = -1) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> np.ndarray:
-    """Plain ndarray softmax for inference paths."""
+    """Plain ndarray softmax for inference paths, in float64 for any input
+    dtype: float32 would round small probabilities to ties at 0."""
     a = np.asarray(a, dtype=np.float64)
     shifted = a - a.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -296,10 +293,13 @@ class AdamW:
         self.weight_decay = weight_decay
         self.eps = eps
         self.step_count = 0
-        self._moments = {id(p): (np.zeros(p.data.shape),
-                                 np.zeros(p.data.shape)) for p in params}
+        self._moments = {id(p): (np.zeros(p.data.shape, p.data.dtype),
+                                 np.zeros(p.data.shape, p.data.dtype))
+                         for p in params}
         largest = max((p.data.size for p in params), default=0)
-        self._scratch = np.empty((2, min(largest, self.BLOCK)))
+        # float32 unless a parameter is wider
+        self._scratch = np.empty((2, min(largest, self.BLOCK)), np.result_type(
+            np.float32, *(p.data.dtype for p in params)))
 
     def step(self):
         self.step_count += 1

@@ -410,6 +410,7 @@ def _physical_memory() -> float:
 
 
 def cmd_train_parser(cfg) -> None:
+    import numpy as np
     from .edgepred import (ParserTrainConfig, build_label_inventory,
                            new_parser, train_footprint, train_parser)
     from .embeddings import hash_provider
@@ -422,14 +423,15 @@ def cmd_train_parser(cfg) -> None:
     labels = build_label_inventory(corpus)
     _, needed = train_footprint(
         len(labels), provider.layers, provider.dim, cfg["hidden"],
-        snapshot=bool(cfg["dev"]) and cfg["epochs"] > 1)
+        snapshot=bool(cfg["dev"]) and cfg["epochs"] > 1, dtype=np.float32)
     ram = _physical_memory()
     if needed > ram:
         raise CliError(f"train-parser: hidden {cfg['hidden']} with "
                        f"{len(labels)} labels needs {needed} bytes to train, "
                        f"more than the {ram} bytes of physical memory")
     parser = new_parser(labels, layers=provider.layers, dim=provider.dim,
-                        hidden=cfg["hidden"], seed=cfg["seed"])
+                        hidden=cfg["hidden"], seed=cfg["seed"],
+                        dtype=np.float32)
     train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
                                   epochs=cfg["epochs"],
                                   patience=cfg["patience"], seed=cfg["seed"])

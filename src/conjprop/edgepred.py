@@ -62,6 +62,10 @@ class EdgeParser:
     def label_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["bias"].data.dtype
+
     def parameters(self) -> list[Tensor]:
         return [self.params[k] for k in sorted(self.params)]
 
@@ -89,10 +93,14 @@ class EdgeParser:
                    f"meta {key} must be an integer >= 1, got {meta[key]!r}")
         shapes = param_shapes(len(labels), layers, dim, hidden)
         require(path, "edge-parser arrays", arrays, shapes)
+        dtype = arrays["mix_logits"].dtype
         for name, shape in shapes.items():
             expect(path, arrays[name].shape == shape,
                    f"array {name!r} has shape {arrays[name].shape}, "
                    f"expected {shape}")
+            expect(path, arrays[name].dtype == dtype and dtype.kind == "f",
+                   f"array {name!r} has dtype {arrays[name].dtype}; the "
+                   "arrays must be all float32 or all float64")
         parser = cls(labels=labels, layers=layers, dim=dim, hidden=hidden)
         parser.params = {name: Tensor(arr, requires_grad=True)
                          for name, arr in arrays.items()}
@@ -110,16 +118,17 @@ def param_shapes(n_labels: int, layers: int, dim: int,
 
 
 def train_footprint(n_labels: int, layers: int, dim: int, hidden: int,
-                    snapshot: bool) -> tuple[int, int]:
+                    snapshot: bool, dtype=np.float64) -> tuple[int, int]:
     """(parameter bytes, bytes that training holds), known before any
     allocation: the parameters, the two AdamW moments and its scratch
     buffer, the gradients of all but the bilinear tensor, one label slice
     of its gradient, and with `snapshot` one early-stopping copy."""
     sizes = [math.prod(shape) for shape in
              param_shapes(n_labels, layers, dim, hidden).values()]
-    param_bytes = 8 * sum(sizes)
-    grad_bytes = param_bytes - 8 * (n_labels - 1) * hidden * hidden
-    scratch_bytes = 8 * 2 * min(max(sizes), ad.AdamW.BLOCK)
+    item = np.dtype(dtype).itemsize
+    param_bytes = item * sum(sizes)
+    grad_bytes = param_bytes - item * (n_labels - 1) * hidden * hidden
+    scratch_bytes = item * 2 * min(max(sizes), ad.AdamW.BLOCK)
     return param_bytes, ((3 + snapshot) * param_bytes + grad_bytes
                          + scratch_bytes)
 
@@ -138,7 +147,9 @@ def build_label_inventory(corpus: list[Sentence]) -> list[str]:
 
 
 def new_parser(labels: list[str], layers: int, dim: int,
-               hidden: int = 1024, seed: int = 0) -> EdgeParser:
+               hidden: int = 1024, seed: int = 0,
+               dtype=np.float64) -> EdgeParser:
+    """Parameters in dtype, cast from the same float64 draws for any dtype."""
     if labels[0] != NO_EDGE:
         raise ValueError("label inventory must start with the no-edge label")
     rng = np.random.default_rng(seed)
@@ -146,26 +157,21 @@ def new_parser(labels: list[str], layers: int, dim: int,
 
     def init(*shape):
         fan = shape[0] if len(shape) > 1 else 1
-        return Tensor(rng.normal(0.0, 1.0 / np.sqrt(max(fan, 1)), shape),
-                      requires_grad=True)
+        return rng.normal(0.0, 1.0 / np.sqrt(max(fan, 1)), shape)
 
-    params = {
-        "mix_logits": Tensor(np.zeros(layers), requires_grad=True),
-        "root_embed": init(dim),
-        "w_head": init(dim, hidden), "b_head": Tensor(np.zeros(hidden),
-                                                      requires_grad=True),
-        "w_dep": init(dim, hidden), "b_dep": Tensor(np.zeros(hidden),
-                                                    requires_grad=True),
+    arrays = {
+        "mix_logits": np.zeros(layers), "root_embed": init(dim),
+        "w_head": init(dim, hidden), "b_head": np.zeros(hidden),
+        "w_dep": init(dim, hidden), "b_dep": np.zeros(hidden),
         # the scoring layers start small so an untrained model scores every
         # pair close to the uniform label distribution
-        "bilinear": Tensor(
-            rng.normal(0.0, 0.1 / hidden, (n_labels, hidden, hidden)),
-            requires_grad=True),
-        "linear": Tensor(
-            rng.normal(0.0, 0.1 / np.sqrt(2 * hidden),
-                       (2 * hidden, n_labels)), requires_grad=True),
-        "bias": Tensor(np.zeros(n_labels), requires_grad=True),
+        "bilinear": rng.normal(0.0, 0.1 / hidden, (n_labels, hidden, hidden)),
+        "linear": rng.normal(0.0, 0.1 / np.sqrt(2 * hidden),
+                             (2 * hidden, n_labels)),
+        "bias": np.zeros(n_labels),
     }
+    params = {name: Tensor(arr.astype(dtype, copy=False), requires_grad=True)
+              for name, arr in arrays.items()}
     return EdgeParser(labels=labels, layers=layers, dim=dim, hidden=hidden,
                       params=params)
 
@@ -178,7 +184,7 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
             f"{provider.dim}, model expects {parser.layers}x{parser.dim}")
     sid = sent.sent_id or str(index)
     stacks = [provider.lookup_layers(sid, t.id) for t in sent.words()]
-    return np.stack(stacks)  # (n, layers, dim)
+    return np.stack(stacks, dtype=parser.dtype)  # (n, layers, dim)
 
 
 @dataclass
@@ -322,7 +328,7 @@ def batch_losses(parser: EdgeParser, sents: list[Sentence],
     for sent, scores in zip(sents, _forward_scores(parser, batch, ctx)):
         grid = _gold_grid(parser, sent)
         n_plus, n = grid.shape
-        onehot = np.zeros((n_plus, n, len(parser.labels)))
+        onehot = np.zeros((n_plus, n, len(parser.labels)), parser.dtype)
         heads, deps = np.indices(grid.shape)
         onehot[heads, deps, grid] = 1.0
         log_probs = ad.log_softmax(scores, axis=-1)
@@ -473,9 +479,9 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
     """
     param_bytes, footprint = train_footprint(
         len(parser.labels), parser.layers, parser.dim, parser.hidden,
-        snapshot=dev is not None and cfg.epochs > 1)
+        snapshot=dev is not None and cfg.epochs > 1, dtype=parser.dtype)
     log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
-        f"train-bytes {footprint}")
+        f"train-bytes {footprint} dtype {parser.dtype}")
     optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
                          weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

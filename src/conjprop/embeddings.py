@@ -10,7 +10,6 @@ inferred from the first record.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
@@ -129,13 +128,7 @@ def hash_provider(corpus: list[Sentence], dim: int = 16,
 
 
 def _hash_floats(key: str, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.float64)
-    blob = b""
-    block = 0
-    while len(blob) < count * 8:
-        blob += hashlib.sha256(f"{key}\x00{block}".encode()).digest()
-        block += 1
-    for i in range(count):
-        (word,) = struct.unpack_from("<Q", blob, i * 8)
-        out[i] = (word / 2**64) * 2.0 - 1.0
-    return out
+    """count words w of sha256(key, block 0, 1, ...), each as w/2**64*2-1."""
+    blob = b"".join(hashlib.sha256(f"{key}\x00{block}".encode()).digest()
+                    for block in range(-(-count // 4)))
+    return np.frombuffer(blob, "<u8", count) / 2.0**64 * 2.0 - 1.0

@@ -20,7 +20,7 @@ from .config import InputError
 FORMAT = "conjprop-model"
 VERSION = 1
 
-_DTYPES = {"float64": "<f8", "int64": "<i8"}
+_DTYPES = {"float64": "<f8", "float32": "<f4", "int64": "<i8"}
 
 
 class ModelFileError(InputError):
@@ -90,9 +90,11 @@ def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 raise ModelFileError(f"{path}: array {entry['name']!r} has "
                                      f"unsupported dtype {entry['dtype']!r}")
             shape, nbytes = entry["shape"], entry["nbytes"]
+            dtype = np.dtype(_DTYPES[entry["dtype"]])
             if not (isinstance(entry["name"], str) and isinstance(shape, list)
                     and all(type(d) is int and d >= 0 for d in shape)
-                    and type(nbytes) is int and nbytes == 8 * math.prod(shape)):
+                    and type(nbytes) is int
+                    and nbytes == dtype.itemsize * math.prod(shape)):
                 raise ModelFileError(
                     f"{path}: array {entry['name']!r} has shape {shape} and "
                     f"nbytes {nbytes!r}, which do not agree")
@@ -100,7 +102,7 @@ def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             if len(raw) != entry["nbytes"]:
                 raise ModelFileError(
                     f"{path}: truncated array {entry['name']!r}")
-            arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]])
+            arr = np.frombuffer(raw, dtype=dtype)
             arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
         if fh.read(1):
             raise ModelFileError(f"{path}: trailing bytes after arrays")

@@ -131,6 +131,9 @@ class PropModel:
             expect(path, arrays[name].shape == shape,
                    f"array {name!r} has shape {arrays[name].shape}, "
                    f"expected {shape}")
+            expect(path, arrays[name].dtype == np.float64,
+                   f"array {name!r} has dtype {arrays[name].dtype}, "
+                   "expected float64")
         model = cls(kind=kind, vocab=vocab, dense_dim=dense_dim,
                     feature_config=FeatureConfig(**features),
                     instance_config=InstanceConfig(frozenset(exclusions)))

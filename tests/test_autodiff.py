@@ -284,7 +284,8 @@ def test_adamw_matches_the_straight_line_formula():
         _adamw_matches_the_straight_line_formula(weight_decay)
 
 
-def _adamw_matches_the_straight_line_formula(weight_decay):
+def _adamw_matches_the_straight_line_formula(weight_decay,
+                                             dtype=np.float64):
     def reference_step(params, m, v, t, lr, b1, b2, wd, eps=1e-8):
         for i, p in enumerate(params):
             if p.grad is None:
@@ -297,8 +298,9 @@ def _adamw_matches_the_straight_line_formula(weight_decay):
 
     # one parameter spans several scratch blocks, one is not contiguous,
     # one never gets a gradient
-    arrays = [rng.normal(size=(3, ad.AdamW.BLOCK // 2 + 5)),
-              rng.normal(size=(4, 6)), rng.normal(size=(5,)), np.array(0.7)]
+    arrays = [a.astype(dtype) for a in (
+        rng.normal(size=(3, ad.AdamW.BLOCK // 2 + 5)),
+        rng.normal(size=(4, 6)), rng.normal(size=(5,)), np.array(0.7))]
     ours = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
     ours[1].data = np.asfortranarray(arrays[1])
     ref = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -308,15 +310,18 @@ def _adamw_matches_the_straight_line_formula(weight_decay):
     v = [np.zeros_like(a) for a in arrays]
     for t in range(1, 5):
         for mine, theirs in zip(ours, ref):
-            grad = rng.normal(size=mine.data.shape)
+            grad = rng.normal(size=mine.data.shape).astype(dtype)
             mine.grad = None if mine is ours[2] else grad
             theirs.grad = None if mine is ours[2] else grad.copy()
         opt.step()
         reference_step(ref, m, v, t, lr=0.05, b1=0.8, b2=0.99,
                        wd=weight_decay)
     for mine, theirs in zip(ours, ref):
+        assert mine.data.dtype == dtype
         assert mine.data.tobytes() == theirs.data.tobytes()
     assert ours[2].data.tobytes() == arrays[2].tobytes()
+    assert {a.dtype for pair in opt._moments.values() for a in pair} \
+        | {opt._scratch.dtype} == {np.dtype(dtype)}
 
 
 def _scripted_stopping(scores, patience, epochs=None):
@@ -387,3 +392,67 @@ def test_early_stopping_takes_no_snapshot_when_the_final_epoch_is_best():
     stopper.restore()
     assert p.data is data
     assert p.data[:3].tolist() == [1.0, 2.0, 3.0]
+
+
+# float32: the ops the parser uses keep the dtype, constants included, and
+# agree with the float64 gradients checked above to float32 precision
+_f32_rng = np.random.default_rng(11)
+_F32_WEIGHTS = _f32_rng.normal(size=(2, 4, 3))
+_F32_CASES = {
+    "add-mul": (lambda ps: ad.tsum(ad.mul(ad.add(ps[0], ps[1]), ps[0])),
+                [(3, 4), (4,)]),
+    "matmul": (lambda ps: ad.tsum(ad.mul(ad.matmul(ps[0], ps[1]),
+                                         _F32_WEIGHTS)), [(4, 5), (2, 5, 3)]),
+    "relu-log-softmax": (lambda ps: ad.mul(ad.tsum(ad.mul(ad.log_softmax(
+        ad.relu(ps[0]), axis=-1), _F32_WEIGHTS)), -1.0), [(2, 4, 3)]),
+    "softmax-tensor": (lambda ps: ad.tsum(ad.mul(
+        ad.softmax_tensor(ps[0]), _F32_WEIGHTS)), [(2, 4, 3)]),
+    "shape-ops": (lambda ps: ad.tsum(ad.mul(ad.transpose(ad.getitem(
+        ad.concat([ad.reshape(ps[0], (3, 4)), ps[1]], axis=0),
+        slice(1, 5)), (1, 0)), 2.0)), [(2, 6), (3, 4)]),
+    "repeated-getitem": (lambda ps: ad.tsum(ad.mul(ad.getitem(
+        ps[0], np.array([0, 0, 2])), np.array([1.5, -2.0, 0.5]))), [(3,)]),
+    "axis-sum": (lambda ps: ad.tsum(ad.mul(ad.tsum(ps[0], axis=1),
+                                           np.arange(4.0))), [(4, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_F32_CASES))
+def test_float32_ops_keep_float32_and_match_float64(name):
+    build, shapes = _F32_CASES[name]
+    arrays = [_f32_rng.normal(size=shape) for shape in shapes]
+    arrays = [np.where(np.abs(a) < 0.1, 0.5, a) for a in arrays]  # relu kink
+
+    def run(dtype):
+        params = [ad.Tensor(a.astype(dtype), requires_grad=True)
+                  for a in arrays]
+        out = build(params)
+        out.backward(np.array(0.5))  # a float64 seed, as train_epoch's
+        return out, params
+
+    out32, params32 = run(np.float32)
+    out64, params64 = run(np.float64)
+    assert out32.data.dtype == np.float32
+    assert abs(float(out32.data) - float(out64.data)) \
+        <= 1e-6 * max(abs(float(out64.data)), 1.0)
+    for p32, p64 in zip(params32, params64):
+        assert p32.grad.dtype == np.float32
+        assert rel_err(p32.grad, p64.grad) < 1e-6
+
+
+def test_tensor_keeps_float_dtypes_and_turns_the_rest_into_float64():
+    assert ad.Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert ad.Tensor(np.ones(2)).data.dtype == np.float64
+    assert ad.Tensor(np.arange(2)).data.dtype == np.float64
+    assert ad.Tensor(np.ones(2, bool)).data.dtype == np.float64
+    assert ad.Tensor(0.5).data.dtype == np.float64
+    # a constant takes the dtype of the tensor it meets, on either side
+    p = ad.Tensor(np.ones(2, np.float32), requires_grad=True)
+    for out in (ad.add(p, np.array(1.0)), ad.mul(np.array(2.0), p),
+                p + 1.0, ad.matmul(ad.reshape(p, (1, 2)), np.ones((2, 2)))):
+        assert out.data.dtype == np.float32
+
+
+def test_adamw_matches_the_straight_line_formula_in_float32():
+    for weight_decay in (0.3, 0.0):
+        _adamw_matches_the_straight_line_formula(weight_decay, np.float32)

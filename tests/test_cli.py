@@ -511,6 +511,74 @@ def test_train_parser_model_bytes_ignore_blas_threads(tmp_path):
     assert 3 * param_bytes < train_bytes < 4 * param_bytes
 
 
+def test_train_parser_keeps_every_training_array_in_float32(
+        run, tmp_path, monkeypatch):
+    from conjprop import autodiff as ad
+    dtypes, snapshots = set(), []
+
+    class Optimizer(ad.AdamW):
+        def update(self, p, grad, key=...):
+            m, v = self._moments[id(p)]
+            dtypes.update(a.dtype.name for a in (p.data, p.grad, grad, m, v,
+                                                 self._scratch)
+                          if a is not None)
+            super().update(p, grad, key)
+
+    class Stopper(ad.EarlyStopping):
+        def update(self, score, final=False):
+            stop = super().update(score, final)
+            snapshots.extend(self.best or [])
+            return stop
+
+    monkeypatch.setattr(ad, "AdamW", Optimizer)
+    monkeypatch.setattr(ad, "EarlyStopping", Stopper)
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    model = tmp_path / "edge.model"
+    # two epochs: the first, not being the last, takes the snapshot
+    rc, _, err = run(["train-parser", "--train", str(train), "--dev",
+                      str(train), "--model", str(model), "--hash-dim", "8",
+                      "--hash-layers", "2", "--hidden", "16", "--epochs",
+                      "2", "--batch", "3"])
+    assert rc == 0, err
+    assert "dev-f1" in err
+    assert re.search(r"# parser labels \d+ param-bytes \d+ train-bytes \d+ "
+                     r"dtype float32\n", err), err
+    assert dtypes == {"float32"}
+    assert snapshots and {a.dtype.name for a in snapshots} == {"float32"}
+    _, _, arrays = load_model(model)
+    assert {a.dtype.name for a in arrays.values()} == {"float32"}
+    rc, out, err = run(["predict", "--in", str(train), "--model", str(model),
+                        "--hash-dim", "8", "--hash-layers", "2"])
+    assert rc == 0, err
+    assert len(parse_corpus(out)) == 8
+
+
+def test_a_float64_parser_file_predicts_as_decode_does(run, tmp_path):
+    import numpy as np
+    from conjprop.conllu import write_corpus
+    from conjprop.edgepred import (ParserTrainConfig, build_label_inventory,
+                                   decode, new_parser, train_epoch)
+    from conjprop.embeddings import hash_provider
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    corpus = parse_corpus(prop_training_text())
+    provider = hash_provider(corpus, dim=8, layers=2)
+    parser = new_parser(build_label_inventory(corpus), layers=2, dim=8,
+                        hidden=16, seed=3, dtype=np.float64)
+    train_epoch(parser, corpus, provider,
+                ParserTrainConfig(lr=1e-2, batch_size=3))
+    model = tmp_path / "edge.model"
+    parser.save(model)
+    _, _, arrays = load_model(model)
+    assert {a.dtype.name for a in arrays.values()} == {"float64"}
+    rc, out, err = run(["predict", "--in", str(train), "--model", str(model),
+                        "--hash-dim", "8", "--hash-layers", "2"])
+    assert rc == 0, err
+    assert out == write_corpus(decode(parser, sent, provider, k)
+                               for k, sent in enumerate(corpus))
+
+
 def test_train_parser_fails_early_when_training_exceeds_ram(
         run, tmp_path, monkeypatch):
     train = tmp_path / "train.conllu"
@@ -763,6 +831,45 @@ def _model_file(header: dict, payload: bytes = b"") -> bytes:
     return json.dumps(header).encode() + b"\n" + payload
 
 
+_GOOD_MODELS = {
+    "kernel": ({"vocab": {"a": 0, "b": 1}, "dense_dim": 0, "features": {},
+                "outgoing_exclusions": ["cc"]},
+               {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
+    "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
+             "features": {"dense_tokens": True},
+             "outgoing_exclusions": []},
+            {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
+             "w3": (2, 2), "b3": (2,)}),
+    "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
+                     "hidden": 3},
+                    {"mix_logits": (1,), "root_embed": (4,),
+                     "w_head": (4, 3), "b_head": (3,), "w_dep": (4, 3),
+                     "b_dep": (3,), "bilinear": (2, 3, 3), "linear": (6, 2),
+                     "bias": (2,)}),
+}
+
+
+def _arrays_model(kind: str, meta: dict | None = None,
+                  shapes: dict | None = None,
+                  dtypes: dict | None = None) -> bytes:
+    """The good model of kind with meta and array shapes updated; an
+    update to None drops the entry.  Arrays hold zeros, in float64 unless
+    dtypes names another dtype."""
+    good_meta, good_shapes = _GOOD_MODELS[kind]
+    meta = {k: v for k, v in {**good_meta, **(meta or {})}.items()
+            if v is not None}
+    shapes = {k: v for k, v in {**good_shapes, **(shapes or {})}.items()
+              if v is not None}
+    entries = []
+    for name, shape in sorted(shapes.items()):
+        dtype = (dtypes or {}).get(name, "float64")
+        entries.append({"name": name, "dtype": dtype, "shape": list(shape),
+                        "nbytes": (4 if dtype == "float32" else 8)
+                        * math.prod(shape)})
+    return _model_file({"kind": kind, "meta": meta, "arrays": entries},
+                       bytes(sum(e["nbytes"] for e in entries)))
+
+
 _PROP_META = {"vocab": {}, "dense_dim": 0, "outgoing_exclusions": []}
 _TOKEN = "{}\tw\tw\tX\t_\t_\t{}\tdep\t{}\t_\n"
 _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
@@ -788,6 +895,19 @@ _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
     ("parser-model", _model_file({"kind": "edge-parser", "meta": {
         "layers": 1, "dim": 4, "hidden": 8}}),
      ": edge-parser meta lacks the key(s) labels"),
+    ("parser-model", _arrays_model("edge-parser", dtypes=dict.fromkeys(
+        _GOOD_MODELS["edge-parser"][1], "int64")),
+     ": array 'mix_logits' has dtype int64; the arrays must be all float32 "
+     "or all float64"),
+    ("parser-model", _arrays_model("edge-parser",
+                                   dtypes={"bilinear": "float32"}),
+     ": array 'bilinear' has dtype float32; the arrays must be all float32 "
+     "or all float64"),
+    ("prop-model", _arrays_model("kernel", dtypes={"dual_coef": "float32"}),
+     ": array 'dual_coef' has dtype float32, expected float64"),
+    ("prop-model", _arrays_model("mlp", dtypes=dict.fromkeys(
+        _GOOD_MODELS["mlp"][1], "float32")),
+     ": array 'w1' has dtype float32, expected float64"),
     # bad sidecars
     ("sidecar", b"sh0\t1\t0.1 0.2\nsh0\t2\t0.3 x\n", ":2: could not convert"),
     ("parser-sidecar", b"layers=x dim=2\nsh0\t1\t0.1 0.2\n",
@@ -807,7 +927,8 @@ _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
     ("corpus", (_SENT_START + _TOKEN.format(2, 1, "7:dep") + "\n").encode(),
      ":3, DEPS: token 2 has dangling deps head 7"),
 ], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
-        "mlp-meta", "parser-meta", "sidecar-value", "sidecar-layers",
+        "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
+        "kernel-float32", "mlp-float32", "sidecar-value", "sidecar-layers",
         "sidecar-no-dim", "sidecar-negative", "out-of-order", "non-contiguous", "dangling-head",
         "dangling-deps"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
@@ -829,40 +950,6 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
     assert rc == 1
     assert f"conjprop: error: {bad}{where}" in err
     assert "Traceback" not in err
-
-
-_GOOD_MODELS = {
-    "kernel": ({"vocab": {"a": 0, "b": 1}, "dense_dim": 0, "features": {},
-                "outgoing_exclusions": ["cc"]},
-               {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
-    "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
-             "features": {"dense_tokens": True},
-             "outgoing_exclusions": []},
-            {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
-             "w3": (2, 2), "b3": (2,)}),
-    "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
-                     "hidden": 3},
-                    {"mix_logits": (1,), "root_embed": (4,),
-                     "w_head": (4, 3), "b_head": (3,), "w_dep": (4, 3),
-                     "b_dep": (3,), "bilinear": (2, 3, 3), "linear": (6, 2),
-                     "bias": (2,)}),
-}
-
-
-def _arrays_model(kind: str, meta: dict | None = None,
-                  shapes: dict | None = None) -> bytes:
-    """The good model of kind with meta and array shapes updated; an
-    update to None drops the entry.  Arrays hold zeros."""
-    good_meta, good_shapes = _GOOD_MODELS[kind]
-    meta = {k: v for k, v in {**good_meta, **(meta or {})}.items()
-            if v is not None}
-    shapes = {k: v for k, v in {**good_shapes, **(shapes or {})}.items()
-              if v is not None}
-    entries = [{"name": name, "dtype": "float64", "shape": list(shape),
-                "nbytes": 8 * math.prod(shape)}
-               for name, shape in sorted(shapes.items())]
-    return _model_file({"kind": kind, "meta": meta, "arrays": entries},
-                       bytes(sum(e["nbytes"] for e in entries)))
 
 
 def _model_argv(kind: str, path) -> list[str]:

@@ -566,3 +566,47 @@ def test_label_inventory_skips_empty_node_edges():
     sent.token_by_id()[T(3)].deps = [(T(1, 1), "acl")]
     inventory = build_label_inventory([sent])
     assert inventory == [NO_EDGE, "obj", "root"]
+
+
+def test_a_float32_parser_starts_from_the_float64_draws_cast():
+    labels = [NO_EDGE, "obj", "root"]
+    wide = new_parser(labels, layers=2, dim=4, hidden=5, seed=3)
+    narrow = new_parser(labels, layers=2, dim=4, hidden=5, seed=3,
+                        dtype=np.float32)
+    assert narrow.dtype == np.float32
+    for name, tensor in wide.params.items():
+        assert narrow.params[name].data.tobytes() == \
+            tensor.data.astype(np.float32).tobytes(), name
+
+
+def test_float32_scores_match_float64_and_round_trip(tmp_path):
+    corpus, provider, wide = packed_setup()
+    narrow = EdgeParser(wide.labels, wide.layers, wide.dim, wide.hidden, {
+        name: ad.Tensor(t.data.astype(np.float32), requires_grad=True)
+        for name, t in wide.params.items()})
+    stacks = edgepred._token_stacks(narrow, corpus[0], provider)
+    assert stacks.dtype == np.float32
+    for k, sent in enumerate(corpus):
+        probs = score_pairs(narrow, sent, provider, k)
+        assert np.abs(probs - score_pairs(wide, sent, provider, k)).max() \
+            < 1e-5
+    path = tmp_path / "parser.model"
+    narrow.save(path)
+    again = EdgeParser.load(path)
+    for name, tensor in narrow.params.items():
+        assert again.params[name].data.dtype == np.float32
+        assert again.params[name].data.tobytes() == tensor.data.tobytes()
+
+
+def test_train_footprint_in_float32_counts_four_bytes_per_element():
+    labels = build_label_inventory(tiny_corpus())
+    parser = new_parser(labels, layers=2, dim=4, hidden=6, dtype=np.float32)
+    param_bytes = sum(t.data.nbytes for t in parser.params.values())
+    scratch = ad.AdamW(parser.parameters(), lr=1.0)._scratch.nbytes
+    bilinear = parser.params["bilinear"].data
+    grads = param_bytes - bilinear.nbytes + bilinear[0].nbytes
+    assert edgepred.train_footprint(len(labels), 2, 4, 6, True,
+                                    np.float32) == (
+        param_bytes, 4 * param_bytes + grads + scratch)
+    assert 2 * param_bytes == edgepred.train_footprint(
+        len(labels), 2, 4, 6, True)[0]

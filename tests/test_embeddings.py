@@ -81,3 +81,19 @@ def test_empty_node_ids_supported(tmp_path):
     path.write_text("s1\t8.1\t0.5 0.25\n")
     provider = read_sidecar(path)
     assert provider.lookup("s1", TokenId(8, 1)).tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 7, 8, 9, 128])
+def test_hash_floats_match_the_scalar_formula(count):
+    import hashlib
+    import struct
+
+    from conjprop.embeddings import _hash_floats
+    for key in ("0\x00s1\x001\x00Ann", "7\x00dev-3\x002.1\x00é"):
+        blob = b"".join(hashlib.sha256(f"{key}\x00{block}".encode()).digest()
+                        for block in range((count + 3) // 4))
+        words = struct.unpack_from(f"<{count}Q", blob)
+        expected = np.array([(w / 2**64) * 2.0 - 1.0 for w in words])
+        got = _hash_floats(key, count)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()

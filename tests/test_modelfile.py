@@ -75,7 +75,34 @@ def test_foreign_file_is_rejected(tmp_path):
 def test_unsupported_dtype_is_rejected(tmp_path):
     with pytest.raises(ModelFileError, match="dtype"):
         save_model(tmp_path / "m.bin", "demo", {},
-                   {"x": np.zeros(2, dtype=np.float32)})
+                   {"x": np.zeros(2, dtype=np.float16)})
+
+
+def test_float32_arrays_round_trip_at_four_bytes_each(tmp_path):
+    path = tmp_path / "m.bin"
+    arrays = {"w": np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+              "swapped": np.arange(3, dtype=">f4")}
+    save_model(path, "demo", {}, arrays)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["arrays"] == [
+        {"name": "swapped", "dtype": "float32", "shape": [3], "nbytes": 12},
+        {"name": "w", "dtype": "float32", "shape": [2, 3], "nbytes": 24}]
+    _, _, loaded = load_model(path)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].tobytes() == arr.astype("<f4").tobytes()
+
+
+def test_nbytes_must_be_itemsize_times_the_shape(tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(path, "demo", {}, {"x": np.zeros(3, dtype=np.float32)})
+    header, blob = path.read_bytes().split(b"\n", 1)
+    # a float32 entry that claims float64's 8 bytes per element
+    header = header.replace(b'"nbytes":12', b'"nbytes":24')
+    path.write_bytes(header + b"\n" + blob + bytes(12))
+    with pytest.raises(ModelFileError, match="do not agree"):
+        load_model(path)
 
 
 def test_array_bytes_match_a_tobytes_construction(tmp_path):
