@@ -3,8 +3,8 @@
 import importlib
 
 from .conllu import (  # noqa: F401
-    ROOT, ParseError, Sentence, Token, TokenId, parse_corpus, read_file,
-    write_corpus, write_file,
+    ROOT, ParseError, Sentence, Token, TokenId, iter_corpus, parse_corpus,
+    read_file, write_corpus, write_file,
 )
 from .graph import (  # noqa: F401
     Edge, coarse, conj_pairs, enhanced_edges, propagated_links,

@@ -5,7 +5,8 @@ in order of precedence: the command line, a key-value config file (--config,
 or the CONJPROP_CONFIG environment variable for a default path), and the
 built-in default.  The fully resolved configuration is logged to stderr as
 "# key = value" lines, so a run can be reproduced from its log.  Paths given
-as "-" read stdin or write stdout.
+as "-" read stdin or write stdout.  The text commands stream their input;
+every command writes its output once, at the end.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Iterator
 
 from .config import ConfigError, InputError, parse_value, read_config_file
-from .conllu import ParseError, Sentence, decode_utf8, parse_corpus, \
-    write_corpus
+from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
+    parse_corpus, split_text, write_corpus
 from .converter import convert_mode
 from .evaluate import (
     AlignmentError, agreement_matrix, diff_stats, format_agreement,
@@ -238,9 +240,14 @@ def _log(line: str) -> None:
 
 # ------------------------------------------------------------------ file io
 
+def _name(path: str) -> str:
+    """The name that messages give the file at path."""
+    return "<stdin>" if path == "-" else path
+
+
 def _read_text(path: str) -> tuple[str, str]:
     """The file's decoded text, and the name that messages give it."""
-    name = "<stdin>" if path == "-" else path
+    name = _name(path)
     try:
         if path == "-":
             raw = sys.stdin.buffer.read()
@@ -252,16 +259,13 @@ def _read_text(path: str) -> tuple[str, str]:
     return decode_utf8(raw, name), name
 
 
-def _parse(text: str, name: str, first_line: int = 1) -> list[Sentence]:
-    """parse_corpus, the corpus then frozen out of later collections: it
-    holds no reference cycle."""
-    corpus = parse_corpus(text, name, first_line)
-    gc.freeze()
-    return corpus
-
-
 def _read_corpus(path: str) -> list[Sentence]:
-    return _parse(*_read_text(path))
+    return parse_corpus(*_read_text(path))
+
+
+def _stream(path: str) -> Iterator[Sentence]:
+    """The file's sentences one at a time; the file is read on first use."""
+    yield from iter_corpus(*_read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -285,27 +289,42 @@ def _comma_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _provider(cfg, corpus):
-    """The EmbeddingProvider --embeddings or --hash-dim names, or None.
-    The parser's commands, which have --hash-layers, need one and take any
-    layer count; the classifiers' take a single layer or none."""
-    from .embeddings import hash_provider, read_sidecar
+def _hashed(cfg, corpus, path: str):
+    """hash_provider's vectors for corpus under --hash-dim; otherwise None,
+    once corpus is known to key each sentence's vectors apart.  Errors name
+    path, the file corpus was read from."""
+    from .embeddings import EmbeddingError, hash_provider, sentence_keys
+    try:
+        if cfg["hash-dim"]:
+            return hash_provider(corpus, dim=cfg["hash-dim"],
+                                 layers=cfg.get("hash-layers", 1))
+        sentence_keys(corpus)
+    except EmbeddingError as err:
+        raise CliError(f"{_name(path)}: {err}") from None
+    return None
+
+
+def _provider(cfg, corpus, path: str):
+    """The EmbeddingProvider --embeddings or --hash-dim names for corpus,
+    read from path, or None.  The parser's commands, which have
+    --hash-layers, need one and take any layer count; the classifiers'
+    take a single layer or none."""
+    from .embeddings import read_sidecar
     for_parser = "hash-layers" in cfg
     if cfg["embeddings"] and cfg["hash-dim"]:
         raise CliError("--embeddings and --hash-dim exclude each other")
-    if cfg["embeddings"]:
+    if not (cfg["embeddings"] or cfg["hash-dim"]):
+        if for_parser:
+            raise CliError("the edge parser needs embeddings: give "
+                           "--embeddings or --hash-dim")
+        return None
+    provider = _hashed(cfg, corpus, path)
+    if provider is None:
         provider = read_sidecar(cfg["embeddings"])
         if provider.layers != 1 and not for_parser:
             raise CliError(f"{cfg['embeddings']}: expected a single-layer "
                            f"sidecar, found layers={provider.layers}")
-        return provider
-    if cfg["hash-dim"]:
-        return hash_provider(corpus, dim=cfg["hash-dim"],
-                             layers=cfg.get("hash-layers", 1))
-    if for_parser:
-        raise CliError("the edge parser needs embeddings: give --embeddings "
-                       "or --hash-dim")
-    return None
+    return provider
 
 
 # ---------------------------------------------------------------- commands
@@ -318,25 +337,16 @@ _MIN_SLICE_CHARS = 400_000
 
 
 def _split_text(text: str, pieces: int) -> list[tuple[int, str]]:
-    """text in at most `pieces` contiguous slices of about equal size, and
-    of about _MIN_SLICE_CHARS or more, each with its first line number, cut
-    just after blank lines."""
-    pieces = min(pieces, len(text) // _MIN_SLICE_CHARS)
-    chunks, start, line = [], 0, 1
-    for k in range(1, pieces):
-        cut = text.find("\n\n", max(start, len(text) * k // pieces)) + 2
-        if not 2 <= cut < len(text):
-            break
-        chunks.append((line, text[start:cut]))
-        line += text.count("\n", start, cut)
-        start = cut
-    return chunks + [(line, text[start:])]
+    """text in at most `pieces` split_text slices of about equal size, and
+    of about _MIN_SLICE_CHARS or more."""
+    pieces = max(1, min(pieces, len(text) // _MIN_SLICE_CHARS))
+    return list(split_text(text, -(-len(text) // pieces))) or [(1, text)]
 
 
 def _convert_chunk(chunk: tuple[int, str], name: str, mode: str) -> str:
     first_line, text = chunk
-    corpus = _parse(text, name, first_line)
-    return write_corpus(convert_mode(sent, mode) for sent in corpus)
+    return write_corpus(convert_mode(sent, mode)
+                        for sent in iter_corpus(text, name, first_line))
 
 
 def cmd_convert(cfg) -> None:
@@ -372,7 +382,7 @@ def _feature_setup(kind: str, features_text: str, with_dense: bool):
 def cmd_train_prop(cfg) -> None:
     from .propmodel import PropTrainOptions, train_prop
     corpus = _read_corpus(cfg["train"])
-    provider = _provider(cfg, corpus)
+    provider = _provider(cfg, corpus, cfg["train"])
     fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
     widths = [parse_value("hidden", w, "int", "command line")
               for w in _comma_list(cfg["hidden"])]
@@ -393,7 +403,7 @@ def cmd_apply_prop(cfg) -> None:
     from .propmodel import ApplyConfig, PropModel, apply_model
     corpus = _read_corpus(cfg["in"])
     model = PropModel.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus)
+    provider = _provider(cfg, corpus, cfg["in"])
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
     _write_text(cfg["out"], write_corpus(
@@ -413,13 +423,12 @@ def cmd_train_parser(cfg) -> None:
     import numpy as np
     from .edgepred import (ParserTrainConfig, build_label_inventory,
                            new_parser, train_footprint, train_parser)
-    from .embeddings import hash_provider
     from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
     if cfg["delexicalize"]:
         corpus, inventory = delexicalize_corpus(corpus)
         _log(f"# delexicalized label inventory: {len(inventory)} labels")
-    provider = _provider(cfg, corpus)
+    provider = _provider(cfg, corpus, cfg["train"])
     labels = build_label_inventory(corpus)
     _, needed = train_footprint(
         len(labels), provider.layers, provider.dim, cfg["hidden"],
@@ -440,8 +449,7 @@ def cmd_train_parser(cfg) -> None:
         dev = _read_corpus(cfg["dev"])
         if cfg["delexicalize"]:
             dev, _ = delexicalize_corpus(dev)
-        dev_provider = provider if cfg["embeddings"] else hash_provider(
-            dev, dim=cfg["hash-dim"], layers=cfg["hash-layers"])
+        dev_provider = _hashed(cfg, dev, cfg["dev"]) or provider
     train_parser(parser, corpus, provider, train_cfg, dev, dev_provider,
                  log=_log)
     parser.save(_model_path(cfg["model"]))
@@ -451,15 +459,13 @@ def cmd_predict(cfg) -> None:
     from .edgepred import EdgeParser, decode_corpus
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus)
+    provider = _provider(cfg, corpus, cfg["in"])
     _write_text(cfg["out"], write_corpus(
         decode_corpus(parser, corpus, provider)))
 
 
 def cmd_evaluate(cfg) -> None:
-    system = _read_corpus(cfg["system"])
-    gold = _read_corpus(cfg["gold"])
-    report = score(system, gold,
+    report = score(_stream(cfg["system"]), _stream(cfg["gold"]),
                    keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])))
     sc = report.overall
     summary = (f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
@@ -482,16 +488,14 @@ def cmd_agree(cfg) -> None:
     if repeated:
         raise CliError(f"agree: more than one file is named "
                        f"{', '.join(repeated)}; give distinct --names")
-    corpora = [_read_corpus(f) for f in files]
-    report = agreement_matrix(corpora, names)
+    report = agreement_matrix([_stream(f) for f in files], names)
     _write_text(cfg["out"], format_agreement(report) + "\n")
 
 
 def cmd_stats(cfg) -> None:
-    original = _read_corpus(cfg["original"])
-    edited = _read_corpus(cfg["edited"])
     scope = "conjunct" if cfg["scope"] == "conjunct-incident" else cfg["scope"]
-    report = diff_stats(original, edited, scope=scope)
+    report = diff_stats(_stream(cfg["original"]), _stream(cfg["edited"]),
+                        scope=scope)
     body = format_diff_records(report) if cfg["records"] \
         else format_diff_table(report)
     _write_text(cfg["out"], body + "\n")
@@ -518,22 +522,17 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_help(sys.stderr)
         return 2
-    # _parse freezes each corpus.  Unfreezing afterwards keeps no command's
-    # garbage frozen for good in a process that runs many; freezing again
-    # at exit spares the interpreter's last collections, which would only
-    # free memory the process is giving back anyway.
-    frozen = gc.get_freeze_count()
+    # Freezing at exit spares the interpreter's last collections, which
+    # would walk numpy's heap only to free memory the process is giving
+    # back anyway.
+    atexit.unregister(gc.freeze)  # one registration per process
+    atexit.register(gc.freeze)
     try:
         cfg = resolve_options(args)
         HANDLERS[args.command](cfg)
     except _ERRORS as err:
         print(f"conjprop: error: {err}", file=sys.stderr)
         return 1
-    finally:
-        if frozen == 0:
-            gc.unfreeze()
-            atexit.unregister(gc.freeze)  # one registration per process
-            atexit.register(gc.freeze)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 class ParseError(ValueError):
     """Raised on malformed input; carries the 1-based line number, the
@@ -192,6 +192,31 @@ def parse_corpus(text: str, path: str | None = None,
     finally:
         if enabled:
             gc.enable()
+
+
+_BLOCK_CHARS = 1 << 16
+
+
+def iter_corpus(text: str, path: str | None = None,
+                first_line: int = 1) -> Iterator[Sentence]:
+    """parse_corpus's sentences, parsed one split_text slice of about
+    _BLOCK_CHARS characters at a time, so that a stream holds only one
+    slice's sentences; a ParseError arrives when the stream reaches it."""
+    for line, block in split_text(text, _BLOCK_CHARS, first_line):
+        yield from parse_corpus(block, path, line)
+
+
+def split_text(text: str, size: int,
+               first_line: int = 1) -> Iterator[tuple[int, str]]:
+    """text in contiguous slices, each with its first line number, cut just
+    after the first blank line at or after each multiple of size."""
+    start, target = 0, size
+    while start < len(text):
+        end = text.find("\n\n", max(start, target))
+        cut = len(text) if end < 0 else end + 2
+        yield first_line, text[start:cut]
+        first_line += text.count("\n", start, cut)
+        start, target = cut, target + size
 
 
 def _parse_lines(text: str, first_line: int) -> list[Sentence]:

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import InputError
 from .conllu import ROOT, Sentence, TokenId
-from .embeddings import EmbeddingProvider
+from .embeddings import EmbeddingProvider, sentence_key
 from .labels import lexicalize_label
 from .modelfile import expect, load_model, require, save_model
 
@@ -182,7 +182,7 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
         raise EdgePredError(
             f"provider supplies {provider.layers} layers of dimension "
             f"{provider.dim}, model expects {parser.layers}x{parser.dim}")
-    sid = sent.sent_id or str(index)
+    sid = sentence_key(sent, index)
     stacks = [provider.lookup_layers(sid, t.id) for t in sent.words()]
     return np.stack(stacks, dtype=parser.dtype)  # (n, layers, dim)
 

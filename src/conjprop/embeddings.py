@@ -93,6 +93,9 @@ def _consume_record(line, where, table, layers, dim):
             f"{where}: expected {layers * dim} values, got {vec.size}")
     if layers > 1:
         vec = vec.reshape(layers, -1)
+    if (sent_id, tid) in table:
+        raise EmbeddingError(f"{where}: repeated record for token {tid} in "
+                             f"sentence {sent_id!r}")
     table[(sent_id, tid)] = vec
 
 
@@ -116,8 +119,7 @@ def hash_provider(corpus: list[Sentence], dim: int = 16,
     platforms.
     """
     table: dict[tuple[str, TokenId], np.ndarray] = {}
-    for idx, sent in enumerate(corpus):
-        sid = sent.sent_id or str(idx)
+    for sid, sent in zip(sentence_keys(corpus), corpus):
         for tok in sent.tokens:
             key = f"{seed}\x00{sid}\x00{tok.id}\x00{tok.form}"
             vec = _hash_floats(key, layers * dim)
@@ -125,6 +127,26 @@ def hash_provider(corpus: list[Sentence], dim: int = 16,
                 vec = vec.reshape(layers, dim)
             table[(sid, tok.id)] = vec
     return EmbeddingProvider(table, dim=dim, layers=layers)
+
+
+def sentence_key(sent: Sentence, index: int) -> str:
+    """The key the vectors of sent, at position index, go under: its
+    sent_id, else its position."""
+    return sent.sent_id or str(index)
+
+
+def sentence_keys(corpus: list[Sentence]) -> list[str]:
+    """Each sentence's sentence_key.  A repeated key raises EmbeddingError:
+    the later sentence's vectors would replace the earlier one's."""
+    first: dict[str, int] = {}
+    for idx, sent in enumerate(corpus):
+        sid = sentence_key(sent, idx)
+        if sid in first:
+            raise EmbeddingError(f"sentences {first[sid] + 1} and {idx + 1} "
+                                 f"share the sent_id {sid!r}, which keys "
+                                 f"their embeddings")
+        first[sid] = idx
+    return list(first)
 
 
 def _hash_floats(key: str, count: int) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Scoring of propagated links, annotator agreement, and corpus diffs."""
+"""Scoring of propagated links, annotator agreement, and corpus diffs over
+any iterables of sentences, read in argument order, one at a time."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .conllu import Sentence
 from .graph import Edge, basic_edges, coarse, enhanced_edges, propagated_links
@@ -12,15 +14,29 @@ class AlignmentError(ValueError):
     pass
 
 
-def align_corpora(a: list[Sentence], b: list[Sentence]):
-    """Pair up sentences by sent_id when available, else by position.
+def _scoped_edges(sent: Sentence, scope: str) -> set[Edge]:
+    if scope == "conjunct":
+        return propagated_links(sent)
+    if scope == "all":
+        return basic_edges(sent) | enhanced_edges(sent)
+    raise ValueError(f"unknown diff scope {scope!r}")
+
+
+def _records(corpus: Iterable[Sentence], scope="conjunct") -> list[tuple]:
+    """(sent_id, token count, edge set) of each sentence, as it arrives."""
+    return [(s.sent_id, len(s.tokens), _scoped_edges(s, scope))
+            for s in corpus]
+
+
+def align_corpora(a: list[tuple], b: list[tuple]):
+    """Pair up sentence records by sent_id when available, else by position.
 
     Returns (i, j) for each a[i] aligned with b[j], in the order of a.
     Token counts must match per pair; mismatched or duplicated ids raise
     AlignmentError naming the offenders.
     """
-    a_ids = [s.sent_id for s in a]
-    b_ids = [s.sent_id for s in b]
+    a_ids = [r[0] for r in a]
+    b_ids = [r[0] for r in b]
     if all(i is not None for i in a_ids) and all(i is not None for i in b_ids):
         if len(set(a_ids)) != len(a_ids) or len(set(b_ids)) != len(b_ids):
             raise AlignmentError("duplicate sent_id values")
@@ -40,10 +56,10 @@ def align_corpora(a: list[Sentence], b: list[Sentence]):
         pairs = [(k, k) for k in range(len(a))]
         a_ids = range(len(a))  # messages name sentences by position
     for i, j in pairs:
-        if len(a[i].tokens) != len(b[j].tokens):
+        if a[i][1] != b[j][1]:
             raise AlignmentError(
                 f"sentence {a_ids[i]}: token count differs "
-                f"({len(a[i].tokens)} vs {len(b[j].tokens)})")
+                f"({a[i][1]} vs {b[j][1]})")
     return pairs
 
 
@@ -74,19 +90,19 @@ class EvalReport:
     coarse: dict[str, LabelScore]
 
 
-def score(system: list[Sentence], gold: list[Sentence],
-          keep_subtypes: frozenset[str] = frozenset(),
-          links: tuple[list, list] | None = None) -> EvalReport:
+def score(system: Iterable[Sentence], gold: Iterable[Sentence],
+          keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
     """Precision/recall/F1 over the propagated links of aligned sentences.
 
-    links holds the per-sentence link sets of system and gold in corpus
-    order when the caller has them, so each corpus's links are extracted
-    once.  keep_subtypes lists full labels kept apart in the coarse rollup;
+    keep_subtypes lists full labels kept apart in the coarse rollup;
     every other label collapses to its coarse form there.
     """
+    return _score(_records(system), _records(gold), keep_subtypes)
+
+
+def _score(system: list[tuple], gold: list[tuple],
+           keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
     pairs = align_corpora(system, gold)
-    sys_links, gold_links = links or ([propagated_links(s) for s in system],
-                                      [propagated_links(s) for s in gold])
     overall = LabelScore()
     per_label: dict[str, LabelScore] = {}
     coarse_scores: dict[str, LabelScore] = {}
@@ -97,8 +113,8 @@ def score(system: list[Sentence], gold: list[Sentence],
                 coarse_scores.setdefault(rolled, LabelScore()))
 
     for i, j in pairs:
-        expected = gold_links[j]
-        for link in sys_links[i]:
+        expected = gold[j][2]
+        for link in system[i][2]:
             hit = link in expected
             for bucket in buckets(link.label):
                 bucket.n_sys += 1
@@ -131,10 +147,10 @@ class AgreementReport:
         return out
 
 
-def agreement_matrix(corpora: list[list[Sentence]],
+def agreement_matrix(corpora: list[Iterable[Sentence]],
                      names: list[str] | None = None) -> AgreementReport:
     """Pairwise scores over two or more corpora of the same sentences,
-    extracting each corpus's links once."""
+    reducing each corpus once for all the pairs it is in."""
     if len(corpora) < 2:
         raise ValueError("agreement needs at least two corpora")
     if names is None:
@@ -143,14 +159,10 @@ def agreement_matrix(corpora: list[list[Sentence]],
         raise ValueError("one name per corpus required")
     if len(set(names)) != len(names):
         raise ValueError(f"corpus names repeat: {names}")
-    links = [[propagated_links(s) for s in corpus] for corpus in corpora]
-    pairwise = {}
-    for gi, gold in enumerate(corpora):
-        for si, system in enumerate(corpora):
-            if gi == si:
-                continue
-            pairwise[(names[gi], names[si])] = score(
-                system, gold, links=(links[si], links[gi]))
+    records = [_records(corpus) for corpus in corpora]
+    pairwise = {(names[gi], names[si]): _score(system, gold)
+                for gi, gold in enumerate(records)
+                for si, system in enumerate(records) if gi != si}
     return AgreementReport(names=list(names), pairwise=pairwise)
 
 
@@ -172,15 +184,7 @@ class DiffReport:
     total: int = 0
 
 
-def _scoped_edges(sent: Sentence, scope: str) -> set[Edge]:
-    if scope == "conjunct":
-        return propagated_links(sent)
-    if scope == "all":
-        return basic_edges(sent) | enhanced_edges(sent)
-    raise ValueError(f"unknown diff scope {scope!r}")
-
-
-def diff_stats(original: list[Sentence], edited: list[Sentence],
+def diff_stats(original: Iterable[Sentence], edited: Iterable[Sentence],
                scope: str = "conjunct") -> DiffReport:
     """Added/removed edge counts per label between two corpus versions.
 
@@ -189,11 +193,10 @@ def diff_stats(original: list[Sentence], edited: list[Sentence],
     The total column reports occurrences of the label in the original corpus
     within the same scope.
     """
-    pairs = align_corpora(original, edited)
+    original, edited = _records(original, scope), _records(edited, scope)
     report = DiffReport(scope=scope, per_label={})
-    for i, j in pairs:
-        before = _scoped_edges(original[i], scope)
-        after = _scoped_edges(edited[j], scope)
+    for i, j in align_corpora(original, edited):
+        before, after = original[i][2], edited[j][2]
         touched: set[str] = set()
         for e in after - before:
             d = report.per_label.setdefault(e.label, LabelDiff())

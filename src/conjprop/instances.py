@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conllu import ROOT, Sentence, TokenId
-from .embeddings import EmbeddingProvider
+from .embeddings import EmbeddingProvider, sentence_key
 from .graph import (
     Edge, basic_edges, coarse, conj_pairs, enhanced_edges, is_conj_label,
 )
@@ -101,7 +101,7 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
     if gold is not None:
         _check_aligned(sent, gold)
         gold_set = enhanced_edges(gold)
-    sid = sent.sent_id or str(index)
+    sid = sentence_key(sent, index)
     ref = (sid, index)
     edges = basic_edges(sent)
     if layer == "working":

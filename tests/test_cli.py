@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -205,6 +206,73 @@ def test_parse_error_names_line(run, tmp_path):
     rc, _, err = run(["convert", "--in", str(bad)])
     assert rc == 1
     assert f"conjprop: error: {bad}:1: expected 10 columns" in err
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("evaluate", "--system", "--gold"),
+    ("stats", "--original", "--edited"),
+])
+def test_a_malformed_first_file_is_reported_before_a_missing_second(
+        run, tmp_path, command, first, second):
+    bad = tmp_path / "first.conllu"
+    bad.write_text(SHARED_SUBJECT.format(i=0, extra="") + "\n1\tonly\n\n")
+    rc, _, err = run([command, first, str(bad),
+                      second, str(tmp_path / "missing.conllu")])
+    assert rc == 1
+    assert f"conjprop: error: {bad}:11: expected 10 columns" in err
+
+
+def test_agree_names_the_first_bad_file(run, tmp_path):
+    malformed = tmp_path / "malformed.conllu"
+    malformed.write_text("1\tonly\n\n")
+    missing = tmp_path / "missing.conllu"
+    rc, _, err = run(["agree", "--files", f"{FIG1},{malformed},{missing}"])
+    assert rc == 1
+    assert f"conjprop: error: {malformed}:1: expected 10 columns" in err
+    rc, _, err = run(["agree", "--files", f"{FIG1},{missing},{malformed}"])
+    assert rc == 1
+    assert f"conjprop: error: {missing}: No such file" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_late_parse_error_leaves_no_output_file(run, tmp_path,
+                                                  small_slices, jobs):
+    text = prop_training_text()
+    assert len(cli._split_text(text, 2)) == 2
+    bad = tmp_path / "late.conllu"
+    bad.write_text(text + "1\tonly\n\n")
+    out = tmp_path / "out.conllu"
+    rc, _, err = run(["convert", "--in", str(bad), "--out", str(out),
+                      "--jobs", jobs])
+    assert rc == 1
+    line = text.count("\n") + 1
+    assert f"conjprop: error: {bad}:{line}: expected 10 columns" in err
+    assert not out.exists()
+
+
+def test_evaluate_and_stats_hold_no_parsed_corpus(run, tmp_path):
+    """Traced memory stays within a small multiple of the input text,
+    which holding both parsed corpora exceeds several times over."""
+    system, gold = tmp_path / "system.conllu", tmp_path / "gold.conllu"
+    for path, extra in ((system, "|5:nsubj"), (gold, "")):
+        path.write_text("\n".join(SHARED_SUBJECT.format(i=i, extra=extra)
+                                  for i in range(2000)) + "\n")
+    size = system.stat().st_size + gold.stat().st_size
+    for argv, words in [
+            (["evaluate", "--system", str(system), "--gold", str(gold)],
+             ["total", "0", "2000", "0", "0.0", "0.0", "0.0"]),
+            (["stats", "--original", str(system), "--edited", str(gold)],
+             ["total", "0", "2000", "2000", "2000"]),
+    ]:
+        tracemalloc.start()
+        try:
+            rc, out, err = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, err
+        assert out.splitlines()[-1].split() == words
+        assert peak < 5 * size, (argv[0], peak, size)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -873,6 +941,8 @@ def _arrays_model(kind: str, meta: dict | None = None,
 _PROP_META = {"vocab": {}, "dense_dim": 0, "outgoing_exclusions": []}
 _TOKEN = "{}\tw\tw\tX\t_\t_\t{}\tdep\t{}\t_\n"
 _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
+_REPEATED_ID = ((_SENT_START + "\n") * 2).encode()
+_SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
 
 
 @pytest.mark.parametrize("kind, content, where", [
@@ -916,6 +986,13 @@ _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
      ":1: expected the header"),
     ("parser-sidecar", b"layers=-1 dim=-2\nsh0\t1\t0.1 0.2\n",
      ":1: expected the header"),
+    # a repeated key would hand one sentence another's vectors
+    ("sidecar", b"s1\t1\t0.1 0.2\ns1\t1\t0.3 0.4\n",
+     ":2: repeated record for token 1 in sentence 's1'"),
+    ("hashed-corpus", _REPEATED_ID, _SHARED_KEY),
+    ("sidecar-corpus", _REPEATED_ID, _SHARED_KEY),
+    ("predicted-corpus", _REPEATED_ID, _SHARED_KEY),
+    ("dev-corpus", _REPEATED_ID, _SHARED_KEY),
     # sentence-level errors name the token's own line
     ("corpus", (_SENT_START + "1.2\te\te\tX\t_\t_\t_\t_\t_\t_\n"
                 "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
@@ -929,13 +1006,19 @@ _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
 ], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
         "kernel-float32", "mlp-float32", "sidecar-value", "sidecar-layers",
-        "sidecar-no-dim", "sidecar-negative", "out-of-order", "non-contiguous", "dangling-head",
+        "sidecar-no-dim", "sidecar-negative", "sidecar-repeat",
+        "hash-repeated-id", "sidecar-repeated-id", "predict-repeated-id",
+        "dev-repeated-id", "out-of-order", "non-contiguous", "dangling-head",
         "dangling-deps"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                                            where):
     bad = tmp_path / "bad"
     bad.write_bytes(content)
     model = str(tmp_path / "m")
+    vectors, kernel, parser = (tmp_path / n for n in ("vec", "kernel", "par"))
+    vectors.write_text("s1\t1\t0.5\n")
+    kernel.write_bytes(_arrays_model("kernel"))
+    parser.write_bytes(_arrays_model("edge-parser"))
     argv = {
         "prop-model": ["apply-prop", "--in", FIG1, "--model", str(bad)],
         "parser-model": ["predict", "--in", FIG1, "--model", str(bad),
@@ -945,6 +1028,15 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
         "parser-sidecar": ["train-parser", "--train", FIG1, "--model", model,
                            "--embeddings", str(bad)],
         "corpus": ["convert", "--in", str(bad)],
+        "hashed-corpus": ["train-prop", "--train", str(bad), "--model", model,
+                          "--hash-dim", "4"],
+        "sidecar-corpus": ["apply-prop", "--in", str(bad), "--model",
+                           str(kernel), "--embeddings", str(vectors)],
+        "predicted-corpus": ["predict", "--in", str(bad), "--model",
+                             str(parser), "--hash-dim", "4"],
+        "dev-corpus": ["train-parser", "--train", FIG1, "--dev", str(bad),
+                       "--model", model, "--hash-dim", "4", "--hidden", "4",
+                       "--epochs", "1"],
     }[kind]
     rc, _, err = run(argv)
     assert rc == 1

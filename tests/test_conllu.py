@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from conjprop import conllu
 from conjprop.conllu import (
-    ROOT, ParseError, Token, TokenId, parse_corpus, parse_token_id,
-    read_file, write_corpus,
+    ROOT, ParseError, Token, TokenId, iter_corpus, parse_corpus,
+    parse_token_id, read_file, write_corpus, write_sentence,
 )
 from conftest import data_path, perturb_enhanced, random_sentence
 
@@ -156,6 +156,30 @@ def test_parse_corpus_numbers_lines_from_first_line():
     with pytest.raises(ParseError) as err:
         parse_corpus(doc, "c.conllu", first_line=41)
     assert str(err.value) == "c.conllu:44, DEPS: malformed deps item 'bad'"
+
+
+def _parsed(parse, text: str):
+    try:
+        return write_corpus(parse(text, "c.conllu", 41))
+    except ParseError as err:
+        return str(err)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.booleans())
+def test_iter_corpus_parses_blocks_as_parse_corpus_parses_the_whole(
+        seed, block, corrupt):
+    """Same sentences, or the same first error, wherever the blocks are
+    cut, with runs of blank lines between sentences."""
+    rng = random.Random(seed)
+    text = "".join(write_sentence(random_sentence(rng, f"s{k}"))
+                   + "\n" * rng.randint(1, 3) for k in range(6))
+    if corrupt:
+        lines = text.split("\n")
+        lines[rng.randrange(len(lines))] = "1\tbad"
+        text = "\n".join(lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conllu, "_BLOCK_CHARS", block)
+        assert _parsed(iter_corpus, text) == _parsed(parse_corpus, text)
 
 
 def test_read_file_reports_bad_bytes_as_a_parse_error(tmp_path):

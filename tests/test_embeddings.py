@@ -44,6 +44,26 @@ def test_hash_provider_is_deterministic(fig1):
     assert (values >= -1).all() and (values < 1).all()
 
 
+def test_a_repeated_key_is_rejected(tmp_path, fig1):
+    path = tmp_path / "repeated.tsv"
+    path.write_text("s1\t1\t1.0\ns2\t1\t2.0\ns1\t1\t3.0\n")
+    with pytest.raises(EmbeddingError, match=r":3: repeated record for "
+                                             r"token 1 in sentence 's1'"):
+        read_sidecar(path)
+    twin, unnamed = fig1.clone(), fig1.clone()
+    unnamed.comments = []
+    with pytest.raises(EmbeddingError, match=r"sentences 1 and 2 share the "
+                                             f"sent_id '{fig1.sent_id}'"):
+        hash_provider([fig1, twin], dim=2)
+    # a sentence without a sent_id is keyed by its position
+    twin.comments = ["# sent_id = 0"]
+    with pytest.raises(EmbeddingError, match="sentences 1 and 2 share the "
+                                             "sent_id '0'"):
+        hash_provider([unnamed, twin], dim=2)
+    table = hash_provider([fig1, unnamed], dim=2).table
+    assert len(table) == 2 * len(fig1.tokens)
+
+
 def test_lookup_failure_names_sentence_and_token(fig1):
     provider = hash_provider([fig1], dim=3)
     with pytest.raises(EmbeddingError) as err:

@@ -165,15 +165,12 @@ def test_score_equals_the_keyed_set_definition(seed, n, ids, shuffle, keep,
         rng.shuffle(gold)
     keep = frozenset(keep)
     expected = _keyed_score(system, gold, keep)
-    links = ([propagated_links(s) for s in system],
-             [propagated_links(s) for s in gold])
-    for report in (score(system, gold, keep),
-                   score(system, gold, keep, links=links)):
-        assert report == expected
-        assert format_score_table(report, view) == \
-            format_score_table(expected, view)
-        assert format_score_records(report, view) == \
-            format_score_records(expected, view)
+    report = score(system, gold, keep)
+    assert report == expected
+    assert format_score_table(report, view) == \
+        format_score_table(expected, view)
+    assert format_score_records(report, view) == \
+        format_score_records(expected, view)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -193,6 +190,31 @@ def test_agreement_extracts_each_corpus_links_once(monkeypatch, k):
     for (gname, sname), pair in rep.pairwise.items():
         gold, system = corpora[int(gname[1:])], corpora[int(sname[1:])]
         assert pair == _keyed_score(system, gold)
+
+
+def test_scorers_read_any_iterables_once_in_argument_order():
+    rng = random.Random(8)
+    base = [random_sentence(rng, f"st{i}") for i in range(6)]
+    corpora = {name: [perturb_enhanced(rng, s) for s in base]
+               for name in "abc"}
+    order = []
+
+    def stream(name):
+        for sent in corpora[name]:
+            order.append(name)
+            yield sent
+
+    a, b = corpora["a"], corpora["b"]
+    assert score(stream("a"), stream("b")) == score(a, b)
+    assert order == ["a"] * 6 + ["b"] * 6
+    order.clear()
+    assert diff_stats(stream("a"), stream("b"), "all") == \
+        diff_stats(a, b, "all")
+    assert order == ["a"] * 6 + ["b"] * 6
+    order.clear()
+    assert agreement_matrix([stream(n) for n in "abc"], list("abc")) == \
+        agreement_matrix(list(corpora.values()), list("abc"))
+    assert order == ["a"] * 6 + ["b"] * 6 + ["c"] * 6
 
 
 def test_coarse_rollup():
@@ -216,11 +238,16 @@ def test_alignment_by_sent_id_reorders():
     assert rep1.overall == rep2.overall
 
 
+def _record(sent):
+    """What the scorers keep of a sentence: sent_id, token count, edges."""
+    return (sent.sent_id, len(sent.tokens), propagated_links(sent))
+
+
 def test_alignment_mismatch_lists_ids():
     a, _ = _two_sentence_corpora()
     other = make_sentence([("x", "NOUN", 0, "root")], sent_id="zzz")
     with pytest.raises(AlignmentError) as err:
-        align_corpora([a], [other])
+        align_corpora([_record(a)], [_record(other)])
     assert "s1" in str(err.value) and "zzz" in str(err.value)
 
 
@@ -228,7 +255,7 @@ def test_alignment_token_count_mismatch():
     a, _ = _two_sentence_corpora()
     shorter = make_sentence([("a", "NOUN", 0, "root")], sent_id="s1")
     with pytest.raises(AlignmentError) as err:
-        align_corpora([a], [shorter])
+        align_corpora([_record(a)], [_record(shorter)])
     assert "token count" in str(err.value)
 
 
@@ -320,7 +347,7 @@ def test_formatting_smoke(fig1, fig1_gold):
 
 def test_alignment_mismatch_lists_first_ten_ids_in_input_order():
     def corpus(ids):
-        return [make_sentence([("x", "NOUN", 0, "root")], sent_id=i)
+        return [_record(make_sentence([("x", "NOUN", 0, "root")], sent_id=i))
                 for i in ids]
     a_only = [f"a{k}" for k in (12, 3, 7, 1, 9, 11, 4, 8, 2, 10, 6, 5)]
     b_only = [f"b{k}" for k in (2, 1)]
