@@ -1,7 +1,8 @@
 """Rule-based propagation of dependencies across coordinations.
 
 The converter copies incident edges of a conjunction head to its conjuncts
-in the enhanced layer. Each pass reads the head's incident edges from a
+in the enhanced layer. It decides over graph.candidates, the same list the
+propagation classifiers decide over. Each pass takes the candidates from a
 snapshot taken at pass start and writes into the working graph, so a single
 pass does not chain through freshly added edges; enabling iterate_to_fixpoint
 repeats passes until the graph stops changing, which handles nested and
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .conllu import Sentence, Token
 from .graph import (
-    Edge, add_dep, coarse, conj_pairs, enhanced_edges,
-    has_child_with_label, subject_edges_at,
+    Edge, add_dep, candidates, coarse, conj_pairs, enhanced_edges,
+    has_child_with_label, has_subject,
 )
 
 # incoming labels of gov never copied over to the conjunct, by coarse label
@@ -57,8 +58,8 @@ def seeded_copy(sent: Sentence) -> Sentence:
     return work
 
 
-def _subject_label(dep_tok: Token, candidate: str, has_auxpass: bool,
-                   passive_imperative_fix: bool) -> str | None:
+def subject_label(sent: Sentence, dep_tok: Token, candidate: str,
+                  passive_imperative_fix: bool) -> str | None:
     """Final label for a subject copied onto dep_tok, or None to suppress it."""
     if passive_imperative_fix:
         if coarse(candidate) == "nsubj" and dep_tok.feats.get("Mood") == "Imp":
@@ -67,59 +68,43 @@ def _subject_label(dep_tok: Token, candidate: str, has_auxpass: bool,
             voice = dep_tok.feats.get("Voice")
             if voice is None or voice == "Act":
                 return "nsubj"
-    if candidate in SUBJECT_LABELS and has_auxpass:
+    if candidate in SUBJECT_LABELS \
+            and has_child_with_label(sent, dep_tok.id, "aux:pass"):
         return candidate + ":pass"
     return candidate
 
 
 def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
-    pairs = conj_pairs(work)
-    if not pairs:
+    if not conj_pairs(work):
         return False
     by_id = work.token_by_id()
-    snapshot = sorted(enhanced_edges(work))
-    incoming: dict = {}
-    outgoing: dict = {}
-    for e in snapshot:
-        incoming.setdefault(e.dep, []).append(e)
-        outgoing.setdefault(e.head, []).append(e)
-
     changed = False
-    for gov, dep in pairs:
-        dep_tok = by_id[dep]
-        # governors of gov are copied, modulo the exception list; non-core
-        # labels stay local unless non-core propagation is switched on, so
-        # the default config introduces no obl/advmod/advcl edge anywhere
-        for e in incoming.get(gov, ()):
-            if coarse(e.label) in GOVERNOR_EXCEPTIONS:
+    for gov, dep, e, outgoing in candidates(work, enhanced_edges(work)):
+        base = coarse(e.label)
+        if not outgoing:
+            # governors of gov are copied, modulo the exception list; non-core
+            # labels stay local unless non-core propagation is switched on, so
+            # the default config introduces no obl/advmod/advcl edge anywhere
+            if base not in GOVERNOR_EXCEPTIONS and (
+                    cfg.propagate_non_core or base not in NON_CORE_LABELS):
+                changed |= add_dep(by_id[dep], e.head, e.label)
+        # dependents of gov, by label class; the subject check reads the
+        # working graph, so a subject copied earlier in this pass counts
+        elif base in SUBJECT_LABELS:
+            if has_subject(work, dep):
                 continue
-            if not cfg.propagate_non_core and coarse(e.label) in NON_CORE_LABELS:
-                continue
-            if e.head == dep:
-                continue
-            changed |= add_dep(dep_tok, e.head, e.label)
-        # dependents of gov, by label class
-        has_auxpass = has_child_with_label(work, dep, "aux:pass")
-        for e in outgoing.get(gov, ()):
-            if e.dep == dep:
-                continue
-            base = coarse(e.label)
-            if base in SUBJECT_LABELS:
-                if subject_edges_at(work, dep):
-                    continue
-                label = _subject_label(dep_tok, e.label, has_auxpass,
-                                       cfg.passive_imperative_fix)
-                if label is None:
-                    continue
+            label = subject_label(work, by_id[dep], e.label,
+                                  cfg.passive_imperative_fix)
+            if label is not None:
                 changed |= add_dep(by_id[e.dep], dep, label)
-            elif base in CORE_NONSUBJECT_LABELS:
-                # only shared if the target follows the conjunct
-                if e.dep > dep:
-                    changed |= add_dep(by_id[e.dep], dep, e.label)
-            elif cfg.propagate_non_core and base in NON_CORE_LABELS:
-                # only shared if the conjunct follows the target
-                if e.dep < dep:
-                    changed |= add_dep(by_id[e.dep], dep, e.label)
+        elif base in CORE_NONSUBJECT_LABELS:
+            # only shared if the target follows the conjunct
+            if e.dep > dep:
+                changed |= add_dep(by_id[e.dep], dep, e.label)
+        elif cfg.propagate_non_core and base in NON_CORE_LABELS:
+            # only shared if the conjunct follows the target
+            if e.dep < dep:
+                changed |= add_dep(by_id[e.dep], dep, e.label)
     return changed
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .conllu import ROOT, Sentence, Token, TokenId
 
@@ -47,6 +47,24 @@ def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     return pairs
 
 
+def candidates(sent: Sentence, edges: Iterable[Edge]
+               ) -> list[tuple[TokenId, TokenId, Edge, bool]]:
+    """(gov, dep, edge, outgoing) for each of edges incident to a conj head.
+
+    Pairs come in conj_pairs order; within one, the edges out of gov, then
+    those into it, each sorted. A copy onto dep that would be a self-loop
+    is left out.
+    """
+    ordered = sorted(edges)
+    out = []
+    for gov, dep in conj_pairs(sent):
+        out.extend((gov, dep, e, True) for e in ordered
+                   if e.head == gov and e.dep != dep)
+        out.extend((gov, dep, e, False) for e in ordered
+                   if e.dep == gov and e.head != dep)
+    return out
+
+
 def conjunct_ids(sent: Sentence) -> set[TokenId]:
     """Every token that is the gov or the dep of some basic conj edge."""
     ids: set[TokenId] = set()
@@ -80,13 +98,10 @@ def has_child_with_label(sent: Sentence, head: TokenId, label: str) -> bool:
     return False
 
 
-def subject_edges_at(sent: Sentence, dep: TokenId) -> list[Edge]:
-    """Basic or enhanced edges that attach a subject to dep."""
-    found = []
-    for e in basic_edges(sent) | enhanced_edges(sent):
-        if e.head == dep and coarse(e.label) in ("nsubj", "csubj"):
-            found.append(e)
-    return found
+def has_subject(sent: Sentence, dep: TokenId) -> bool:
+    """True if a basic or enhanced edge attaches a subject to dep."""
+    return any(e.head == dep and coarse(e.label) in ("nsubj", "csubj")
+               for e in basic_edges(sent) | enhanced_edges(sent))
 
 
 def add_dep(token: Token, head: TokenId, label: str) -> bool:

@@ -1,8 +1,9 @@
 """Candidate propagation instances and their feature encoding.
 
 One instance is a yes/no question: should this incident edge of a
-conjunction head be copied onto one of its conjuncts?  Instances are
-enumerated per (conj pair, eligible edge); features cover the candidate
+conjunction head be copied onto one of its conjuncts?  Instances are the
+graph.candidates of a sentence, the list the rule converter decides over,
+minus those the label filter drops; features cover the candidate
 link itself, morphology and optional dense vectors for the three involved
 tokens, and structure read off the basic tree.
 """
@@ -16,7 +17,7 @@ import numpy as np
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
 from .graph import (
-    Edge, basic_edges, coarse, conj_pairs, enhanced_edges, is_conj_label,
+    Edge, basic_edges, candidates, coarse, enhanced_edges, is_conj_label,
 )
 
 # incident edges of the conjunction head that are never candidates
@@ -47,7 +48,6 @@ class PropagationInstance:
     candidate_label: str
     direction: str
     gold: bool | None = None
-    gold_label: str | None = None
 
     def edge_at_conjunct(self) -> Edge:
         """The enhanced edge a positive decision materializes."""
@@ -88,12 +88,11 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
                       config: InstanceConfig = InstanceConfig(),
                       index: int = 0,
                       layer: str = "basic") -> list[PropagationInstance]:
-    """Enumerates candidate instances for every conj pair of the sentence.
+    """One instance per graph.candidates entry that passes the label filter.
 
-    Eligible edges of the conjunction head: all outgoing basic edges except
-    the exclusion list (checked against the full and the coarse label), and
-    the incoming edge unless it is the root attachment.  Candidates whose
-    materialized edge would be a self-loop at the conjunct are skipped.
+    The filter keeps outgoing edges of the conjunction head unless their
+    full or coarse label is in the exclusion list, and incoming ones unless
+    they are the root attachment (head ROOT or label root).
     With layer="working" the edges are read from the union of the basic and
     the current enhanced layer, so edges added by an earlier application
     round can themselves be propagated.
@@ -108,40 +107,24 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
         edges = edges | enhanced_edges(sent)
     elif layer != "basic":
         raise ValueError(f"unknown layer {layer!r}")
-    outgoing: dict[TokenId, list[Edge]] = {}
-    incoming: dict[TokenId, list[Edge]] = {}
-    for e in sorted(edges):
-        outgoing.setdefault(e.head, []).append(e)
-        incoming.setdefault(e.dep, []).append(e)
-
     out: list[PropagationInstance] = []
-    for gov, dep in conj_pairs(sent):
-        for e in outgoing.get(gov, ()):
+    for gov, dep, e, outgoing in candidates(sent, edges):
+        if outgoing:
             if e.label in config.outgoing_exclusions \
                     or coarse(e.label) in config.outgoing_exclusions:
                 continue
-            if e.dep == dep:
-                continue
-            inst = PropagationInstance(ref, gov, dep, e.dep, e.label, OUTGOING)
-            out.append(inst)
-        for e in incoming.get(gov, ()):
-            if e.head == ROOT or e.label == "root":
-                continue
-            if e.head == dep:
-                continue
-            inst = PropagationInstance(ref, gov, dep, e.head, e.label, INCOMING)
-            out.append(inst)
+            out.append(PropagationInstance(ref, gov, dep, e.dep, e.label,
+                                           OUTGOING))
+        elif e.head != ROOT and e.label != "root":
+            out.append(PropagationInstance(ref, gov, dep, e.head, e.label,
+                                           INCOMING))
 
     if gold is not None:
         for inst in out:
-            inst.gold = False
             want = inst.edge_at_conjunct()
-            for g in gold_set:
-                if g.head == want.head and g.dep == want.dep \
-                        and labels_match(want.label, g.label):
-                    inst.gold = True
-                    inst.gold_label = g.label
-                    break
+            inst.gold = any(g.head == want.head and g.dep == want.dep
+                            and labels_match(want.label, g.label)
+                            for g in gold_set)
     return out
 
 

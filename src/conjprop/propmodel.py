@@ -15,8 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import InputError
 from .conllu import Sentence
-from .converter import SUBJECT_LABELS, _subject_label, seeded_copy
-from .graph import add_dep, coarse, has_child_with_label
+from .converter import SUBJECT_LABELS, seeded_copy, subject_label
+from .graph import add_dep, coarse
 from .instances import (
     DENSE_ROLES, FeatureConfig, InstanceConfig, PropagationInstance,
     default_feature_config, build_vocabulary, extract_instances, featurize,
@@ -325,10 +325,8 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 label = inst.candidate_label
                 if config.passive_imperative_fix \
                         and coarse(label) in SUBJECT_LABELS:
-                    dep_tok = by_id[inst.conj_dep]
-                    auxpass = has_child_with_label(work, inst.conj_dep,
-                                                   "aux:pass")
-                    label = _subject_label(dep_tok, label, auxpass, True)
+                    label = subject_label(work, by_id[inst.conj_dep], label,
+                                          True)
                     if label is None:
                         continue
                 edge = inst.edge_at_conjunct()

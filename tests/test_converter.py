@@ -10,6 +10,7 @@ from conjprop.converter import (
     always_baseline, convert, convert_mode, seed_enhanced,
 )
 from conjprop.graph import Edge, enhanced_edges, propagated_links
+from conjprop.instances import extract_instances, labels_match
 from conftest import make_sentence, random_sentence
 
 RBC = ConverterConfig()
@@ -278,3 +279,23 @@ def test_default_never_adds_non_core_random():
         out = convert(sent, RBC)
         for e in added_edges(sent, out):
             assert e.label.split(":")[0] not in ("obl", "advmod", "advcl")
+
+
+@pytest.mark.parametrize("mode", ["rbc", "rbc2", "rbc2+fix"])
+def test_rules_add_only_edges_the_classifiers_consider(mode):
+    # both sides enumerate graph.candidates; the rules only filter and
+    # relabel within the subject/passive-subject family
+    rng = random.Random(7)
+    added = 0
+    for i in range(3000):
+        sent = random_sentence(rng, f"rc{i}")
+        out = convert_mode(sent, mode)
+        offered = {}
+        for inst in extract_instances(out, layer="working"):
+            e = inst.edge_at_conjunct()
+            offered.setdefault((e.head, e.dep), []).append(e.label)
+        for e in added_edges(sent, out):
+            added += 1
+            assert any(labels_match(label, e.label)
+                       for label in offered.get((e.head, e.dep), ())), e
+    assert added > 800

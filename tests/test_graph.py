@@ -4,8 +4,8 @@ import random
 
 from conjprop.conllu import ROOT, TokenId
 from conjprop.graph import (
-    Edge, basic_edges, coarse, conj_pairs, conjunct_ids, enhanced_edges,
-    propagated_links,
+    Edge, basic_edges, candidates, coarse, conj_pairs, conjunct_ids,
+    enhanced_edges, propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -105,6 +105,64 @@ def test_relabeled_edge_counts_as_propagated(fig3a):
 def test_conj_pairs_fig3c(fig3c):
     assert conj_pairs(fig3c) == [(TokenId(1), TokenId(4)), (TokenId(5), TokenId(10))]
     assert conjunct_ids(fig3c) == {TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
+
+
+def test_candidates_fig3c(fig3c):
+    t = TokenId
+    # pair (1, 4) has no outgoing candidate: 1's only dependent is 4 itself
+    assert candidates(fig3c, basic_edges(fig3c)) == [
+        (t(1), t(4), edge(5, 1, "nsubj"), False),
+        (t(5), t(10), edge(5, 1, "nsubj"), True),
+        (t(5), t(10), edge(5, 7, "obj"), True),
+        (t(5), t(10), edge(5, 8, "advmod"), True),
+        (t(5), t(10), edge(5, 14, "punct"), True),
+        (t(5), t(10), edge(0, 5, "root"), False),
+    ]
+
+
+def test_candidates_order_and_no_self_loops():
+    t = TokenId
+    # "a and b and c saw": 1 heads the conjuncts 3 and 5
+    sent = make_sentence([
+        ("a", "NOUN", 6, "nsubj"),
+        ("and", "CCONJ", 3, "cc"),
+        ("b", "NOUN", 1, "conj"),
+        ("and", "CCONJ", 5, "cc"),
+        ("c", "NOUN", 1, "conj"),
+        ("saw", "VERB", 0, "root"),
+    ])
+    # enhanced extras: 3 -> 1 would be a self-loop at 3 but not at 5
+    edges = basic_edges(sent) | {edge(3, 1, "nmod"), edge(1, 6, "acl")}
+    found = candidates(sent, sorted(edges, reverse=True))
+    assert found == [
+        (t(1), t(3), edge(1, 5, "conj"), True),
+        (t(1), t(3), edge(1, 6, "acl"), True),
+        (t(1), t(3), edge(6, 1, "nsubj"), False),
+        (t(1), t(5), edge(1, 3, "conj"), True),
+        (t(1), t(5), edge(1, 6, "acl"), True),
+        (t(1), t(5), edge(3, 1, "nmod"), False),
+        (t(1), t(5), edge(6, 1, "nsubj"), False),
+    ]
+    for gov, dep, e, outgoing in found:
+        assert gov in (e.head, e.dep)
+        copy = (dep, e.dep) if outgoing else (e.head, dep)
+        assert copy[0] != copy[1]
+
+
+def test_candidates_match_a_naive_enumeration_on_random_sentences():
+    rng = random.Random(13)
+    for i in range(300):
+        sent = perturb_enhanced(rng, random_sentence(rng, f"c{i}"))
+        edges = basic_edges(sent) | enhanced_edges(sent)
+        want = []
+        for gov, dep in conj_pairs(sent):
+            for outgoing in (True, False):
+                for e in sorted(edges):
+                    near, far = (e.head, e.dep) if outgoing \
+                        else (e.dep, e.head)
+                    if near == gov and far != dep:
+                        want.append((gov, dep, e, outgoing))
+        assert candidates(sent, edges) == want
 
 
 def test_conj_subtype_counts():
