@@ -269,6 +269,18 @@ def softmax(a, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def draw_normal(rng: np.random.Generator, scale: float, shape,
+                dtype) -> np.ndarray:
+    """rng.normal(0.0, scale, shape) cast to dtype, drawn 64k floats at a
+    time: the same stream, without a float64 copy of the whole array."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, 1 << 16):
+        part = flat[start:start + (1 << 16)]
+        part[...] = rng.normal(0.0, scale, part.size)
+    return out
+
+
 class AdamW:
     """Adam with decoupled weight decay.
 

@@ -26,7 +26,7 @@ from .config import InputError
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
 from .labels import lexicalize_label
-from .modelfile import expect, load_model, require, save_model
+from .modelfile import check_arrays, expect, load_model, require, save_model
 
 NO_EDGE = "∅"
 
@@ -93,14 +93,7 @@ class EdgeParser:
                    f"meta {key} must be an integer >= 1, got {meta[key]!r}")
         shapes = param_shapes(len(labels), layers, dim, hidden)
         require(path, "edge-parser arrays", arrays, shapes)
-        dtype = arrays["mix_logits"].dtype
-        for name, shape in shapes.items():
-            expect(path, arrays[name].shape == shape,
-                   f"array {name!r} has shape {arrays[name].shape}, "
-                   f"expected {shape}")
-            expect(path, arrays[name].dtype == dtype and dtype.kind == "f",
-                   f"array {name!r} has dtype {arrays[name].dtype}; the "
-                   "arrays must be all float32 or all float64")
+        check_arrays(path, arrays, shapes)
         parser = cls(labels=labels, layers=layers, dim=dim, hidden=hidden)
         parser.params = {name: Tensor(arr, requires_grad=True)
                          for name, arr in arrays.items()}
@@ -153,25 +146,17 @@ def new_parser(labels: list[str], layers: int, dim: int,
     if labels[0] != NO_EDGE:
         raise ValueError("label inventory must start with the no-edge label")
     rng = np.random.default_rng(seed)
-    n_labels = len(labels)
-
-    def init(*shape):
-        fan = shape[0] if len(shape) > 1 else 1
-        return rng.normal(0.0, 1.0 / np.sqrt(max(fan, 1)), shape)
-
-    arrays = {
-        "mix_logits": np.zeros(layers), "root_embed": init(dim),
-        "w_head": init(dim, hidden), "b_head": np.zeros(hidden),
-        "w_dep": init(dim, hidden), "b_dep": np.zeros(hidden),
-        # the scoring layers start small so an untrained model scores every
-        # pair close to the uniform label distribution
-        "bilinear": rng.normal(0.0, 0.1 / hidden, (n_labels, hidden, hidden)),
-        "linear": rng.normal(0.0, 0.1 / np.sqrt(2 * hidden),
-                             (2 * hidden, n_labels)),
-        "bias": np.zeros(n_labels),
-    }
-    params = {name: Tensor(arr.astype(dtype, copy=False), requires_grad=True)
-              for name, arr in arrays.items()}
+    # normal draws in param_shapes order, zeros for the rest; the scoring
+    # layers start small so an untrained model scores every pair close to
+    # the uniform label distribution
+    scales = {"root_embed": 1.0, "w_head": 1.0 / np.sqrt(max(dim, 1)),
+              "w_dep": 1.0 / np.sqrt(max(dim, 1)), "bilinear": 0.1 / hidden,
+              "linear": 0.1 / np.sqrt(2 * hidden)}
+    params = {name: Tensor(ad.draw_normal(rng, scales[name], shape, dtype)
+                           if name in scales else np.zeros(shape, dtype),
+                           requires_grad=True)
+              for name, shape in param_shapes(len(labels), layers, dim,
+                                              hidden).items()}
     return EdgeParser(labels=labels, layers=layers, dim=dim, hidden=hidden,
                       params=params)
 

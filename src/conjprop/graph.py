@@ -100,8 +100,10 @@ def has_child_with_label(sent: Sentence, head: TokenId, label: str) -> bool:
 
 def has_subject(sent: Sentence, dep: TokenId) -> bool:
     """True if a basic or enhanced edge attaches a subject to dep."""
-    return any(e.head == dep and coarse(e.label) in ("nsubj", "csubj")
-               for e in basic_edges(sent) | enhanced_edges(sent))
+    return any(head == dep and coarse(label) in ("nsubj", "csubj")
+               for t in sent.tokens
+               for head, label in (t.deps if t.id.is_empty
+                                   else [(t.head, t.deprel), *t.deps]))
 
 
 def add_dep(token: Token, head: TokenId, label: str) -> bool:

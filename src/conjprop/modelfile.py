@@ -42,6 +42,21 @@ def expect(path, ok: bool, message: str) -> None:
         raise ModelFileError(f"{path}: {message}")
 
 
+def check_arrays(path, arrays: dict, shapes: dict,
+                 dtypes: tuple[str, ...] = ("float32", "float64")) -> None:
+    """Raises ModelFileError unless each array named in shapes has its
+    shape, and all of them share one dtype, one of dtypes."""
+    common = arrays[next(iter(shapes))].dtype
+    wanted = (f", expected {dtypes[0]}" if len(dtypes) == 1
+              else "; the arrays must be all " + " or all ".join(dtypes))
+    for name, shape in shapes.items():
+        arr = arrays[name]
+        expect(path, arr.shape == shape,
+               f"array {name!r} has shape {arr.shape}, expected {shape}")
+        expect(path, arr.dtype == common and common.name in dtypes,
+               f"array {name!r} has dtype {arr.dtype}{wanted}")
+
+
 def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     manifest = []
     blobs = []

@@ -1,14 +1,14 @@
 """Binary propagation classifier: training, application, persistence.
 
 Two model kinds share one feature pipeline: a degree-2 polynomial kernel
-SVM and a two-hidden-layer perceptron (widths 1500 and 500 by default)
-trained with AdamW at batch size 1 and macro-F1 early stopping on a 10%
-holdout.  Positive decisions materialize enhanced edges at the conjunct.
+SVM (float64) and a two-hidden-layer perceptron (float32, widths 1500 and
+500 by default, AdamW at batch size 1, macro-F1 early stopping on a 10%
+holdout).  Positive decisions materialize enhanced edges at the conjunct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .instances import (
     default_feature_config, build_vocabulary, extract_instances, featurize,
     vectorize,
 )
-from .modelfile import expect, load_model, require, save_model
+from .modelfile import check_arrays, expect, load_model, require, save_model
 from .svm import SVMModel, TrainingError, train_svm
 
 
@@ -60,9 +60,10 @@ class PropModel:
     instance_config: InstanceConfig = InstanceConfig()
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """Kernels decide in float64, MLPs in the dtype of their weights."""
         if self.kind == "kernel":
             return self.svm.decision_function(x)
+        x = np.atleast_2d(np.asarray(x, dtype=self.mlp["w1"].dtype))
         logits = _mlp_forward(self.mlp, x)
         return logits[:, 1] - logits[:, 0]
 
@@ -73,13 +74,7 @@ class PropModel:
         meta = {
             "vocab": self.vocab,
             "dense_dim": self.dense_dim,
-            "features": {
-                "token_features": self.feature_config.token_features,
-                "tree_features": self.feature_config.tree_features,
-                "morphology": self.feature_config.morphology,
-                "dense_tokens": self.feature_config.dense_tokens,
-                "count_scalar": self.feature_config.count_scalar,
-            },
+            "features": asdict(self.feature_config),
             "outgoing_exclusions":
                 sorted(self.instance_config.outgoing_exclusions),
         }
@@ -119,29 +114,20 @@ class PropModel:
                and all(isinstance(label, str) for label in exclusions),
                "meta outgoing_exclusions must be a list of strings")
         width = len(vocab) + len(DENSE_ROLES) * dense_dim
-        if kind == "kernel":
-            n_sv = arrays["dual_coef"].size
-            shapes = {"support_vectors": (n_sv, width), "dual_coef": (n_sv,),
-                      "bias": (1,)}
-        else:
-            h1, h2 = arrays["b1"].size, arrays["b2"].size
-            shapes = {"w1": (width, h1), "b1": (h1,), "w2": (h1, h2),
-                      "b2": (h2,), "w3": (h2, 2), "b3": (2,)}
-        for name, shape in shapes.items():
-            expect(path, arrays[name].shape == shape,
-                   f"array {name!r} has shape {arrays[name].shape}, "
-                   f"expected {shape}")
-            expect(path, arrays[name].dtype == np.float64,
-                   f"array {name!r} has dtype {arrays[name].dtype}, "
-                   "expected float64")
         model = cls(kind=kind, vocab=vocab, dense_dim=dense_dim,
                     feature_config=FeatureConfig(**features),
                     instance_config=InstanceConfig(frozenset(exclusions)))
         if kind == "kernel":
+            n_sv = arrays["dual_coef"].size
+            check_arrays(path, arrays, {
+                "support_vectors": (n_sv, width), "dual_coef": (n_sv,),
+                "bias": (1,)}, dtypes=("float64",))
             model.svm = SVMModel(support_vectors=arrays["support_vectors"],
                                  dual_coef=arrays["dual_coef"],
                                  bias=float(arrays["bias"][0]))
         else:
+            check_arrays(path, arrays, _mlp_shapes(
+                width, (arrays["b1"].size, arrays["b2"].size)))
             model.mlp = arrays
         return model
 
@@ -163,15 +149,18 @@ def _macro_f1(pred: np.ndarray, gold: np.ndarray) -> float:
     return total / 2.0
 
 
-def _init_mlp(in_dim: int, hidden: tuple[int, int],
-              rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _mlp_shapes(in_dim: int, hidden: tuple[int, int]) -> dict[str, tuple]:
     h1, h2 = hidden
-    def layer(fan_in, fan_out):
-        scale = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, scale, size=(fan_in, fan_out))
-    return {"w1": layer(in_dim, h1), "b1": np.zeros(h1),
-            "w2": layer(h1, h2), "b2": np.zeros(h2),
-            "w3": layer(h2, 2), "b3": np.zeros(2)}
+    return {"w1": (in_dim, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
+            "w3": (h2, 2), "b3": (2,)}
+
+
+def _init_mlp(in_dim: int, hidden: tuple[int, int], rng: np.random.Generator,
+              dtype) -> dict[str, np.ndarray]:
+    """He-initialized weights, drawn in the order w1, w2, w3; zero biases."""
+    return {name: ad.draw_normal(rng, np.sqrt(2.0 / shape[0]), shape, dtype)
+            if name[0] == "w" else np.zeros(shape, dtype)
+            for name, shape in _mlp_shapes(in_dim, hidden).items()}
 
 
 def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
@@ -182,13 +171,12 @@ def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
     h = ad.relu(ad.matmul(h, params["w2"]) + params["b2"])
     logits = ad.matmul(h, params["w3"]) + params["b3"]
     log_probs = ad.log_softmax(logits, axis=-1)
-    onehot = np.zeros((1, 2))
-    onehot[0, target] = 1.0
-    return ad.mul(ad.tsum(ad.mul(log_probs, onehot)), -weight)
+    return ad.mul(ad.getitem(log_probs, (0, target)), -weight)
 
 
 def _train_mlp(x: np.ndarray, y: np.ndarray,
                opts: PropTrainOptions) -> dict[str, np.ndarray]:
+    x = x.astype(np.float32)  # parameters and optimizer state follow x
     rng = np.random.default_rng(opts.seed)
     n = x.shape[0]
     order = rng.permutation(n)
@@ -198,14 +186,12 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
 
     params = {name: ad.Tensor(arr, requires_grad=True)
               for name, arr in _init_mlp(x.shape[1], opts.hidden_sizes,
-                                         rng).items()}
+                                         rng, x.dtype).items()}
     optimizer = ad.AdamW([params[k] for k in sorted(params)], lr=opts.lr,
                          betas=(0.9, 0.999), weight_decay=0.0)
-    weights = {True: 1.0, False: 1.0}
-    if opts.class_weights:
-        pos = max(int(y.sum()), 1)
-        neg = max(int((~y).sum()), 1)
-        weights = {True: n / (2.0 * pos), False: n / (2.0 * neg)}
+    pos = int(y.sum())  # train_prop has seen both classes
+    weights = ({True: n / (2.0 * pos), False: n / (2.0 * (n - pos))}
+               if opts.class_weights else {True: 1.0, False: 1.0})
 
     stopper = ad.EarlyStopping(list(params.values()), opts.patience)
     for epoch in range(1, opts.epochs + 1):

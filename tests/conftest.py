@@ -52,6 +52,33 @@ def fig3c():
     return load_fig("fig3c.conllu")
 
 
+@pytest.fixture
+def training_dtypes(monkeypatch):
+    """(dtypes, snapshots): while the test runs, the dtype names of every
+    array AdamW updates with (parameter, gradients, moments, scratch) and
+    every early-stopping snapshot."""
+    from conjprop import autodiff as ad
+    dtypes, snapshots = set(), []
+
+    class Optimizer(ad.AdamW):
+        def update(self, p, grad, key=...):
+            m, v = self._moments[id(p)]
+            dtypes.update(a.dtype.name for a in (p.data, p.grad, grad, m, v,
+                                                 self._scratch)
+                          if a is not None)
+            super().update(p, grad, key)
+
+    class Stopper(ad.EarlyStopping):
+        def update(self, score, final=False):
+            stop = super().update(score, final)
+            snapshots.extend(self.best or [])
+            return stop
+
+    monkeypatch.setattr(ad, "AdamW", Optimizer)
+    monkeypatch.setattr(ad, "EarlyStopping", Stopper)
+    return dtypes, snapshots
+
+
 def make_sentence(rows, sent_id="s1"):
     """Compact sentence builder.
 

@@ -456,3 +456,15 @@ def test_tensor_keeps_float_dtypes_and_turns_the_rest_into_float64():
 def test_adamw_matches_the_straight_line_formula_in_float32():
     for weight_decay in (0.3, 0.0):
         _adamw_matches_the_straight_line_formula(weight_decay, np.float32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 50_001), (70_000,), (4, 0), ()])
+def test_draw_normal_equals_a_cast_of_one_whole_draw(dtype, shape):
+    chunked, whole = np.random.default_rng(4), np.random.default_rng(4)
+    got = ad.draw_normal(chunked, 0.5, shape, dtype)
+    want = whole.normal(0.0, 0.5, shape).astype(dtype)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    # both streams stand at the same place afterwards
+    assert chunked.normal() == whole.normal()

@@ -580,26 +580,8 @@ def test_train_parser_model_bytes_ignore_blas_threads(tmp_path):
 
 
 def test_train_parser_keeps_every_training_array_in_float32(
-        run, tmp_path, monkeypatch):
-    from conjprop import autodiff as ad
-    dtypes, snapshots = set(), []
-
-    class Optimizer(ad.AdamW):
-        def update(self, p, grad, key=...):
-            m, v = self._moments[id(p)]
-            dtypes.update(a.dtype.name for a in (p.data, p.grad, grad, m, v,
-                                                 self._scratch)
-                          if a is not None)
-            super().update(p, grad, key)
-
-    class Stopper(ad.EarlyStopping):
-        def update(self, score, final=False):
-            stop = super().update(score, final)
-            snapshots.extend(self.best or [])
-            return stop
-
-    monkeypatch.setattr(ad, "AdamW", Optimizer)
-    monkeypatch.setattr(ad, "EarlyStopping", Stopper)
+        run, tmp_path, training_dtypes):
+    dtypes, snapshots = training_dtypes
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
     model = tmp_path / "edge.model"
@@ -975,9 +957,13 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
      "or all float64"),
     ("prop-model", _arrays_model("kernel", dtypes={"dual_coef": "float32"}),
      ": array 'dual_coef' has dtype float32, expected float64"),
+    ("prop-model", _arrays_model("mlp", dtypes={"w2": "float32"}),
+     ": array 'w2' has dtype float32; the arrays must be all float32 or all "
+     "float64"),
     ("prop-model", _arrays_model("mlp", dtypes=dict.fromkeys(
-        _GOOD_MODELS["mlp"][1], "float32")),
-     ": array 'w1' has dtype float32, expected float64"),
+        _GOOD_MODELS["mlp"][1], "int64")),
+     ": array 'w1' has dtype int64; the arrays must be all float32 or all "
+     "float64"),
     # bad sidecars
     ("sidecar", b"sh0\t1\t0.1 0.2\nsh0\t2\t0.3 x\n", ":2: could not convert"),
     ("parser-sidecar", b"layers=x dim=2\nsh0\t1\t0.1 0.2\n",
@@ -1005,11 +991,11 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
      ":3, DEPS: token 2 has dangling deps head 7"),
 ], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
-        "kernel-float32", "mlp-float32", "sidecar-value", "sidecar-layers",
-        "sidecar-no-dim", "sidecar-negative", "sidecar-repeat",
-        "hash-repeated-id", "sidecar-repeated-id", "predict-repeated-id",
-        "dev-repeated-id", "out-of-order", "non-contiguous", "dangling-head",
-        "dangling-deps"])
+        "kernel-float32", "mlp-mixed-dtypes", "mlp-int64", "sidecar-value",
+        "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
+        "sidecar-repeat", "hash-repeated-id", "sidecar-repeated-id",
+        "predict-repeated-id", "dev-repeated-id", "out-of-order",
+        "non-contiguous", "dangling-head", "dangling-deps"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                                            where):
     bad = tmp_path / "bad"
@@ -1052,10 +1038,14 @@ def _model_argv(kind: str, path) -> list[str]:
     return argv + (["--hash-dim", "1"] if kind == "mlp" else [])
 
 
-@pytest.mark.parametrize("kind", sorted(_GOOD_MODELS))
-def test_well_formed_model_files_load_and_run(run, tmp_path, kind):
+@pytest.mark.parametrize("kind, dtype", [
+    ("edge-parser", "float64"), ("kernel", "float64"), ("mlp", "float64"),
+    ("edge-parser", "float32"), ("mlp", "float32"),
+], ids=["edge-parser", "kernel", "mlp", "edge-parser-float32", "mlp-float32"])
+def test_well_formed_model_files_load_and_run(run, tmp_path, kind, dtype):
     good = tmp_path / "good"
-    good.write_bytes(_arrays_model(kind))
+    good.write_bytes(_arrays_model(
+        kind, dtypes=dict.fromkeys(_GOOD_MODELS[kind][1], dtype)))
     rc, out, err = run(_model_argv(kind, good))
     assert rc == 0, err
     assert parse_corpus(out)

@@ -5,7 +5,7 @@ import random
 from conjprop.conllu import ROOT, TokenId
 from conjprop.graph import (
     Edge, basic_edges, candidates, coarse, conj_pairs, conjunct_ids,
-    enhanced_edges, propagated_links,
+    enhanced_edges, has_subject, propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -202,3 +202,16 @@ def test_layer_views_match_oracle_on_random_sentences():
                 want_enh.add((h, t.id, lab))
         assert {(e.head, e.dep, e.label) for e in basic_edges(sent)} == want_basic
         assert {(e.head, e.dep, e.label) for e in enhanced_edges(sent)} == want_enh
+
+
+def test_has_subject_matches_the_edge_set_formulation():
+    rng = random.Random(31)
+    for i in range(300):
+        sent = random_sentence(rng, f"s{i}")
+        if i % 2:
+            sent = perturb_enhanced(rng, sent)
+        edges = basic_edges(sent) | enhanced_edges(sent)
+        for dep in [ROOT] + [t.id for t in sent.tokens]:
+            want = any(e.head == dep and coarse(e.label) in ("nsubj", "csubj")
+                       for e in edges)
+            assert has_subject(sent, dep) == want, f"sentence s{i}, {dep}"

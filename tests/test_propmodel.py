@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_sentence
+from conftest import make_sentence, random_sentence
 from conjprop import autodiff as ad
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider
@@ -9,12 +12,13 @@ from conjprop.graph import Edge, coarse, enhanced_edges
 from conjprop.instances import (
     DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
 )
+from conjprop.modelfile import load_model
 from conjprop.propmodel import (
-    ApplyConfig, ApplyError, PropModel, PropTrainOptions, apply_model,
-    corpus_instances, mlp_loss, train_prop,
+    ApplyConfig, ApplyError, PropModel, PropTrainOptions, _mlp_forward,
+    apply_model, corpus_instances, mlp_loss, train_prop,
 )
 from conjprop.svm import SVMModel, TrainingError
-from conjprop.conllu import ROOT, TokenId
+from conjprop.conllu import ROOT, TokenId, parse_corpus, write_corpus
 
 T = TokenId
 
@@ -202,6 +206,67 @@ def test_mlp_save_load_is_bit_identical(tmp_path):
     probe = rng.normal(size=(10, len(model.vocab)))
     assert model.decision_function(probe).tobytes() == \
         again.decision_function(probe).tobytes()
+
+
+def test_mlp_trains_and_is_stored_in_float32(tmp_path, training_dtypes):
+    dtypes, snapshots = training_dtypes
+    options = PropTrainOptions(hidden_sizes=(8, 4), epochs=3, holdout=0.3)
+    model = train_prop(training_corpus(), "mlp", options)
+    assert dtypes == {"float32"}
+    assert snapshots and {a.dtype.name for a in snapshots} == {"float32"}
+    path = tmp_path / "mlp.model"
+    model.save(path)
+    _, _, arrays = load_model(path)
+    assert {a.dtype.name for a in arrays.values()} == {"float32"}
+    probe = np.random.default_rng(1).normal(size=(3, len(model.vocab)))
+    assert PropModel.load(path).decision_function(probe).dtype == np.float32
+
+
+def test_a_float64_mlp_file_decides_in_float64(tmp_path):
+    corpus = training_corpus()
+    options = PropTrainOptions(hidden_sizes=(16, 8), lr=1e-2, epochs=60,
+                               holdout=0.0, seed=3)
+    model = train_prop(corpus, "mlp", options)
+    model.mlp = {k: v.astype(np.float64) for k, v in model.mlp.items()}
+    path = tmp_path / "mlp64.model"
+    model.save(path)
+    again = PropModel.load(path)
+    assert {a.dtype.name for a in again.mlp.values()} == {"float64"}
+    rng = np.random.default_rng(2)
+    probe = rng.normal(size=(10, len(model.vocab)))
+    logits = _mlp_forward(model.mlp, probe)
+    decision = again.decision_function(probe)
+    assert decision.dtype == np.float64
+    assert decision.tobytes() == (logits[:, 1] - logits[:, 0]).tobytes()
+    sent = shared_subject_sentence(9)
+    assert added_edges(sent, apply_model(again, sent)) == \
+        {Edge(T(5, 0), T(1, 0), "nsubj")}
+
+
+@pytest.fixture(scope="module")
+def trained_models():
+    corpus = training_corpus()
+    mlp = train_prop(corpus, "mlp", PropTrainOptions(
+        hidden_sizes=(16, 8), lr=1e-2, epochs=20, holdout=0.0, seed=3))
+    assert mlp.mlp["w1"].dtype == np.float32
+    return {"kernel": train_prop(corpus, "kernel"), "mlp": mlp,
+            "always": constant_model(True)}
+
+
+@pytest.mark.parametrize("name", ["kernel", "mlp", "always"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fix=st.booleans(),
+       fixpoint=st.booleans())
+def test_applied_graphs_reparse_without_dangling_heads_or_self_loops(
+        trained_models, name, seed, fix, fixpoint):
+    sent = random_sentence(random.Random(seed), f"a{seed}")
+    out = apply_model(trained_models[name], sent,
+                      config=ApplyConfig(fix, fixpoint))
+    again, = parse_corpus(write_corpus([out]))
+    ids = {t.id for t in again.tokens} | {ROOT}
+    for t in again.tokens:
+        for head, _ in t.deps:
+            assert head in ids and head != t.id
 
 
 def test_mlp_gradients_match_finite_differences():
