@@ -4,7 +4,9 @@ The representation keeps everything needed to reproduce a validator-clean
 file byte for byte: multiword range lines are kept verbatim and re-emitted
 in place, FEATS serialize in the canonical case-insensitive key order, and
 DEPS serialize sorted by head id. Columns that the toolkit never interprets
-(FORM, LEMMA, UPOS, XPOS, MISC) are stored as raw strings.
+(FORM, LEMMA, UPOS, XPOS, MISC) are stored as raw strings.  The writer
+spells ids from the parser's interned table (str() for ids built in code)
+and reuses the text of each FEATS and DEPS list, memoized by its items.
 """
 
 from __future__ import annotations
@@ -55,7 +57,21 @@ ROOT = TokenId(0, 0)
 
 # One shared TokenId per canonical spelling (str(tid)) for the ID, HEAD and
 # DEPS fields; other spellings ("01", "+1") are parsed anew, never stored.
+# _ID_TEXT is the reverse.  The FEATS and DEPS memos key a list by its items
+# in the order given, which fixes the order of FEATS keys equal but for case,
+# and are emptied at _TEXT_MAX entries, so ever-new lists stay bounded.
 _TOKEN_IDS: dict[str, TokenId] = {}
+_ID_TEXT: dict[TokenId, str] = {}
+_FEATS_TEXT: dict[tuple[tuple[str, str], ...], str] = {}
+_DEPS_TEXT: dict[tuple[tuple[TokenId, str], ...], str] = {}
+_TEXT_MAX = 1 << 14
+
+
+def _remember(memo: dict, key: tuple, text: str) -> str:
+    if len(memo) >= _TEXT_MAX:
+        memo.clear()
+    memo[key] = text
+    return text
 
 
 def parse_token_id(text: str, line: int = 0, fieldname: str = "ID") -> TokenId:
@@ -71,6 +87,7 @@ def parse_token_id(text: str, line: int = 0, fieldname: str = "ID") -> TokenId:
                              fieldname) from None
         if str(tid) == text:
             _TOKEN_IDS[text] = tid
+            _ID_TEXT[tid] = text
     return tid
 
 
@@ -90,14 +107,16 @@ class Token:
     def feats_str(self) -> str:
         if not self.feats:
             return "_"
-        items = sorted(self.feats.items(), key=lambda kv: kv[0].lower())
-        return "|".join(f"{k}={v}" for k, v in items)
+        items = tuple(self.feats.items())
+        return _FEATS_TEXT.get(items) or _remember(_FEATS_TEXT, items, "|".join(
+            f"{k}={v}" for k, v in sorted(items, key=lambda kv: kv[0].lower())))
 
     def deps_str(self) -> str:
         if not self.deps:
             return "_"
-        ordered = sorted(self.deps, key=lambda hl: (hl[0], hl[1]))
-        return "|".join(f"{h}:{label}" for h, label in ordered)
+        items = tuple(self.deps)
+        return _DEPS_TEXT.get(items) or _remember(_DEPS_TEXT, items, "|".join(
+            [(_ID_TEXT.get(h) or str(h)) + ":" + label for h, label in sorted(items)]))
 
 
 @dataclass
@@ -286,11 +305,11 @@ def _parse_lines(text: str, first_line: int) -> list[Sentence]:
 
 
 def token_line(t: Token) -> str:
-    head = "_" if t.head is None else str(t.head)
+    text = _ID_TEXT.get
     return "\t".join((
-        str(t.id), t.form, t.lemma, t.upos, t.xpos, t.feats_str(),
-        head, t.deprel if t.deprel is not None else "_",
-        t.deps_str(), t.misc,
+        text(t.id) or str(t.id), t.form, t.lemma, t.upos, t.xpos, t.feats_str(),
+        "_" if t.head is None else text(t.head) or str(t.head),
+        t.deprel if t.deprel is not None else "_", t.deps_str(), t.misc,
     ))
 
 

@@ -20,7 +20,8 @@ def coarse(label: str) -> str:
 
 
 def is_conj_label(label: str) -> bool:
-    return coarse(label) == "conj"
+    """coarse(label) == "conj", without the split."""
+    return label == "conj" or label.startswith("conj:")
 
 
 def basic_edges(sent: Sentence) -> set[Edge]:

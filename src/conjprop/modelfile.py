@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -82,7 +83,10 @@ def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> No
 def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Returns (kind, meta, arrays)."""
     with open(path, "rb") as fh:
+        # bytes left; a pipe reports size 0 and is read until it ends
+        left = os.fstat(fh.fileno()).st_size or math.inf
         line = fh.readline()
+        left -= len(line)
         try:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -113,12 +117,13 @@ def load_model(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 raise ModelFileError(
                     f"{path}: array {entry['name']!r} has shape {shape} and "
                     f"nbytes {nbytes!r}, which do not agree")
-            raw = fh.read(entry["nbytes"])
-            if len(raw) != entry["nbytes"]:
+            # read in place, and a size past the end is never allocated
+            arr = np.empty(shape, dtype) if nbytes <= left else None
+            if arr is None or fh.readinto(arr) != nbytes:
                 raise ModelFileError(
                     f"{path}: truncated array {entry['name']!r}")
-            arr = np.frombuffer(raw, dtype=dtype)
-            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            left -= nbytes
+            arrays[entry["name"]] = arr
         if fh.read(1):
             raise ModelFileError(f"{path}: trailing bytes after arrays")
     return header["kind"], header["meta"], arrays

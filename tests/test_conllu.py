@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from conjprop import conllu
 from conjprop.conllu import (
-    ROOT, ParseError, Token, TokenId, iter_corpus, parse_corpus,
-    parse_token_id, read_file, write_corpus, write_sentence,
+    ROOT, ParseError, Sentence, Token, TokenId, iter_corpus, parse_corpus,
+    parse_token_id, read_file, token_line, write_corpus, write_sentence,
 )
 from conftest import data_path, perturb_enhanced, random_sentence
 
@@ -273,8 +273,10 @@ def test_interned_ids_parse_as_before(text):
 def test_only_canonical_spellings_are_interned():
     for text in SPELLINGS + ["10", "10.2", "0"]:
         _outcome(parse_token_id, text)
-    for text in conllu._TOKEN_IDS:
-        assert str(conllu._TOKEN_IDS[text]) == text
+    for text, tid in conllu._TOKEN_IDS.items():
+        assert str(tid) == text
+        assert conllu._ID_TEXT[tid] == text
+    assert len(conllu._ID_TEXT) == len(conllu._TOKEN_IDS)
     for text in ("01", "+1", " 1", "1 ", "1_0", "1.01", "", "x", "1.0"):
         assert text not in conllu._TOKEN_IDS
     assert parse_token_id("10.2") is parse_token_id("10.2")
@@ -289,3 +291,98 @@ def test_write_parse_round_trip_is_byte_identical(seed):
              for k in range(3)]
     text = write_corpus(sents)
     assert write_corpus(parse_corpus(text)) == text
+
+
+# Ids built by the writer test's sentences in code and never parsed, so the
+# writer must spell them itself; no other test parses ids this large.
+CODED = 10**6
+
+
+def _reference_token_line(t: Token) -> str:
+    """token_line by the formulas it had before id and FEATS text were
+    reused: the oracle."""
+    feats = sorted(t.feats.items(), key=lambda kv: kv[0].lower())
+    deps = sorted(t.deps, key=lambda hl: (hl[0], hl[1]))
+    return "\t".join((
+        str(t.id), t.form, t.lemma, t.upos, t.xpos,
+        "|".join(f"{k}={v}" for k, v in feats) or "_",
+        "_" if t.head is None else str(t.head),
+        t.deprel if t.deprel is not None else "_",
+        "|".join(f"{h}:{label}" for h, label in deps) or "_", t.misc))
+
+
+def _reference_sentence(sent: Sentence) -> str:
+    lines = list(sent.comments)
+    for i, tok in enumerate(sent.tokens):
+        lines.extend(sent.ranges.get(i, ()))
+        lines.append(_reference_token_line(tok))
+    lines.extend(sent.ranges.get(len(sent.tokens), ()))
+    return "\n".join(lines) + "\n"
+
+
+FEATS_ITEMS = st.lists(
+    st.tuples(st.sampled_from(["Abbr", "abbr", "ABBR", "Mood", "mood",
+                               "Number", "VerbForm", "Case"]),
+              st.sampled_from(["Yes", "Ind", "Sing", "Fin", "Nom"])),
+    unique_by=lambda kv: kv[0], max_size=4)
+
+
+@st.composite
+def writer_sentences(draw):
+    """Sentences with every shape the writer handles.  Each FEATS bundle is
+    given to two tokens in opposite insertion orders; ids are parsed or
+    built in code; DEPS heads include empty nodes and come unsorted."""
+    ids = []
+    for major in range(1, draw(st.integers(1, 6)) + 1):
+        for minor in range(draw(st.integers(0, 2)) + 1):
+            if draw(st.booleans()):
+                ids.append(TokenId(CODED + major, minor))
+            else:
+                ids.append(parse_token_id(f"{major}.{minor}" if minor
+                                          else str(major)))
+    regular = [tid for tid in ids if not tid.is_empty]
+    labels = st.sampled_from(["nsubj", "obj", "conj", "conj:and", "obl:in",
+                              "ref", "root"])
+    bundles = [draw(FEATS_ITEMS) for _ in range(len(ids) // 2 + 1)]
+    tokens = []
+    for k, tid in enumerate(ids):
+        items = bundles[k // 2]
+        head = None if tid.is_empty else draw(st.sampled_from(regular + [ROOT]))
+        tokens.append(Token(
+            tid, f"w{k}", f"l{k}", "X", "_",
+            dict(items if k % 2 == 0 else items[::-1]), head,
+            None if head is None else draw(labels),
+            draw(st.lists(st.tuples(st.sampled_from(ids + [ROOT]), labels),
+                          max_size=4)),
+            "_"))
+    positions = draw(st.sets(st.integers(0, len(tokens)), max_size=3))
+    ranges = {i: [f"{i + 1}-{i + 2}\tmwt{i}\t_\t_\t_\t_\t_\t_\t_\t_"]
+              for i in positions}
+    return Sentence(["# sent_id = w"], tokens, ranges)
+
+
+@given(st.lists(writer_sentences(), min_size=1, max_size=3))
+def test_writer_matches_the_reference_formulas(sents):
+    for sent in sents:
+        for tok in sent.tokens:
+            if tok.id.major > CODED:
+                assert tok.id not in conllu._ID_TEXT
+        assert write_sentence(sent) == _reference_sentence(sent)
+    assert write_corpus(sents) == "".join(
+        _reference_sentence(s) + "\n" for s in sents)
+
+
+def test_text_memos_are_emptied_at_their_bound(monkeypatch):
+    monkeypatch.setattr(conllu, "_FEATS_TEXT", {})
+    monkeypatch.setattr(conllu, "_DEPS_TEXT", {})
+    monkeypatch.setattr(conllu, "_TEXT_MAX", 2)
+    for n in range(5):
+        tok = Token(TokenId(1, 0), "w", "w", "X", "_",
+                    {"Num": str(n), "abbr": "Yes"}, ROOT, "root",
+                    [(TokenId(n + 2), "x"), (ROOT, "root")], "_")
+        for _ in range(2):
+            assert token_line(tok) == _reference_token_line(tok)
+        assert tok.feats_str() == f"abbr=Yes|Num={n}"
+        assert tok.deps_str() == f"0:root|{n + 2}:x"
+        assert len(conllu._FEATS_TEXT) <= 2
+        assert len(conllu._DEPS_TEXT) <= 2

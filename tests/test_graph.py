@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
 from conjprop.conllu import ROOT, TokenId
 from conjprop.graph import (
     Edge, basic_edges, candidates, coarse, conj_pairs, conjunct_ids,
-    enhanced_edges, has_subject, propagated_links,
+    enhanced_edges, has_subject, is_conj_label, propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -178,6 +181,18 @@ def test_coarse():
     assert coarse("nsubj:pass") == "nsubj"
     assert coarse("obl:tmod") == "obl"
     assert coarse("obj") == "obj"
+
+
+@pytest.mark.parametrize("label", ["conj", "conj:and", "conj:and:or",
+                                   "conjx", "conj:", ":conj", "", "Conj",
+                                   "con", "nsubj"])
+def test_is_conj_label_is_the_coarse_test(label):
+    assert is_conj_label(label) == (coarse(label) == "conj")
+
+
+@given(st.text(alphabet="conj:x", max_size=8))
+def test_is_conj_label_agrees_with_coarse_on_any_label(label):
+    assert is_conj_label(label) == (coarse(label) == "conj")
 
 
 def test_propagated_links_match_oracle_on_random_sentences():

@@ -1,8 +1,12 @@
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conjprop.edgepred import NO_EDGE, EdgeParser, new_parser
 from conjprop.modelfile import ModelFileError, load_model, save_model
 
 
@@ -11,7 +15,8 @@ def test_round_trip_preserves_everything(tmp_path):
     rng = np.random.default_rng(0)
     arrays = {"weights": rng.normal(size=(3, 4)),
               "bias": rng.normal(size=(4,)),
-              "counts": np.arange(6, dtype=np.int64).reshape(2, 3)}
+              "counts": np.arange(6, dtype=np.int64).reshape(2, 3),
+              "empty": np.zeros((0, 3), np.float32)}
     meta = {"vocab": {"a": 0, "b": 1}, "dim": 4}
     save_model(path, "demo", meta, arrays)
     kind, meta2, arrays2 = load_model(path)
@@ -19,6 +24,7 @@ def test_round_trip_preserves_everything(tmp_path):
     assert meta2 == meta
     for name, arr in arrays.items():
         assert arrays2[name].dtype == arr.dtype
+        assert arrays2[name].shape == arr.shape
         assert arrays2[name].tobytes() == arr.tobytes()
 
 
@@ -51,6 +57,64 @@ def test_truncated_file_is_reported(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ModelFileError, match="truncated"):
         load_model(path)
+
+
+def test_a_size_past_the_end_of_the_file_is_truncation(tmp_path):
+    # reported before anything of that size is allocated
+    path = tmp_path / "m.bin"
+    header = {"format": "conjprop-model", "version": 1, "kind": "demo",
+              "meta": {}, "arrays": [{"name": "x", "dtype": "float64",
+                                      "shape": [10**13], "nbytes": 8 * 10**13}]}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+    with pytest.raises(ModelFileError, match="truncated array 'x'"):
+        load_model(path)
+
+
+def _load_through_fifo(fifo, data: bytes):
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_model(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_model_loads_through_a_pipe(tmp_path):
+    # a pipe reports size 0, so the loader reads it until it ends
+    path = tmp_path / "m.bin"
+    arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "b": np.ones(5)}
+    save_model(path, "demo", {"k": 1}, arrays)
+    kind, meta, loaded = _load_through_fifo(tmp_path / "a.fifo",
+                                            path.read_bytes())
+    assert (kind, meta) == ("demo", {"k": 1})
+    for name, arr in arrays.items():
+        assert loaded[name].tobytes() == arr.tobytes()
+    with pytest.raises(ModelFileError, match="truncated array 'w'"):
+        _load_through_fifo(tmp_path / "b.fifo", path.read_bytes()[:-8])
+
+
+def test_loading_a_parser_holds_each_array_once(tmp_path):
+    path = tmp_path / "parser.model"
+    parser = new_parser([NO_EDGE] + [f"l{i}" for i in range(11)], layers=2,
+                        dim=16, hidden=192, dtype=np.float32)
+    parser.save(path)
+    nbytes = sum(t.data.nbytes for t in parser.params.values())
+    del parser
+    tracemalloc.start()
+    try:
+        loaded = EdgeParser.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.params["bilinear"].data.dtype == np.float32
+    assert peak < 1.25 * nbytes, (peak, nbytes)
 
 
 def test_trailing_garbage_is_reported(tmp_path):
