@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .config import ConfigError, InputError, parse_value, read_config_file
 from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
@@ -51,6 +51,7 @@ class Opt:
     required: bool = False
     low: float = -math.inf   # numeric values must lie in [low, below)
     below: float = math.inf
+    fault: Callable[[str], str] | None = None  # what is wrong, or ""
 
     @property
     def dest(self) -> str:
@@ -60,6 +61,28 @@ class Opt:
 _IN = Opt("in", default="-", help="input CoNLL-U file ('-' for stdin)")
 _OUT = Opt("out", default="-", help="output file ('-' for stdout)")
 _SEED = Opt("seed", "int", 0, "random seed")
+
+
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _features_fault(text: str) -> str:
+    unknown = set(_comma_list(text)) - {"instance", "token", "tree"}
+    if unknown:
+        return f"names unknown groups: {', '.join(sorted(unknown))}"
+    return ""
+
+
+def _widths_fault(text: str) -> str:
+    try:
+        widths = [int(w) for w in _comma_list(text)]
+    except ValueError:
+        widths = []
+    if len(widths) == 2 and min(widths) >= 1:
+        return ""
+    return f"expects two comma-separated widths of at least 1, got {text!r}"
+
 
 OPTIONS: dict[str, list[Opt]] = {
     "convert": [
@@ -77,7 +100,8 @@ OPTIONS: dict[str, list[Opt]] = {
             help="classifier family"),
         Opt("features", default="instance,token,tree",
             help="comma-separated feature groups; the instance group "
-                 "(candidate label and direction) is always kept"),
+                 "(candidate label and direction) is always kept",
+            fault=_features_fault),
         Opt("embeddings", help="single-layer embedding sidecar file"),
         Opt("hash-dim", "int", 0,
             help="use built-in hash embeddings of this dimension instead "
@@ -91,7 +115,8 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("patience", "int", 5, "mlp early-stopping patience", low=1),
         Opt("holdout", "float", 0.1, "mlp early-stopping holdout fraction",
             low=0, below=1),
-        Opt("hidden", default="1500,500", help="mlp hidden layer widths"),
+        Opt("hidden", default="1500,500", help="mlp hidden layer widths",
+            fault=_widths_fault),
         _SEED,
     ],
     "apply-prop": [
@@ -219,6 +244,9 @@ def resolve_options(args: argparse.Namespace) -> dict[str, object]:
                     and not opt.low <= value < opt.below:
                 raise ConfigError(f"{where}: {opt.name} must be in "
                                   f"[{opt.low}, {opt.below}), got {value}")
+            fault = opt.fault(value) if opt.fault else ""
+            if fault:
+                raise ConfigError(f"{where}: {opt.name} {fault}")
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -283,10 +311,6 @@ def _model_path(path: str) -> str:
     if path == "-":
         raise CliError("model files are binary; a real path is required")
     return path
-
-
-def _comma_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _hashed(cfg, corpus, path: str):
@@ -367,9 +391,6 @@ def cmd_convert(cfg) -> None:
 
 def _feature_setup(kind: str, features_text: str, with_dense: bool):
     groups = set(_comma_list(features_text))
-    unknown = groups - {"instance", "token", "tree"}
-    if unknown:
-        raise CliError(f"unknown feature groups: {', '.join(sorted(unknown))}")
     from .instances import default_feature_config
     fc = default_feature_config(kind)
     fc = replace(fc, token_features="token" in groups,
@@ -384,16 +405,12 @@ def cmd_train_prop(cfg) -> None:
     corpus = _read_corpus(cfg["train"])
     provider = _provider(cfg, corpus, cfg["train"])
     fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
-    widths = [parse_value("hidden", w, "int", "command line")
-              for w in _comma_list(cfg["hidden"])]
-    if len(widths) != 2 or min(widths) < 1:
-        raise CliError("--hidden expects two comma-separated widths of at "
-                       "least 1")
     options = PropTrainOptions(
         c=cfg["c"], tol=cfg["tol"], class_weights=cfg["class-weights"],
         epochs=cfg["epochs"],
         lr=cfg["lr"], patience=cfg["patience"], holdout=cfg["holdout"],
-        hidden_sizes=(widths[0], widths[1]), seed=cfg["seed"])
+        hidden_sizes=tuple(int(w) for w in _comma_list(cfg["hidden"])),
+        seed=cfg["seed"])
     model = train_prop(corpus, cfg["kind"], options, provider, fc)
     model.save(_model_path(cfg["model"]))
     _log(f"# trained {cfg['kind']} model on {len(corpus)} sentences")

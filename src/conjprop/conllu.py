@@ -169,8 +169,6 @@ def _finish_sentence(sent: Sentence, start_line: int,
                      token_lines: list[int]) -> Sentence:
     """Checks the sentence's ids and heads; token_lines[i] is the line of
     sent.tokens[i], which errors name."""
-    if not sent.tokens:
-        raise ParseError("sentence has no token lines", start_line)
     ids = {t.id for t in sent.tokens}
     expected = 1
     prev: TokenId | None = None
@@ -184,6 +182,8 @@ def _finish_sentence(sent: Sentence, start_line: int,
                     f"token ids not contiguous: expected {expected}, got {t.id.major}",
                     line, "ID")
             expected += 1
+    if expected == 1:
+        raise ParseError("sentence has no word lines", start_line)
     for t, line in zip(sent.tokens, token_lines):
         if t.head is not None and t.head != ROOT and t.head not in ids:
             raise ParseError(f"token {t.id} has dangling head {t.head}",

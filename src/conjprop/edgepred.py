@@ -39,8 +39,6 @@ class EdgePredError(InputError):
 class ParserTrainConfig:
     batch_size: int = 5
     lr: float = 5e-6
-    betas: tuple[float, float] = (0.9, 0.999)
-    weight_decay: float = 0.0
     token_mask_prob: float = 0.15
     layer_dropout: float = 0.1
     output_dropout: float = 0.5
@@ -340,8 +338,7 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
     bilinear tensor's gradient is formed and applied one label slice at a
     time, so the whole of it never exists."""
     if optimizer is None:
-        optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
-                             weight_decay=cfg.weight_decay)
+        optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     ctx = _TrainContext(rng=rng, cfg=cfg, bilinear_inputs=[])
@@ -429,9 +426,9 @@ def _write_graph(parser: EdgeParser, sent: Sentence,
     return out
 
 
-def _edge_key_set(sent: Sentence, index: int) -> set:
+def _edge_key_set(sent: Sentence) -> set:
     regular = {t.id for t in sent.words()} | {ROOT}
-    return {(index, head, t.id, label)
+    return {(head, t.id, label)
             for t in sent.words() for head, label in t.deps
             if head in regular}
 
@@ -441,9 +438,9 @@ def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
     """F1 of the decoded enhanced edges between regular tokens."""
     tp = n_sys = n_gold = 0
     decoded = decode_corpus(parser, corpus, provider, batch_size)
-    for i, (sent, pred) in enumerate(zip(corpus, decoded)):
-        gold = _edge_key_set(sent, i)
-        pred = _edge_key_set(pred, i)
+    for sent, pred in zip(corpus, decoded):
+        gold = _edge_key_set(sent)
+        pred = _edge_key_set(pred)
         tp += len(gold & pred)
         n_sys += len(pred)
         n_gold += len(gold)
@@ -467,8 +464,7 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
         snapshot=dev is not None and cfg.epochs > 1, dtype=parser.dtype)
     log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
         f"train-bytes {footprint} dtype {parser.dtype}")
-    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr, betas=cfg.betas,
-                         weight_decay=cfg.weight_decay)
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     stopper = ad.EarlyStopping(parser.parameters(), cfg.patience)
     for epoch in range(1, cfg.epochs + 1):

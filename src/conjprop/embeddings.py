@@ -112,7 +112,8 @@ def write_sidecar(path, provider: EmbeddingProvider) -> None:
 
 def hash_provider(corpus: list[Sentence], dim: int = 16,
                   layers: int = 1, seed: int = 0) -> EmbeddingProvider:
-    """Deterministic pseudo-random vectors derived from (seed, sent_id, form).
+    """Deterministic pseudo-random vectors derived from (seed, sentence key,
+    token id, form), the sentence key as sentence_key gives it.
 
     Ships so that embedding-consuming models can run without any external
     encoder.  Values are uniform in [-1, 1) and stable across runs and

@@ -3,7 +3,9 @@
 One instance is a yes/no question: should this incident edge of a
 conjunction head be copied onto one of its conjuncts?  Instances are the
 graph.candidates of a sentence, the list the rule converter decides over,
-minus those the label filter drops; features cover the candidate
+minus those the label filter drops.  Instances hold token ids only; the
+sentence they came from is passed along beside them, so featurize encodes
+all of one sentence's instances in one pass.  Features cover the candidate
 link itself, morphology and optional dense vectors for the three involved
 tokens, and structure read off the basic tree.
 """
@@ -41,7 +43,6 @@ class InstanceConfig:
 
 @dataclass
 class PropagationInstance:
-    sentence_ref: tuple[str, int]
     conj_head: TokenId
     conj_dep: TokenId
     target: TokenId
@@ -86,7 +87,6 @@ def _check_aligned(sent: Sentence, gold: Sentence) -> None:
 
 def extract_instances(sent: Sentence, gold: Sentence | None = None,
                       config: InstanceConfig = InstanceConfig(),
-                      index: int = 0,
                       layer: str = "basic") -> list[PropagationInstance]:
     """One instance per graph.candidates entry that passes the label filter.
 
@@ -95,13 +95,11 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
     they are the root attachment (head ROOT or label root).
     With layer="working" the edges are read from the union of the basic and
     the current enhanced layer, so edges added by an earlier application
-    round can themselves be propagated.
+    round can themselves be propagated.  With gold, an instance is positive
+    if gold holds its edge at the conjunct under a matching label.
     """
     if gold is not None:
         _check_aligned(sent, gold)
-        gold_set = enhanced_edges(gold)
-    sid = sentence_key(sent, index)
-    ref = (sid, index)
     edges = basic_edges(sent)
     if layer == "working":
         edges = edges | enhanced_edges(sent)
@@ -113,18 +111,21 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
             if e.label in config.outgoing_exclusions \
                     or coarse(e.label) in config.outgoing_exclusions:
                 continue
-            out.append(PropagationInstance(ref, gov, dep, e.dep, e.label,
+            out.append(PropagationInstance(gov, dep, e.dep, e.label,
                                            OUTGOING))
         elif e.head != ROOT and e.label != "root":
-            out.append(PropagationInstance(ref, gov, dep, e.head, e.label,
+            out.append(PropagationInstance(gov, dep, e.head, e.label,
                                            INCOMING))
 
     if gold is not None:
+        gold_labels: dict[tuple[TokenId, TokenId], list[str]] = {}
+        for t in gold.tokens:
+            for head, label in t.deps:
+                gold_labels.setdefault((head, t.id), []).append(label)
         for inst in out:
             want = inst.edge_at_conjunct()
-            inst.gold = any(g.head == want.head and g.dep == want.dep
-                            and labels_match(want.label, g.label)
-                            for g in gold_set)
+            inst.gold = any(labels_match(want.label, label) for label
+                            in gold_labels.get((want.head, want.dep), ()))
     return out
 
 
@@ -169,56 +170,53 @@ def _linear_direction(target: TokenId, head: TokenId, dep: TokenId) -> str:
     return "differing-directions"
 
 
-def featurize(inst: PropagationInstance, sent: Sentence,
+def featurize(sent: Sentence, instances: list[PropagationInstance],
               provider: EmbeddingProvider | None = None,
-              config: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    fv = FeatureVector()
-    fv.named[f"label={inst.candidate_label}"] = 1.0
-    fv.named[f"direction={inst.direction}"] = 1.0
-
+              config: FeatureConfig = FeatureConfig(),
+              index: int = 0) -> list[FeatureVector]:
+    """The feature vectors of instances, all taken from sent, which sits at
+    position index of its corpus (the key of its dense vectors if it has no
+    sent_id).  Each instance's vector depends on that instance alone."""
     by_id = sent.token_by_id()
-    roles = {"head": inst.conj_head, "dep": inst.conj_dep,
-             "target": inst.target}
-
-    if config.token_features:
-        if config.morphology:
-            for role, tid in roles.items():
-                tok = by_id.get(tid)
-                if tok is None:
-                    continue
+    sid = sentence_key(sent, index)
+    children: dict[TokenId, list[str]] = {}
+    for t in sent.tokens:
+        if t.head is not None and not t.id.is_empty:
+            children.setdefault(t.head, []).append(t.deprel)
+    out = []
+    for inst in instances:
+        fv = FeatureVector({f"label={inst.candidate_label}": 1.0,
+                            f"direction={inst.direction}": 1.0})
+        roles = (("head", inst.conj_head), ("dep", inst.conj_dep),
+                 ("target", inst.target))
+        if config.token_features and config.morphology:
+            for role, tid in roles:
+                feats = by_id[tid].feats
                 for feat in MORPH_FEATURES:
-                    value = tok.feats.get(feat)
-                    if value is not None:
-                        fv.named[f"{role}:{feat}={value}"] = 1.0
-        if config.dense_tokens and provider is not None:
-            sid = inst.sentence_ref[0]
-            for role, tid in roles.items():
-                if tid == ROOT:
-                    fv.dense[role] = np.zeros(provider.dim)
-                else:
-                    fv.dense[role] = provider.lookup(sid, tid)
-
-    if config.tree_features:
-        direction = _linear_direction(inst.target, inst.conj_head,
-                                      inst.conj_dep)
-        fv.named[f"lindir={direction}"] = 1.0
-        basic = basic_edges(sent)
-        existing = any(e.head == inst.conj_dep
-                       and e.label == inst.candidate_label for e in basic)
-        if existing:
-            fv.named["existing-dep"] = 1.0
-        for e in basic:
-            if e.head == inst.conj_head:
-                fv.named[f"head-out={e.label}"] = 1.0
-            if e.head == inst.conj_dep:
-                fv.named[f"dep-out={e.label}"] = 1.0
-        items = 1 + sum(1 for e in basic
-                        if e.head == inst.conj_head and is_conj_label(e.label))
-        if config.count_scalar:
-            fv.named["coord-items"] = float(items)
-        else:
-            fv.named[f"coord-items={items}"] = 1.0
-    return fv
+                    if feat in feats:
+                        fv.named[f"{role}:{feat}={feats[feat]}"] = 1.0
+        if config.token_features and config.dense_tokens \
+                and provider is not None:
+            fv.dense = {role: provider.lookup(sid, tid) for role, tid in roles}
+        if config.tree_features:
+            direction = _linear_direction(inst.target, inst.conj_head,
+                                          inst.conj_dep)
+            fv.named[f"lindir={direction}"] = 1.0
+            head_out = children.get(inst.conj_head, [])
+            dep_out = children.get(inst.conj_dep, [])
+            if inst.candidate_label in dep_out:
+                fv.named["existing-dep"] = 1.0
+            for label in head_out:
+                fv.named[f"head-out={label}"] = 1.0
+            for label in dep_out:
+                fv.named[f"dep-out={label}"] = 1.0
+            items = 1 + sum(map(is_conj_label, head_out))
+            if config.count_scalar:
+                fv.named["coord-items"] = float(items)
+            else:
+                fv.named[f"coord-items={items}"] = 1.0
+        out.append(fv)
+    return out
 
 
 def build_vocabulary(vectors: list[FeatureVector]) -> dict[str, int]:
@@ -226,27 +224,27 @@ def build_vocabulary(vectors: list[FeatureVector]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
 
-def vectorize(fv: FeatureVector, vocab: dict[str, int],
+def vectorize(vectors: list[FeatureVector], vocab: dict[str, int],
               dense_dim: int) -> np.ndarray:
-    """Fixed-width encoding: vocabulary slots, then head/dep/target vectors.
+    """Fixed-width encoding, one row per vector: vocabulary slots, then
+    head/dep/target vectors.
 
     Feature names absent from the vocabulary are dropped; a dense role
-    missing from the vector stays zero.
+    missing from a vector stays zero.
     """
-    out = np.zeros(len(vocab) + len(DENSE_ROLES) * dense_dim)
-    for name, value in fv.named.items():
-        idx = vocab.get(name)
-        if idx is not None:
-            out[idx] = value
-    offset = len(vocab)
-    for role in DENSE_ROLES:
-        vec = fv.dense.get(role)
-        if vec is not None:
-            if dense_dim and vec.shape[-1] != dense_dim:
-                raise ValueError(
-                    f"dense vector for {role!r} has dimension "
-                    f"{vec.shape[-1]}, model expects {dense_dim}")
-            if dense_dim:
-                out[offset:offset + dense_dim] = vec
-        offset += dense_dim
+    out = np.zeros((len(vectors), len(vocab) + len(DENSE_ROLES) * dense_dim))
+    for row, fv in zip(out, vectors):
+        for name, value in fv.named.items():
+            idx = vocab.get(name)
+            if idx is not None:
+                row[idx] = value
+        for k, role in enumerate(DENSE_ROLES):
+            vec = fv.dense.get(role)
+            if vec is None or not dense_dim:
+                continue
+            if vec.shape[-1] != dense_dim:
+                raise ValueError(f"dense vector for {role!r} has dimension "
+                                 f"{vec.shape[-1]}, model expects {dense_dim}")
+            start = len(vocab) + k * dense_dim
+            row[start:start + dense_dim] = vec
     return out

@@ -18,9 +18,8 @@ from .conllu import Sentence
 from .converter import SUBJECT_LABELS, seeded_copy, subject_label
 from .graph import add_dep, coarse
 from .instances import (
-    DENSE_ROLES, FeatureConfig, InstanceConfig, PropagationInstance,
-    default_feature_config, build_vocabulary, extract_instances, featurize,
-    vectorize,
+    DENSE_ROLES, FeatureConfig, InstanceConfig, default_feature_config,
+    build_vocabulary, extract_instances, featurize, vectorize,
 )
 from .modelfile import check_arrays, expect, load_model, require, save_model
 from .svm import SVMModel, TrainingError, train_svm
@@ -187,8 +186,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
     params = {name: ad.Tensor(arr, requires_grad=True)
               for name, arr in _init_mlp(x.shape[1], opts.hidden_sizes,
                                          rng, x.dtype).items()}
-    optimizer = ad.AdamW([params[k] for k in sorted(params)], lr=opts.lr,
-                         betas=(0.9, 0.999), weight_decay=0.0)
+    optimizer = ad.AdamW([params[k] for k in sorted(params)], lr=opts.lr)
     pos = int(y.sum())  # train_prop has seen both classes
     weights = ({True: n / (2.0 * pos), False: n / (2.0 * (n - pos))}
                if opts.class_weights else {True: 1.0, False: 1.0})
@@ -214,18 +212,6 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
     return {k: t.data for k, t in params.items()}
 
 
-def corpus_instances(corpus: list[Sentence], with_gold: bool = True,
-                     config: InstanceConfig = InstanceConfig()
-                     ) -> list[PropagationInstance]:
-    """Instances from every sentence, gold read off each sentence's own deps."""
-    out = []
-    for idx, sent in enumerate(corpus):
-        gold = sent if with_gold else None
-        out.extend(extract_instances(sent, gold=gold, config=config,
-                                     index=idx))
-    return out
-
-
 def train_prop(corpus: list[Sentence], kind: str,
                options: PropTrainOptions | None = None,
                provider=None,
@@ -235,17 +221,17 @@ def train_prop(corpus: list[Sentence], kind: str,
     """Trains a classifier on a corpus whose deps columns hold gold graphs."""
     opts = options or PropTrainOptions()
     fc = feature_config or default_feature_config(kind)
-    instances = corpus_instances(corpus, config=instance_config)
+    instances, vectors = [], []
+    for index, sent in enumerate(corpus):
+        found = extract_instances(sent, gold=sent, config=instance_config)
+        instances.extend(found)
+        vectors.extend(featurize(sent, found, provider, fc, index))
     if not instances:
         raise TrainingError("no propagation instances in the training data")
-    vectors = []
-    for inst in instances:
-        sent = corpus[inst.sentence_ref[1]]
-        vectors.append(featurize(inst, sent, provider, fc))
     vocab = build_vocabulary(vectors)
     dense_dim = provider.dim if (provider is not None and fc.dense_tokens
                                  and fc.token_features) else 0
-    x = np.stack([vectorize(fv, vocab, dense_dim) for fv in vectors])
+    x = vectorize(vectors, vocab, dense_dim)
     y = np.array([bool(inst.gold) for inst in instances])
     if y.all() or not y.any():
         raise TrainingError("training data contains a single class")
@@ -296,14 +282,12 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
 
     while True:
         instances = extract_instances(work, config=model.instance_config,
-                                      index=index, layer="working")
+                                      layer="working")
         changed = False
         if instances:
-            x = np.stack([
-                vectorize(featurize(inst, work, provider,
-                                    model.feature_config),
+            x = vectorize(featurize(work, instances, provider,
+                                    model.feature_config, index),
                           model.vocab, model.dense_dim)
-                for inst in instances])
             keep = model.predict(x)
             for inst, positive in zip(instances, keep):
                 if not positive:

@@ -408,8 +408,7 @@ def test_criterion_7_edge_predictor_properties():
     cfg = ParserTrainConfig(batch_size=5, lr=1e-2, epochs=1, seed=0,
                             token_mask_prob=0.0, layer_dropout=0.0,
                             output_dropout=0.0, fnn_dropout=0.0)
-    optimizer = ad.AdamW(toy.parameters(), lr=cfg.lr, betas=cfg.betas,
-                         weight_decay=cfg.weight_decay)
+    optimizer = ad.AdamW(toy.parameters(), lr=cfg.lr)
     gen = np.random.default_rng(0)
 
     def edge_label_accuracy() -> float:

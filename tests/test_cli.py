@@ -850,7 +850,7 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
      "holdout must be in [0, 1), got -0.1"),
     (["train-prop", "--holdout", "nan"],
      "holdout must be in [0, 1), got nan"),
-    (["train-prop", "--hidden", "8,0"], "--hidden expects two"),
+    (["train-prop", "--hidden", "8,0"], "command line: hidden expects two"),
     (["convert", "--jobs", "0"], "jobs must be in [1, inf), got 0"),
     (["convert", "--jobs", "-3"], "jobs must be in [1, inf), got -3"),
 ])
@@ -863,6 +863,30 @@ def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     rc, _, err = run(argv + inputs[argv[0]])
     assert rc == 1
     assert "conjprop: error: " in err and message in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("hidden", "16,x",
+     "hidden expects two comma-separated widths of at least 1, got '16,x'"),
+    ("hidden", "16",
+     "hidden expects two comma-separated widths of at least 1, got '16'"),
+    ("features", "instance,bogus,tree", "features names unknown groups: bogus"),
+], ids=["hidden-not-int", "hidden-one-width", "features-unknown"])
+@pytest.mark.parametrize("in_file", [False, True],
+                         ids=["command-line", "config-file"])
+def test_a_bad_list_value_names_its_source(run, tmp_path, key, value,
+                                           message, in_file):
+    argv = ["train-prop", "--train", FIG1, "--model", str(tmp_path / "m")]
+    where = "command line"
+    if in_file:
+        where = tmp_path / "run.cfg"
+        where.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(where)]
+    else:
+        argv += [f"--{key}", value]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert err == f"conjprop: error: {where}: {message}\n"
 
 
 def test_out_of_range_config_value_names_the_file(run, tmp_path):
@@ -989,13 +1013,17 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
      ":3, HEAD: token 2 has dangling head 9"),
     ("corpus", (_SENT_START + _TOKEN.format(2, 1, "7:dep") + "\n").encode(),
      ":3, DEPS: token 2 has dangling deps head 7"),
+    # UD wants a root word in every sentence; the parser needs one
+    ("predicted-corpus", (_SENT_START + "\n# sent_id = s2\n"
+                          "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
+     ":4: sentence has no word lines"),
 ], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
         "kernel-float32", "mlp-mixed-dtypes", "mlp-int64", "sidecar-value",
         "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
         "sidecar-repeat", "hash-repeated-id", "sidecar-repeated-id",
         "predict-repeated-id", "dev-repeated-id", "out-of-order",
-        "non-contiguous", "dangling-head", "dangling-deps"])
+        "non-contiguous", "dangling-head", "dangling-deps", "no-words"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                                            where):
     bad = tmp_path / "bad"

@@ -130,6 +130,16 @@ def test_parse_corpus_restores_the_collector(enabled):
         (gc.enable if was else gc.disable)()
 
 
+def test_a_sentence_without_word_lines_is_rejected():
+    word = "1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n\n"
+    empty_node = "# sent_id = e\n1.1\tx\tx\tX\t_\t_\t_\t_\t_\t_\n\n"
+    for doc, line in ((empty_node, 1), (word + empty_node, 3),
+                      (word + "# comment only\n\n", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_corpus(doc, "e.conllu")
+        assert str(err.value) == f"e.conllu:{line}: sentence has no word lines"
+
+
 def test_parse_error_carries_line_number():
     doc = ("1\tw\tw\tX\t_\t_\t0\troot\t_\t_\n"
            "2\tv\tv\tX\t_\t_\t1\tbad\tcolumn\n\n")

@@ -131,7 +131,7 @@ def test_unknown_layer_rejected(fig1):
 
 def test_fig1_nsubj_features(fig1):
     inst = by_target(extract_instances(fig1))[(T(4, 0), "outgoing")]
-    fv = featurize(inst, fig1)
+    fv = featurize(fig1, [inst])[0]
     assert fv.named["label=nsubj"] == 1.0
     assert fv.named["direction=outgoing"] == 1.0
     assert fv.named["lindir=both-left"] == 1.0
@@ -154,9 +154,9 @@ def test_linear_direction_three_way():
     instances = by_target(extract_instances(sent))
     before_both = instances[(T(1, 0), "outgoing")]
     between = instances[(T(3, 0), "outgoing")]
-    fv = featurize(before_both, sent)
+    fv = featurize(sent, [before_both])[0]
     assert fv.named["lindir=both-left"] == 1.0
-    fv = featurize(between, sent)
+    fv = featurize(sent, [between])[0]
     assert fv.named["lindir=differing-directions"] == 1.0
 
 
@@ -168,7 +168,7 @@ def test_linear_direction_both_right():
         ("c", "NOUN", 1, "obj"),
     ])
     inst = by_target(extract_instances(sent))[(T(4, 0), "outgoing")]
-    fv = featurize(inst, sent)
+    fv = featurize(sent, [inst])[0]
     assert fv.named["lindir=both-right"] == 1.0
 
 
@@ -182,7 +182,7 @@ def test_existing_dependency_flag():
     ])
     inst = by_target(extract_instances(sent))[(T(2, 0), "outgoing")]
     assert inst.candidate_label == "obj"
-    fv = featurize(inst, sent)
+    fv = featurize(sent, [inst])[0]
     assert fv.named.get("existing-dep") == 1.0
 
 
@@ -195,16 +195,17 @@ def test_coordination_item_count():
         ("e", "VERB", 1, "conj"),
     ])
     inst = extract_instances(sent)[0]
-    fv = featurize(inst, sent)
+    fv = featurize(sent, [inst])[0]
     assert fv.named["coord-items=4"] == 1.0
-    scalar = featurize(inst, sent, config=FeatureConfig(count_scalar=True))
+    scalar = featurize(sent, [inst],
+                       config=FeatureConfig(count_scalar=True))[0]
     assert scalar.named["coord-items"] == 4.0
 
 
 def test_morphology_features_cover_three_roles(fig3a):
     instances = by_target(extract_instances(fig3a))
     inst = instances[(T(1, 0), "outgoing")]
-    fv = featurize(inst, fig3a)
+    fv = featurize(fig3a, [inst])[0]
     assert fv.named.get("target:Number=Plur") == 1.0  # "They"
     assert fv.named.get("head:Voice=Pass") == 1.0  # "suppressed"
     # conjunct "organized" has no Voice feature
@@ -213,12 +214,13 @@ def test_morphology_features_cover_three_roles(fig3a):
 
 def test_feature_groups_toggle(fig1):
     inst = extract_instances(fig1)[0]
-    bare = featurize(inst, fig1,
+    bare = featurize(fig1, [inst],
                      config=FeatureConfig(token_features=False,
-                                          tree_features=False))
+                                          tree_features=False))[0]
     assert set(bare.named) == {f"label={inst.candidate_label}",
                                "direction=outgoing"}
-    no_tree = featurize(inst, fig1, config=FeatureConfig(tree_features=False))
+    no_tree = featurize(fig1, [inst],
+                        config=FeatureConfig(tree_features=False))[0]
     assert not any(n.startswith(("lindir", "coord-items", "head-out",
                                  "dep-out", "existing-dep"))
                    for n in no_tree.named)
@@ -228,10 +230,10 @@ def test_dense_vectors_only_with_provider(fig1):
     provider = hash_provider([fig1], dim=4)
     inst = extract_instances(fig1)[0]
     config = FeatureConfig(dense_tokens=True)
-    fv = featurize(inst, fig1, provider=provider, config=config)
+    fv = featurize(fig1, [inst], provider=provider, config=config)[0]
     assert set(fv.dense) == {"head", "dep", "target"}
     assert fv.dense["head"].shape == (4,)
-    without = featurize(inst, fig1, config=config)
+    without = featurize(fig1, [inst], config=config)[0]
     assert without.dense == {}
 
 
@@ -240,14 +242,34 @@ def test_provider_lookup_failure_is_reported(fig1):
     provider.table.pop((fig1.sent_id, TokenId(4, 0)))
     inst = [i for i in extract_instances(fig1) if i.target == T(4, 0)][0]
     with pytest.raises(EmbeddingError, match="4"):
-        featurize(inst, fig1, provider=provider,
+        featurize(fig1, [inst], provider=provider,
                   config=FeatureConfig(dense_tokens=True))
 
 
 def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
     inst = extract_instances(fig1)[0]
     gold_inst = extract_instances(fig1_gold)[0]
-    assert featurize(inst, fig1).named == featurize(gold_inst, fig1_gold).named
+    assert featurize(fig1, [inst])[0].named == \
+        featurize(fig1_gold, [gold_inst])[0].named
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3a", "fig3c"])
+@pytest.mark.parametrize("config", [
+    FeatureConfig(), FeatureConfig(dense_tokens=True, count_scalar=True)])
+def test_one_pass_matches_one_instance_at_a_time(name, config, request):
+    sent = request.getfixturevalue(name)
+    provider = hash_provider([sent], dim=4)
+    instances = extract_instances(sent, layer="working")
+    assert instances
+    together = featurize(sent, instances, provider, config)
+    assert len(together) == len(instances)
+    for inst, fv in zip(instances, together):
+        alone = featurize(sent, [inst], provider, config)[0]
+        assert fv.named == alone.named
+        assert fv.dense.keys() == alone.dense.keys()
+        for role, vec in fv.dense.items():
+            assert np.array_equal(vec, alone.dense[role])
+    assert featurize(sent, [], provider, config) == []
 
 
 def test_default_feature_configs_follow_model_kinds():
@@ -263,28 +285,30 @@ def test_default_feature_configs_follow_model_kinds():
 
 def test_vocabulary_and_vectorize_round_trip(fig1):
     instances = extract_instances(fig1)
-    vectors = [featurize(i, fig1) for i in instances]
+    vectors = featurize(fig1, instances)
     vocab = build_vocabulary(vectors)
     assert list(vocab.values()) == sorted(vocab.values())
-    x = vectorize(vectors[0], vocab, dense_dim=0)
-    assert x.shape == (len(vocab),)
-    for name, value in vectors[0].named.items():
-        assert x[vocab[name]] == value
+    x = vectorize(vectors, vocab, dense_dim=0)
+    assert x.shape == (len(vectors), len(vocab))
+    for row, fv in zip(x, vectors):
+        assert row.sum() == len(fv.named)
+        for name, value in fv.named.items():
+            assert row[vocab[name]] == value
     # names outside the vocabulary are dropped
     alien = vectors[0]
     alien.named["label=weird"] = 1.0
-    x2 = vectorize(alien, vocab, dense_dim=0)
-    assert x2.shape == (len(vocab),)
+    assert np.array_equal(vectorize([alien], vocab, dense_dim=0), x[:1])
+    assert vectorize([], vocab, dense_dim=0).shape == (0, len(vocab))
 
 
 def test_vectorize_appends_dense_blocks(fig1):
     provider = hash_provider([fig1], dim=3)
     inst = extract_instances(fig1)[0]
-    fv = featurize(inst, fig1, provider=provider,
-                   config=FeatureConfig(dense_tokens=True))
+    fv = featurize(fig1, [inst], provider=provider,
+                   config=FeatureConfig(dense_tokens=True))[0]
     vocab = build_vocabulary([fv])
-    x = vectorize(fv, vocab, dense_dim=3)
-    assert x.shape == (len(vocab) + 9,)
-    assert np.array_equal(x[len(vocab):len(vocab) + 3], fv.dense["head"])
+    x = vectorize([fv], vocab, dense_dim=3)
+    assert x.shape == (1, len(vocab) + 9)
+    assert np.array_equal(x[0, len(vocab):len(vocab) + 3], fv.dense["head"])
     with pytest.raises(ValueError, match="dimension"):
-        vectorize(fv, vocab, dense_dim=2)
+        vectorize([fv], vocab, dense_dim=2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_sentence, random_sentence
 from conjprop import autodiff as ad
 from conjprop.converter import always_baseline, added_edges
-from conjprop.embeddings import hash_provider
+from conjprop.embeddings import hash_provider, read_sidecar
 from conjprop.graph import Edge, coarse, enhanced_edges
 from conjprop.instances import (
     DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
@@ -15,7 +15,7 @@ from conjprop.instances import (
 from conjprop.modelfile import load_model
 from conjprop.propmodel import (
     ApplyConfig, ApplyError, PropModel, PropTrainOptions, _mlp_forward,
-    apply_model, corpus_instances, mlp_loss, train_prop,
+    apply_model, mlp_loss, train_prop,
 )
 from conjprop.svm import SVMModel, TrainingError
 from conjprop.conllu import ROOT, TokenId, parse_corpus, write_corpus
@@ -333,9 +333,28 @@ def test_class_weight_option_trains():
         {Edge(T(5, 0), T(1, 0), "nsubj")}
 
 
-def test_instances_cover_the_whole_corpus():
+def test_unnamed_sentences_key_dense_vectors_by_position(tmp_path):
     corpus = training_corpus()
-    instances = corpus_instances(corpus)
-    refs = {inst.sentence_ref[1] for inst in instances}
-    assert refs == set(range(len(corpus)))
-    assert all(inst.gold is not None for inst in instances)
+    for sent in corpus:
+        sent.comments = []
+    assert len({len(sent.tokens) for sent in corpus}) > 1
+    rng = np.random.default_rng(0)
+    sidecar = tmp_path / "position.vec"
+    sidecar.write_text("".join(
+        f"{i}\t{t.id}\t{' '.join(map(str, rng.normal(size=3)))}\n"
+        for i, sent in enumerate(corpus) for t in sent.tokens))
+    provider = read_sidecar(sidecar)
+    # the same sentences, named by their 0-based positions
+    named = [sent.clone() for sent in corpus]
+    for i, sent in enumerate(named):
+        sent.comments = [f"# sent_id = {i}"]
+    fc = FeatureConfig(dense_tokens=True)
+    model = train_prop(corpus, "kernel", provider=provider, feature_config=fc)
+    reference = train_prop(named, "kernel", provider=provider,
+                           feature_config=fc)
+    assert np.array_equal(model.svm.support_vectors,
+                          reference.svm.support_vectors)
+    assert np.array_equal(model.svm.dual_coef, reference.svm.dual_coef)
+    for i, (sent, twin) in enumerate(zip(corpus, named)):
+        assert apply_model(model, sent, provider, index=i).tokens == \
+            apply_model(reference, twin, provider).tokens
