@@ -411,7 +411,7 @@ def cmd_train_prop(cfg) -> None:
         lr=cfg["lr"], patience=cfg["patience"], holdout=cfg["holdout"],
         hidden_sizes=tuple(int(w) for w in _comma_list(cfg["hidden"])),
         seed=cfg["seed"])
-    model = train_prop(corpus, cfg["kind"], options, provider, fc)
+    model = train_prop(corpus, cfg["kind"], options, provider, fc, log=_log)
     model.save(_model_path(cfg["model"]))
     _log(f"# trained {cfg['kind']} model on {len(corpus)} sentences")
 

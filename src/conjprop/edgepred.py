@@ -140,15 +140,15 @@ def build_label_inventory(corpus: list[Sentence]) -> list[str]:
 def new_parser(labels: list[str], layers: int, dim: int,
                hidden: int = 1024, seed: int = 0,
                dtype=np.float64) -> EdgeParser:
-    """Parameters in dtype, cast from the same float64 draws for any dtype."""
+    """Parameters in dtype, cast from the same float64 draws for any dtype:
+    normal draws in param_shapes order for root_embed, w_head, w_dep and
+    linear, zeros for the rest, bilinear included, so an untrained parser
+    scores every pair from its small linear term, close to uniform."""
     if labels[0] != NO_EDGE:
         raise ValueError("label inventory must start with the no-edge label")
     rng = np.random.default_rng(seed)
-    # normal draws in param_shapes order, zeros for the rest; the scoring
-    # layers start small so an untrained model scores every pair close to
-    # the uniform label distribution
     scales = {"root_embed": 1.0, "w_head": 1.0 / np.sqrt(max(dim, 1)),
-              "w_dep": 1.0 / np.sqrt(max(dim, 1)), "bilinear": 0.1 / hidden,
+              "w_dep": 1.0 / np.sqrt(max(dim, 1)),
               "linear": 0.1 / np.sqrt(2 * hidden)}
     params = {name: Tensor(ad.draw_normal(rng, scales[name], shape, dtype)
                            if name in scales else np.zeros(shape, dtype),

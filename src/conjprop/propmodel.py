@@ -9,6 +9,7 @@ holdout).  Positive decisions materialize enhanced edges at the conjunct.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -173,8 +174,8 @@ def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
     return ad.mul(ad.getitem(log_probs, (0, target)), -weight)
 
 
-def _train_mlp(x: np.ndarray, y: np.ndarray,
-               opts: PropTrainOptions) -> dict[str, np.ndarray]:
+def _train_mlp(x: np.ndarray, y: np.ndarray, opts: PropTrainOptions,
+               log: Callable[[str], None]) -> dict[str, np.ndarray]:
     x = x.astype(np.float32)  # parameters and optimizer state follow x
     rng = np.random.default_rng(opts.seed)
     n = x.shape[0]
@@ -204,9 +205,9 @@ def _train_mlp(x: np.ndarray, y: np.ndarray,
             continue
         snapshot = {k: t.data for k, t in params.items()}
         pred = _mlp_forward(snapshot, x[holdout_idx])
-        if stopper.update(_macro_f1(pred[:, 1] >= pred[:, 0],
-                                    y[holdout_idx]),
-                          final=epoch == opts.epochs):
+        f1 = _macro_f1(pred[:, 1] >= pred[:, 0], y[holdout_idx])
+        log(f"# epoch {epoch} holdout-f1 {100 * f1:.2f}")
+        if stopper.update(f1, final=epoch == opts.epochs):
             break
     stopper.restore()
     return {k: t.data for k, t in params.items()}
@@ -216,9 +217,10 @@ def train_prop(corpus: list[Sentence], kind: str,
                options: PropTrainOptions | None = None,
                provider=None,
                feature_config: FeatureConfig | None = None,
-               instance_config: InstanceConfig = InstanceConfig()
-               ) -> PropModel:
-    """Trains a classifier on a corpus whose deps columns hold gold graphs."""
+               instance_config: InstanceConfig = InstanceConfig(),
+               log: Callable[[str], None] = lambda line: None) -> PropModel:
+    """Trains a classifier on a corpus whose deps columns hold gold graphs;
+    the MLP logs one "# epoch" line with its holdout macro-F1 per epoch."""
     opts = options or PropTrainOptions()
     fc = feature_config or default_feature_config(kind)
     instances, vectors = [], []
@@ -248,7 +250,7 @@ def train_prop(corpus: list[Sentence], kind: str,
         model.svm = train_svm(x, y, c=opts.c, tol=opts.tol,
                               class_weight=class_weight)
     elif kind == "mlp":
-        model.mlp = _train_mlp(x, y, opts)
+        model.mlp = _train_mlp(x, y, opts, log)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     return model

@@ -502,6 +502,20 @@ def test_train_prop_rerun_is_byte_identical(run, tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
 
 
+def test_train_prop_logs_the_mlp_holdout_f1_every_epoch(run, tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    rc, _, err = run(["train-prop", "--train", str(train),
+                      "--model", str(tmp_path / "m"), "--kind", "mlp",
+                      "--hidden", "8,4", "--epochs", "3", "--holdout", "0.5"])
+    assert rc == 0
+    epochs = [line.split() for line in err.splitlines()
+              if line.startswith("# epoch ")]
+    assert [words[:4] for words in epochs] == [
+        ["#", "epoch", str(epoch), "holdout-f1"] for epoch in (1, 2, 3)]
+    assert all(0.0 <= float(words[4]) <= 100.0 for words in epochs)
+
+
 def test_apply_prop_and_predict_ignore_jobs_in_a_config_file(run,
                                                              tmp_path):
     train = tmp_path / "train.conllu"

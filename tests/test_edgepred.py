@@ -120,6 +120,32 @@ def test_scores_match_straight_line_recomputation():
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_starts_at_zero_and_one_batch_moves_every_slice(dtype):
+    corpus = [gold_sentence(f"g{i}", extra_label) for i, extra_label
+              in enumerate(("obj", "nsubj", "obl"))]
+    provider = hash_provider(corpus, dim=5, layers=3, seed=1)
+    parser = new_parser(build_label_inventory(corpus), layers=3, dim=5,
+                        hidden=8, seed=2, dtype=dtype)
+    bilinear = parser.params["bilinear"].data
+    assert bilinear.dtype == dtype and not bilinear.any()
+    # the untrained parser scores from its linear term and bias
+    for k, sent in enumerate(corpus):
+        stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
+                           for t in sent.words()])
+        probs = score_pairs(parser, sent, provider, k)
+        assert np.abs(probs - straight_line_probs(parser, stacks)).max() \
+            < (1e-6 if dtype == np.float32 else 1e-12)
+
+    train_epoch(parser, corpus, provider,
+                ParserTrainConfig(batch_size=len(corpus), lr=1e-2))
+    assert parser.params["bilinear"].data is bilinear
+    slices = [s.tobytes() for s in bilinear]
+    # each label's slice has left zero, each along its own gradient
+    assert all(s.any() for s in bilinear)
+    assert len(set(slices)) == len(slices) == len(parser.labels)
+
+
 def packed_setup(hidden=32):
     """Sentences of different lengths and a parser far from its start."""
     corpus = [make_sentence([(f"w{k}", "NOUN", 0 if k == 0 else 1,

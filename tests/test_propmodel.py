@@ -11,11 +11,12 @@ from conjprop.embeddings import hash_provider, read_sidecar
 from conjprop.graph import Edge, coarse, enhanced_edges
 from conjprop.instances import (
     DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
+    extract_instances, featurize, vectorize,
 )
 from conjprop.modelfile import load_model
 from conjprop.propmodel import (
-    ApplyConfig, ApplyError, PropModel, PropTrainOptions, _mlp_forward,
-    apply_model, mlp_loss, train_prop,
+    ApplyConfig, ApplyError, PropModel, PropTrainOptions, _macro_f1,
+    _mlp_forward, apply_model, mlp_loss, train_prop,
 )
 from conjprop.svm import SVMModel, TrainingError
 from conjprop.conllu import ROOT, TokenId, parse_corpus, write_corpus
@@ -95,6 +96,36 @@ def test_mlp_model_learns_subject_propagation():
     assert added == {Edge(T(5, 0), T(1, 0), "nsubj")}
     negative = own_subject_sentence(9)
     assert added_edges(negative, apply_model(model, negative)) == set()
+
+
+def test_mlp_logs_its_holdout_f1_every_epoch():
+    corpus = training_corpus()
+    options = PropTrainOptions(hidden_sizes=(8, 4), lr=1e-2, epochs=6,
+                               patience=10, holdout=0.5, seed=4)
+    lines = []
+    model = train_prop(corpus, "mlp", options, log=lines.append)
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        f"# epoch {epoch} holdout-f1" for epoch in range(1, 7)]
+    # the log changes no weight
+    quiet = train_prop(corpus, "mlp", options)
+    for name, arr in model.mlp.items():
+        assert arr.tobytes() == quiet.mlp[name].tobytes(), name
+
+    # the best logged F1, not the last, is the restored model's on the
+    # holdout rows, which are the first of the seed's permutation
+    scores = [float(line.split()[-1]) for line in lines]
+    assert scores[-1] < max(scores)
+    vectors, gold = [], []
+    for index, sent in enumerate(corpus):
+        found = extract_instances(sent, gold=sent)
+        vectors.extend(featurize(sent, found, config=model.feature_config,
+                                 index=index))
+        gold.extend(bool(inst.gold) for inst in found)
+    x = vectorize(vectors, model.vocab, 0)
+    holdout = np.random.default_rng(4).permutation(len(x))[
+        :round(0.5 * len(x))]
+    f1 = _macro_f1(model.predict(x[holdout]), np.array(gold)[holdout])
+    assert max(scores) == float(f"{100 * f1:.2f}")
 
 
 def test_single_class_training_data_raises():
