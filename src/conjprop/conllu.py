@@ -7,6 +7,11 @@ DEPS serialize sorted by head id. Columns that the toolkit never interprets
 (FORM, LEMMA, UPOS, XPOS, MISC) are stored as raw strings.  The writer
 spells ids from the parser's interned table (str() for ids built in code)
 and reuses the text of each FEATS and DEPS list, memoized by its items.
+The reader parses each distinct FEATS and DEPS text once per process: a
+memo maps the text to its dict or tuple, and every token gets a dict and a
+list of its own, copied from the memo's when the text was seen before,
+since add_dep, clone and the converters change them.  Both memos are
+emptied at _PARSED_MAX entries.
 """
 
 from __future__ import annotations
@@ -46,25 +51,26 @@ class TokenId(NamedTuple):
             return f"{self.major}.{self.minor}"
         return str(self.major)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.minor > 0
-
 
 # Head value of the artificial root.
 ROOT = TokenId(0, 0)
 
 
-# One shared TokenId per canonical spelling (str(tid)) for the ID, HEAD and
-# DEPS fields; other spellings ("01", "+1") are parsed anew, never stored.
-# _ID_TEXT is the reverse.  The FEATS and DEPS memos key a list by its items
-# in the order given, which fixes the order of FEATS keys equal but for case,
-# and are emptied at _TEXT_MAX entries, so ever-new lists stay bounded.
+# One shared TokenId per id text for the ID, HEAD and DEPS fields, which
+# accept only the canonical spelling str(tid); _ID_TEXT is the reverse.  The
+# writer's FEATS and DEPS memos key a list by its items in the order given,
+# which fixes the order of FEATS keys equal but for case.  The reader's map
+# a text that parsed cleanly to its value.  Each is emptied when full, so
+# ever-new lists and texts stay bounded; the reader's sooner, since every
+# text it misses costs a probe and an insertion, which slow as it grows.
 _TOKEN_IDS: dict[str, TokenId] = {}
 _ID_TEXT: dict[TokenId, str] = {}
 _FEATS_TEXT: dict[tuple[tuple[str, str], ...], str] = {}
 _DEPS_TEXT: dict[tuple[tuple[TokenId, str], ...], str] = {}
 _TEXT_MAX = 1 << 14
+_FEATS_PARSED: dict[str, dict[str, str]] = {}
+_DEPS_PARSED: dict[str, tuple[tuple[TokenId, str], ...]] = {}
+_PARSED_MAX = 1 << 11
 
 
 def _remember(memo: dict, key: tuple, text: str) -> str:
@@ -80,14 +86,13 @@ def parse_token_id(text: str, line: int = 0, fieldname: str = "ID") -> TokenId:
         major, dot, minor = text.partition(".")
         try:
             tid = TokenId(int(major), int(minor) if dot else 0)
-            if dot and tid.minor < 1:
-                raise ValueError
         except ValueError:
-            raise ParseError(f"unparseable token id {text!r}", line,
-                             fieldname) from None
-        if str(tid) == text:
-            _TOKEN_IDS[text] = tid
-            _ID_TEXT[tid] = text
+            pass
+        # int() also reads "+1", " 1", "01", "1_0" and non-ASCII digits
+        if tid is None or str(tid) != text or dot and tid.minor < 1:
+            raise ParseError(f"unparseable token id {text!r}", line, fieldname)
+        _TOKEN_IDS[text] = tid
+        _ID_TEXT[tid] = text
     return tid
 
 
@@ -136,7 +141,7 @@ class Sentence:
 
     def words(self) -> list[Token]:
         """Regular tokens only, empty nodes excluded."""
-        return [t for t in self.tokens if not t.id.is_empty]
+        return [t for t in self.tokens if not t.id.minor]
 
     def token_by_id(self) -> dict[TokenId, Token]:
         return {t.id: t for t in self.tokens}
@@ -152,6 +157,8 @@ class Sentence:
 
 
 def _parse_feats(text: str, line: int) -> dict[str, str]:
+    """FEATS text as a fresh dict; a copy of it enters _FEATS_PARSED unless
+    the text is "_"."""
     if text == "_":
         return {}
     feats: dict[str, str] = {}
@@ -162,36 +169,71 @@ def _parse_feats(text: str, line: int) -> dict[str, str]:
         if key in feats:
             raise ParseError(f"duplicate feature key {key!r}", line, "FEATS")
         feats[key] = value
+    if len(_FEATS_PARSED) >= _PARSED_MAX:
+        _FEATS_PARSED.clear()
+    _FEATS_PARSED[text] = feats.copy()
     return feats
 
 
-def _finish_sentence(sent: Sentence, start_line: int,
-                     token_lines: list[int]) -> Sentence:
-    """Checks the sentence's ids and heads; token_lines[i] is the line of
-    sent.tokens[i], which errors name."""
-    ids = {t.id for t in sent.tokens}
+def _parse_deps(text: str, line: int) -> list[tuple[TokenId, str]]:
+    """DEPS text other than "_" as a fresh list of (head, label) pairs in
+    the order given; a tuple of them enters _DEPS_PARSED."""
+    deps = []
+    for item in text.split("|"):
+        head, _, label = item.partition(":")
+        if not label:
+            raise ParseError(f"malformed deps item {item!r}", line, "DEPS")
+        deps.append((_TOKEN_IDS.get(head)
+                     or parse_token_id(head, line, "DEPS"), label))
+    if len(_DEPS_PARSED) >= _PARSED_MAX:
+        _DEPS_PARSED.clear()
+    _DEPS_PARSED[text] = tuple(deps)
+    return deps
+
+
+# The ids of a sentence of up to 255 words and no empty node.
+_WORD_IDS = [TokenId(i) for i in range(1, 256)]
+
+
+def _finish_sentence(sent: Sentence, start_line: int) -> Sentence:
+    """Checks the ids and heads of the sentence that starts at start_line.
+    The common case, words 1 to n and no dangling head, is checked in bulk,
+    and the loops find a problem."""
+    tokens = sent.tokens
+    ids = [t.id for t in tokens]
+    heads = {None, ROOT, *ids}
+    if (ids and ids == _WORD_IDS[:len(ids)]
+            and {t.head for t in tokens} <= heads
+            and {h for t in tokens for h, _ in t.deps} <= heads):
+        return sent
+
+    def line(i: int) -> int:
+        """tokens[i]'s, after the comments and the range lines before it"""
+        return start_line + len(sent.comments) + i + sum(
+            len(lines) for at, lines in sent.ranges.items() if at <= i)
+
     expected = 1
     prev: TokenId | None = None
-    for t, line in zip(sent.tokens, token_lines):
-        if prev is not None and t.id <= prev:
-            raise ParseError(f"token id {t.id} out of order", line, "ID")
-        prev = t.id
-        if not t.id.is_empty:
-            if t.id.major != expected:
+    for i, tid in enumerate(ids):
+        if prev is not None and tid <= prev:
+            raise ParseError(f"token id {tid} out of order", line(i), "ID")
+        prev = tid
+        if not tid.minor:
+            if tid.major != expected:
                 raise ParseError(
-                    f"token ids not contiguous: expected {expected}, got {t.id.major}",
-                    line, "ID")
+                    f"token ids not contiguous: expected {expected}, got {tid.major}",
+                    line(i), "ID")
             expected += 1
     if expected == 1:
         raise ParseError("sentence has no word lines", start_line)
-    for t, line in zip(sent.tokens, token_lines):
-        if t.head is not None and t.head != ROOT and t.head not in ids:
+    for i, t in enumerate(tokens):
+        if t.head not in heads:
             raise ParseError(f"token {t.id} has dangling head {t.head}",
-                             line, "HEAD")
+                             line(i), "HEAD")
         for h, _ in t.deps:
-            if h != ROOT and h not in ids:
+            if h not in heads:
                 raise ParseError(f"token {t.id} has dangling deps head {h}",
-                                 line, "DEPS")
+                                 line(i), "DEPS")
     return sent
 
 
@@ -240,67 +282,68 @@ def split_text(text: str, size: int,
 
 def _parse_lines(text: str, first_line: int) -> list[Sentence]:
     interned = _TOKEN_IDS.get  # parse_token_id parses and interns the rest
+    parsed_feats = _FEATS_PARSED.get
+    parsed_deps = _DEPS_PARSED.get
     sentences: list[Sentence] = []
     current = Sentence()
-    token_lines: list[int] = []
-    start_line = first_line
-    in_sentence = False
+    tokens = current.tokens
+    start_line = first_line  # the line after the last blank one
 
     for lineno, line in enumerate(text.split("\n"), start=first_line):
         if line == "":
-            if in_sentence:
-                sentences.append(
-                    _finish_sentence(current, start_line, token_lines))
+            if tokens or current.comments or current.ranges:
+                sentences.append(_finish_sentence(current, start_line))
                 current = Sentence()
-                in_sentence = False
+                tokens = current.tokens
+            start_line = lineno + 1
             continue
-        if not in_sentence:
-            start_line = lineno
-            token_lines = []
-            in_sentence = True
-        if line.startswith("#"):
-            if current.tokens:
+        if line[0] == "#":
+            if tokens:
                 raise ParseError("comment after token lines", lineno)
             current.comments.append(line)
             continue
         cols = line.split("\t")
         if len(cols) != 10:
             raise ParseError(f"expected 10 columns, got {len(cols)}", lineno)
-        if "-" in cols[0]:
-            a, _, b = cols[0].partition("-")
-            if not (a.isdigit() and b.isdigit() and int(a) <= int(b)):
-                raise ParseError(f"malformed range id {cols[0]!r}", lineno, "ID")
-            current.ranges.setdefault(len(current.tokens), []).append(line)
+        tid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+        if "-" in tid:
+            a, _, b = tid.partition("-")
+            if not (tid.isascii() and a.isdigit() and b.isdigit()
+                    and int(a) <= int(b)):
+                raise ParseError(f"malformed range id {tid!r}", lineno, "ID")
+            current.ranges.setdefault(len(tokens), []).append(line)
             continue
-        tid = interned(cols[0]) or parse_token_id(cols[0], lineno)
-        head = None
-        if cols[6] != "_":
-            head = interned(cols[6]) or parse_token_id(cols[6], lineno, "HEAD")
-            if head.is_empty:
+        tid = interned(tid) or parse_token_id(tid, lineno)
+        if head != "_":
+            head = interned(head) or parse_token_id(head, lineno, "HEAD")
+            if head.minor:
                 raise ParseError("HEAD cannot reference an empty node",
                                  lineno, "HEAD")
-        elif not tid.is_empty:
+        elif tid.minor:
+            head = None
+        else:
             raise ParseError("regular token lacks a HEAD", lineno, "HEAD")
-        deprel = None if cols[7] == "_" else cols[7]
-        if head is not None and deprel is None:
-            raise ParseError("HEAD given but DEPREL empty", lineno, "DEPREL")
-        feats = _parse_feats(cols[5], lineno)
-        deps = []
-        if cols[8] != "_":
-            for item in cols[8].split("|"):
-                dep_head, sep, label = item.partition(":")
-                if not sep or not label:
-                    raise ParseError(f"malformed deps item {item!r}", lineno,
-                                     "DEPS")
-                deps.append((interned(dep_head)
-                             or parse_token_id(dep_head, lineno, "DEPS"),
-                             label))
-        token_lines.append(lineno)
-        current.tokens.append(Token(
-            tid, cols[1], cols[2], cols[3], cols[4],  # FORM to XPOS
-            feats, head, deprel, deps, cols[9]))
-    if in_sentence:
-        sentences.append(_finish_sentence(current, start_line, token_lines))
+        if deprel == "_":
+            if head is not None:
+                raise ParseError("HEAD given but DEPREL empty", lineno,
+                                 "DEPREL")
+            deprel = None
+        # each token owns its dict and list, since add_dep and clone change
+        # them: a text seen before is copied from its memo
+        if feats == "_":
+            feats = {}
+        else:
+            seen = parsed_feats(feats)
+            feats = seen.copy() if seen else _parse_feats(feats, lineno)
+        if deps == "_":
+            deps = []
+        else:
+            seen = parsed_deps(deps)
+            deps = [*seen] if seen else _parse_deps(deps, lineno)
+        tokens.append(Token(tid, form, lemma, upos, xpos, feats, head, deprel,
+                            deps, misc))
+    if tokens or current.comments or current.ranges:
+        sentences.append(_finish_sentence(current, start_line))
     return sentences
 
 

@@ -27,7 +27,7 @@ def is_conj_label(label: str) -> bool:
 def basic_edges(sent: Sentence) -> set[Edge]:
     """One edge per regular token from its HEAD/DEPREL columns."""
     return {Edge(t.head, t.id, t.deprel) for t in sent.tokens
-            if t.head is not None and not t.id.is_empty}
+            if t.head is not None and not t.id.minor}
 
 
 def enhanced_edges(sent: Sentence) -> set[Edge]:
@@ -42,7 +42,7 @@ def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     for t in sent.tokens:
         if t.head is None or t.head == ROOT or not is_conj_label(t.deprel):
             continue
-        if not t.id.is_empty:
+        if not t.id.minor:
             pairs.append((t.head, t.id))
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs
@@ -68,11 +68,7 @@ def candidates(sent: Sentence, edges: Iterable[Edge]
 
 def conjunct_ids(sent: Sentence) -> set[TokenId]:
     """Every token that is the gov or the dep of some basic conj edge."""
-    ids: set[TokenId] = set()
-    for gov, dep in conj_pairs(sent):
-        ids.add(gov)
-        ids.add(dep)
-    return ids
+    return {tid for pair in conj_pairs(sent) for tid in pair}
 
 
 def propagated_links(sent: Sentence) -> set[Edge]:
@@ -85,10 +81,13 @@ def propagated_links(sent: Sentence) -> set[Edge]:
     conjuncts = conjunct_ids(sent)
     if not conjuncts:
         return set()
-    basic = basic_edges(sent)
-    return {e for e in enhanced_edges(sent)
-            if e not in basic and not is_conj_label(e.label)
-            and (e.head in conjuncts or e.dep in conjuncts)}
+    # plain (head, dep, label) tuples hash and compare equal to Edges
+    basic = {(t.head, t.id, t.deprel) for t in sent.tokens
+             if t.head is not None and not t.id.minor}
+    return {Edge(head, t.id, label) for t in sent.tokens
+            for head, label in t.deps
+            if (head in conjuncts or t.id in conjuncts)
+            and (head, t.id, label) not in basic and not is_conj_label(label)}
 
 
 def has_child_with_label(sent: Sentence, head: TokenId, label: str) -> bool:
@@ -103,7 +102,7 @@ def has_subject(sent: Sentence, dep: TokenId) -> bool:
     """True if a basic or enhanced edge attaches a subject to dep."""
     return any(head == dep and coarse(label) in ("nsubj", "csubj")
                for t in sent.tokens
-               for head, label in (t.deps if t.id.is_empty
+               for head, label in (t.deps if t.id.minor
                                    else [(t.head, t.deprel), *t.deps]))
 
 

@@ -181,7 +181,7 @@ def featurize(sent: Sentence, instances: list[PropagationInstance],
     sid = sentence_key(sent, index)
     children: dict[TokenId, list[str]] = {}
     for t in sent.tokens:
-        if t.head is not None and not t.id.is_empty:
+        if t.head is not None and not t.id.minor:
             children.setdefault(t.head, []).append(t.deprel)
     out = []
     for inst in instances:

@@ -80,6 +80,38 @@ def test_matmul_broadcast_gradients(a_shape, b_shape):
 def test_matmul_rejects_vectors():
     with pytest.raises(ValueError):
         ad.matmul(np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        ad.matmul(np.ones((4, 1)), np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((1, 7), (7, 5)),      # a batch of one: each weight gradient
+    ((6, 1), (1, 5)),      # a contraction of length 1 going forward
+    ((2, 6, 1), (1, 5)),   # with batch dimensions
+    ((6, 1), (3, 1, 5)),
+])
+def test_contractions_of_length_one_match_np_matmul_bytes(dtype, a_shape,
+                                                          b_shape):
+    # zeros against negatives make the -0.0 that np.matmul never gives
+    a = np.round(rng.normal(size=a_shape)).astype(dtype)
+    b = np.round(rng.normal(size=b_shape)).astype(dtype)
+    a.flat[::3] = 0
+    b.flat[::2] = -1
+    weights = np.round(rng.normal(size=np.matmul(a, b).shape)).astype(dtype)
+    weights.flat[::4] = 0
+    ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, True)
+    out = ad.matmul(ta, tb)
+    ad.tsum(ad.mul(out, weights)).backward()
+    swap = lambda x: np.swapaxes(x, -1, -2)  # noqa: E731
+    for got, want, shape in (
+            (out.data, np.matmul(a, b), None),
+            (ta.grad, np.matmul(weights, swap(b)), a_shape),
+            (tb.grad, np.matmul(swap(a), weights), b_shape)):
+        if shape is not None:
+            want = ad._unbroadcast(want, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_relu_log_softmax_gradients():

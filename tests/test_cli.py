@@ -1027,6 +1027,9 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
      ":3, HEAD: token 2 has dangling head 9"),
     ("corpus", (_SENT_START + _TOKEN.format(2, 1, "7:dep") + "\n").encode(),
      ":3, DEPS: token 2 has dangling deps head 7"),
+    # only the canonical spelling of an id is accepted
+    ("corpus", (_SENT_START + _TOKEN.format("02", 1, "_") + "\n").encode(),
+     ":3, ID: unparseable token id '02'"),
     # UD wants a root word in every sentence; the parser needs one
     ("predicted-corpus", (_SENT_START + "\n# sent_id = s2\n"
                           "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
@@ -1037,7 +1040,7 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
         "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
         "sidecar-repeat", "hash-repeated-id", "sidecar-repeated-id",
         "predict-repeated-id", "dev-repeated-id", "out-of-order",
-        "non-contiguous", "dangling-head", "dangling-deps", "no-words"])
+        "non-contiguous", "dangling-head", "dangling-deps", "id", "no-words"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                                            where):
     bad = tmp_path / "bad"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,7 +69,7 @@ def test_empty_node_fields():
     sent = parse_corpus(MWT_DOC)[0]
     empty = sent.tokens[3]
     assert empty.id == TokenId(3, 1)
-    assert empty.id.is_empty
+    assert empty.id.minor
     assert empty.head is None and empty.deprel is None
     assert empty.deps == [(TokenId(3), "conj")]
 
@@ -247,18 +248,12 @@ def test_token_id_ordering_matches_tuple_order(pairs):
 
 def _uncached_parse_token_id(text: str, line: int = 0,
                              fieldname: str = "ID") -> TokenId:
-    """parse_token_id as it was before ids were interned: the oracle."""
-    try:
-        if "." in text:
-            major, minor = text.split(".", 1)
-            tid = TokenId(int(major), int(minor))
-            if tid.minor < 1:
-                raise ValueError
-            return tid
-        return TokenId(int(text), 0)
-    except ValueError:
-        raise ParseError(f"unparseable token id {text!r}", line,
-                         fieldname) from None
+    """parse_token_id by a pattern for the canonical spellings str(tid),
+    with ASCII digits only: the oracle."""
+    m = re.fullmatch(r"(0|-?[1-9][0-9]*)(?:\.([1-9][0-9]*))?", text)
+    if m is None:
+        raise ParseError(f"unparseable token id {text!r}", line, fieldname)
+    return TokenId(int(m[1]), int(m[2] or 0))
 
 
 def _outcome(parse, text: str):
@@ -269,7 +264,7 @@ def _outcome(parse, text: str):
 
 
 SPELLINGS = ["01", "+1", " 1", "1 ", "1_0", "1.0", "1.01", "8.1", "8.-1",
-             "1.2.3", ".1", "1.", "x", "", "7", "-1"]
+             "1.2.3", ".1", "1.", "x", "", "7", "-1", "\u0661"]
 
 
 @pytest.mark.parametrize("text", SPELLINGS)
@@ -287,10 +282,13 @@ def test_only_canonical_spellings_are_interned():
         assert str(tid) == text
         assert conllu._ID_TEXT[tid] == text
     assert len(conllu._ID_TEXT) == len(conllu._TOKEN_IDS)
-    for text in ("01", "+1", " 1", "1 ", "1_0", "1.01", "", "x", "1.0"):
+    for text in ("01", "+1", " 1", "1 ", "1_0", "1.01", "", "x", "1.0",
+                 "\u0661"):
         assert text not in conllu._TOKEN_IDS
+        with pytest.raises(ParseError, match="unparseable token id"):
+            parse_token_id(text)
     assert parse_token_id("10.2") is parse_token_id("10.2")
-    assert parse_token_id("01") == parse_token_id("1") == TokenId(1)
+    assert parse_token_id("1") is conllu._TOKEN_IDS["1"] == TokenId(1)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -350,14 +348,14 @@ def writer_sentences(draw):
             else:
                 ids.append(parse_token_id(f"{major}.{minor}" if minor
                                           else str(major)))
-    regular = [tid for tid in ids if not tid.is_empty]
+    regular = [tid for tid in ids if not tid.minor]
     labels = st.sampled_from(["nsubj", "obj", "conj", "conj:and", "obl:in",
                               "ref", "root"])
     bundles = [draw(FEATS_ITEMS) for _ in range(len(ids) // 2 + 1)]
     tokens = []
     for k, tid in enumerate(ids):
         items = bundles[k // 2]
-        head = None if tid.is_empty else draw(st.sampled_from(regular + [ROOT]))
+        head = None if tid.minor else draw(st.sampled_from(regular + [ROOT]))
         tokens.append(Token(
             tid, f"w{k}", f"l{k}", "X", "_",
             dict(items if k % 2 == 0 else items[::-1]), head,
@@ -396,3 +394,131 @@ def test_text_memos_are_emptied_at_their_bound(monkeypatch):
         assert tok.deps_str() == f"0:root|{n + 2}:x"
         assert len(conllu._FEATS_TEXT) <= 2
         assert len(conllu._DEPS_TEXT) <= 2
+
+
+def _reference_cells(text: str) -> list[tuple[dict, list]]:
+    """(feats, deps) of each token line of text, every cell parsed on its
+    own: the oracle for the reader's memos."""
+    cells = []
+    for line in text.split("\n"):
+        cols = line.split("\t")
+        if len(cols) != 10 or "-" in cols[0]:
+            continue
+        feats = {} if cols[5] == "_" else dict(
+            item.split("=", 1) for item in cols[5].split("|"))
+        deps = [] if cols[8] == "_" else [
+            (TokenId(*map(int, head.split("."))), label)
+            for head, label in (item.split(":", 1)
+                                for item in cols[8].split("|"))]
+        cells.append((feats, deps))
+    return cells
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_memoized_cells_parse_as_every_cell_parsed_anew(seed):
+    rng = random.Random(seed)
+    text = write_corpus(
+        perturb_enhanced(rng, random_sentence(rng, f"s{k}", max_tokens=20))
+        for k in range(6))
+    expected = _reference_cells(text)
+    # twice: the second parse is answered from the memos
+    for _ in range(2):
+        tokens = [t for s in parse_corpus(text) for t in s.tokens]
+        assert len(tokens) == len(expected)
+        for t, (feats, deps) in zip(tokens, expected):
+            assert type(t.feats) is dict and type(t.deps) is list
+            assert list(t.feats.items()) == list(feats.items())
+            assert t.deps == deps
+            assert all(type(h) is TokenId and type(label) is str
+                       for h, label in t.deps)
+        assert len({id(t.feats) for t in tokens}) == len(tokens)
+        assert len({id(t.deps) for t in tokens}) == len(tokens)
+
+
+SHARED_CELLS_DOC = (
+    "# sent_id = s1\n"
+    "1\ta\ta\tX\t_\tNumber=Sing\t2\tnsubj\t2:nsubj\t_\n"
+    "2\tb\tb\tX\t_\tNumber=Sing\t0\troot\t0:root\t_\n"
+    "3\tc\tc\tX\t_\tNumber=Sing\t2\tobj\t2:nsubj\t_\n\n")
+
+
+def test_changing_one_token_changes_no_other_and_no_later_parse():
+    from conjprop.graph import add_dep
+    first = parse_corpus(SHARED_CELLS_DOC)[0].tokens
+    first[0].feats["Number"] = "Plur"
+    first[0].feats["Case"] = "Nom"
+    assert add_dep(first[0], TokenId(3), "obj")
+    for t in first[1:] + parse_corpus(SHARED_CELLS_DOC)[0].tokens:
+        assert t.feats == {"Number": "Sing"}
+    assert first[2].deps == [(TokenId(2), "nsubj")]
+    again = parse_corpus(SHARED_CELLS_DOC)[0]
+    assert again.tokens[0].deps == [(TokenId(2), "nsubj")]
+    assert write_corpus([again]) == SHARED_CELLS_DOC
+
+
+def test_a_memoized_deps_text_is_checked_in_each_sentence():
+    doc = SHARED_CELLS_DOC + (
+        "# sent_id = s2\n"
+        "1\ta\ta\tX\t_\t_\t0\troot\t2:nsubj\t_\n\n")
+    assert len(parse_corpus(SHARED_CELLS_DOC)) == 1
+    with pytest.raises(ParseError, match="dangling deps head 2") as err:
+        parse_corpus(doc)
+    assert err.value.line == 7 and err.value.field == "DEPS"
+
+
+@pytest.mark.parametrize("bad", ["Number", "=Sing", "Number=Sing|Number=Plur"])
+def test_a_malformed_feats_text_raises_at_every_occurrence(bad):
+    lines = SHARED_CELLS_DOC.split("\n")
+    for k in (1, 2, 3):
+        cols = lines[k].split("\t")
+        cols[5] = bad
+        doc = "\n".join(lines[:k] + ["\t".join(cols)] + lines[k + 1:])
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_corpus(doc)
+            assert err.value.line == k + 1 and err.value.field == "FEATS"
+    assert bad not in conllu._FEATS_PARSED
+
+
+def test_parse_memos_are_emptied_at_their_bound(monkeypatch):
+    monkeypatch.setattr(conllu, "_FEATS_PARSED", {})
+    monkeypatch.setattr(conllu, "_DEPS_PARSED", {})
+    monkeypatch.setattr(conllu, "_PARSED_MAX", 2)
+    for n in range(5):
+        doc = SHARED_CELLS_DOC.replace("Sing", f"S{n}").replace(
+            "nsubj\t_", f"nsubj:x{n}\t_")
+        for _ in range(2):
+            tokens = parse_corpus(doc)[0].tokens
+            assert [t.feats for t in tokens] == [{"Number": f"S{n}"}] * 3
+            assert tokens[2].deps == [(TokenId(2), f"nsubj:x{n}")]
+            assert write_corpus(parse_corpus(doc)) == doc
+        assert len(conllu._FEATS_PARSED) <= 2
+        assert len(conllu._DEPS_PARSED) <= 2
+
+
+def test_sentence_errors_name_the_token_line_past_ranges():
+    # a sentence and MWT_DOC's comment and range line come before some of
+    # the token lines that get a dangling DEPS head in turn
+    lines = ("# sent_id = s0\n1\ta\ta\tX\t_\t_\t0\troot\t0:root\t_\n\n"
+             + MWT_DOC).split("\n")
+    tokens = [i for i, line in enumerate(lines)
+              if line and line[0] != "#" and "-" not in line.split("\t")[0]]
+    assert len(tokens) == 6
+    for at in tokens:
+        cols = lines[at].split("\t")
+        cols[8] = "9:dep"
+        bad = lines[:at] + ["\t".join(cols)] + lines[at + 1:]
+        with pytest.raises(ParseError, match="dangling deps head 9") as err:
+            parse_corpus("\n".join(bad))
+        assert err.value.line == at + 1
+
+
+@pytest.mark.parametrize("text", ["-1", "3-2", "1-", "\u00b2-3",
+                                  "\u0661-\u0662"])
+def test_malformed_range_ids_are_rejected(text):
+    word = "1\ta\ta\tX\t_\t_\t0\troot\t0:root|-1:dep\t_\n\n"
+    # -1 parses, and is interned, as a DEPS head; as an ID it stays a range
+    with pytest.raises(ParseError, match="dangling deps head -1"):
+        parse_corpus(word)
+    with pytest.raises(ParseError, match=f"malformed range id {text!r}"):
+        parse_corpus(f"{text}\ta\t_\t_\t_\t_\t_\t_\t_\t_\n" + word)

@@ -22,7 +22,7 @@ def edge(h, d, label):
 def oracle_propagated(sent):
     basic = set()
     for t in sent.tokens:
-        if not t.id.is_empty and t.head is not None:
+        if not t.id.minor and t.head is not None:
             basic.add((t.head, t.id, t.deprel))
     conjuncts = set()
     for h, d, lab in basic:
@@ -209,7 +209,7 @@ def test_layer_views_match_oracle_on_random_sentences():
         sent = perturb_enhanced(rng, random_sentence(rng, f"v{i}"))
         want_basic = set()
         for t in sent.tokens:
-            if not t.id.is_empty and t.head is not None:
+            if not t.id.minor and t.head is not None:
                 want_basic.add((t.head, t.id, t.deprel))
         want_enh = set()
         for t in sent.tokens:
