@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator
 
-from .config import ConfigError, InputError, parse_value, read_config_file
+from .config import (ConfigError, InputError, parse_value, physical_memory,
+                     read_config_file)
 from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
     parse_corpus, split_text, write_corpus
 from .converter import convert_mode
@@ -428,14 +429,6 @@ def cmd_apply_prop(cfg) -> None:
         for i, sent in enumerate(corpus)))
 
 
-def _physical_memory() -> float:
-    """Bytes of RAM; infinite where sysconf does not know them."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
 def cmd_train_parser(cfg) -> None:
     import numpy as np
     from .edgepred import (ParserTrainConfig, build_label_inventory,
@@ -450,7 +443,7 @@ def cmd_train_parser(cfg) -> None:
     _, needed = train_footprint(
         len(labels), provider.layers, provider.dim, cfg["hidden"],
         snapshot=bool(cfg["dev"]) and cfg["epochs"] > 1, dtype=np.float32)
-    ram = _physical_memory()
+    ram = physical_memory()
     if needed > ram:
         raise CliError(f"train-parser: hidden {cfg['hidden']} with "
                        f"{len(labels)} labels needs {needed} bytes to train, "

@@ -9,6 +9,9 @@ layer so any run can be reproduced from its log.
 
 from __future__ import annotations
 
+import math
+import os
+
 from .conllu import decode_utf8
 
 
@@ -18,6 +21,15 @@ class ConfigError(Exception):
 
 class InputError(Exception):
     """Base of the bad-input errors of the numpy-backed modules."""
+
+
+def physical_memory() -> float:
+    """Bytes of RAM; infinite where sysconf does not know them.  The
+    trainers check their footprint against it before they allocate."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -22,19 +22,22 @@ class EmbeddingError(InputError):
 
 
 class EmbeddingProvider:
-    """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors."""
+    """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors.
+    A provider read from a file names it in its lookup errors."""
 
     def __init__(self, table: dict[tuple[str, TokenId], np.ndarray],
-                 dim: int, layers: int = 1):
+                 dim: int, layers: int = 1, path=None):
         self.table = table
         self.dim = dim
         self.layers = layers
+        self.path = path
 
     def lookup(self, sent_id: str, token_id: TokenId) -> np.ndarray:
         key = (sent_id, token_id)
         if key not in self.table:
-            raise EmbeddingError(
-                f"no embedding for token {token_id} in sentence {sent_id!r}")
+            where = f"{self.path}: " if self.path is not None else ""
+            raise EmbeddingError(f"{where}no embedding for token {token_id} "
+                                 f"in sentence {sent_id!r}")
         return self.table[key]
 
     def lookup_layers(self, sent_id: str, token_id: TokenId) -> np.ndarray:
@@ -71,7 +74,7 @@ def read_sidecar(path) -> EmbeddingProvider:
             dim = next(iter(table.values())).shape[-1]
     if dim is None:
         raise EmbeddingError(f"empty sidecar file: {path}")
-    return EmbeddingProvider(table, dim=dim, layers=layers)
+    return EmbeddingProvider(table, dim=dim, layers=layers, path=path)
 
 
 def _consume_record(line, where, table, layers, dim):

@@ -67,8 +67,12 @@ def candidates(sent: Sentence, edges: Iterable[Edge]
 
 
 def conjunct_ids(sent: Sentence) -> set[TokenId]:
-    """Every token that is the gov or the dep of some basic conj edge."""
-    return {tid for pair in conj_pairs(sent) for tid in pair}
+    """Every token that is the gov or the dep of some basic conj edge: the
+    pairs of conj_pairs, read straight from the columns without the sort."""
+    return {tid for t in sent.tokens
+            if t.head is not None and is_conj_label(t.deprel)
+            and t.head != ROOT and not t.id.minor
+            for tid in (t.head, t.id)}
 
 
 def propagated_links(sent: Sentence) -> set[Edge]:

@@ -174,7 +174,8 @@ def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
     return ad.mul(ad.getitem(log_probs, (0, target)), -weight)
 
 
-def _train_mlp(x: np.ndarray, y: np.ndarray, opts: PropTrainOptions,
+def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
+               opts: PropTrainOptions,
                log: Callable[[str], None]) -> dict[str, np.ndarray]:
     x = x.astype(np.float32)  # parameters and optimizer state follow x
     rng = np.random.default_rng(opts.seed)
@@ -188,16 +189,12 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, opts: PropTrainOptions,
               for name, arr in _init_mlp(x.shape[1], opts.hidden_sizes,
                                          rng, x.dtype).items()}
     optimizer = ad.AdamW([params[k] for k in sorted(params)], lr=opts.lr)
-    pos = int(y.sum())  # train_prop has seen both classes
-    weights = ({True: n / (2.0 * pos), False: n / (2.0 * (n - pos))}
-               if opts.class_weights else {True: 1.0, False: 1.0})
 
     stopper = ad.EarlyStopping(list(params.values()), opts.patience)
     for epoch in range(1, opts.epochs + 1):
         for i in rng.permutation(len(train_idx)):
             idx = train_idx[i]
-            loss = mlp_loss(params, x[idx], int(y[idx]),
-                            weights[bool(y[idx])])
+            loss = mlp_loss(params, x[idx], int(y[idx]), weight[idx])
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -219,8 +216,9 @@ def train_prop(corpus: list[Sentence], kind: str,
                feature_config: FeatureConfig | None = None,
                instance_config: InstanceConfig = InstanceConfig(),
                log: Callable[[str], None] = lambda line: None) -> PropModel:
-    """Trains a classifier on a corpus whose deps columns hold gold graphs;
-    the MLP logs one "# epoch" line with its holdout macro-F1 per epoch."""
+    """Trains a classifier on a corpus whose deps columns hold gold graphs.
+    The kernel logs one "# svm" line with its solver state, the MLP one
+    "# epoch" line with its holdout macro-F1 per epoch."""
     opts = options or PropTrainOptions()
     fc = feature_config or default_feature_config(kind)
     instances, vectors = [], []
@@ -237,20 +235,19 @@ def train_prop(corpus: list[Sentence], kind: str,
     y = np.array([bool(inst.gold) for inst in instances])
     if y.all() or not y.any():
         raise TrainingError("training data contains a single class")
+    n, pos = len(y), int(y.sum())
+    # class weighting balances the classes: each carries half the total
+    weight = (np.where(y, n / (2.0 * pos), n / (2.0 * (n - pos)))
+              if opts.class_weights else np.ones(n))
 
     model = PropModel(kind=kind, vocab=vocab, dense_dim=dense_dim,
                       feature_config=fc, instance_config=instance_config)
     if kind == "kernel":
-        class_weight = None
-        if opts.class_weights:
-            n = len(y)
-            pos = int(y.sum())
-            class_weight = {1.0: n / (2.0 * pos),
-                            -1.0: n / (2.0 * (n - pos))}
-        model.svm = train_svm(x, y, c=opts.c, tol=opts.tol,
-                              class_weight=class_weight)
+        model.svm = svm = train_svm(x, y, c=opts.c * weight, tol=opts.tol)
+        log(f"# svm iterations {svm.iterations} support-vectors "
+            f"{len(svm.dual_coef)} gap {svm.gap:.6g}")
     elif kind == "mlp":
-        model.mlp = _train_mlp(x, y, opts, log)
+        model.mlp = _train_mlp(x, y, weight, opts, log)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     return model

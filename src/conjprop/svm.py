@@ -6,6 +6,11 @@ Solves the standard C-SVC dual with a maximal-violating-pair working set:
 
 where Q_ij = y_i y_j K(x_i, x_j).  Only the degree-2 polynomial kernel
 K(x, y) = (x.y + 1)^2 is used here, but the solver is kernel-agnostic.
+
+Q is never stored: as in LIBSVM, each column is formed from the kernel
+matrix when a step needs it.  The labels are +1/-1, so the signs flip
+exactly, and the solver's whole memory is the n x n float64 kernel matrix,
+8 n^2 bytes, which must fit in physical memory.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InputError
+from .config import InputError, physical_memory
+
+MAX_ITER = 200_000
 
 
 class TrainingError(InputError):
@@ -31,6 +38,9 @@ class SVMModel:
     support_vectors: np.ndarray
     dual_coef: np.ndarray
     bias: float
+    # solver state of the run that trained the model; None once loaded
+    iterations: int | None = None
+    gap: float | None = None
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -40,13 +50,10 @@ class SVMModel:
         return self.decision_function(x) >= 0.0
 
 
-def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0,
-              tol: float = 1e-3, max_iter: int = 200_000,
-              class_weight: dict | None = None) -> SVMModel:
-    """Trains a binary C-SVC.  y holds +1/-1 (booleans accepted).
-
-    class_weight maps class label (+1/-1) to a multiplier on C.
-    """
+def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
+              tol: float = 1e-3) -> SVMModel:
+    """Trains a binary C-SVC.  y holds +1/-1 (booleans accepted); c caps
+    every alpha, or is an array of one cap per instance."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if y.dtype == bool:
@@ -57,29 +64,31 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0,
         raise TrainingError("no training instances")
     if len(np.unique(y)) < 2:
         raise TrainingError("training data contains a single class")
+    needed, ram = 8 * n * n, physical_memory()
+    if needed > ram:
+        raise TrainingError(f"the kernel SVM on {n} instances needs {needed} "
+                            f"bytes for its kernel matrix, more than the "
+                            f"{ram} bytes of physical memory")
 
-    cap = np.full(n, c, dtype=np.float64)
-    if class_weight:
-        for label, mult in class_weight.items():
-            cap[y == label] *= mult
-
+    cap = np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
     kernel = poly2_kernel(x, x)
-    q = kernel * np.outer(y, y)
-    qd = np.diag(q).copy()
+    qd = np.diag(kernel)
 
     alpha = np.zeros(n)
     grad = -np.ones(n)
     tau = 1e-12
 
-    for _ in range(max_iter):
+    for iterations in range(MAX_ITER):
         neg_yg = -y * grad
         up = ((y > 0) & (alpha < cap)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < cap)) | ((y > 0) & (alpha > 0))
         if not up.any() or not low.any():
+            gap = 0.0  # no pair can move
             break
         i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
         j = int(np.flatnonzero(low)[np.argmin(neg_yg[low])])
-        if neg_yg[i] - neg_yg[j] <= tol:
+        gap = float(neg_yg[i] - neg_yg[j])
+        if gap <= tol:
             break
 
         old_ai, old_aj = alpha[i], alpha[j]
@@ -128,15 +137,16 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0,
                 if alpha[i] < 0:
                     alpha[i] = 0.0
                     alpha[j] = total
-        grad += q[:, i] * (alpha[i] - old_ai) + q[:, j] * (alpha[j] - old_aj)
+        grad += y * (kernel[:, i] * (y[i] * (alpha[i] - old_ai))
+                     + kernel[:, j] * (y[j] * (alpha[j] - old_aj)))
     else:
-        raise TrainingError(f"no convergence within {max_iter} iterations")
+        raise TrainingError(f"no convergence within {MAX_ITER} iterations")
 
     bias = _intercept(alpha, grad, y, cap)
     keep = alpha > 1e-12
     return SVMModel(support_vectors=x[keep].copy(),
                     dual_coef=(alpha * y)[keep].copy(),
-                    bias=bias)
+                    bias=bias, iterations=iterations, gap=gap)
 
 
 def _intercept(alpha, grad, y, cap):

@@ -937,6 +937,30 @@ _GOOD_MODELS = {
 }
 
 
+def test_train_prop_kernel_fails_early_when_its_matrix_exceeds_ram(
+        run, tmp_path, monkeypatch):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    model = tmp_path / "prop.model"
+    monkeypatch.setattr("conjprop.svm.physical_memory", lambda: 1000)
+    rc, _, err = run(["train-prop", "--train", str(train), "--model",
+                      str(model)])
+    assert rc == 1
+    assert re.search(r"conjprop: error: the kernel SVM on (\d+) instances "
+                     r"needs (\d+) bytes for its kernel matrix, more than "
+                     r"the 1000 bytes of physical memory", err), err
+    n, needed = map(int, re.search(r"on (\d+) .* needs (\d+)", err).groups())
+    assert needed == 8 * n * n > 1000
+    assert "Traceback" not in err
+    assert not model.exists()
+    # a matrix of exactly the physical memory is allowed
+    monkeypatch.setattr("conjprop.svm.physical_memory", lambda: needed)
+    rc, _, err = run(["train-prop", "--train", str(train), "--model",
+                      str(model)])
+    assert rc == 0, err
+    assert model.exists()
+
+
 def _arrays_model(kind: str, meta: dict | None = None,
                   shapes: dict | None = None,
                   dtypes: dict | None = None) -> bytes:
@@ -1013,6 +1037,8 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
     # a repeated key would hand one sentence another's vectors
     ("sidecar", b"s1\t1\t0.1 0.2\ns1\t1\t0.3 0.4\n",
      ":2: repeated record for token 1 in sentence 's1'"),
+    # a well-formed sidecar that lacks the corpus's tokens
+    ("sidecar", b"s1\t1\t0.1 0.2\n", ": no embedding for token "),
     ("hashed-corpus", _REPEATED_ID, _SHARED_KEY),
     ("sidecar-corpus", _REPEATED_ID, _SHARED_KEY),
     ("predicted-corpus", _REPEATED_ID, _SHARED_KEY),
@@ -1038,7 +1064,7 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
         "kernel-float32", "mlp-mixed-dtypes", "mlp-int64", "sidecar-value",
         "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
-        "sidecar-repeat", "hash-repeated-id", "sidecar-repeated-id",
+        "sidecar-repeat", "sidecar-missing-token", "hash-repeated-id", "sidecar-repeated-id",
         "predict-repeated-id", "dev-repeated-id", "out-of-order",
         "non-contiguous", "dangling-head", "dangling-deps", "id", "no-words"])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conjprop.conllu import ROOT, TokenId
+from conjprop.conllu import ROOT, Sentence, Token, TokenId
 from conjprop.graph import (
     Edge, basic_edges, candidates, coarse, conj_pairs, conjunct_ids,
     enhanced_edges, has_subject, is_conj_label, propagated_links,
@@ -166,6 +166,26 @@ def test_candidates_match_a_naive_enumeration_on_random_sentences():
                     if near == gov and far != dep:
                         want.append((gov, dep, e, outgoing))
         assert candidates(sent, edges) == want
+
+
+# (empty node?, HEAD, DEPREL); a missing DEPREL comes with a missing HEAD
+_COLUMNS = st.tuples(
+    st.booleans(),
+    st.sampled_from([None, ROOT, TokenId(1), TokenId(2), TokenId(2, 1)]),
+    st.sampled_from([None, "conj", "conj:and", "conj:", "conjx", ":conj",
+                     "nsubj", "root"]),
+).filter(lambda c: c[1] is None or c[2] is not None)
+
+
+@given(st.lists(_COLUMNS, max_size=8))
+def test_conjunct_ids_are_the_tokens_of_conj_pairs(columns):
+    sent = Sentence(tokens=[
+        Token(id=TokenId(i, int(empty)), form="w", lemma="w", upos="X",
+              xpos="_", feats={}, head=head, deprel=deprel, deps=[],
+              misc="_")
+        for i, (empty, head, deprel) in enumerate(columns, start=1)])
+    assert conjunct_ids(sent) == {tid for pair in conj_pairs(sent)
+                                  for tid in pair}
 
 
 def test_conj_subtype_counts():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,20 @@ def test_class_weight_option_trains():
     probe = shared_subject_sentence(7)
     assert added_edges(probe, apply_model(model, probe)) == \
         {Edge(T(5, 0), T(1, 0), "nsubj")}
+
+
+@pytest.mark.parametrize("class_weights", [False, True])
+def test_kernel_logs_its_solver_state(class_weights):
+    lines = []
+    options = PropTrainOptions(tol=1e-4, class_weights=class_weights)
+    model = train_prop(training_corpus(), "kernel", options, log=lines.append)
+    assert len(lines) == 1
+    found = re.fullmatch(r"# svm iterations (\d+) support-vectors (\d+) "
+                         r"gap (\S+)", lines[0])
+    assert found, lines
+    assert int(found[1]) == model.svm.iterations > 0
+    assert int(found[2]) == len(model.svm.dual_coef)
+    assert float(found[3]) <= options.tol
 
 
 def test_unnamed_sentences_key_dense_vectors_by_position(tmp_path):

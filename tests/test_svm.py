@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conjprop import svm
 from conjprop.svm import SVMModel, TrainingError, poly2_kernel, train_svm
 
 # classic XOR with +/-1 coordinates; the quadratic kernel separates it
@@ -102,7 +105,7 @@ def test_class_weights_shift_the_boundary():
     x = np.array([[1.0], [-1.0], [-1.2], [-0.8], [-1.1]])
     y = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
     plain = train_svm(x, y, c=0.1)
-    weighted = train_svm(x, y, c=0.1, class_weight={1.0: 10.0})
+    weighted = train_svm(x, y, c=np.where(y > 0, 1.0, 0.1))
     probe = np.array([[0.3]])
     assert weighted.decision_function(probe) > plain.decision_function(probe)
 
@@ -115,3 +118,84 @@ def test_contradictory_duplicates_cap_accuracy():
     model = train_svm(x, y)
     front = model.predict(x[:4]) == (y[:4] > 0)
     assert front.sum() <= 2
+
+
+def reference_svm(x, y, cap, tol=1e-3):
+    """The solver in its textbook form, holding Q = K * outer(y, y)."""
+    n = len(y)
+    kernel = poly2_kernel(x, x)
+    q = kernel * np.outer(y, y)
+    qd = np.diag(q).copy()
+    alpha, grad = np.zeros(n), -np.ones(n)
+    while True:
+        neg_yg = -y * grad
+        up = ((y > 0) & (alpha < cap)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < cap)) | ((y > 0) & (alpha > 0))
+        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(neg_yg[low])])
+        if neg_yg[i] - neg_yg[j] <= tol:
+            break
+        old_ai, old_aj, ci, cj = alpha[i], alpha[j], cap[i], cap[j]
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / max(
+                qd[i] + qd[j] + 2.0 * kernel[i, j], 1e-12)
+            diff = alpha[i] - alpha[j]
+            alpha[i] += delta
+            alpha[j] += delta
+            if diff > 0 and alpha[j] < 0:
+                alpha[j], alpha[i] = 0.0, diff
+            elif diff <= 0 and alpha[i] < 0:
+                alpha[i], alpha[j] = 0.0, -diff
+            if diff > ci - cj and alpha[i] > ci:
+                alpha[i], alpha[j] = ci, ci - diff
+            elif diff <= ci - cj and alpha[j] > cj:
+                alpha[j], alpha[i] = cj, cj + diff
+        else:
+            delta = (grad[i] - grad[j]) / max(
+                qd[i] + qd[j] - 2.0 * kernel[i, j], 1e-12)
+            total = alpha[i] + alpha[j]
+            alpha[i] -= delta
+            alpha[j] += delta
+            if total > ci and alpha[i] > ci:
+                alpha[i], alpha[j] = ci, total - ci
+            elif total <= ci and alpha[j] < 0:
+                alpha[j], alpha[i] = 0.0, total
+            if total > cj and alpha[j] > cj:
+                alpha[j], alpha[i] = cj, total - cj
+            elif total <= cj and alpha[i] < 0:
+                alpha[i], alpha[j] = 0.0, total
+        grad += q[:, i] * (alpha[i] - old_ai) + q[:, j] * (alpha[j] - old_aj)
+    keep = alpha > 1e-12
+    return x[keep], (alpha * y)[keep], svm._intercept(alpha, grad, y, cap)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["scalar", "caps"])
+def test_solver_matches_the_textbook_form_bit_for_bit(weighted):
+    rng = np.random.default_rng(17)
+    x = 0.3 * rng.normal(size=(300, 6))
+    y = np.where(x[:, 0] * x[:, 1] + 0.03 * rng.normal(size=300) > 0,
+                 1.0, -1.0)
+    c = np.where(y > 0, 2.5, 0.4) if weighted else 0.7
+    model = train_svm(x, y, c=c)
+    want = reference_svm(x, y, np.broadcast_to(c, (300,)))
+    assert model.support_vectors.tobytes() == want[0].tobytes()
+    assert model.dual_coef.tobytes() == want[1].tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(want[2]).tobytes()
+    assert model.gap <= 1e-3 and model.iterations > 0
+
+
+def test_solver_holds_one_n_by_n_matrix():
+    # separable data, so that the solver's steps stay few under tracemalloc
+    rng = np.random.default_rng(2)
+    n = 1500
+    x = 0.3 * rng.normal(size=(n, 4))
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    x[:, 0] += y
+    tracemalloc.start()
+    try:
+        train_svm(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, peak / (n * n * 8)
+
