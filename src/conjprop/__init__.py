@@ -2,22 +2,17 @@
 
 import importlib
 
-from .conllu import (  # noqa: F401
-    ROOT, ParseError, Sentence, Token, TokenId, iter_corpus, parse_corpus,
-    read_file, write_corpus, write_file,
-)
-from .graph import (  # noqa: F401
-    Edge, coarse, conj_pairs, enhanced_edges, propagated_links,
-)
-from .converter import convert_mode  # noqa: F401
-from .evaluate import agreement_matrix, diff_stats, score  # noqa: F401
-from .cli import main  # noqa: F401
-
 __version__ = "0.1.0"
 
-# The numpy-backed exports load on first use (PEP 562), so the commands that
-# only read and write CoNLL-U never import numpy.
+# Every export loads its module on first use (PEP 562), so a command imports
+# only the layers it runs: the text commands never import numpy.
 _LAZY = {name: module for module, names in (
+    ("conllu", "ROOT ParseError Sentence Token TokenId iter_corpus "
+               "parse_corpus read_file write_corpus write_file"),
+    ("graph", "Edge coarse conj_pairs enhanced_edges propagated_links"),
+    ("converter", "convert_mode"),
+    ("evaluate", "agreement_matrix diff_stats score"),
+    ("cli", "main"),
     ("propmodel", "ApplyConfig PropModel PropTrainOptions apply_model "
                   "train_prop"),
     ("edgepred", "EdgeParser ParserTrainConfig decode new_parser "

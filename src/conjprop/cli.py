@@ -21,19 +21,14 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator
 
-from .config import (ConfigError, InputError, parse_value, physical_memory,
-                     read_config_file)
+from .config import (AlignmentError, ConfigError, InputError, parse_value,
+                     physical_memory, read_config_file)
 from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
     parse_corpus, split_text, write_corpus
-from .converter import convert_mode
-from .evaluate import (
-    AlignmentError, agreement_matrix, diff_stats, format_agreement,
-    format_diff_records, format_diff_table, format_score_records,
-    format_score_table, score,
-)
 
-# The numpy-backed layers, and labels, are imported by the commands that
-# use them: the text commands never load numpy.
+# Every layer past conllu is imported by the commands that use it: the text
+# commands never load numpy, convert never loads the scorers, and the
+# scorers never load the converter.
 
 
 class CliError(Exception):
@@ -369,12 +364,15 @@ def _split_text(text: str, pieces: int) -> list[tuple[int, str]]:
 
 
 def _convert_chunk(chunk: tuple[int, str], name: str, mode: str) -> str:
+    """The chunk's sentences converted in place: the stream owns them."""
+    from .converter import convert_mode
     first_line, text = chunk
-    return write_corpus(convert_mode(sent, mode)
+    return write_corpus(convert_mode(sent, mode, in_place=True)
                         for sent in iter_corpus(text, name, first_line))
 
 
 def cmd_convert(cfg) -> None:
+    from . import converter  # noqa: F401  (before the pool forks)
     text, name = _read_text(cfg["in"])
     chunks = _split_text(text, min(cfg["jobs"], os.cpu_count() or 1))
     convert = partial(_convert_chunk, name=name, mode=cfg["mode"])
@@ -475,6 +473,7 @@ def cmd_predict(cfg) -> None:
 
 
 def cmd_evaluate(cfg) -> None:
+    from .evaluate import format_score_records, format_score_table, score
     report = score(_stream(cfg["system"]), _stream(cfg["gold"]),
                    keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])))
     sc = report.overall
@@ -487,6 +486,7 @@ def cmd_evaluate(cfg) -> None:
 
 
 def cmd_agree(cfg) -> None:
+    from .evaluate import agreement_matrix, format_agreement
     files = _comma_list(cfg["files"])
     if len(files) < 2:
         raise CliError("agree needs at least two --files")
@@ -503,6 +503,7 @@ def cmd_agree(cfg) -> None:
 
 
 def cmd_stats(cfg) -> None:
+    from .evaluate import diff_stats, format_diff_records, format_diff_table
     scope = "conjunct" if cfg["scope"] == "conjunct-incident" else cfg["scope"]
     report = diff_stats(_stream(cfg["original"]), _stream(cfg["edited"]),
                         scope=scope)

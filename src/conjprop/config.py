@@ -23,6 +23,10 @@ class InputError(Exception):
     """Base of the bad-input errors of the numpy-backed modules."""
 
 
+class AlignmentError(ValueError):
+    """Two corpora whose sentences do not pair up."""
+
+
 def physical_memory() -> float:
     """Bytes of RAM; infinite where sysconf does not know them.  The
     trainers check their footprint against it before they allocate."""

@@ -6,14 +6,15 @@ propagation classifiers decide over. Each pass takes the candidates from a
 snapshot taken at pass start and writes into the working graph, so a single
 pass does not chain through freshly added edges; enabling iterate_to_fixpoint
 repeats passes until the graph stops changing, which handles nested and
-multiple coordinations.
+multiple coordinations. The basic layer never changes, so a sentence's conj
+pairs are found once. The converters return a copy unless in_place=True.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conllu import Sentence, Token
+from .conllu import Sentence, Token, TokenId
 from .graph import (
     Edge, add_dep, candidates, coarse, conj_pairs, enhanced_edges,
     has_child_with_label, has_subject,
@@ -50,9 +51,10 @@ def seed_enhanced(sent: Sentence) -> None:
             t.deps.append((t.head, t.deprel))
 
 
-def seeded_copy(sent: Sentence) -> Sentence:
-    """A copy of sent, its DEPS seeded from the basic layer when all empty."""
-    work = sent.clone()
+def seeded(sent: Sentence, in_place: bool = False) -> Sentence:
+    """A copy of sent, or sent itself when in_place, its DEPS seeded from
+    the basic layer when all empty."""
+    work = sent if in_place else sent.clone()
     if all(not t.deps for t in work.tokens):
         seed_enhanced(work)
     return work
@@ -74,12 +76,13 @@ def subject_label(sent: Sentence, dep_tok: Token, candidate: str,
     return candidate
 
 
-def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
-    if not conj_pairs(work):
-        return False
-    by_id = work.token_by_id()
+def _one_pass(work: Sentence, by_id: dict[TokenId, Token],
+              pairs: list[tuple[TokenId, TokenId]],
+              cfg: ConverterConfig) -> bool:
+    snapshot = candidates(pairs, ((head, t.id, label) for t in work.tokens
+                                  for head, label in t.deps))
     changed = False
-    for gov, dep, e, outgoing in candidates(work, enhanced_edges(work)):
+    for gov, dep, e, outgoing in snapshot:
         base = coarse(e.label)
         if not outgoing:
             # governors of gov are copied, modulo the exception list; non-core
@@ -108,43 +111,53 @@ def _one_pass(work: Sentence, cfg: ConverterConfig) -> bool:
     return changed
 
 
-def convert(sent: Sentence, cfg: ConverterConfig = ConverterConfig()) -> Sentence:
-    """Propagated copy of sent. Seeds DEPS from the basic layer when empty."""
-    work = seeded_copy(sent)
-    while _one_pass(work, cfg):
-        if not cfg.iterate_to_fixpoint:
-            break
+def convert(sent: Sentence, cfg: ConverterConfig = ConverterConfig(),
+            in_place: bool = False) -> Sentence:
+    """sent propagated under cfg: a copy, or sent itself when in_place.
+    Seeds DEPS from the basic layer when empty."""
+    work = seeded(sent, in_place)
+    pairs = conj_pairs(work)
+    if pairs:
+        by_id = work.token_by_id()
+        while _one_pass(work, by_id, pairs, cfg) and cfg.iterate_to_fixpoint:
+            pass
     return work
 
 
-def always_baseline(sent: Sentence) -> Sentence:
+def always_baseline(sent: Sentence, in_place: bool = False) -> Sentence:
     """Copy every incident edge of the head to the conjunct, labels unchanged.
 
     Single pass with live reads, so copies chain left to right. Only the conj
     edge to the conjunct itself is skipped; self loops are never produced.
     """
-    work = seeded_copy(sent)
-    by_id = work.token_by_id()
-    for gov, dep in conj_pairs(work):
+    work = seeded(sent, in_place)
+    pairs = conj_pairs(work)
+    by_id = work.token_by_id() if pairs else {}
+    for gov, dep in pairs:
         dep_tok = by_id[dep]
-        for e in sorted(enhanced_edges(work)):
-            if e.dep == gov and e.head != dep:
-                add_dep(dep_tok, e.head, e.label)
-            elif e.head == gov and e.dep != dep:
-                add_dep(by_id[e.dep], dep, e.label)
+        # a snapshot per pair: the copies of earlier pairs are in it
+        for head, tid, label in [(head, t.id, label) for t in work.tokens
+                                 for head, label in t.deps
+                                 if head == gov or t.id == gov]:
+            if tid == gov and head != dep:
+                add_dep(dep_tok, head, label)
+            elif head == gov and tid != dep:
+                add_dep(by_id[tid], dep, label)
     return work
 
 
-def convert_mode(sent: Sentence, mode: str) -> Sentence:
+def convert_mode(sent: Sentence, mode: str,
+                 in_place: bool = False) -> Sentence:
+    """sent propagated under mode: a copy, or sent itself when in_place."""
     if mode == "always":
-        return always_baseline(sent)
+        return always_baseline(sent, in_place)
     try:
         cfg = MODES[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}") from None
-    return convert(sent, cfg)
+    return convert(sent, cfg, in_place)
 
 
 def added_edges(before: Sentence, after: Sentence) -> set[Edge]:
     """Enhanced edges present in after but not in before (after seeding)."""
-    return enhanced_edges(after) - enhanced_edges(seeded_copy(before))
+    return enhanced_edges(after) - enhanced_edges(seeded(before))

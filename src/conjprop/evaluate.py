@@ -6,12 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .config import AlignmentError
 from .conllu import Sentence
 from .graph import Edge, basic_edges, coarse, enhanced_edges, propagated_links
-
-
-class AlignmentError(ValueError):
-    pass
 
 
 def _scoped_edges(sent: Sentence, scope: str) -> set[Edge]:

@@ -48,21 +48,24 @@ def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     return pairs
 
 
-def candidates(sent: Sentence, edges: Iterable[Edge]
+def candidates(pairs: list[tuple[TokenId, TokenId]],
+               edges: Iterable[tuple[TokenId, TokenId, str]]
                ) -> list[tuple[TokenId, TokenId, Edge, bool]]:
     """(gov, dep, edge, outgoing) for each of edges incident to a conj head.
 
-    Pairs come in conj_pairs order; within one, the edges out of gov, then
-    those into it, each sorted. A copy onto dep that would be a self-loop
-    is left out.
+    pairs are a sentence's conj_pairs, and edges (head, dep, label) tuples;
+    only those returned become Edges. Pairs come in the order given; within
+    one, the edges out of gov, then those into it, each sorted. A copy onto
+    dep that would be a self-loop is left out.
     """
-    ordered = sorted(edges)
+    govs = {gov for gov, _ in pairs}
+    incident = sorted(e for e in edges if e[0] in govs or e[1] in govs)
     out = []
-    for gov, dep in conj_pairs(sent):
-        out.extend((gov, dep, e, True) for e in ordered
-                   if e.head == gov and e.dep != dep)
-        out.extend((gov, dep, e, False) for e in ordered
-                   if e.dep == gov and e.head != dep)
+    for gov, dep in pairs:
+        out.extend((gov, dep, Edge(*e), True) for e in incident
+                   if e[0] == gov and e[1] != dep)
+        out.extend((gov, dep, Edge(*e), False) for e in incident
+                   if e[1] == gov and e[0] != dep)
     return out
 
 

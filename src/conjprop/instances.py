@@ -19,7 +19,8 @@ import numpy as np
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
 from .graph import (
-    Edge, basic_edges, candidates, coarse, enhanced_edges, is_conj_label,
+    Edge, basic_edges, candidates, coarse, conj_pairs, enhanced_edges,
+    is_conj_label,
 )
 
 # incident edges of the conjunction head that are never candidates
@@ -106,7 +107,7 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
     elif layer != "basic":
         raise ValueError(f"unknown layer {layer!r}")
     out: list[PropagationInstance] = []
-    for gov, dep, e, outgoing in candidates(sent, edges):
+    for gov, dep, e, outgoing in candidates(conj_pairs(sent), edges):
         if outgoing:
             if e.label in config.outgoing_exclusions \
                     or coarse(e.label) in config.outgoing_exclusions:

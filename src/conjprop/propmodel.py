@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import InputError
 from .conllu import Sentence
-from .converter import SUBJECT_LABELS, seeded_copy, subject_label
+from .converter import SUBJECT_LABELS, seeded, subject_label
 from .graph import add_dep, coarse
 from .instances import (
     DENSE_ROLES, FeatureConfig, InstanceConfig, default_feature_config,
@@ -276,7 +276,7 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 f"embedding dimension {provider.dim} does not match the "
                 f"model's expected {model.dense_dim}")
 
-    work = seeded_copy(sent)
+    work = seeded(sent)
     by_id = work.token_by_id()
 
     while True:

@@ -54,7 +54,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
               tol: float = 1e-3) -> SVMModel:
     """Trains a binary C-SVC.  y holds +1/-1 (booleans accepted); c caps
     every alpha, or is an array of one cap per instance."""
-    x = np.asarray(x, dtype=np.float64)
+    # contiguous, so x @ x.T is BLAS's symmetric product: grad reads rows
+    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y)
     if y.dtype == bool:
         y = np.where(y, 1.0, -1.0)
@@ -137,8 +138,8 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
                 if alpha[i] < 0:
                     alpha[i] = 0.0
                     alpha[j] = total
-        grad += y * (kernel[:, i] * (y[i] * (alpha[i] - old_ai))
-                     + kernel[:, j] * (y[j] * (alpha[j] - old_aj)))
+        grad += y * (kernel[i] * (y[i] * (alpha[i] - old_ai))
+                     + kernel[j] * (y[j] * (alpha[j] - old_aj)))
     else:
         raise TrainingError(f"no convergence within {MAX_ITER} iterations")
 

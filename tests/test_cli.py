@@ -12,13 +12,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import conjprop
 from conjprop import cli
 from conjprop.cli import main
-from conjprop.conllu import parse_corpus
+from conjprop.conllu import parse_corpus, read_file, write_corpus
+from conjprop.converter import convert_mode
 from conjprop.modelfile import load_model
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -454,17 +456,24 @@ def small_slices(monkeypatch):
     monkeypatch.setattr(cli, "_MIN_SLICE_CHARS", 1)
 
 
-def test_parallel_convert_matches_serial(run, tmp_path, small_slices):
+@pytest.mark.parametrize("mode", ["rbc", "rbc2", "rbc2+fix", "always"])
+def test_parallel_convert_matches_serial(run, tmp_path, small_slices, mode):
+    # sentences with filled DEPS, then basic-only ones the converter seeds
     big = tmp_path / "big.conllu"
-    big.write_text(prop_training_text())
+    big.write_text(prop_training_text() + "".join(
+        Path(DATA, f).read_text() for f in (
+            "fig1.conllu", "fig3a.conllu", "fig3b.conllu", "fig3c.conllu")))
     serial = tmp_path / "serial.out"
     parallel = tmp_path / "parallel.out"
-    run(["convert", "--mode", "rbc2", "--in", str(big),
+    run(["convert", "--mode", mode, "--in", str(big),
          "--out", str(serial)])
-    rc, _, _ = run(["convert", "--mode", "rbc2", "--in", str(big),
+    rc, _, _ = run(["convert", "--mode", mode, "--in", str(big),
                     "--out", str(parallel), "--jobs", "2"])
     assert rc == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    # the CLI converts in place what the library converts in copies
+    copies = write_corpus([convert_mode(s, mode) for s in read_file(big)])
+    assert serial.read_text() == copies
 
 
 def test_train_and_apply_propagation_model(run, tmp_path):
@@ -804,10 +813,10 @@ def test_parallel_convert_reports_the_first_error_in_file_order(
     assert rc == 1 and err.splitlines()[-1] == expected
     proc = _fresh_main(["convert", "--in", str(bad), "--jobs", "2"],
                        _two_cpus())
-    # the last line says whether numpy got loaded
+    # the last line names the watched modules that got loaded
     assert proc.returncode == 1
     assert "# pool 2" in proc.stderr.splitlines()
-    assert proc.stderr.splitlines()[-2:] == [expected, "False"]
+    assert proc.stderr.splitlines()[-2:] == [expected, "conjprop.converter"]
 
 
 def _with_bad_byte(text: str, line: int) -> bytes:
@@ -1192,14 +1201,19 @@ def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
     assert "Traceback" not in err
 
 
+WATCHED_MODULES = ("numpy", "conjprop.converter", "conjprop.evaluate")
+
+
 def _fresh_main(args: list[str], prelude: str = "",
                 stdin: str | None = None) -> subprocess.CompletedProcess:
     """main(args) in a new interpreter, after the statements in prelude;
-    the interpreter then prints whether numpy got loaded."""
+    the interpreter then prints, as its last line, which of numpy, the
+    converter and the scorers got loaded."""
     src = os.path.dirname(os.path.dirname(conjprop.__file__))
     script = (prelude + "import sys; from conjprop.cli import main; "
               "rc = main(sys.argv[1:]); "
-              "print('numpy' in sys.modules, file=sys.stderr); sys.exit(rc)")
+              f"print(*[m for m in {WATCHED_MODULES!r} if m in sys.modules], "
+              "file=sys.stderr); sys.exit(rc)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", script, *args], input=stdin,
@@ -1207,16 +1221,18 @@ def _fresh_main(args: list[str], prelude: str = "",
                           timeout=120)
 
 
-@pytest.mark.parametrize("args", [
-    ["convert", "--mode", "rbc2", "--in", FIG1],
-    ["evaluate", "--system", FIG1, "--gold", FIG1_GOLD],
-    ["stats", "--original", FIG1, "--edited", FIG1_GOLD],
-    ["agree", "--files", f"{FIG1},{FIG1_GOLD}"],
+@pytest.mark.parametrize("args, loaded", [
+    (["convert", "--mode", "rbc2", "--in", FIG1], "conjprop.converter"),
+    (["evaluate", "--system", FIG1, "--gold", FIG1_GOLD], "conjprop.evaluate"),
+    (["stats", "--original", FIG1, "--edited", FIG1_GOLD],
+     "conjprop.evaluate"),
+    (["agree", "--files", f"{FIG1},{FIG1_GOLD}"], "conjprop.evaluate"),
 ], ids=["convert", "evaluate", "stats", "agree"])
-def test_text_commands_never_load_numpy(args):
+def test_text_commands_never_load_numpy(args, loaded):
+    # nor does convert load the scorers, nor they the converter
     proc = _fresh_main(args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
+    assert proc.stderr.splitlines()[-1] == loaded
 
 
 def test_numpy_commands_report_bad_input_in_a_fresh_interpreter(tmp_path):

@@ -11,7 +11,7 @@ from conjprop.converter import (
 )
 from conjprop.graph import Edge, enhanced_edges, propagated_links
 from conjprop.instances import extract_instances, labels_match
-from conftest import make_sentence, random_sentence
+from conftest import load_fig, make_sentence, random_sentence
 
 RBC = ConverterConfig()
 RBC2 = MODES["rbc2"]
@@ -82,11 +82,33 @@ def test_fig3c_edge_arrives_on_second_pass(fig3c):
     assert added_edges(fig3c, twice) == added_edges(fig3c, convert(fig3c, ITERATE_ONLY))
 
 
-def test_convert_is_pure(fig1):
-    snapshot = write_corpus([fig1])
+@pytest.mark.parametrize("mode", [*MODES, "always"])
+def test_convert_is_pure(fig1, fig1_gold, mode):
+    # fig1's DEPS are empty and get seeded; fig1_gold's are already filled
+    for sent in (fig1, fig1_gold):
+        snapshot = write_corpus([sent])
+        out = convert_mode(sent, mode)
+        assert out is not sent
+        assert write_corpus([sent]) == snapshot
     convert(fig1, RBC2)
     always_baseline(fig1)
-    assert write_corpus([fig1]) == snapshot
+    assert write_corpus([fig1]) == write_corpus([load_fig("fig1.conllu")])
+
+
+@pytest.mark.parametrize("mode", [*MODES, "always"])
+def test_in_place_conversion_leaves_the_parse_memos_alone(mode):
+    # the reader hands out each FEATS dict and DEPS list copied from its
+    # memos; converting them in place must change neither a repeated
+    # sentence nor a later parse
+    seeded = [load_fig(name) for name in ("fig1.conllu", "fig3c.conllu")]
+    for sent in seeded:
+        seed_enhanced(sent)
+    text = write_corpus(seeded) * 2
+    first = write_corpus(parse_corpus(text))
+    converted = [convert_mode(sent, mode, in_place=True)
+                 for sent in parse_corpus(text)]
+    assert write_corpus(converted) != first
+    assert write_corpus(parse_corpus(text)) == first
 
 
 def test_output_superset_of_seed(fig1):

@@ -113,7 +113,7 @@ def test_conj_pairs_fig3c(fig3c):
 def test_candidates_fig3c(fig3c):
     t = TokenId
     # pair (1, 4) has no outgoing candidate: 1's only dependent is 4 itself
-    assert candidates(fig3c, basic_edges(fig3c)) == [
+    assert candidates(conj_pairs(fig3c), basic_edges(fig3c)) == [
         (t(1), t(4), edge(5, 1, "nsubj"), False),
         (t(5), t(10), edge(5, 1, "nsubj"), True),
         (t(5), t(10), edge(5, 7, "obj"), True),
@@ -136,7 +136,7 @@ def test_candidates_order_and_no_self_loops():
     ])
     # enhanced extras: 3 -> 1 would be a self-loop at 3 but not at 5
     edges = basic_edges(sent) | {edge(3, 1, "nmod"), edge(1, 6, "acl")}
-    found = candidates(sent, sorted(edges, reverse=True))
+    found = candidates(conj_pairs(sent), sorted(edges, reverse=True))
     assert found == [
         (t(1), t(3), edge(1, 5, "conj"), True),
         (t(1), t(3), edge(1, 6, "acl"), True),
@@ -165,7 +165,11 @@ def test_candidates_match_a_naive_enumeration_on_random_sentences():
                         else (e.dep, e.head)
                     if near == gov and far != dep:
                         want.append((gov, dep, e, outgoing))
-        assert candidates(sent, edges) == want
+        assert candidates(conj_pairs(sent), edges) == want
+        # plain tuples give the same list, of Edges
+        found = candidates(conj_pairs(sent), [tuple(e) for e in edges])
+        assert found == want
+        assert all(type(e) is Edge for _, _, e, _ in found)
 
 
 # (empty node?, HEAD, DEPREL); a missing DEPREL comes with a missing HEAD

@@ -169,6 +169,17 @@ def reference_svm(x, y, cap, tol=1e-3):
     return x[keep], (alpha * y)[keep], svm._intercept(alpha, grad, y, cap)
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["dense", "binary"])
+def test_kernel_of_x_with_itself_equals_its_transpose(binary):
+    # train_svm reads kernel rows where the textbook form reads columns
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(700, 153))
+    if binary:
+        x = (x > 0.8).astype(np.float64)
+    k = poly2_kernel(x, x)
+    assert np.array_equal(k, k.T)
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["scalar", "caps"])
 def test_solver_matches_the_textbook_form_bit_for_bit(weighted):
     rng = np.random.default_rng(17)
