@@ -321,3 +321,75 @@ def test_rules_add_only_edges_the_classifiers_consider(mode):
             assert any(labels_match(label, e.label)
                        for label in offered.get((e.head, e.dep), ())), e
     assert added > 800
+
+
+# The pass semantics below are pinned on hand-built sentences: each test
+# fails if its rule is changed, although the figures above do not notice.
+
+def test_subject_copied_earlier_in_the_pass_blocks_the_next():
+    # "Paul ate and drank", the enhanced layer adding a second subject edge
+    # at ate: the first subject copied onto drank blocks the second, because
+    # each copy lands before the next candidate is decided
+    sent = make_sentence([
+        ("Paul", "PROPN", 2, "nsubj"),
+        ("ate", "VERB", 0, "root"),
+        ("and", "CCONJ", 4, "cc"),
+        ("drank", "VERB", 2, "conj"),
+    ])
+    seed_enhanced(sent)
+    sent.tokens[0].deps.append((TokenId(2), "nsubj:xsubj"))
+    assert added_edges(sent, convert(sent, RBC)) == {edge(4, 1, "nsubj")}
+
+
+def test_always_copies_chain_through_earlier_pairs():
+    # "saw apples and pears and plums": the obj edge copied onto pears is
+    # in the snapshot of the next pair, so plums gets it too
+    sent = make_sentence([
+        ("saw", "VERB", 0, "root"),
+        ("apples", "NOUN", 1, "obj"),
+        ("and", "CCONJ", 4, "cc"),
+        ("pears", "NOUN", 2, "conj"),
+        ("and", "CCONJ", 6, "cc"),
+        ("plums", "NOUN", 4, "conj"),
+    ])
+    assert added_edges(sent, always_baseline(sent)) == {
+        edge(1, 4, "obj"), edge(1, 6, "obj"), edge(2, 6, "conj"),
+        edge(6, 3, "cc")}
+
+
+def test_rules_read_the_enhanced_layer_only():
+    # the enhanced layer relabeled Paul's basic nsubj: only the enhanced
+    # label is a candidate, for the rules and for always alike
+    sent = make_sentence([
+        ("Paul", "PROPN", 2, "nsubj"),
+        ("ate", "VERB", 0, "root"),
+        ("and", "CCONJ", 4, "cc"),
+        ("drank", "VERB", 2, "conj"),
+    ])
+    seed_enhanced(sent)
+    sent.tokens[0].deps = [(TokenId(2), "nsubj:xsubj")]
+    assert added_edges(sent, convert(sent, RBC)) == {
+        edge(4, 1, "nsubj:xsubj")}
+    assert added_edges(sent, always_baseline(sent)) == {
+        Edge(ROOT, TokenId(4), "root"), edge(4, 1, "nsubj:xsubj")}
+
+
+@pytest.mark.parametrize("mode", ["rbc", "rbc2"])
+def test_rules_copy_root_headed_edges_the_classifiers_never_offer(mode):
+    # a deliberate divergence: an incoming edge of the conjunction head
+    # whose head is ROOT (here 0:nsubj) is copied by the rules unless its
+    # label is an exception, while extract_instances drops every
+    # ROOT-headed candidate
+    sent = make_sentence([
+        ("he", "PRON", 2, "nsubj"),
+        ("ran", "VERB", 0, "root"),
+        ("and", "CCONJ", 4, "cc"),
+        ("jumped", "VERB", 2, "conj"),
+    ])
+    seed_enhanced(sent)
+    sent.tokens[1].deps.append((ROOT, "nsubj"))
+    assert Edge(ROOT, TokenId(4), "nsubj") in added_edges(
+        sent, convert_mode(sent, mode))
+    offered = extract_instances(sent, layer="working")
+    assert offered and all(inst.edge_at_conjunct().head != ROOT
+                           for inst in offered)
