@@ -1,30 +1,34 @@
-"""Rule-based propagation of dependencies across coordinations.
+"""Propagation of dependencies across coordinations, by rule or by model.
 
-The converter copies incident edges of a conjunction head to its conjuncts
-in the enhanced layer. It decides over graph.candidates, the same list the
-propagation classifiers decide over. Each pass takes the candidates from a
-snapshot taken at pass start and writes into the working graph, so a single
-pass does not chain through freshly added edges; enabling iterate_to_fixpoint
-repeats passes until the graph stops changing, which handles nested and
-multiple coordinations. The basic layer never changes, so a sentence's conj
-pairs are found once. The converters return a copy unless in_place=True.
+propagate is the one pass loop: a decider yields (token, head, label)
+edges, each added to the enhanced layer before the next is decided, and
+passes repeat while one adds an edge if fixpoint is set. The deciders
+differ in what they read. The rules read graph.candidates of DEPS as it
+stood at pass start, but check for a subject on the live graph, so a
+subject copied earlier in the pass counts. always reads DEPS afresh for
+each conj pair, so its copies chain left to right in its one pass. The
+classifiers (propmodel) read basic and DEPS as they stood at pass start.
+The rules copy a ROOT-headed edge into the conjunction head (0:nsubj,
+say), which extract_instances never offers: a deliberate divergence until
+a quality record decides it. Converters return a copy unless in_place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator
 
 from .conllu import Sentence, Token, TokenId
 from .graph import (
-    Edge, add_dep, candidates, coarse, conj_pairs, enhanced_edges,
-    has_child_with_label, has_subject,
+    SUBJECT_LABELS, Edge, add_dep, candidates, coarse, conj_pairs,
+    enhanced_edges, has_child_with_label, has_subject,
 )
 
 # incoming labels of gov never copied over to the conjunct, by coarse label
 GOVERNOR_EXCEPTIONS = frozenset(
     {"vocative", "discourse", "root", "punct", "cc", "conj", "mark"})
 
-SUBJECT_LABELS = frozenset({"nsubj", "csubj"})
 CORE_NONSUBJECT_LABELS = frozenset({"obj", "iobj", "ccomp", "xcomp"})
 NON_CORE_LABELS = frozenset({"obl", "advmod", "advcl"})
 
@@ -76,13 +80,26 @@ def subject_label(sent: Sentence, dep_tok: Token, candidate: str,
     return candidate
 
 
-def _one_pass(work: Sentence, by_id: dict[TokenId, Token],
-              pairs: list[tuple[TokenId, TokenId]],
-              cfg: ConverterConfig) -> bool:
-    snapshot = candidates(pairs, ((head, t.id, label) for t in work.tokens
-                                  for head, label in t.deps))
-    changed = False
-    for gov, dep, e, outgoing in snapshot:
+def propagate(work: Sentence, decide: Callable[..., Iterator[tuple]],
+              fixpoint: bool) -> Sentence:
+    """work, in place, with the edges decide(work, by_id, pairs) yields."""
+    pairs = conj_pairs(work)
+    if not pairs:
+        return work
+    by_id = work.token_by_id()
+    while True:
+        added = False
+        for tid, head, label in decide(work, by_id, pairs):
+            added |= add_dep(by_id[tid], head, label)
+        if not (added and fixpoint):
+            return work
+
+
+def _rule_edges(cfg: ConverterConfig, work: Sentence,
+                by_id: dict[TokenId, Token],
+                pairs: list[tuple[TokenId, TokenId]]) -> Iterator[tuple]:
+    deps = ((head, t.id, label) for t in work.tokens for head, label in t.deps)
+    for gov, dep, e, outgoing in candidates(pairs, deps):
         base = coarse(e.label)
         if not outgoing:
             # governors of gov are copied, modulo the exception list; non-core
@@ -90,60 +107,49 @@ def _one_pass(work: Sentence, by_id: dict[TokenId, Token],
             # the default config introduces no obl/advmod/advcl edge anywhere
             if base not in GOVERNOR_EXCEPTIONS and (
                     cfg.propagate_non_core or base not in NON_CORE_LABELS):
-                changed |= add_dep(by_id[dep], e.head, e.label)
+                yield dep, e.head, e.label
         # dependents of gov, by label class; the subject check reads the
         # working graph, so a subject copied earlier in this pass counts
         elif base in SUBJECT_LABELS:
-            if has_subject(work, dep):
-                continue
-            label = subject_label(work, by_id[dep], e.label,
-                                  cfg.passive_imperative_fix)
-            if label is not None:
-                changed |= add_dep(by_id[e.dep], dep, label)
+            if not has_subject(work, dep):
+                label = subject_label(work, by_id[dep], e.label,
+                                      cfg.passive_imperative_fix)
+                if label is not None:
+                    yield e.dep, dep, label
         elif base in CORE_NONSUBJECT_LABELS:
             # only shared if the target follows the conjunct
             if e.dep > dep:
-                changed |= add_dep(by_id[e.dep], dep, e.label)
+                yield e.dep, dep, e.label
         elif cfg.propagate_non_core and base in NON_CORE_LABELS:
             # only shared if the conjunct follows the target
             if e.dep < dep:
-                changed |= add_dep(by_id[e.dep], dep, e.label)
-    return changed
+                yield e.dep, dep, e.label
 
 
 def convert(sent: Sentence, cfg: ConverterConfig = ConverterConfig(),
             in_place: bool = False) -> Sentence:
-    """sent propagated under cfg: a copy, or sent itself when in_place.
-    Seeds DEPS from the basic layer when empty."""
-    work = seeded(sent, in_place)
-    pairs = conj_pairs(work)
-    if pairs:
-        by_id = work.token_by_id()
-        while _one_pass(work, by_id, pairs, cfg) and cfg.iterate_to_fixpoint:
-            pass
-    return work
+    """sent propagated under cfg, its DEPS seeded from basic when empty."""
+    return propagate(seeded(sent, in_place), partial(_rule_edges, cfg),
+                     cfg.iterate_to_fixpoint)
 
 
-def always_baseline(sent: Sentence, in_place: bool = False) -> Sentence:
-    """Copy every incident edge of the head to the conjunct, labels unchanged.
-
-    Single pass with live reads, so copies chain left to right. Only the conj
-    edge to the conjunct itself is skipped; self loops are never produced.
-    """
-    work = seeded(sent, in_place)
-    pairs = conj_pairs(work)
-    by_id = work.token_by_id() if pairs else {}
+def _always_edges(work: Sentence, by_id: dict[TokenId, Token],
+                  pairs: list[tuple[TokenId, TokenId]]) -> Iterator[tuple]:
     for gov, dep in pairs:
-        dep_tok = by_id[dep]
         # a snapshot per pair: the copies of earlier pairs are in it
         for head, tid, label in [(head, t.id, label) for t in work.tokens
                                  for head, label in t.deps
                                  if head == gov or t.id == gov]:
             if tid == gov and head != dep:
-                add_dep(dep_tok, head, label)
+                yield dep, head, label
             elif head == gov and tid != dep:
-                add_dep(by_id[tid], dep, label)
-    return work
+                yield tid, dep, label
+
+
+def always_baseline(sent: Sentence, in_place: bool = False) -> Sentence:
+    """Copy every incident edge of the head to the conjunct, labels unchanged,
+    but for the conj edge to the conjunct itself and any self-loop."""
+    return propagate(seeded(sent, in_place), _always_edges, False)
 
 
 def convert_mode(sent: Sentence, mode: str,

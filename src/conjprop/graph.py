@@ -7,6 +7,8 @@ from typing import Iterable, NamedTuple
 
 from .conllu import ROOT, Sentence, Token, TokenId
 
+SUBJECT_LABELS = frozenset({"nsubj", "csubj"})
+
 
 class Edge(NamedTuple):
     head: TokenId
@@ -107,7 +109,7 @@ def has_child_with_label(sent: Sentence, head: TokenId, label: str) -> bool:
 
 def has_subject(sent: Sentence, dep: TokenId) -> bool:
     """True if a basic or enhanced edge attaches a subject to dep."""
-    return any(head == dep and coarse(label) in ("nsubj", "csubj")
+    return any(head == dep and coarse(label) in SUBJECT_LABELS
                for t in sent.tokens
                for head, label in (t.deps if t.id.minor
                                    else [(t.head, t.deprel), *t.deps]))

@@ -19,8 +19,8 @@ import numpy as np
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
 from .graph import (
-    Edge, basic_edges, candidates, coarse, conj_pairs, enhanced_edges,
-    is_conj_label,
+    SUBJECT_LABELS, Edge, basic_edges, candidates, coarse, conj_pairs,
+    enhanced_edges, is_conj_label,
 )
 
 # incident edges of the conjunction head that are never candidates
@@ -60,7 +60,7 @@ class PropagationInstance:
 
 def _pass_family(label: str) -> str | None:
     base = coarse(label)
-    if base in ("nsubj", "csubj") and label in (base, base + ":pass"):
+    if base in SUBJECT_LABELS and label in (base, base + ":pass"):
         return base
     return None
 

@@ -3,12 +3,15 @@
 Two model kinds share one feature pipeline: a degree-2 polynomial kernel
 SVM (float64) and a two-hidden-layer perceptron (float32, widths 1500 and
 500 by default, AdamW at batch size 1, macro-F1 early stopping on a 10%
-holdout).  Positive decisions materialize enhanced edges at the conjunct.
+holdout).  apply_model runs converter.propagate with a classifier as its
+decider: each pass classifies, in one batch, the instances of basic and
+DEPS as they stood at pass start, and adds the accepted edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -16,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import InputError
 from .conllu import Sentence
-from .converter import SUBJECT_LABELS, seeded, subject_label
-from .graph import add_dep, coarse
+from .converter import propagate, seeded, subject_label
+from .graph import SUBJECT_LABELS, coarse
 from .instances import (
     DENSE_ROLES, FeatureConfig, InstanceConfig, default_feature_config,
     build_vocabulary, extract_instances, featurize, vectorize,
@@ -256,14 +259,10 @@ def train_prop(corpus: list[Sentence], kind: str,
 def apply_model(model: PropModel, sent: Sentence, provider=None,
                 config: ApplyConfig = ApplyConfig(),
                 index: int = 0) -> Sentence:
-    """Adds an enhanced edge for every instance the model accepts.
-
-    Candidates are extracted with the model's own outgoing exclusions.
-    Iterated application re-extracts instances from the working graph so
-    freshly added edges can seed further propagation.  Subject labels go
-    through the converter's passive/imperative adjustments when the fix is
-    switched on; otherwise candidates are copied verbatim.
-    """
+    """A copy of sent with an enhanced edge for every instance, under the
+    model's own outgoing exclusions, that the model accepts.  The fix sends
+    subject labels through the converter's passive/imperative adjustments;
+    otherwise candidate labels are copied verbatim."""
     needs_dense = (model.dense_dim > 0 and model.feature_config.dense_tokens
                    and model.feature_config.token_features)
     if needs_dense:
@@ -276,30 +275,21 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 f"embedding dimension {provider.dim} does not match the "
                 f"model's expected {model.dense_dim}")
 
-    work = seeded(sent)
-    by_id = work.token_by_id()
-
-    while True:
+    def decide(work, by_id, pairs):
         instances = extract_instances(work, config=model.instance_config,
                                       layer="working")
-        changed = False
-        if instances:
-            x = vectorize(featurize(work, instances, provider,
-                                    model.feature_config, index),
-                          model.vocab, model.dense_dim)
-            keep = model.predict(x)
-            for inst, positive in zip(instances, keep):
-                if not positive:
-                    continue
-                label = inst.candidate_label
-                if config.passive_imperative_fix \
-                        and coarse(label) in SUBJECT_LABELS:
-                    label = subject_label(work, by_id[inst.conj_dep], label,
-                                          True)
-                    if label is None:
-                        continue
+        if not instances:
+            return
+        x = vectorize(featurize(work, instances, provider,
+                                model.feature_config, index),
+                      model.vocab, model.dense_dim)
+        for inst in compress(instances, model.predict(x)):
+            label = inst.candidate_label
+            if config.passive_imperative_fix \
+                    and coarse(label) in SUBJECT_LABELS:
+                label = subject_label(work, by_id[inst.conj_dep], label, True)
+            if label is not None:
                 edge = inst.edge_at_conjunct()
-                changed |= add_dep(by_id[edge.dep], edge.head, label)
-        if not (changed and config.iterate_to_fixpoint):
-            break
-    return work
+                yield edge.dep, edge.head, label
+
+    return propagate(seeded(sent), decide, config.iterate_to_fixpoint)
