@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .config import (AlignmentError, ConfigError, InputError, parse_value,
                      physical_memory, read_config_file)
@@ -47,7 +47,7 @@ class Opt:
     required: bool = False
     low: float = -math.inf   # numeric values must lie in [low, below)
     below: float = math.inf
-    fault: Callable[[str], str] | None = None  # what is wrong, or ""
+    fault: Callable[[Any], str] | None = None  # what is wrong, or ""
 
     @property
     def dest(self) -> str:
@@ -57,6 +57,10 @@ class Opt:
 _IN = Opt("in", default="-", help="input CoNLL-U file ('-' for stdin)")
 _OUT = Opt("out", default="-", help="output file ('-' for stdout)")
 _SEED = Opt("seed", "int", 0, "random seed")
+_HASH_DIM = Opt("hash-dim", "int", 0, "use built-in hash embeddings of this "
+                "dimension (0 = off)", low=0)
+_HASH_LAYERS = Opt("hash-layers", "int", 1, "layer count for hash embeddings",
+                   low=1)
 
 
 def _comma_list(text: str) -> list[str]:
@@ -68,6 +72,10 @@ def _features_fault(text: str) -> str:
     if unknown:
         return f"names unknown groups: {', '.join(sorted(unknown))}"
     return ""
+
+
+def _positive_fault(value: float) -> str:
+    return "" if value > 0 else f"must be positive, got {value}"
 
 
 def _widths_fault(text: str) -> str:
@@ -101,9 +109,11 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("embeddings", help="single-layer embedding sidecar file"),
         Opt("hash-dim", "int", 0,
             help="use built-in hash embeddings of this dimension instead "
-                 "of a sidecar (0 = off)"),
-        Opt("c", "float", 1.0, "kernel soft-margin constant"),
-        Opt("tol", "float", 1e-3, "kernel optimizer tolerance"),
+                 "of a sidecar (0 = off)", low=0),
+        Opt("c", "float", 1.0, "kernel soft-margin constant",
+            fault=_positive_fault),
+        Opt("tol", "float", 1e-3, "kernel optimizer tolerance",
+            fault=_positive_fault),
         Opt("class-weights", "bool", False,
             "weight classes by inverse frequency"),
         Opt("epochs", "int", 50, "mlp epoch budget", low=0),
@@ -119,8 +129,7 @@ OPTIONS: dict[str, list[Opt]] = {
         _IN, _OUT,
         Opt("model", required=True, help="trained propagation model"),
         Opt("embeddings", help="single-layer embedding sidecar file"),
-        Opt("hash-dim", "int", 0,
-            help="use built-in hash embeddings of this dimension (0 = off)"),
+        _HASH_DIM,
         Opt("fixpoint", "bool", False,
             "reapply the model until the graph stops changing"),
         Opt("fix", "bool", False,
@@ -130,9 +139,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("train", required=True, help="training corpus with gold deps"),
         Opt("model", required=True, help="model file to write"),
         Opt("embeddings", help="multi-layer embedding sidecar file"),
-        Opt("hash-dim", "int", 0,
-            help="use built-in hash embeddings of this dimension (0 = off)"),
-        Opt("hash-layers", "int", 1, "layer count for hash embeddings"),
+        _HASH_DIM, _HASH_LAYERS,
         Opt("dev", help="development corpus for early stopping"),
         Opt("patience", "int", 5, "early-stopping patience (with --dev)",
             low=1),
@@ -149,9 +156,7 @@ OPTIONS: dict[str, list[Opt]] = {
         _IN, _OUT,
         Opt("model", required=True, help="trained edge-parser model"),
         Opt("embeddings", help="multi-layer embedding sidecar file"),
-        Opt("hash-dim", "int", 0,
-            help="use built-in hash embeddings of this dimension (0 = off)"),
-        Opt("hash-layers", "int", 1, "layer count for hash embeddings"),
+        _HASH_DIM, _HASH_LAYERS,
     ],
     "evaluate": [
         Opt("system", required=True, help="system output CoNLL-U file"),

@@ -7,6 +7,12 @@ Solves the standard C-SVC dual with a maximal-violating-pair working set:
 where Q_ij = y_i y_j K(x_i, x_j).  Only the degree-2 polynomial kernel
 K(x, y) = (x.y + 1)^2 is used here, but the solver is kernel-agnostic.
 
+Each step, whatever the labels of the pair i, j, is one move along d with
+d_i = y_i and d_j = -y_j (Fan, Chen & Lin 2005).  The move keeps y'a fixed;
+along it the objective has slope -gap and curvature K_ii + K_jj - 2 K_ij,
+so the step is gap over that curvature, clipped where alpha_i or alpha_j
+reaches a bound.
+
 Q is never stored: as in LIBSVM, each column is formed from the kernel
 matrix when a step needs it.  The labels are +1/-1, so the signs flip
 exactly, and the solver's whole memory is the n x n float64 kernel matrix,
@@ -92,52 +98,20 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
         if gap <= tol:
             break
 
+        # the move along d of the module docstring
+        room_i = cap[i] - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else cap[j] - alpha[j]
+        step = min(gap / max(qd[i] + qd[j] - 2.0 * kernel[i, j], tau),
+                   room_i, room_j)
         old_ai, old_aj = alpha[i], alpha[j]
-        ci, cj = cap[i], cap[j]
-        if y[i] != y[j]:
-            quad = max(qd[i] + qd[j] + 2.0 * kernel[i, j], tau)
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
-            if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-            if diff > ci - cj:
-                if alpha[i] > ci:
-                    alpha[i] = ci
-                    alpha[j] = ci - diff
-            else:
-                if alpha[j] > cj:
-                    alpha[j] = cj
-                    alpha[i] = cj + diff
-        else:
-            quad = max(qd[i] + qd[j] - 2.0 * kernel[i, j], tau)
-            delta = (grad[i] - grad[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > ci:
-                if alpha[i] > ci:
-                    alpha[i] = ci
-                    alpha[j] = total - ci
-            else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-            if total > cj:
-                if alpha[j] > cj:
-                    alpha[j] = cj
-                    alpha[i] = total - cj
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        # an alpha whose room limited the step lands exactly on its bound,
+        # so the up and low sets never see a rounding remainder
+        if step == room_i:
+            alpha[i] = cap[i] if y[i] > 0 else 0.0
+        if step == room_j:
+            alpha[j] = 0.0 if y[j] > 0 else cap[j]
         grad += y * (kernel[i] * (y[i] * (alpha[i] - old_ai))
                      + kernel[j] * (y[j] * (alpha[j] - old_aj)))
     else:

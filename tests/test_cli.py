@@ -876,13 +876,28 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["train-prop", "--hidden", "8,0"], "command line: hidden expects two"),
     (["convert", "--jobs", "0"], "jobs must be in [1, inf), got 0"),
     (["convert", "--jobs", "-3"], "jobs must be in [1, inf), got -3"),
+    (["train-prop", "--c", "0"], "c must be positive, got 0.0"),
+    (["train-prop", "--c", "-1"], "c must be positive, got -1.0"),
+    (["train-prop", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["train-prop", "--tol", "-1"], "tol must be positive, got -1.0"),
+    (["train-prop", "--kind", "mlp", "--hash-dim", "-3"],
+     "hash-dim must be in [0, inf), got -3"),
+    (["apply-prop", "--hash-dim", "-1"], "hash-dim must be in [0, inf), got -1"),
+    (["train-parser", "--hash-dim", "-1"],
+     "hash-dim must be in [0, inf), got -1"),
+    (["train-parser", "--hash-dim", "4", "--hash-layers", "0"],
+     "hash-layers must be in [1, inf), got 0"),
+    (["predict", "--hash-dim", "-1"], "hash-dim must be in [0, inf), got -1"),
+    (["predict", "--hash-dim", "4", "--hash-layers", "0"],
+     "hash-layers must be in [1, inf), got 0"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")
     inputs = {"convert": ["--in", FIG1],
               "apply-prop": ["--in", FIG1, "--model", model],
               "train-prop": ["--train", FIG1, "--model", model],
-              "train-parser": ["--train", FIG1, "--model", model]}
+              "train-parser": ["--train", FIG1, "--model", model],
+              "predict": ["--in", FIG1, "--model", model]}
     rc, _, err = run(argv + inputs[argv[0]])
     assert rc == 1
     assert "conjprop: error: " in err and message in err

@@ -120,12 +120,20 @@ def test_contradictory_duplicates_cap_accuracy():
     assert front.sum() <= 2
 
 
+def test_first_step_between_opposite_labels_uses_the_textbook_curvature():
+    # K = [[4, 1], [1, 4]]: along d the curvature is 4 + 4 - 2 = 6, and the
+    # first step from alpha = 0 (gap 2) lands on the optimum alpha = 2/6
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    model = train_svm(x, np.array([1.0, -1.0]), c=100.0)
+    eta = 6.0
+    assert model.iterations == 1
+    assert model.dual_coef.tolist() == [2.0 / eta, -2.0 / eta]
+
+
 def reference_svm(x, y, cap, tol=1e-3):
     """The solver in its textbook form, holding Q = K * outer(y, y)."""
     n = len(y)
-    kernel = poly2_kernel(x, x)
-    q = kernel * np.outer(y, y)
-    qd = np.diag(q).copy()
+    q = poly2_kernel(x, x) * np.outer(y, y)
     alpha, grad = np.zeros(n), -np.ones(n)
     while True:
         neg_yg = -y * grad
@@ -133,37 +141,21 @@ def reference_svm(x, y, cap, tol=1e-3):
         low = ((y < 0) & (alpha < cap)) | ((y > 0) & (alpha > 0))
         i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
         j = int(np.flatnonzero(low)[np.argmin(neg_yg[low])])
-        if neg_yg[i] - neg_yg[j] <= tol:
+        gap = neg_yg[i] - neg_yg[j]
+        if gap <= tol:
             break
-        old_ai, old_aj, ci, cj = alpha[i], alpha[j], cap[i], cap[j]
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / max(
-                qd[i] + qd[j] + 2.0 * kernel[i, j], 1e-12)
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
-            if diff > 0 and alpha[j] < 0:
-                alpha[j], alpha[i] = 0.0, diff
-            elif diff <= 0 and alpha[i] < 0:
-                alpha[i], alpha[j] = 0.0, -diff
-            if diff > ci - cj and alpha[i] > ci:
-                alpha[i], alpha[j] = ci, ci - diff
-            elif diff <= ci - cj and alpha[j] > cj:
-                alpha[j], alpha[i] = cj, cj + diff
-        else:
-            delta = (grad[i] - grad[j]) / max(
-                qd[i] + qd[j] - 2.0 * kernel[i, j], 1e-12)
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > ci and alpha[i] > ci:
-                alpha[i], alpha[j] = ci, total - ci
-            elif total <= ci and alpha[j] < 0:
-                alpha[j], alpha[i] = 0.0, total
-            if total > cj and alpha[j] > cj:
-                alpha[j], alpha[i] = cj, total - cj
-            elif total <= cj and alpha[i] < 0:
-                alpha[i], alpha[j] = 0.0, total
+        # minimize along d (d_i = y_i, d_j = -y_j): slope -gap, curvature d'Qd
+        curvature = q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j]
+        room_i = cap[i] - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else cap[j] - alpha[j]
+        step = min(gap / max(curvature, 1e-12), room_i, room_j)
+        old_ai, old_aj = alpha[i], alpha[j]
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        if step == room_i:
+            alpha[i] = cap[i] if y[i] > 0 else 0.0
+        if step == room_j:
+            alpha[j] = 0.0 if y[j] > 0 else cap[j]
         grad += q[:, i] * (alpha[i] - old_ai) + q[:, j] * (alpha[j] - old_aj)
     keep = alpha > 1e-12
     return x[keep], (alpha * y)[keep], svm._intercept(alpha, grad, y, cap)
