@@ -117,7 +117,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("class-weights", "bool", False,
             "weight classes by inverse frequency"),
         Opt("epochs", "int", 50, "mlp epoch budget", low=0),
-        Opt("lr", "float", 5e-5, "mlp learning rate"),
+        Opt("lr", "float", 5e-5, "mlp learning rate", fault=_positive_fault),
         Opt("patience", "int", 5, "mlp early-stopping patience", low=1),
         Opt("holdout", "float", 0.1, "mlp early-stopping holdout fraction",
             low=0, below=1),
@@ -148,7 +148,7 @@ OPTIONS: dict[str, list[Opt]] = {
             "building the label inventory"),
         Opt("hidden", "int", 1024, "projection width", low=1),
         Opt("batch", "int", 5, "batch size", low=1),
-        Opt("lr", "float", 5e-6, "learning rate"),
+        Opt("lr", "float", 5e-6, "learning rate", fault=_positive_fault),
         Opt("epochs", "int", 10, "epoch budget", low=0),
         _SEED,
     ],

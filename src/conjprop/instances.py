@@ -3,25 +3,25 @@
 One instance is a yes/no question: should this incident edge of a
 conjunction head be copied onto one of its conjuncts?  Instances are the
 graph.candidates of a sentence, the list the rule converter decides over,
-minus those the label filter drops.  Instances hold token ids only; the
-sentence they came from is passed along beside them, so featurize encodes
-all of one sentence's instances in one pass.  Features cover the candidate
-link itself, morphology and optional dense vectors for the three involved
-tokens, and structure read off the basic tree.
+minus those the label filter drops.  Callers pass the conj pairs and the
+edge set they already hold; gold marks come from the sentence's own DEPS.
+Instances hold token ids only; the sentence they came from is passed
+along beside them, so featurize encodes all of one sentence's instances
+in one pass.  Features cover the candidate link itself, morphology and
+optional dense vectors for the three involved tokens, and structure read
+off the basic tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
-from .graph import (
-    SUBJECT_LABELS, Edge, basic_edges, candidates, coarse, conj_pairs,
-    enhanced_edges, is_conj_label,
-)
+from .graph import SUBJECT_LABELS, Edge, candidates, coarse, is_conj_label
 
 # incident edges of the conjunction head that are never candidates
 DEFAULT_OUTGOING_EXCLUSIONS = frozenset({"cc", "conj", "punct", "mark"})
@@ -31,10 +31,6 @@ DENSE_ROLES = ("head", "dep", "target")
 
 INCOMING = "incoming"
 OUTGOING = "outgoing"
-
-
-class TokenMismatchError(Exception):
-    """Sentence pair disagrees on tokens; message names sentence and token."""
 
 
 @dataclass(frozen=True)
@@ -73,41 +69,19 @@ def labels_match(candidate: str, gold_label: str) -> bool:
     return fam is not None and fam == _pass_family(gold_label)
 
 
-def _check_aligned(sent: Sentence, gold: Sentence) -> None:
-    sid = sent.sent_id or "<no id>"
-    if len(sent.tokens) != len(gold.tokens):
-        raise TokenMismatchError(
-            f"sentence {sid!r}: {len(sent.tokens)} tokens vs "
-            f"{len(gold.tokens)} in gold")
-    for a, b in zip(sent.tokens, gold.tokens):
-        if a.id != b.id or a.form != b.form:
-            raise TokenMismatchError(
-                f"sentence {sid!r}: token {a.id} mismatch "
-                f"({a.form!r} vs {b.form!r} at {b.id})")
-
-
-def extract_instances(sent: Sentence, gold: Sentence | None = None,
+def extract_instances(sent: Sentence, pairs: list[tuple[TokenId, TokenId]],
+                      edges: Iterable[tuple[TokenId, TokenId, str]],
                       config: InstanceConfig = InstanceConfig(),
-                      layer: str = "basic") -> list[PropagationInstance]:
-    """One instance per graph.candidates entry that passes the label filter.
-
-    The filter keeps outgoing edges of the conjunction head unless their
-    full or coarse label is in the exclusion list, and incoming ones unless
-    they are the root attachment (head ROOT or label root).
-    With layer="working" the edges are read from the union of the basic and
-    the current enhanced layer, so edges added by an earlier application
-    round can themselves be propagated.  With gold, an instance is positive
-    if gold holds its edge at the conjunct under a matching label.
-    """
-    if gold is not None:
-        _check_aligned(sent, gold)
-    edges = basic_edges(sent)
-    if layer == "working":
-        edges = edges | enhanced_edges(sent)
-    elif layer != "basic":
-        raise ValueError(f"unknown layer {layer!r}")
+                      gold: bool = False) -> list[PropagationInstance]:
+    """One instance per graph.candidates(pairs, edges) entry that passes
+    the label filter: outgoing edges of the conjunction head unless their
+    full or coarse label is excluded, incoming ones unless they are the
+    root attachment (head ROOT or label root).  pairs are sent's
+    conj_pairs and edges the layer to read.  With gold, an instance is
+    positive if sent's own DEPS hold its edge at the conjunct under a label
+    that labels_match; otherwise its gold stays None."""
     out: list[PropagationInstance] = []
-    for gov, dep, e, outgoing in candidates(conj_pairs(sent), edges):
+    for gov, dep, e, outgoing in candidates(pairs, edges):
         if outgoing:
             if e.label in config.outgoing_exclusions \
                     or coarse(e.label) in config.outgoing_exclusions:
@@ -118,9 +92,9 @@ def extract_instances(sent: Sentence, gold: Sentence | None = None,
             out.append(PropagationInstance(gov, dep, e.head, e.label,
                                            INCOMING))
 
-    if gold is not None:
+    if gold:
         gold_labels: dict[tuple[TokenId, TokenId], list[str]] = {}
-        for t in gold.tokens:
+        for t in sent.tokens:
             for head, label in t.deps:
                 gold_labels.setdefault((head, t.id), []).append(label)
         for inst in out:

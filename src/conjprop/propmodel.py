@@ -20,7 +20,9 @@ from . import autodiff as ad
 from .config import InputError
 from .conllu import Sentence
 from .converter import propagate, seeded, subject_label
-from .graph import SUBJECT_LABELS, coarse
+from .graph import (
+    SUBJECT_LABELS, basic_edges, coarse, conj_pairs, enhanced_edges,
+)
 from .instances import (
     DENSE_ROLES, FeatureConfig, InstanceConfig, default_feature_config,
     build_vocabulary, extract_instances, featurize, vectorize,
@@ -226,7 +228,8 @@ def train_prop(corpus: list[Sentence], kind: str,
     fc = feature_config or default_feature_config(kind)
     instances, vectors = [], []
     for index, sent in enumerate(corpus):
-        found = extract_instances(sent, gold=sent, config=instance_config)
+        found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
+                                  instance_config, gold=True)
         instances.extend(found)
         vectors.extend(featurize(sent, found, provider, fc, index))
     if not instances:
@@ -275,9 +278,11 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
                 f"embedding dimension {provider.dim} does not match the "
                 f"model's expected {model.dense_dim}")
 
+    basic = basic_edges(sent)
+
     def decide(work, by_id, pairs):
-        instances = extract_instances(work, config=model.instance_config,
-                                      layer="working")
+        instances = extract_instances(
+            work, pairs, basic | enhanced_edges(work), model.instance_config)
         if not instances:
             return
         x = vectorize(featurize(work, instances, provider,

@@ -107,7 +107,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
         # an alpha whose room limited the step lands exactly on its bound,
-        # so the up and low sets never see a rounding remainder
+        # so every test of alpha against 0 or cap is exact, even at tiny caps
         if step == room_i:
             alpha[i] = cap[i] if y[i] > 0 else 0.0
         if step == room_j:
@@ -118,7 +118,7 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
         raise TrainingError(f"no convergence within {MAX_ITER} iterations")
 
     bias = _intercept(alpha, grad, y, cap)
-    keep = alpha > 1e-12
+    keep = alpha > 0
     return SVMModel(support_vectors=x[keep].copy(),
                     dual_coef=(alpha * y)[keep].copy(),
                     bias=bias, iterations=iterations, gap=gap)
@@ -127,14 +127,14 @@ def train_svm(x: np.ndarray, y: np.ndarray, c=1.0,
 def _intercept(alpha, grad, y, cap):
     """Offset from the KKT conditions; free vectors average, else midpoint."""
     yg = y * grad
-    free = (alpha > 1e-12) & (alpha < cap - 1e-12)
+    free = (alpha > 0) & (alpha < cap)
     if free.any():
         rho = yg[free].mean()
     else:
-        upper = np.where(alpha >= cap - 1e-12,
+        upper = np.where(alpha >= cap,
                          np.where(y < 0, yg, np.inf),
                          np.where(y > 0, yg, np.inf)).min()
-        lower = np.where(alpha >= cap - 1e-12,
+        lower = np.where(alpha >= cap,
                          np.where(y > 0, yg, -np.inf),
                          np.where(y < 0, yg, -np.inf)).max()
         rho = (upper + lower) / 2.0

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from conjprop.conllu import ROOT, Sentence, Token, TokenId, read_file
+from conjprop.graph import basic_edges, conj_pairs, enhanced_edges
+from conjprop.instances import extract_instances
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -130,6 +132,13 @@ def random_sentence(rng: random.Random, sid: str, max_tokens: int = 15,
             id=TokenId(m, 1), form="E", lemma="E", upos="VERB", xpos="_",
             feats={}, head=None, deprel=None, deps=[], misc="_"))
     return sent
+
+
+def working_instances(sent: Sentence):
+    """sent's instances over basic and DEPS, as one application pass reads
+    them."""
+    return extract_instances(sent, conj_pairs(sent),
+                             basic_edges(sent) | enhanced_edges(sent))
 
 
 def seed_deps(sent: Sentence) -> None:

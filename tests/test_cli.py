@@ -890,6 +890,11 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["predict", "--hash-dim", "-1"], "hash-dim must be in [0, inf), got -1"),
     (["predict", "--hash-dim", "4", "--hash-layers", "0"],
      "hash-layers must be in [1, inf), got 0"),
+    (["train-prop", "--kind", "mlp", "--lr", "-1"],
+     "lr must be positive, got -1.0"),
+    (["train-prop", "--lr", "0"], "lr must be positive, got 0.0"),
+    (["train-parser", "--lr", "0"], "lr must be positive, got 0.0"),
+    (["train-parser", "--lr", "-0.5"], "lr must be positive, got -0.5"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")

@@ -10,8 +10,10 @@ from conjprop.converter import (
     always_baseline, convert, convert_mode, seed_enhanced,
 )
 from conjprop.graph import Edge, enhanced_edges, propagated_links
-from conjprop.instances import extract_instances, labels_match
-from conftest import load_fig, make_sentence, random_sentence
+from conjprop.instances import labels_match
+from conftest import (
+    load_fig, make_sentence, random_sentence, working_instances,
+)
 
 RBC = ConverterConfig()
 RBC2 = MODES["rbc2"]
@@ -313,7 +315,7 @@ def test_rules_add_only_edges_the_classifiers_consider(mode):
         sent = random_sentence(rng, f"rc{i}")
         out = convert_mode(sent, mode)
         offered = {}
-        for inst in extract_instances(out, layer="working"):
+        for inst in working_instances(out):
             e = inst.edge_at_conjunct()
             offered.setdefault((e.head, e.dep), []).append(e.label)
         for e in added_edges(sent, out):
@@ -390,6 +392,6 @@ def test_rules_copy_root_headed_edges_the_classifiers_never_offer(mode):
     sent.tokens[1].deps.append((ROOT, "nsubj"))
     assert Edge(ROOT, TokenId(4), "nsubj") in added_edges(
         sent, convert_mode(sent, mode))
-    offered = extract_instances(sent, layer="working")
+    offered = working_instances(sent)
     assert offered and all(inst.edge_at_conjunct().head != ROOT
                            for inst in offered)

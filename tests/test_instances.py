@@ -3,11 +3,11 @@ import pytest
 
 from conjprop.conllu import ROOT, TokenId
 from conjprop.embeddings import EmbeddingError, hash_provider
-from conftest import make_sentence
+from conftest import make_sentence, working_instances
+from conjprop.graph import basic_edges, conj_pairs
 from conjprop.instances import (
-    FeatureConfig, InstanceConfig, TokenMismatchError, build_vocabulary,
-    default_feature_config, extract_instances, featurize, labels_match,
-    vectorize,
+    FeatureConfig, InstanceConfig, build_vocabulary, default_feature_config,
+    extract_instances, featurize, labels_match, vectorize,
 )
 
 T = TokenId
@@ -17,8 +17,14 @@ def by_target(instances):
     return {(i.target, i.direction): i for i in instances}
 
 
-def test_fig1_yields_three_gold_positive_instances(fig1, fig1_gold):
-    instances = extract_instances(fig1, gold=fig1_gold)
+def basic_instances(sent, config=InstanceConfig(), gold=False):
+    """sent's instances over its basic layer, as training extracts them."""
+    return extract_instances(sent, conj_pairs(sent), basic_edges(sent),
+                             config, gold)
+
+
+def test_fig1_yields_three_gold_positive_instances(fig1_gold):
+    instances = basic_instances(fig1_gold, gold=True)
     assert len(instances) == 3
     table = by_target(instances)
     nsubj = table[(T(4, 0), "outgoing")]
@@ -32,24 +38,24 @@ def test_fig1_yields_three_gold_positive_instances(fig1, fig1_gold):
 
 
 def test_gold_defaults_to_none_without_reference(fig1):
-    instances = extract_instances(fig1)
+    instances = basic_instances(fig1)
     assert all(inst.gold is None for inst in instances)
 
 
 def test_sentence_without_conj_yields_nothing():
     sent = make_sentence([("Dogs", "NOUN", 2, "nsubj"),
                           ("bark", "VERB", 0, "root")])
-    assert extract_instances(sent) == []
+    assert basic_instances(sent) == []
 
 
 def test_punct_cc_conj_mark_edges_are_not_candidates(fig1):
-    labels = {i.candidate_label for i in extract_instances(fig1)}
+    labels = {i.candidate_label for i in basic_instances(fig1)}
     assert labels == {"nsubj", "obj", "obl"}
 
 
 def test_exclusion_list_is_configurable(fig1):
     config = InstanceConfig(outgoing_exclusions=frozenset({"conj"}))
-    labels = {i.candidate_label for i in extract_instances(fig1, config=config)}
+    labels = {i.candidate_label for i in basic_instances(fig1, config)}
     assert "punct" in labels
 
 
@@ -62,7 +68,7 @@ def test_incoming_edge_becomes_an_instance():
         ("and", "CCONJ", 5, "cc"),
         ("drank", "VERB", 3, "conj"),
     ])
-    instances = extract_instances(sent)
+    instances = basic_instances(sent)
     incoming = [i for i in instances if i.direction == "incoming"]
     assert len(incoming) == 1
     inst = incoming[0]
@@ -73,7 +79,7 @@ def test_incoming_edge_becomes_an_instance():
 
 
 def test_root_attachment_is_never_an_incoming_instance(fig1):
-    directions = {i.direction for i in extract_instances(fig1)}
+    directions = {i.direction for i in basic_instances(fig1)}
     assert directions == {"outgoing"}
 
 
@@ -81,7 +87,7 @@ def test_passive_rewrite_counts_as_gold(fig3a):
     gold = fig3a.clone()
     # gold graph carries nsubj (rewritten), candidate says nsubj:pass
     gold.tokens[0].deps = [(T(4, 0), "nsubj:pass"), (T(9, 0), "nsubj")]
-    instances = extract_instances(fig3a, gold=gold)
+    instances = basic_instances(gold, gold=True)
     table = by_target(instances)
     inst = table[(T(1, 0), "outgoing")]
     assert inst.candidate_label == "nsubj:pass"
@@ -97,23 +103,14 @@ def test_labels_match_is_limited_to_subject_pass_family():
     assert not labels_match("nsubj", "csubj")
 
 
-def test_token_mismatch_is_a_structured_error(fig1, fig3a):
-    with pytest.raises(TokenMismatchError):
-        extract_instances(fig1, gold=fig3a)
-    stretched = fig1.clone()
-    stretched.tokens[3].form = "Lopez"
-    with pytest.raises(TokenMismatchError, match="Lopez"):
-        extract_instances(fig1, gold=stretched)
-
-
 def test_working_layer_sees_enhanced_edges(fig3c):
     work = fig3c.clone()
     for t in work.tokens:
         if not t.deps and t.head is not None:
             t.deps.append((t.head, t.deprel))
     work.tokens[0].deps.append((T(10, 0), "nsubj"))
-    basic_only = extract_instances(fig3c)
-    working = extract_instances(work, layer="working")
+    basic_only = basic_instances(fig3c)
+    working = working_instances(work)
     extra = {(i.conj_head, i.conj_dep, i.target, i.candidate_label)
              for i in working} - \
             {(i.conj_head, i.conj_dep, i.target, i.candidate_label)
@@ -121,16 +118,11 @@ def test_working_layer_sees_enhanced_edges(fig3c):
     assert (T(1, 0), T(4, 0), T(10, 0), "nsubj") in extra
 
 
-def test_unknown_layer_rejected(fig1):
-    with pytest.raises(ValueError):
-        extract_instances(fig1, layer="gold")
-
-
 # featurization
 
 
 def test_fig1_nsubj_features(fig1):
-    inst = by_target(extract_instances(fig1))[(T(4, 0), "outgoing")]
+    inst = by_target(basic_instances(fig1))[(T(4, 0), "outgoing")]
     fv = featurize(fig1, [inst])[0]
     assert fv.named["label=nsubj"] == 1.0
     assert fv.named["direction=outgoing"] == 1.0
@@ -151,7 +143,7 @@ def test_linear_direction_three_way():
         ("d", "VERB", 2, "conj"),
         ("e", "NOUN", 5, "obj"),
     ])
-    instances = by_target(extract_instances(sent))
+    instances = by_target(basic_instances(sent))
     before_both = instances[(T(1, 0), "outgoing")]
     between = instances[(T(3, 0), "outgoing")]
     fv = featurize(sent, [before_both])[0]
@@ -167,7 +159,7 @@ def test_linear_direction_both_right():
         ("b", "VERB", 1, "conj"),
         ("c", "NOUN", 1, "obj"),
     ])
-    inst = by_target(extract_instances(sent))[(T(4, 0), "outgoing")]
+    inst = by_target(basic_instances(sent))[(T(4, 0), "outgoing")]
     fv = featurize(sent, [inst])[0]
     assert fv.named["lindir=both-right"] == 1.0
 
@@ -180,7 +172,7 @@ def test_existing_dependency_flag():
         ("cooks", "VERB", 1, "conj"),
         ("beans", "NOUN", 4, "obj"),
     ])
-    inst = by_target(extract_instances(sent))[(T(2, 0), "outgoing")]
+    inst = by_target(basic_instances(sent))[(T(2, 0), "outgoing")]
     assert inst.candidate_label == "obj"
     fv = featurize(sent, [inst])[0]
     assert fv.named.get("existing-dep") == 1.0
@@ -194,7 +186,7 @@ def test_coordination_item_count():
         ("d", "VERB", 1, "conj"),
         ("e", "VERB", 1, "conj"),
     ])
-    inst = extract_instances(sent)[0]
+    inst = basic_instances(sent)[0]
     fv = featurize(sent, [inst])[0]
     assert fv.named["coord-items=4"] == 1.0
     scalar = featurize(sent, [inst],
@@ -203,7 +195,7 @@ def test_coordination_item_count():
 
 
 def test_morphology_features_cover_three_roles(fig3a):
-    instances = by_target(extract_instances(fig3a))
+    instances = by_target(basic_instances(fig3a))
     inst = instances[(T(1, 0), "outgoing")]
     fv = featurize(fig3a, [inst])[0]
     assert fv.named.get("target:Number=Plur") == 1.0  # "They"
@@ -213,7 +205,7 @@ def test_morphology_features_cover_three_roles(fig3a):
 
 
 def test_feature_groups_toggle(fig1):
-    inst = extract_instances(fig1)[0]
+    inst = basic_instances(fig1)[0]
     bare = featurize(fig1, [inst],
                      config=FeatureConfig(token_features=False,
                                           tree_features=False))[0]
@@ -228,7 +220,7 @@ def test_feature_groups_toggle(fig1):
 
 def test_dense_vectors_only_with_provider(fig1):
     provider = hash_provider([fig1], dim=4)
-    inst = extract_instances(fig1)[0]
+    inst = basic_instances(fig1)[0]
     config = FeatureConfig(dense_tokens=True)
     fv = featurize(fig1, [inst], provider=provider, config=config)[0]
     assert set(fv.dense) == {"head", "dep", "target"}
@@ -240,15 +232,15 @@ def test_dense_vectors_only_with_provider(fig1):
 def test_provider_lookup_failure_is_reported(fig1):
     provider = hash_provider([fig1], dim=4)
     provider.table.pop((fig1.sent_id, TokenId(4, 0)))
-    inst = [i for i in extract_instances(fig1) if i.target == T(4, 0)][0]
+    inst = [i for i in basic_instances(fig1) if i.target == T(4, 0)][0]
     with pytest.raises(EmbeddingError, match="4"):
         featurize(fig1, [inst], provider=provider,
                   config=FeatureConfig(dense_tokens=True))
 
 
 def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
-    inst = extract_instances(fig1)[0]
-    gold_inst = extract_instances(fig1_gold)[0]
+    inst = basic_instances(fig1)[0]
+    gold_inst = basic_instances(fig1_gold)[0]
     assert featurize(fig1, [inst])[0].named == \
         featurize(fig1_gold, [gold_inst])[0].named
 
@@ -259,7 +251,7 @@ def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
 def test_one_pass_matches_one_instance_at_a_time(name, config, request):
     sent = request.getfixturevalue(name)
     provider = hash_provider([sent], dim=4)
-    instances = extract_instances(sent, layer="working")
+    instances = working_instances(sent)
     assert instances
     together = featurize(sent, instances, provider, config)
     assert len(together) == len(instances)
@@ -284,7 +276,7 @@ def test_default_feature_configs_follow_model_kinds():
 
 
 def test_vocabulary_and_vectorize_round_trip(fig1):
-    instances = extract_instances(fig1)
+    instances = basic_instances(fig1)
     vectors = featurize(fig1, instances)
     vocab = build_vocabulary(vectors)
     assert list(vocab.values()) == sorted(vocab.values())
@@ -303,7 +295,7 @@ def test_vocabulary_and_vectorize_round_trip(fig1):
 
 def test_vectorize_appends_dense_blocks(fig1):
     provider = hash_provider([fig1], dim=3)
-    inst = extract_instances(fig1)[0]
+    inst = basic_instances(fig1)[0]
     fv = featurize(fig1, [inst], provider=provider,
                    config=FeatureConfig(dense_tokens=True))[0]
     vocab = build_vocabulary([fv])

@@ -1,15 +1,18 @@
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_sentence, random_sentence
-from conjprop import autodiff as ad
+from conjprop import autodiff as ad, graph
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider, read_sidecar
-from conjprop.graph import Edge, coarse, enhanced_edges
+from conjprop.graph import (
+    Edge, basic_edges, coarse, conj_pairs, enhanced_edges,
+)
 from conjprop.instances import (
     DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
     extract_instances, featurize, vectorize,
@@ -118,7 +121,8 @@ def test_mlp_logs_its_holdout_f1_every_epoch():
     assert scores[-1] < max(scores)
     vectors, gold = [], []
     for index, sent in enumerate(corpus):
-        found = extract_instances(sent, gold=sent)
+        found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
+                                  gold=True)
         vectors.extend(featurize(sent, found, config=model.feature_config,
                                  index=index))
         gold.extend(bool(inst.gold) for inst in found)
@@ -167,6 +171,28 @@ def test_fixpoint_application_reaches_nested_coordination(fig3c):
                            config=ApplyConfig(iterate_to_fixpoint=True)))
     assert Edge(T(10, 0), T(4, 0), "nsubj") in iterated
     assert single <= iterated
+
+
+def test_fixpoint_application_finds_each_sentences_conj_pairs_once(
+        fig3c, monkeypatch):
+    # every pass decides over the pairs the engine found, however many
+    # passes the sentence takes (fig3c takes more than one)
+    original = graph.conj_pairs
+    calls = []
+
+    def counting(sent):
+        calls.append(sent.sent_id)
+        return original(sent)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conjprop.") \
+                and getattr(module, "conj_pairs", None) is original:
+            monkeypatch.setattr(module, "conj_pairs", counting)
+    corpus = [fig3c, shared_subject_sentence(1), own_subject_sentence(2)]
+    for sent in corpus:
+        apply_model(constant_model(True), sent,
+                    config=ApplyConfig(iterate_to_fixpoint=True))
+    assert calls == [sent.sent_id for sent in corpus]
 
 
 def test_passive_rewrite_follows_fix_flag():

@@ -130,6 +130,14 @@ def test_first_step_between_opposite_labels_uses_the_textbook_curvature():
     assert model.dual_coef.tolist() == [2.0 / eta, -2.0 / eta]
 
 
+def test_tiny_caps_keep_their_support_vectors():
+    # every alpha ends exactly on its cap of 1e-300; compared with the exact
+    # bounds, none of them is taken for zero and dropped
+    model = train_svm(XOR_X, XOR_Y, c=1e-300)
+    assert model.dual_coef.tolist() == (1e-300 * XOR_Y).tolist()
+    assert ((model.decision_function(XOR_X) > 0) == (XOR_Y > 0)).all()
+
+
 def reference_svm(x, y, cap, tol=1e-3):
     """The solver in its textbook form, holding Q = K * outer(y, y)."""
     n = len(y)
