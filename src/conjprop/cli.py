@@ -16,6 +16,7 @@ import atexit
 import gc
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -532,8 +533,18 @@ _ERRORS = (CliError, ConfigError, ParseError, AlignmentError, InputError,
            OSError)
 
 
+_VALUED = {f"--{o.name}" for opts in OPTIONS.values() for o in opts
+           if o.kind != "bool"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads "-1e-3" after an option as an option of its own, unlike
+    # "-1" or "-.5"; an option that takes a value is given it as "--lr=-1e-3"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _VALUED and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_help(sys.stderr)

@@ -3,14 +3,14 @@
 propagate is the one pass loop: a decider yields (token, head, label)
 edges, each added to the enhanced layer before the next is decided, and
 passes repeat while one adds an edge if fixpoint is set. The deciders
-differ in what they read. The rules read graph.candidates of DEPS as it
-stood at pass start, but check for a subject on the live graph, so a
-subject copied earlier in the pass counts. always reads DEPS afresh for
-each conj pair, so its copies chain left to right in its one pass. The
-classifiers (propmodel) read basic and DEPS as they stood at pass start.
-The rules copy a ROOT-headed edge into the conjunction head (0:nsubj,
-say), which extract_instances never offers: a deliberate divergence until
-a quality record decides it. Converters return a copy unless in_place.
+differ in what they read. The rules and the classifiers (propmodel) both
+decide over graph.extract_instances, the one candidate list, taken at
+pass start: the rules over DEPS, the classifiers over basic and DEPS. The
+rules check for a subject on the live graph, though, so a subject copied
+earlier in the pass counts. Neither copies a ROOT-headed edge: UD allows
+only root on an edge from 0. always reads DEPS afresh for each conj pair,
+so its copies chain left to right in its one pass. Converters return a
+copy unless in_place.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 
 from .conllu import Sentence, Token, TokenId
 from .graph import (
-    SUBJECT_LABELS, Edge, add_dep, candidates, coarse, conj_pairs,
-    enhanced_edges, has_child_with_label, has_subject,
+    INCOMING, SUBJECT_LABELS, Edge, add_dep, coarse, conj_pairs,
+    enhanced_edges, extract_instances, has_child_with_label, has_subject,
 )
 
 # incoming labels of gov never copied over to the conjunct, by coarse label
@@ -99,31 +99,32 @@ def _rule_edges(cfg: ConverterConfig, work: Sentence,
                 by_id: dict[TokenId, Token],
                 pairs: list[tuple[TokenId, TokenId]]) -> Iterator[tuple]:
     deps = ((head, t.id, label) for t in work.tokens for head, label in t.deps)
-    for gov, dep, e, outgoing in candidates(pairs, deps):
-        base = coarse(e.label)
-        if not outgoing:
+    for inst in extract_instances(work, pairs, deps):
+        label = inst.candidate_label
+        base = coarse(label)
+        if inst.direction == INCOMING:
             # governors of gov are copied, modulo the exception list; non-core
             # labels stay local unless non-core propagation is switched on, so
             # the default config introduces no obl/advmod/advcl edge anywhere
-            if base not in GOVERNOR_EXCEPTIONS and (
-                    cfg.propagate_non_core or base not in NON_CORE_LABELS):
-                yield dep, e.head, e.label
+            keep = base not in GOVERNOR_EXCEPTIONS and (
+                cfg.propagate_non_core or base not in NON_CORE_LABELS)
         # dependents of gov, by label class; the subject check reads the
         # working graph, so a subject copied earlier in this pass counts
         elif base in SUBJECT_LABELS:
-            if not has_subject(work, dep):
-                label = subject_label(work, by_id[dep], e.label,
-                                      cfg.passive_imperative_fix)
-                if label is not None:
-                    yield e.dep, dep, label
+            label = None if has_subject(work, inst.conj_dep) else \
+                subject_label(work, by_id[inst.conj_dep], label,
+                              cfg.passive_imperative_fix)
+            keep = label is not None
         elif base in CORE_NONSUBJECT_LABELS:
             # only shared if the target follows the conjunct
-            if e.dep > dep:
-                yield e.dep, dep, e.label
-        elif cfg.propagate_non_core and base in NON_CORE_LABELS:
+            keep = inst.target > inst.conj_dep
+        else:
             # only shared if the conjunct follows the target
-            if e.dep < dep:
-                yield e.dep, dep, e.label
+            keep = cfg.propagate_non_core and base in NON_CORE_LABELS \
+                and inst.target < inst.conj_dep
+        if keep:
+            edge = inst.edge_at_conjunct()
+            yield edge.dep, edge.head, label
 
 
 def convert(sent: Sentence, cfg: ConverterConfig = ConverterConfig(),

@@ -1,13 +1,22 @@
-"""Edge-level views of a sentence's basic and enhanced layers."""
+"""Edge-level views of a sentence's basic and enhanced layers, and the
+one list of propagation candidates read off them."""
 
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .conllu import ROOT, Sentence, Token, TokenId
 
 SUBJECT_LABELS = frozenset({"nsubj", "csubj"})
+
+# labels of the conjunction head's outgoing edges that are no candidates
+# unless an InstanceConfig says otherwise
+DEFAULT_OUTGOING_EXCLUSIONS = frozenset({"cc", "conj", "punct", "mark"})
+
+INCOMING = "incoming"
+OUTGOING = "outgoing"
 
 
 class Edge(NamedTuple):
@@ -50,24 +59,74 @@ def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     return pairs
 
 
-def candidates(pairs: list[tuple[TokenId, TokenId]],
-               edges: Iterable[tuple[TokenId, TokenId, str]]
-               ) -> list[tuple[TokenId, TokenId, Edge, bool]]:
-    """(gov, dep, edge, outgoing) for each of edges incident to a conj head.
+@dataclass(frozen=True)
+class InstanceConfig:
+    outgoing_exclusions: frozenset[str] = DEFAULT_OUTGOING_EXCLUSIONS
 
-    pairs are a sentence's conj_pairs, and edges (head, dep, label) tuples;
-    only those returned become Edges. Pairs come in the order given; within
-    one, the edges out of gov, then those into it, each sorted. A copy onto
-    dep that would be a self-loop is left out.
-    """
+
+@dataclass
+class PropagationInstance:
+    conj_head: TokenId
+    conj_dep: TokenId
+    target: TokenId
+    candidate_label: str
+    direction: str
+    gold: bool | None = None
+
+    def edge_at_conjunct(self) -> Edge:
+        """The enhanced edge a positive decision materializes."""
+        if self.direction == OUTGOING:
+            return Edge(self.conj_dep, self.target, self.candidate_label)
+        return Edge(self.target, self.conj_dep, self.candidate_label)
+
+
+def _pass_family(label: str) -> str | None:
+    base = coarse(label)
+    if base in SUBJECT_LABELS and label in (base, base + ":pass"):
+        return base
+    return None
+
+
+def labels_match(candidate: str, gold_label: str) -> bool:
+    """Exact match, or both in the same subject/passive-subject family."""
+    if candidate == gold_label:
+        return True
+    fam = _pass_family(candidate)
+    return fam is not None and fam == _pass_family(gold_label)
+
+
+def extract_instances(sent: Sentence, pairs: list[tuple[TokenId, TokenId]],
+                      edges: Iterable[tuple[TokenId, TokenId, str]],
+                      config: InstanceConfig = InstanceConfig(),
+                      gold: bool = False) -> list[PropagationInstance]:
+    """One instance per (head, dep, label) of edges incident to gov, for
+    each of sent's conj_pairs (gov, dep) in the order given: the edges out
+    of gov, then those into it, each sorted.  Left out are outgoing edges
+    whose full or coarse label is excluded, the root attachment (head ROOT
+    or label root), and copies onto dep that would be self-loops.  With
+    gold, an instance is positive if sent's own DEPS hold its edge at the
+    conjunct under a label that labels_match; else its gold stays None."""
     govs = {gov for gov, _ in pairs}
     incident = sorted(e for e in edges if e[0] in govs or e[1] in govs)
-    out = []
+    excluded = config.outgoing_exclusions
+    out: list[PropagationInstance] = []
     for gov, dep in pairs:
-        out.extend((gov, dep, Edge(*e), True) for e in incident
-                   if e[0] == gov and e[1] != dep)
-        out.extend((gov, dep, Edge(*e), False) for e in incident
-                   if e[1] == gov and e[0] != dep)
+        out.extend(PropagationInstance(gov, dep, tid, label, OUTGOING)
+                   for head, tid, label in incident
+                   if head == gov and tid != dep and label not in excluded
+                   and coarse(label) not in excluded)
+        out.extend(PropagationInstance(gov, dep, head, label, INCOMING)
+                   for head, tid, label in incident
+                   if tid == gov and head != dep and head != ROOT
+                   and label != "root")
+    if gold:
+        gold_labels: dict[tuple[TokenId, TokenId], list[str]] = {}
+        for head, dep, label in enhanced_edges(sent):
+            gold_labels.setdefault((head, dep), []).append(label)
+        for inst in out:
+            want = inst.edge_at_conjunct()
+            inst.gold = any(labels_match(want.label, label) for label
+                            in gold_labels.get((want.head, want.dep), ()))
     return out
 
 

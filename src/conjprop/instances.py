@@ -1,107 +1,28 @@
-"""Candidate propagation instances and their feature encoding.
+"""The feature encoding of propagation instances.
 
 One instance is a yes/no question: should this incident edge of a
-conjunction head be copied onto one of its conjuncts?  Instances are the
-graph.candidates of a sentence, the list the rule converter decides over,
-minus those the label filter drops.  Callers pass the conj pairs and the
-edge set they already hold; gold marks come from the sentence's own DEPS.
+conjunction head be copied onto one of its conjuncts?  They are listed by
+graph.extract_instances, which the rules decide over too, without numpy.
 Instances hold token ids only; the sentence they came from is passed
 along beside them, so featurize encodes all of one sentence's instances
-in one pass.  Features cover the candidate link itself, morphology and
-optional dense vectors for the three involved tokens, and structure read
-off the basic tree.
+in one pass.  Features cover the candidate link itself,
+morphology and optional dense vectors for the three involved tokens, and
+structure read off the basic tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .conllu import ROOT, Sentence, TokenId
+from .conllu import Sentence, Token, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
-from .graph import SUBJECT_LABELS, Edge, candidates, coarse, is_conj_label
-
-# incident edges of the conjunction head that are never candidates
-DEFAULT_OUTGOING_EXCLUSIONS = frozenset({"cc", "conj", "punct", "mark"})
+# extract_instances keeps its old path here; it lives in graph
+from .graph import PropagationInstance, extract_instances, is_conj_label
 
 MORPH_FEATURES = ("Number", "Person", "VerbForm", "Voice")
 DENSE_ROLES = ("head", "dep", "target")
-
-INCOMING = "incoming"
-OUTGOING = "outgoing"
-
-
-@dataclass(frozen=True)
-class InstanceConfig:
-    outgoing_exclusions: frozenset[str] = DEFAULT_OUTGOING_EXCLUSIONS
-
-
-@dataclass
-class PropagationInstance:
-    conj_head: TokenId
-    conj_dep: TokenId
-    target: TokenId
-    candidate_label: str
-    direction: str
-    gold: bool | None = None
-
-    def edge_at_conjunct(self) -> Edge:
-        """The enhanced edge a positive decision materializes."""
-        if self.direction == OUTGOING:
-            return Edge(self.conj_dep, self.target, self.candidate_label)
-        return Edge(self.target, self.conj_dep, self.candidate_label)
-
-
-def _pass_family(label: str) -> str | None:
-    base = coarse(label)
-    if base in SUBJECT_LABELS and label in (base, base + ":pass"):
-        return base
-    return None
-
-
-def labels_match(candidate: str, gold_label: str) -> bool:
-    """Exact match, or both in the same subject/passive-subject family."""
-    if candidate == gold_label:
-        return True
-    fam = _pass_family(candidate)
-    return fam is not None and fam == _pass_family(gold_label)
-
-
-def extract_instances(sent: Sentence, pairs: list[tuple[TokenId, TokenId]],
-                      edges: Iterable[tuple[TokenId, TokenId, str]],
-                      config: InstanceConfig = InstanceConfig(),
-                      gold: bool = False) -> list[PropagationInstance]:
-    """One instance per graph.candidates(pairs, edges) entry that passes
-    the label filter: outgoing edges of the conjunction head unless their
-    full or coarse label is excluded, incoming ones unless they are the
-    root attachment (head ROOT or label root).  pairs are sent's
-    conj_pairs and edges the layer to read.  With gold, an instance is
-    positive if sent's own DEPS hold its edge at the conjunct under a label
-    that labels_match; otherwise its gold stays None."""
-    out: list[PropagationInstance] = []
-    for gov, dep, e, outgoing in candidates(pairs, edges):
-        if outgoing:
-            if e.label in config.outgoing_exclusions \
-                    or coarse(e.label) in config.outgoing_exclusions:
-                continue
-            out.append(PropagationInstance(gov, dep, e.dep, e.label,
-                                           OUTGOING))
-        elif e.head != ROOT and e.label != "root":
-            out.append(PropagationInstance(gov, dep, e.head, e.label,
-                                           INCOMING))
-
-    if gold:
-        gold_labels: dict[tuple[TokenId, TokenId], list[str]] = {}
-        for t in sent.tokens:
-            for head, label in t.deps:
-                gold_labels.setdefault((head, t.id), []).append(label)
-        for inst in out:
-            want = inst.edge_at_conjunct()
-            inst.gold = any(labels_match(want.label, label) for label
-                            in gold_labels.get((want.head, want.dep), ()))
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,14 +66,15 @@ def _linear_direction(target: TokenId, head: TokenId, dep: TokenId) -> str:
     return "differing-directions"
 
 
-def featurize(sent: Sentence, instances: list[PropagationInstance],
+def featurize(sent: Sentence, by_id: dict[TokenId, Token],
+              instances: list[PropagationInstance],
               provider: EmbeddingProvider | None = None,
               config: FeatureConfig = FeatureConfig(),
               index: int = 0) -> list[FeatureVector]:
-    """The feature vectors of instances, all taken from sent, which sits at
-    position index of its corpus (the key of its dense vectors if it has no
-    sent_id).  Each instance's vector depends on that instance alone."""
-    by_id = sent.token_by_id()
+    """The feature vectors of instances, all taken from sent, whose
+    token_by_id is by_id and which sits at position index of its corpus
+    (the key of its dense vectors if it has no sent_id).  Each instance's
+    vector depends on that instance alone."""
     sid = sentence_key(sent, index)
     children: dict[TokenId, list[str]] = {}
     for t in sent.tokens:

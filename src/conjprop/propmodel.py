@@ -21,11 +21,12 @@ from .config import InputError
 from .conllu import Sentence
 from .converter import propagate, seeded, subject_label
 from .graph import (
-    SUBJECT_LABELS, basic_edges, coarse, conj_pairs, enhanced_edges,
+    SUBJECT_LABELS, InstanceConfig, basic_edges, coarse, conj_pairs,
+    enhanced_edges, extract_instances,
 )
 from .instances import (
-    DENSE_ROLES, FeatureConfig, InstanceConfig, default_feature_config,
-    build_vocabulary, extract_instances, featurize, vectorize,
+    DENSE_ROLES, FeatureConfig, default_feature_config, build_vocabulary,
+    featurize, vectorize,
 )
 from .modelfile import check_arrays, expect, load_model, require, save_model
 from .svm import SVMModel, TrainingError, train_svm
@@ -231,7 +232,8 @@ def train_prop(corpus: list[Sentence], kind: str,
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
                                   instance_config, gold=True)
         instances.extend(found)
-        vectors.extend(featurize(sent, found, provider, fc, index))
+        vectors.extend(featurize(sent, sent.token_by_id(), found, provider,
+                                 fc, index))
     if not instances:
         raise TrainingError("no propagation instances in the training data")
     vocab = build_vocabulary(vectors)
@@ -285,7 +287,7 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
             work, pairs, basic | enhanced_edges(work), model.instance_config)
         if not instances:
             return
-        x = vectorize(featurize(work, instances, provider,
+        x = vectorize(featurize(work, by_id, instances, provider,
                                 model.feature_config, index),
                       model.vocab, model.dense_dim)
         for inst in compress(instances, model.predict(x)):

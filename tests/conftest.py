@@ -6,8 +6,9 @@ import random
 import pytest
 
 from conjprop.conllu import ROOT, Sentence, Token, TokenId, read_file
-from conjprop.graph import basic_edges, conj_pairs, enhanced_edges
-from conjprop.instances import extract_instances
+from conjprop.graph import (
+    basic_edges, conj_pairs, enhanced_edges, extract_instances,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -895,6 +895,15 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["train-prop", "--lr", "0"], "lr must be positive, got 0.0"),
     (["train-parser", "--lr", "0"], "lr must be positive, got 0.0"),
     (["train-parser", "--lr", "-0.5"], "lr must be positive, got -0.5"),
+    (["train-parser", "--lr", "-1e-3"], "lr must be positive, got -0.001"),
+    (["train-prop", "--c", "-1e-3"], "c must be positive, got -0.001"),
+    (["train-prop", "--tol", "-.5E-2"], "tol must be positive, got -0.005"),
+    (["train-prop", "--kind", "mlp", "--lr", "-2e-05"],
+     "lr must be positive, got -2e-05"),
+    (["train-prop", "--holdout", "-1e-1"],
+     "holdout must be in [0, 1), got -0.1"),
+    (["convert", "--jobs", "-1e3"], "jobs expects"),
+    (["train-prop", "--hidden", "-8,8"], "command line: hidden expects two"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")

@@ -9,8 +9,9 @@ from conjprop.converter import (
     GOVERNOR_EXCEPTIONS, ConverterConfig, MODES, added_edges,
     always_baseline, convert, convert_mode, seed_enhanced,
 )
-from conjprop.graph import Edge, enhanced_edges, propagated_links
-from conjprop.instances import labels_match
+from conjprop.graph import (
+    Edge, enhanced_edges, labels_match, propagated_links,
+)
 from conftest import (
     load_fig, make_sentence, random_sentence, working_instances,
 )
@@ -307,8 +308,8 @@ def test_default_never_adds_non_core_random():
 
 @pytest.mark.parametrize("mode", ["rbc", "rbc2", "rbc2+fix"])
 def test_rules_add_only_edges_the_classifiers_consider(mode):
-    # both sides enumerate graph.candidates; the rules only filter and
-    # relabel within the subject/passive-subject family
+    # both sides enumerate graph.extract_instances; the rules only filter
+    # and relabel within the subject/passive-subject family
     rng = random.Random(7)
     added = 0
     for i in range(3000):
@@ -376,12 +377,12 @@ def test_rules_read_the_enhanced_layer_only():
         Edge(ROOT, TokenId(4), "root"), edge(4, 1, "nsubj:xsubj")}
 
 
-@pytest.mark.parametrize("mode", ["rbc", "rbc2"])
-def test_rules_copy_root_headed_edges_the_classifiers_never_offer(mode):
-    # a deliberate divergence: an incoming edge of the conjunction head
-    # whose head is ROOT (here 0:nsubj) is copied by the rules unless its
-    # label is an exception, while extract_instances drops every
-    # ROOT-headed candidate
+@pytest.mark.parametrize("mode", ["rbc", "rbc2", "rbc2+fix"])
+def test_rules_and_classifiers_never_copy_root_headed_edges(mode):
+    # UD allows only root on an edge from ROOT, so an incoming edge of the
+    # conjunction head whose head is ROOT (here the invalid 0:nsubj) is no
+    # candidate: extract_instances never offers it, and the rules, which
+    # decide over the same list, copy only the valid subject
     sent = make_sentence([
         ("he", "PRON", 2, "nsubj"),
         ("ran", "VERB", 0, "root"),
@@ -390,8 +391,8 @@ def test_rules_copy_root_headed_edges_the_classifiers_never_offer(mode):
     ])
     seed_enhanced(sent)
     sent.tokens[1].deps.append((ROOT, "nsubj"))
-    assert Edge(ROOT, TokenId(4), "nsubj") in added_edges(
-        sent, convert_mode(sent, mode))
+    assert added_edges(sent, convert_mode(sent, mode)) == {
+        edge(4, 1, "nsubj")}
     offered = working_instances(sent)
     assert offered and all(inst.edge_at_conjunct().head != ROOT
                            for inst in offered)

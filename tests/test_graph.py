@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from conjprop.conllu import ROOT, Sentence, Token, TokenId
 from conjprop.graph import (
-    Edge, basic_edges, candidates, coarse, conj_pairs, conjunct_ids,
-    enhanced_edges, has_subject, is_conj_label, propagated_links,
+    INCOMING, OUTGOING, Edge, InstanceConfig, PropagationInstance,
+    basic_edges, coarse, conj_pairs, conjunct_ids, enhanced_edges,
+    extract_instances, has_subject, is_conj_label, propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -110,21 +111,30 @@ def test_conj_pairs_fig3c(fig3c):
     assert conjunct_ids(fig3c) == {TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
 
 
-def test_candidates_fig3c(fig3c):
-    t = TokenId
-    # pair (1, 4) has no outgoing candidate: 1's only dependent is 4 itself
-    assert candidates(conj_pairs(fig3c), basic_edges(fig3c)) == [
-        (t(1), t(4), edge(5, 1, "nsubj"), False),
-        (t(5), t(10), edge(5, 1, "nsubj"), True),
-        (t(5), t(10), edge(5, 7, "obj"), True),
-        (t(5), t(10), edge(5, 8, "advmod"), True),
-        (t(5), t(10), edge(5, 14, "punct"), True),
-        (t(5), t(10), edge(0, 5, "root"), False),
+# every outgoing label is a candidate, so only the ROOT/root filter and
+# the self-loop exclusion are at work
+ALL_LABELS = InstanceConfig(frozenset())
+
+
+def instance(gov, dep, target, label, direction):
+    return PropagationInstance(TokenId(gov), TokenId(dep), TokenId(target),
+                               label, direction)
+
+
+def test_extract_instances_fig3c(fig3c):
+    # pair (1, 4) has no outgoing candidate: 1's only dependent is 4 itself;
+    # 5's root attachment is no candidate either
+    assert extract_instances(fig3c, conj_pairs(fig3c), basic_edges(fig3c),
+                             ALL_LABELS) == [
+        instance(1, 4, 5, "nsubj", INCOMING),
+        instance(5, 10, 1, "nsubj", OUTGOING),
+        instance(5, 10, 7, "obj", OUTGOING),
+        instance(5, 10, 8, "advmod", OUTGOING),
+        instance(5, 10, 14, "punct", OUTGOING),
     ]
 
 
-def test_candidates_order_and_no_self_loops():
-    t = TokenId
+def test_extract_instances_order_and_no_self_loops():
     # "a and b and c saw": 1 heads the conjuncts 3 and 5
     sent = make_sentence([
         ("a", "NOUN", 6, "nsubj"),
@@ -136,23 +146,31 @@ def test_candidates_order_and_no_self_loops():
     ])
     # enhanced extras: 3 -> 1 would be a self-loop at 3 but not at 5
     edges = basic_edges(sent) | {edge(3, 1, "nmod"), edge(1, 6, "acl")}
-    found = candidates(conj_pairs(sent), sorted(edges, reverse=True))
+    found = extract_instances(sent, conj_pairs(sent),
+                              sorted(edges, reverse=True), ALL_LABELS)
     assert found == [
-        (t(1), t(3), edge(1, 5, "conj"), True),
-        (t(1), t(3), edge(1, 6, "acl"), True),
-        (t(1), t(3), edge(6, 1, "nsubj"), False),
-        (t(1), t(5), edge(1, 3, "conj"), True),
-        (t(1), t(5), edge(1, 6, "acl"), True),
-        (t(1), t(5), edge(3, 1, "nmod"), False),
-        (t(1), t(5), edge(6, 1, "nsubj"), False),
+        instance(1, 3, 5, "conj", OUTGOING),
+        instance(1, 3, 6, "acl", OUTGOING),
+        instance(1, 3, 6, "nsubj", INCOMING),
+        instance(1, 5, 3, "conj", OUTGOING),
+        instance(1, 5, 6, "acl", OUTGOING),
+        instance(1, 5, 3, "nmod", INCOMING),
+        instance(1, 5, 6, "nsubj", INCOMING),
     ]
-    for gov, dep, e, outgoing in found:
-        assert gov in (e.head, e.dep)
-        copy = (dep, e.dep) if outgoing else (e.head, dep)
-        assert copy[0] != copy[1]
+    for inst in found:
+        e = Edge(inst.conj_head, inst.target, inst.candidate_label) \
+            if inst.direction == OUTGOING \
+            else Edge(inst.target, inst.conj_head, inst.candidate_label)
+        assert e in edges
+        copy = inst.edge_at_conjunct()
+        assert copy.head != copy.dep
 
 
-def test_candidates_match_a_naive_enumeration_on_random_sentences():
+@pytest.mark.parametrize("config", [ALL_LABELS, InstanceConfig()],
+                         ids=["all-labels", "default"])
+def test_extract_instances_match_a_naive_enumeration_on_random_sentences(
+        config):
+    excluded = config.outgoing_exclusions
     rng = random.Random(13)
     for i in range(300):
         sent = perturb_enhanced(rng, random_sentence(rng, f"c{i}"))
@@ -163,13 +181,20 @@ def test_candidates_match_a_naive_enumeration_on_random_sentences():
                 for e in sorted(edges):
                     near, far = (e.head, e.dep) if outgoing \
                         else (e.dep, e.head)
-                    if near == gov and far != dep:
-                        want.append((gov, dep, e, outgoing))
-        assert candidates(conj_pairs(sent), edges) == want
-        # plain tuples give the same list, of Edges
-        found = candidates(conj_pairs(sent), [tuple(e) for e in edges])
-        assert found == want
-        assert all(type(e) is Edge for _, _, e, _ in found)
+                    if near != gov or far == dep:
+                        continue
+                    if outgoing and excluded & {e.label, coarse(e.label)}:
+                        continue
+                    if not outgoing and (e.head == ROOT or e.label == "root"):
+                        continue
+                    want.append(PropagationInstance(
+                        gov, dep, far, e.label,
+                        OUTGOING if outgoing else INCOMING))
+        assert extract_instances(sent, conj_pairs(sent), edges,
+                                 config) == want
+        # plain tuples give the same list
+        assert extract_instances(sent, conj_pairs(sent),
+                                 [tuple(e) for e in edges], config) == want
 
 
 # (empty node?, HEAD, DEPREL); a missing DEPREL comes with a missing HEAD

@@ -4,10 +4,12 @@ import pytest
 from conjprop.conllu import ROOT, TokenId
 from conjprop.embeddings import EmbeddingError, hash_provider
 from conftest import make_sentence, working_instances
-from conjprop.graph import basic_edges, conj_pairs
+from conjprop.graph import (
+    InstanceConfig, basic_edges, conj_pairs, extract_instances, labels_match,
+)
 from conjprop.instances import (
-    FeatureConfig, InstanceConfig, build_vocabulary, default_feature_config,
-    extract_instances, featurize, labels_match, vectorize,
+    FeatureConfig, build_vocabulary, default_feature_config, featurize,
+    vectorize,
 )
 
 T = TokenId
@@ -123,7 +125,7 @@ def test_working_layer_sees_enhanced_edges(fig3c):
 
 def test_fig1_nsubj_features(fig1):
     inst = by_target(basic_instances(fig1))[(T(4, 0), "outgoing")]
-    fv = featurize(fig1, [inst])[0]
+    fv = featurize(fig1, fig1.token_by_id(), [inst])[0]
     assert fv.named["label=nsubj"] == 1.0
     assert fv.named["direction=outgoing"] == 1.0
     assert fv.named["lindir=both-left"] == 1.0
@@ -146,9 +148,9 @@ def test_linear_direction_three_way():
     instances = by_target(basic_instances(sent))
     before_both = instances[(T(1, 0), "outgoing")]
     between = instances[(T(3, 0), "outgoing")]
-    fv = featurize(sent, [before_both])[0]
+    fv = featurize(sent, sent.token_by_id(), [before_both])[0]
     assert fv.named["lindir=both-left"] == 1.0
-    fv = featurize(sent, [between])[0]
+    fv = featurize(sent, sent.token_by_id(), [between])[0]
     assert fv.named["lindir=differing-directions"] == 1.0
 
 
@@ -160,7 +162,7 @@ def test_linear_direction_both_right():
         ("c", "NOUN", 1, "obj"),
     ])
     inst = by_target(basic_instances(sent))[(T(4, 0), "outgoing")]
-    fv = featurize(sent, [inst])[0]
+    fv = featurize(sent, sent.token_by_id(), [inst])[0]
     assert fv.named["lindir=both-right"] == 1.0
 
 
@@ -174,7 +176,7 @@ def test_existing_dependency_flag():
     ])
     inst = by_target(basic_instances(sent))[(T(2, 0), "outgoing")]
     assert inst.candidate_label == "obj"
-    fv = featurize(sent, [inst])[0]
+    fv = featurize(sent, sent.token_by_id(), [inst])[0]
     assert fv.named.get("existing-dep") == 1.0
 
 
@@ -187,9 +189,9 @@ def test_coordination_item_count():
         ("e", "VERB", 1, "conj"),
     ])
     inst = basic_instances(sent)[0]
-    fv = featurize(sent, [inst])[0]
+    fv = featurize(sent, sent.token_by_id(), [inst])[0]
     assert fv.named["coord-items=4"] == 1.0
-    scalar = featurize(sent, [inst],
+    scalar = featurize(sent, sent.token_by_id(), [inst],
                        config=FeatureConfig(count_scalar=True))[0]
     assert scalar.named["coord-items"] == 4.0
 
@@ -197,7 +199,7 @@ def test_coordination_item_count():
 def test_morphology_features_cover_three_roles(fig3a):
     instances = by_target(basic_instances(fig3a))
     inst = instances[(T(1, 0), "outgoing")]
-    fv = featurize(fig3a, [inst])[0]
+    fv = featurize(fig3a, fig3a.token_by_id(), [inst])[0]
     assert fv.named.get("target:Number=Plur") == 1.0  # "They"
     assert fv.named.get("head:Voice=Pass") == 1.0  # "suppressed"
     # conjunct "organized" has no Voice feature
@@ -206,12 +208,12 @@ def test_morphology_features_cover_three_roles(fig3a):
 
 def test_feature_groups_toggle(fig1):
     inst = basic_instances(fig1)[0]
-    bare = featurize(fig1, [inst],
+    bare = featurize(fig1, fig1.token_by_id(), [inst],
                      config=FeatureConfig(token_features=False,
                                           tree_features=False))[0]
     assert set(bare.named) == {f"label={inst.candidate_label}",
                                "direction=outgoing"}
-    no_tree = featurize(fig1, [inst],
+    no_tree = featurize(fig1, fig1.token_by_id(), [inst],
                         config=FeatureConfig(tree_features=False))[0]
     assert not any(n.startswith(("lindir", "coord-items", "head-out",
                                  "dep-out", "existing-dep"))
@@ -222,10 +224,11 @@ def test_dense_vectors_only_with_provider(fig1):
     provider = hash_provider([fig1], dim=4)
     inst = basic_instances(fig1)[0]
     config = FeatureConfig(dense_tokens=True)
-    fv = featurize(fig1, [inst], provider=provider, config=config)[0]
+    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
+                   config=config)[0]
     assert set(fv.dense) == {"head", "dep", "target"}
     assert fv.dense["head"].shape == (4,)
-    without = featurize(fig1, [inst], config=config)[0]
+    without = featurize(fig1, fig1.token_by_id(), [inst], config=config)[0]
     assert without.dense == {}
 
 
@@ -234,15 +237,15 @@ def test_provider_lookup_failure_is_reported(fig1):
     provider.table.pop((fig1.sent_id, TokenId(4, 0)))
     inst = [i for i in basic_instances(fig1) if i.target == T(4, 0)][0]
     with pytest.raises(EmbeddingError, match="4"):
-        featurize(fig1, [inst], provider=provider,
+        featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
                   config=FeatureConfig(dense_tokens=True))
 
 
 def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
     inst = basic_instances(fig1)[0]
     gold_inst = basic_instances(fig1_gold)[0]
-    assert featurize(fig1, [inst])[0].named == \
-        featurize(fig1_gold, [gold_inst])[0].named
+    assert featurize(fig1, fig1.token_by_id(), [inst])[0].named == \
+        featurize(fig1_gold, fig1_gold.token_by_id(), [gold_inst])[0].named
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3a", "fig3c"])
@@ -253,15 +256,16 @@ def test_one_pass_matches_one_instance_at_a_time(name, config, request):
     provider = hash_provider([sent], dim=4)
     instances = working_instances(sent)
     assert instances
-    together = featurize(sent, instances, provider, config)
+    by_id = sent.token_by_id()
+    together = featurize(sent, by_id, instances, provider, config)
     assert len(together) == len(instances)
     for inst, fv in zip(instances, together):
-        alone = featurize(sent, [inst], provider, config)[0]
+        alone = featurize(sent, by_id, [inst], provider, config)[0]
         assert fv.named == alone.named
         assert fv.dense.keys() == alone.dense.keys()
         for role, vec in fv.dense.items():
             assert np.array_equal(vec, alone.dense[role])
-    assert featurize(sent, [], provider, config) == []
+    assert featurize(sent, by_id, [], provider, config) == []
 
 
 def test_default_feature_configs_follow_model_kinds():
@@ -277,7 +281,7 @@ def test_default_feature_configs_follow_model_kinds():
 
 def test_vocabulary_and_vectorize_round_trip(fig1):
     instances = basic_instances(fig1)
-    vectors = featurize(fig1, instances)
+    vectors = featurize(fig1, fig1.token_by_id(), instances)
     vocab = build_vocabulary(vectors)
     assert list(vocab.values()) == sorted(vocab.values())
     x = vectorize(vectors, vocab, dense_dim=0)
@@ -296,7 +300,7 @@ def test_vocabulary_and_vectorize_round_trip(fig1):
 def test_vectorize_appends_dense_blocks(fig1):
     provider = hash_provider([fig1], dim=3)
     inst = basic_instances(fig1)[0]
-    fv = featurize(fig1, [inst], provider=provider,
+    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
                    config=FeatureConfig(dense_tokens=True))[0]
     vocab = build_vocabulary([fv])
     x = vectorize([fv], vocab, dense_dim=3)

@@ -11,12 +11,10 @@ from conjprop import autodiff as ad, graph
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider, read_sidecar
 from conjprop.graph import (
-    Edge, basic_edges, coarse, conj_pairs, enhanced_edges,
+    DEFAULT_OUTGOING_EXCLUSIONS, Edge, InstanceConfig, basic_edges, coarse,
+    conj_pairs, enhanced_edges, extract_instances,
 )
-from conjprop.instances import (
-    DEFAULT_OUTGOING_EXCLUSIONS, FeatureConfig, InstanceConfig,
-    extract_instances, featurize, vectorize,
-)
+from conjprop.instances import FeatureConfig, featurize, vectorize
 from conjprop.modelfile import load_model
 from conjprop.propmodel import (
     ApplyConfig, ApplyError, PropModel, PropTrainOptions, _macro_f1,
@@ -123,8 +121,8 @@ def test_mlp_logs_its_holdout_f1_every_epoch():
     for index, sent in enumerate(corpus):
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
                                   gold=True)
-        vectors.extend(featurize(sent, found, config=model.feature_config,
-                                 index=index))
+        vectors.extend(featurize(sent, sent.token_by_id(), found,
+                                 config=model.feature_config, index=index))
         gold.extend(bool(inst.gold) for inst in found)
     x = vectorize(vectors, model.vocab, 0)
     holdout = np.random.default_rng(4).permutation(len(x))[
