@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable, Iterator
 
 from .config import (AlignmentError, ConfigError, InputError, parse_value,
-                     physical_memory, read_config_file)
+                     read_config_file)
 from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
     parse_corpus, split_text, write_corpus
 
@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None, help=argparse.SUPPRESS)
             else:
                 p.add_argument(flag, dest=opt.dest, default=None,
-                               choices=opt.choices, help=opt.help,
-                               metavar=opt.name.upper())
+                               help=opt.help, metavar=opt.name.upper())
     return parser
 
 
@@ -436,23 +435,15 @@ def cmd_apply_prop(cfg) -> None:
 def cmd_train_parser(cfg) -> None:
     import numpy as np
     from .edgepred import (ParserTrainConfig, build_label_inventory,
-                           new_parser, train_footprint, train_parser)
+                           new_parser, train_parser)
     from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
     if cfg["delexicalize"]:
         corpus, inventory = delexicalize_corpus(corpus)
         _log(f"# delexicalized label inventory: {len(inventory)} labels")
     provider = _provider(cfg, corpus, cfg["train"])
-    labels = build_label_inventory(corpus)
-    _, needed = train_footprint(
-        len(labels), provider.layers, provider.dim, cfg["hidden"],
-        snapshot=bool(cfg["dev"]) and cfg["epochs"] > 1, dtype=np.float32)
-    ram = physical_memory()
-    if needed > ram:
-        raise CliError(f"train-parser: hidden {cfg['hidden']} with "
-                       f"{len(labels)} labels needs {needed} bytes to train, "
-                       f"more than the {ram} bytes of physical memory")
-    parser = new_parser(labels, layers=provider.layers, dim=provider.dim,
+    parser = new_parser(build_label_inventory(corpus),
+                        layers=provider.layers, dim=provider.dim,
                         hidden=cfg["hidden"], seed=cfg["seed"],
                         dtype=np.float32)
     train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
@@ -479,16 +470,11 @@ def cmd_predict(cfg) -> None:
 
 
 def cmd_evaluate(cfg) -> None:
-    from .evaluate import format_score_records, format_score_table, score
+    from .evaluate import format_score, score
     report = score(_stream(cfg["system"]), _stream(cfg["gold"]),
                    keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])))
-    sc = report.overall
-    summary = (f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
-               f"P {100 * sc.precision:.1f} R {100 * sc.recall:.1f} "
-               f"F1 {100 * sc.f1:.1f}")
-    body = format_score_records(report, cfg["view"]) if cfg["records"] \
-        else format_score_table(report, cfg["view"])
-    _write_text(cfg["out"], summary + "\n" + body + "\n")
+    _write_text(cfg["out"],
+                format_score(report, cfg["view"], cfg["records"]) + "\n")
 
 
 def cmd_agree(cfg) -> None:
@@ -509,13 +495,11 @@ def cmd_agree(cfg) -> None:
 
 
 def cmd_stats(cfg) -> None:
-    from .evaluate import diff_stats, format_diff_records, format_diff_table
+    from .evaluate import diff_stats, format_diff
     scope = "conjunct" if cfg["scope"] == "conjunct-incident" else cfg["scope"]
     report = diff_stats(_stream(cfg["original"]), _stream(cfg["edited"]),
                         scope=scope)
-    body = format_diff_records(report) if cfg["records"] \
-        else format_diff_table(report)
-    _write_text(cfg["out"], body + "\n")
+    _write_text(cfg["out"], format_diff(report, cfg["records"]) + "\n")
 
 
 HANDLERS = {

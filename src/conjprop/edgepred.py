@@ -22,9 +22,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import InputError
+from .config import InputError, physical_memory
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import EmbeddingProvider, sentence_key
+from .evaluate import LabelScore
 from .labels import lexicalize_label
 from .modelfile import check_arrays, expect, load_model, require, save_model
 
@@ -124,6 +125,15 @@ def train_footprint(n_labels: int, layers: int, dim: int, hidden: int,
                          + scratch_bytes)
 
 
+def _check_memory(needed: int, purpose: str, n_labels: int,
+                  hidden: int) -> None:
+    ram = physical_memory()
+    if needed > ram:
+        raise EdgePredError(f"hidden {hidden} with {n_labels} labels needs "
+                            f"{needed} bytes {purpose}, more than the {ram} "
+                            "bytes of physical memory")
+
+
 def build_label_inventory(corpus: list[Sentence]) -> list[str]:
     """Labels of all enhanced edges between regular tokens, the no-edge
     label first (index 0 wins argmax ties, so ties never invent edges)."""
@@ -143,9 +153,13 @@ def new_parser(labels: list[str], layers: int, dim: int,
     """Parameters in dtype, cast from the same float64 draws for any dtype:
     normal draws in param_shapes order for root_embed, w_head, w_dep and
     linear, zeros for the rest, bilinear included, so an untrained parser
-    scores every pair from its small linear term, close to uniform."""
+    scores every pair from its small linear term, close to uniform.
+    Parameters that would not fit in physical memory are an error."""
     if labels[0] != NO_EDGE:
         raise ValueError("label inventory must start with the no-edge label")
+    _check_memory(train_footprint(len(labels), layers, dim, hidden, False,
+                                  dtype)[0], "for its parameters",
+                  len(labels), hidden)
     rng = np.random.default_rng(seed)
     scales = {"root_embed": 1.0, "w_head": 1.0 / np.sqrt(max(dim, 1)),
               "w_dep": 1.0 / np.sqrt(max(dim, 1)),
@@ -436,15 +450,14 @@ def _edge_key_set(sent: Sentence) -> set:
 def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
             provider: EmbeddingProvider, batch_size: int) -> float:
     """F1 of the decoded enhanced edges between regular tokens."""
-    tp = n_sys = n_gold = 0
+    sc = LabelScore()
     decoded = decode_corpus(parser, corpus, provider, batch_size)
     for sent, pred in zip(corpus, decoded):
-        gold = _edge_key_set(sent)
-        pred = _edge_key_set(pred)
-        tp += len(gold & pred)
-        n_sys += len(pred)
-        n_gold += len(gold)
-    return 2.0 * tp / (n_sys + n_gold) if n_sys + n_gold else 0.0
+        gold, pred = _edge_key_set(sent), _edge_key_set(pred)
+        sc.tp += len(gold & pred)
+        sc.n_sys += len(pred)
+        sc.n_gold += len(gold)
+    return sc.f1
 
 
 def train_parser(parser: EdgeParser, corpus: list[Sentence],
@@ -457,11 +470,13 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
     With a dev corpus, training stops once cfg.patience epochs in a row
     have not raised the dev F1, and the parameters of the best dev epoch
     are put back; without one, every epoch runs and the final parameters
-    stay.
+    stay.  A footprint (train_footprint) beyond physical memory is an
+    error, raised before the optimizer allocates.
     """
     param_bytes, footprint = train_footprint(
         len(parser.labels), parser.layers, parser.dim, parser.hidden,
         snapshot=dev is not None and cfg.epochs > 1, dtype=parser.dtype)
+    _check_memory(footprint, "to train", len(parser.labels), parser.hidden)
     log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
         f"train-bytes {footprint} dtype {parser.dtype}")
     optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)

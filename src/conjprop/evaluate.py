@@ -1,9 +1,14 @@
 """Scoring of propagated links, annotator agreement, and corpus diffs over
-any iterables of sentences, read in argument order, one at a time."""
+any iterables of sentences, read in argument order, one at a time.
+
+LabelScore is the package's one F1; the parser's dev F1 and the MLP's
+holdout macro-F1 count into it too.  Every report prints through one
+renderer, _render: rows of a label and its cells, as a table under a
+header or as tab-separated records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .config import AlignmentError
@@ -172,13 +177,10 @@ class LabelDiff:
 
 
 @dataclass
-class DiffReport:
-    scope: str
-    per_label: dict[str, LabelDiff]
-    added: int = 0
-    removed: int = 0
-    sentences: int = 0
-    total: int = 0
+class DiffReport(LabelDiff):
+    """The counts over all labels, and per label."""
+    scope: str = "conjunct"
+    per_label: dict[str, LabelDiff] = field(default_factory=dict)
 
 
 def diff_stats(original: Iterable[Sentence], edited: Iterable[Sentence],
@@ -191,7 +193,7 @@ def diff_stats(original: Iterable[Sentence], edited: Iterable[Sentence],
     within the same scope.
     """
     original, edited = _records(original, scope), _records(edited, scope)
-    report = DiffReport(scope=scope, per_label={})
+    report = DiffReport(scope=scope)
     for i, j in align_corpora(original, edited):
         before, after = original[i][2], edited[j][2]
         touched: set[str] = set()
@@ -222,66 +224,66 @@ def _pct(x: float) -> str:
     return f"{100 * x:.1f}"
 
 
-def format_score_table(report: EvalReport, view: str = "full") -> str:
-    rows = report.per_label if view == "full" else report.coarse
-    header = f"{'label':<24} {'tp':>6} {'sys':>6} {'gold':>6} {'P':>6} {'R':>6} {'F1':>6}"
-    lines = [header]
-    for label, sc in list(rows.items()) + [("total", report.overall)]:
-        lines.append(f"{label:<24} {sc.tp:>6} {sc.n_sys:>6} {sc.n_gold:>6} "
-                     f"{_pct(sc.precision):>6} {_pct(sc.recall):>6} {_pct(sc.f1):>6}")
-    return "\n".join(lines)
+def _render(columns: dict[str, int], rows: list[tuple[str, dict[str, str]]],
+            records: bool) -> str:
+    """Rows of a label and its cells by column name, as tab-separated
+    records, or as a table under a header: the label left-aligned in 24
+    characters, then each cell right-aligned to its column's width."""
+    if records:
+        return "\n".join("\t".join([label, *(cells[name] for name in columns)])
+                         for label, cells in rows)
+    header = ("label", {name: name for name in columns})
+    return "\n".join(f"{label:<24}" + "".join(
+        f" {cells[name]:>{width}}" for name, width in columns.items())
+        for label, cells in [header, *rows])
 
 
-def format_score_records(report: EvalReport, view: str = "full") -> str:
-    rows = report.per_label if view == "full" else report.coarse
-    lines = []
-    for label, sc in list(rows.items()) + [("total", report.overall)]:
-        lines.append("\t".join((label, str(sc.tp), str(sc.n_sys), str(sc.n_gold),
-                                _pct(sc.precision), _pct(sc.recall), _pct(sc.f1))))
-    return "\n".join(lines)
+_SCORE_COLUMNS = dict(tp=6, sys=6, gold=6, P=6, R=6, F1=6)
+_PAIR_COLUMNS = dict(sys=6, gold=6, tp=6, P=6, R=6, F1=6)
+_DIFF_COLUMNS = dict(added=7, removed=8, sents=7, total=8)
 
 
-def format_pair_table(report: EvalReport) -> str:
-    """Per-label table in agreement-study layout: sys and gold counts first."""
-    header = f"{'label':<24} {'sys':>6} {'gold':>6} {'tp':>6} {'P':>6} {'R':>6} {'F1':>6}"
-    lines = [header]
-    for label, sc in list(report.per_label.items()) + [("total", report.overall)]:
-        lines.append(f"{label:<24} {sc.n_sys:>6} {sc.n_gold:>6} {sc.tp:>6} "
-                     f"{_pct(sc.precision):>6} {_pct(sc.recall):>6} {_pct(sc.f1):>6}")
-    return "\n".join(lines)
+def _score_rows(per_label: dict[str, LabelScore], overall: LabelScore):
+    return [(label, {"tp": str(sc.tp), "sys": str(sc.n_sys),
+                     "gold": str(sc.n_gold), "P": _pct(sc.precision),
+                     "R": _pct(sc.recall), "F1": _pct(sc.f1)})
+            for label, sc in [*per_label.items(), ("total", overall)]]
 
 
-def format_diff_table(report: DiffReport) -> str:
-    header = f"{'label':<24} {'added':>7} {'removed':>8} {'sents':>7} {'total':>8}"
-    lines = [header]
-    for label, d in list(report.per_label.items()) + [("total", report)]:
-        lines.append(f"{label:<24} {d.added:>7} {d.removed:>8} {d.sentences:>7} {d.total:>8}")
-    return "\n".join(lines)
+def _summary(sc: LabelScore) -> str:
+    return (f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
+            f"P {_pct(sc.precision)} R {_pct(sc.recall)} F1 {_pct(sc.f1)}")
 
 
-def format_diff_records(report: DiffReport) -> str:
-    lines = []
-    for label, d in list(report.per_label.items()) + [("total", report)]:
-        lines.append("\t".join((label, str(d.added), str(d.removed),
-                                str(d.sentences), str(d.total))))
-    return "\n".join(lines)
+def format_score(report: EvalReport, view: str = "full",
+                 records: bool = False) -> str:
+    """The summary line, then a row per label of the full or the coarse
+    view and a total row."""
+    per_label = report.per_label if view == "full" else report.coarse
+    return _summary(report.overall) + "\n" + _render(
+        _SCORE_COLUMNS, _score_rows(per_label, report.overall), records)
+
+
+def format_diff(report: DiffReport, records: bool = False) -> str:
+    """A row per label and a total row."""
+    return _render(_DIFF_COLUMNS, [
+        (label, {"added": str(d.added), "removed": str(d.removed),
+                 "sents": str(d.sentences), "total": str(d.total)})
+        for label, d in [*report.per_label.items(), ("total", report)]],
+        records)
 
 
 def format_agreement(report: AgreementReport) -> str:
-    lines = []
+    """The precision matrix, then each pair's summary line and a table in
+    the agreement study's layout, sys and gold counts first."""
     width = max(8, *(len(n) for n in report.names)) + 2
-    head = " " * width + "".join(f"{n:>{width}}" for n in report.names)
-    lines.append("precision of column corpus against row corpus as gold")
-    lines.append(head)
-    matrix = report.precision_matrix()
-    for name, row in zip(report.names, matrix):
+    lines = ["precision of column corpus against row corpus as gold",
+             " " * width + "".join(f"{n:>{width}}" for n in report.names)]
+    for name, row in zip(report.names, report.precision_matrix()):
         cells = "".join(f"{'-' if v is None else _pct(v):>{width}}" for v in row)
         lines.append(f"{name:<{width}}{cells}")
     for (gname, sname), rep in report.pairwise.items():
-        sc = rep.overall
-        lines.append("")
-        lines.append(f"system={sname} gold={gname}: "
-                     f"links {sc.n_sys}/{sc.n_gold} overlap {sc.tp} "
-                     f"P {_pct(sc.precision)} R {_pct(sc.recall)} F1 {_pct(sc.f1)}")
-        lines.append(format_pair_table(rep))
+        lines += ["", f"system={sname} gold={gname}: {_summary(rep.overall)}",
+                  _render(_PAIR_COLUMNS,
+                          _score_rows(rep.per_label, rep.overall), False)]
     return "\n".join(lines)

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .config import InputError
 from .conllu import Sentence
 from .converter import propagate, seeded, subject_label
+from .evaluate import LabelScore
 from .graph import (
     SUBJECT_LABELS, InstanceConfig, basic_edges, coarse, conj_pairs,
     enhanced_edges, extract_instances,
@@ -145,14 +146,10 @@ def _mlp_forward(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _macro_f1(pred: np.ndarray, gold: np.ndarray) -> float:
-    total = 0.0
-    for cls in (False, True):
-        tp = float(np.sum((pred == cls) & (gold == cls)))
-        n_pred = float(np.sum(pred == cls))
-        n_gold = float(np.sum(gold == cls))
-        if n_pred + n_gold > 0:
-            total += 2.0 * tp / (n_pred + n_gold)
-    return total / 2.0
+    return sum(LabelScore(tp=int(np.sum((pred == cls) & (gold == cls))),
+                          n_sys=int(np.sum(pred == cls)),
+                          n_gold=int(np.sum(gold == cls))).f1
+               for cls in (False, True)) / 2.0
 
 
 def _mlp_shapes(in_dim: int, hidden: tuple[int, int]) -> dict[str, tuple]:

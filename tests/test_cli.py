@@ -664,7 +664,7 @@ def test_train_parser_fails_early_when_training_exceeds_ram(
                       str(model), "--hash-dim", "8", "--hidden", "256",
                       "--epochs", "1"])
     assert rc == 1
-    assert re.search(r"conjprop: error: train-parser: hidden 256 with \d+ "
+    assert re.search(r"conjprop: error: hidden 256 with \d+ "
                      r"labels needs \d+ bytes to train, more than the "
                      r"4096000 bytes of physical memory", err), err
     assert "Traceback" not in err
@@ -904,6 +904,14 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
      "holdout must be in [0, 1), got -0.1"),
     (["convert", "--jobs", "-1e3"], "jobs expects"),
     (["train-prop", "--hidden", "-8,8"], "command line: hidden expects two"),
+    (["convert", "--mode", "bogus"], "command line: mode must be one of "
+     "rbc, rbc2, rbc2+fix, always, got 'bogus'"),
+    (["train-prop", "--kind", "svm"],
+     "command line: kind must be one of kernel, mlp, got 'svm'"),
+    (["evaluate", "--view", "fine"],
+     "command line: view must be one of full, coarse, got 'fine'"),
+    (["stats", "--scope", "nope"], "command line: scope must be one of "
+     "conjunct, conjunct-incident, all, got 'nope'"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")
@@ -911,7 +919,9 @@ def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
               "apply-prop": ["--in", FIG1, "--model", model],
               "train-prop": ["--train", FIG1, "--model", model],
               "train-parser": ["--train", FIG1, "--model", model],
-              "predict": ["--in", FIG1, "--model", model]}
+              "predict": ["--in", FIG1, "--model", model],
+              "evaluate": ["--system", FIG1, "--gold", FIG1],
+              "stats": ["--original", FIG1, "--edited", FIG1]}
     rc, _, err = run(argv + inputs[argv[0]])
     assert rc == 1
     assert "conjprop: error: " in err and message in err

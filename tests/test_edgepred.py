@@ -594,6 +594,84 @@ def test_label_inventory_skips_empty_node_edges():
     assert inventory == [NO_EDGE, "obj", "root"]
 
 
+def empty_node_sentence(sent_id="e1"):
+    """gold_sentence with an empty node 3.1 that has DEPS of its own, and
+    a word whose DEPS include an edge from 3.1."""
+    sent = gold_sentence(sent_id)
+    sent.tokens.append(Token(
+        id=T(3, 1), form="E", lemma="E", upos="VERB", xpos="_", feats={},
+        head=None, deprel=None, deps=[(T(1), "conj")], misc="_"))
+    sent.token_by_id()[T(3)].deps = [(T(1), "obj"), (T(3, 1), "obj")]
+    return sent
+
+
+def test_training_skips_edges_that_touch_an_empty_node():
+    corpus = [empty_node_sentence(f"e{i}") for i in range(3)]
+    provider = hash_provider(corpus, dim=4, layers=2)
+    labels = build_label_inventory(corpus)
+    assert labels == [NO_EDGE, "obj", "root"]
+    parser = new_parser(labels, layers=2, dim=4, hidden=6, seed=1)
+    assert (_gold_grid(parser, corpus[0])
+            == _gold_grid(parser, gold_sentence())).all()
+    losses = edgepred.batch_losses(parser, corpus, provider, [0, 1, 2])
+    assert all(np.isfinite(loss.data) for loss in losses)
+    assert np.isfinite(train_epoch(parser, corpus, provider,
+                                   ParserTrainConfig(lr=1e-2, batch_size=2)))
+
+
+def test_decoding_keeps_the_deps_of_an_empty_node():
+    sent = empty_node_sentence()
+    provider = hash_provider([sent], dim=4, layers=2)
+    parser = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=6,
+                        seed=1)
+    decoded = decode(parser, sent, provider)
+    assert decoded.token_by_id()[T(3, 1)].deps == [(T(1), "conj")]
+    again = parse_corpus(write_corpus([decoded]))[0]
+    assert again.token_by_id()[T(3, 1)].deps == [(T(1), "conj")]
+    assert [t.deps for t in again.words()] == [
+        t.deps for t in decoded.words()]
+
+
+def test_a_parser_too_big_for_memory_is_refused_before_it_allocates(
+        monkeypatch):
+    labels = build_label_inventory(tiny_corpus())
+    param_bytes, _ = edgepred.train_footprint(len(labels), 2, 4, 6, False)
+    monkeypatch.setattr(edgepred, "physical_memory", lambda: param_bytes - 1)
+    with pytest.raises(EdgePredError, match=(
+            f"hidden 6 with 3 labels needs {param_bytes} bytes for its "
+            f"parameters, more than the {param_bytes - 1} bytes")):
+        new_parser(labels, layers=2, dim=4, hidden=6)
+    monkeypatch.setattr(edgepred, "physical_memory", lambda: param_bytes)
+    new_parser(labels, layers=2, dim=4, hidden=6)
+
+
+def test_training_that_exceeds_memory_fails_before_the_optimizer(
+        monkeypatch):
+    corpus = tiny_corpus()
+    provider = hash_provider(corpus, dim=4, layers=2)
+    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
+                        hidden=6, seed=4)
+    before = {name: t.data.copy() for name, t in parser.params.items()}
+    param_bytes, plain = edgepred.train_footprint(3, 2, 4, 6, False)
+    _, with_dev = edgepred.train_footprint(3, 2, 4, 6, True)
+    monkeypatch.setattr(edgepred, "physical_memory", lambda: plain)
+    cfg = ParserTrainConfig(lr=1e-2, epochs=2, seed=4)
+    lines = []
+    # the early-stopping snapshot is one parameter copy more
+    with pytest.raises(EdgePredError, match=(
+            f"hidden 6 with 3 labels needs {with_dev} bytes to train, more "
+            f"than the {plain} bytes of physical memory")):
+        train_parser(parser, corpus, provider, cfg, dev=corpus,
+                     dev_provider=provider, log=lines.append)
+    # nothing logged: the "# parser" line comes before the optimizer
+    assert lines == []
+    for name, tensor in parser.params.items():
+        assert tensor.data.tobytes() == before[name].tobytes()
+    train_parser(parser, corpus, provider, cfg, log=lines.append)
+    assert lines[0] == (f"# parser labels 3 param-bytes {param_bytes} "
+                        f"train-bytes {plain} dtype float64")
+
+
 def test_a_float32_parser_starts_from_the_float64_draws_cast():
     labels = [NO_EDGE, "obj", "root"]
     wide = new_parser(labels, layers=2, dim=4, hidden=5, seed=3)

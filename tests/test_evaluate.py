@@ -10,8 +10,7 @@ from conjprop.conllu import Sentence, TokenId
 from conjprop.converter import MODES, convert
 from conjprop.evaluate import (
     AlignmentError, EvalReport, LabelScore, agreement_matrix, align_corpora,
-    diff_stats, format_diff_records, format_score_records,
-    format_score_table, score,
+    diff_stats, format_diff, format_score, score,
 )
 from conjprop.graph import coarse, propagated_links
 from conftest import (
@@ -167,10 +166,9 @@ def test_score_equals_the_keyed_set_definition(seed, n, ids, shuffle, keep,
     expected = _keyed_score(system, gold, keep)
     report = score(system, gold, keep)
     assert report == expected
-    assert format_score_table(report, view) == \
-        format_score_table(expected, view)
-    assert format_score_records(report, view) == \
-        format_score_records(expected, view)
+    assert format_score(report, view) == format_score(expected, view)
+    assert format_score(report, view, records=True) == \
+        format_score(expected, view, records=True)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -336,13 +334,13 @@ def test_diff_stats_all_scope_counts_basic_change_once():
 
 def test_formatting_smoke(fig1, fig1_gold):
     rep = score([convert(fig1, MODES["rbc2"])], [fig1_gold])
-    table = format_score_table(rep)
+    table = format_score(rep)
     assert "total" in table and "100.0" in table
-    records = format_score_records(rep)
-    lines = records.splitlines()
+    records = format_score(rep, records=True)
+    lines = records.splitlines()[1:]  # below the summary line
     assert all(len(line.split("\t")) == 7 for line in lines)
     d = diff_stats([fig1_gold], [fig1_gold])
-    assert format_diff_records(d).endswith("0\t0\t0\t3")
+    assert format_diff(d, records=True).endswith("0\t0\t0\t3")
 
 
 def test_alignment_mismatch_lists_first_ten_ids_in_input_order():

@@ -1,13 +1,14 @@
 import random
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_sentence, random_sentence
-from conjprop import autodiff as ad, graph
+from conjprop import autodiff as ad, graph, propmodel
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider, read_sidecar
 from conjprop.graph import (
@@ -98,6 +99,25 @@ def test_mlp_model_learns_subject_propagation():
     assert added == {Edge(T(5, 0), T(1, 0), "nsubj")}
     negative = own_subject_sentence(9)
     assert added_edges(negative, apply_model(model, negative)) == set()
+
+
+def test_mlp_stops_early_and_restores_its_best_holdout_epoch(monkeypatch):
+    corpus = training_corpus()
+    options = PropTrainOptions(hidden_sizes=(8, 4), lr=1e-2, epochs=6,
+                               patience=2, holdout=0.5, seed=4)
+    scores = iter([0.2, 0.5, 0.4, 0.3])
+    monkeypatch.setattr(propmodel, "_macro_f1", lambda *args: next(scores))
+    lines = []
+    model = train_prop(corpus, "mlp", options, log=lines.append)
+    assert lines == [f"# epoch {epoch} holdout-f1 {f1}" for epoch, f1 in
+                     enumerate(["20.00", "50.00", "40.00", "30.00"], 1)]
+
+    # holdout scoring draws no random numbers, so two epochs reach the
+    # weights of the best epoch
+    scores = iter([0.2, 0.5])
+    two = train_prop(corpus, "mlp", replace(options, epochs=2))
+    for name, arr in model.mlp.items():
+        assert arr.tobytes() == two.mlp[name].tobytes(), name
 
 
 def test_mlp_logs_its_holdout_f1_every_epoch():
