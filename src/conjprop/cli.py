@@ -181,7 +181,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("edited", required=True, help="corpus after editing"),
         _OUT,
         Opt("scope", default="conjunct",
-            choices=("conjunct", "conjunct-incident", "all"),
+            choices=("conjunct", "all"),
             help="edge sets compared: links incident to conjuncts, or all"),
         Opt("records", "bool", False,
             "emit tab-separated records instead of an aligned table"),
@@ -213,15 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "$CONJPROP_CONFIG)")
         for opt in opts:
             flag = f"--{opt.name}"
+            help_text = opt.help
+            if opt.choices:
+                help_text += f" (one of {', '.join(opt.choices)})"
             if opt.kind == "bool":
                 p.add_argument(flag, dest=opt.dest, action="store_const",
-                               const=True, default=None, help=opt.help)
+                               const=True, default=None, help=help_text)
                 p.add_argument(f"--no-{opt.name}", dest=opt.dest,
                                action="store_const", const=False,
                                default=None, help=argparse.SUPPRESS)
             else:
                 p.add_argument(flag, dest=opt.dest, default=None,
-                               help=opt.help, metavar=opt.name.upper())
+                               help=help_text, metavar=opt.name.upper())
     return parser
 
 
@@ -277,14 +280,11 @@ def _name(path: str) -> str:
 def _read_text(path: str) -> tuple[str, str]:
     """The file's decoded text, and the name that messages give it."""
     name = _name(path)
-    try:
-        if path == "-":
-            raw = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-    except OSError as err:
-        raise CliError(f"{name}: {err.strerror}") from None
+    if path == "-":
+        raw = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     return decode_utf8(raw, name), name
 
 
@@ -301,11 +301,8 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise CliError(f"{path}: {err.strerror}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _model_path(path: str) -> str:
@@ -314,27 +311,12 @@ def _model_path(path: str) -> str:
     return path
 
 
-def _hashed(cfg, corpus, path: str):
-    """hash_provider's vectors for corpus under --hash-dim; otherwise None,
-    once corpus is known to key each sentence's vectors apart.  Errors name
-    path, the file corpus was read from."""
-    from .embeddings import EmbeddingError, hash_provider, sentence_keys
-    try:
-        if cfg["hash-dim"]:
-            return hash_provider(corpus, dim=cfg["hash-dim"],
-                                 layers=cfg.get("hash-layers", 1))
-        sentence_keys(corpus)
-    except EmbeddingError as err:
-        raise CliError(f"{_name(path)}: {err}") from None
-    return None
-
-
 def _provider(cfg, corpus, path: str):
     """The EmbeddingProvider --embeddings or --hash-dim names for corpus,
     read from path, or None.  The parser's commands, which have
     --hash-layers, need one and take any layer count; the classifiers'
     take a single layer or none."""
-    from .embeddings import read_sidecar
+    from .embeddings import check_sentence_keys, hash_provider, read_sidecar
     for_parser = "hash-layers" in cfg
     if cfg["embeddings"] and cfg["hash-dim"]:
         raise CliError("--embeddings and --hash-dim exclude each other")
@@ -343,12 +325,13 @@ def _provider(cfg, corpus, path: str):
             raise CliError("the edge parser needs embeddings: give "
                            "--embeddings or --hash-dim")
         return None
-    provider = _hashed(cfg, corpus, path)
-    if provider is None:
-        provider = read_sidecar(cfg["embeddings"])
-        if provider.layers != 1 and not for_parser:
-            raise CliError(f"{cfg['embeddings']}: expected a single-layer "
-                           f"sidecar, found layers={provider.layers}")
+    check_sentence_keys(corpus, _name(path))
+    if cfg["hash-dim"]:
+        return hash_provider(cfg["hash-dim"], cfg.get("hash-layers", 1))
+    provider = read_sidecar(cfg["embeddings"])
+    if provider.layers != 1 and not for_parser:
+        raise CliError(f"{cfg['embeddings']}: expected a single-layer "
+                       f"sidecar, found layers={provider.layers}")
     return provider
 
 
@@ -436,6 +419,7 @@ def cmd_train_parser(cfg) -> None:
     import numpy as np
     from .edgepred import (ParserTrainConfig, build_label_inventory,
                            new_parser, train_parser)
+    from .embeddings import check_sentence_keys
     from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
     if cfg["delexicalize"]:
@@ -449,14 +433,13 @@ def cmd_train_parser(cfg) -> None:
     train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
                                   epochs=cfg["epochs"],
                                   patience=cfg["patience"], seed=cfg["seed"])
-    dev = dev_provider = None
+    dev = None
     if cfg["dev"]:
         dev = _read_corpus(cfg["dev"])
         if cfg["delexicalize"]:
             dev, _ = delexicalize_corpus(dev)
-        dev_provider = _hashed(cfg, dev, cfg["dev"]) or provider
-    train_parser(parser, corpus, provider, train_cfg, dev, dev_provider,
-                 log=_log)
+        check_sentence_keys(dev, _name(cfg["dev"]))
+    train_parser(parser, corpus, provider, train_cfg, dev, log=_log)
     parser.save(_model_path(cfg["model"]))
 
 
@@ -496,9 +479,8 @@ def cmd_agree(cfg) -> None:
 
 def cmd_stats(cfg) -> None:
     from .evaluate import diff_stats, format_diff
-    scope = "conjunct" if cfg["scope"] == "conjunct-incident" else cfg["scope"]
     report = diff_stats(_stream(cfg["original"]), _stream(cfg["edited"]),
-                        scope=scope)
+                        scope=cfg["scope"])
     _write_text(cfg["out"], format_diff(report, cfg["records"]) + "\n")
 
 
@@ -542,6 +524,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_options(args)
         HANDLERS[args.command](cfg)
     except _ERRORS as err:
+        if isinstance(err, OSError) and err.filename is not None:
+            err = f"{err.filename}: {err.strerror}"
         print(f"conjprop: error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -38,12 +38,8 @@ def physical_memory() -> float:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Key-value pairs from a config file; a later repeated key wins."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise ConfigError(f"{path}: {err.strerror}") from None
-    text = decode_utf8(raw, path)
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -180,7 +180,7 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
             f"provider supplies {provider.layers} layers of dimension "
             f"{provider.dim}, model expects {parser.layers}x{parser.dim}")
     sid = sentence_key(sent, index)
-    stacks = [provider.lookup_layers(sid, t.id) for t in sent.words()]
+    stacks = [provider.lookup_layers(sid, t.id, t.form) for t in sent.words()]
     return np.stack(stacks, dtype=parser.dtype)  # (n, layers, dim)
 
 
@@ -463,14 +463,13 @@ def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
 def train_parser(parser: EdgeParser, corpus: list[Sentence],
                  provider: EmbeddingProvider, cfg: ParserTrainConfig,
                  dev: list[Sentence] | None = None,
-                 dev_provider: EmbeddingProvider | None = None,
                  log: Callable[[str], None] = lambda line: None) -> None:
     """Trains for up to cfg.epochs epochs, one "# ..." log line per event.
 
-    With a dev corpus, training stops once cfg.patience epochs in a row
-    have not raised the dev F1, and the parameters of the best dev epoch
-    are put back; without one, every epoch runs and the final parameters
-    stay.  A footprint (train_footprint) beyond physical memory is an
+    With a dev corpus, whose vectors provider gives too, training stops
+    once cfg.patience epochs in a row have not raised the dev F1, and the
+    parameters of the best dev epoch are put back; without one, every
+    epoch runs and the final parameters stay.  A footprint (train_footprint) beyond physical memory is an
     error, raised before the optimizer allocates.
     """
     param_bytes, footprint = train_footprint(
@@ -487,7 +486,7 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
         if dev is None:
             log(f"# epoch {epoch} loss {loss:.6f}")
             continue
-        f1 = _dev_f1(parser, dev, dev_provider, cfg.batch_size)
+        f1 = _dev_f1(parser, dev, provider, cfg.batch_size)
         log(f"# epoch {epoch} loss {loss:.6f} dev-f1 {100 * f1:.2f}")
         if stopper.update(f1, final=epoch == cfg.epochs):
             log(f"# stopping early at epoch {epoch}")

@@ -1,10 +1,11 @@
-"""Token embedding sidecar files and a deterministic test provider.
+"""Token embeddings: sidecar files, and hash vectors made at first lookup.
 
 Sidecar files carry one record per token: sentence id, token id, and the
 vector values as text floats.  Multi-layer files (used by the edge
 predictor) start with a header line "layers=L dim=D" and store L*D floats
 per record; single-layer files have no header and a fixed dimension
-inferred from the first record.
+inferred from the first record.  One hash provider serves any corpus.
+Both kinds find a sentence's vectors by its key, which must be distinct.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ class EmbeddingError(InputError):
 
 
 class EmbeddingProvider:
-    """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors.
-    A provider read from a file names it in its lookup errors."""
+    """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors,
+    held in a table.  Lookups also pass the token's form, which a table
+    ignores.  A provider read from a file names it in its lookup errors."""
 
     def __init__(self, table: dict[tuple[str, TokenId], np.ndarray],
                  dim: int, layers: int = 1, path=None):
@@ -32,7 +34,8 @@ class EmbeddingProvider:
         self.layers = layers
         self.path = path
 
-    def lookup(self, sent_id: str, token_id: TokenId) -> np.ndarray:
+    def lookup(self, sent_id: str, token_id: TokenId,
+               form: str | None = None) -> np.ndarray:
         key = (sent_id, token_id)
         if key not in self.table:
             where = f"{self.path}: " if self.path is not None else ""
@@ -40,12 +43,32 @@ class EmbeddingProvider:
                                  f"in sentence {sent_id!r}")
         return self.table[key]
 
-    def lookup_layers(self, sent_id: str, token_id: TokenId) -> np.ndarray:
-        """Returns shape (layers, dim); a single-layer table gains an axis."""
-        vec = self.lookup(sent_id, token_id)
-        if vec.ndim == 1:
-            return vec.reshape(1, -1)
-        return vec
+    def lookup_layers(self, sent_id: str, token_id: TokenId,
+                      form: str | None = None) -> np.ndarray:
+        """Returns shape (layers, dim); a single-layer vector gains an axis."""
+        vec = self.lookup(sent_id, token_id, form)
+        return vec.reshape(1, -1) if vec.ndim == 1 else vec
+
+
+class _HashProvider(EmbeddingProvider):
+    """hash_provider's vectors, each made at its first lookup and kept:
+    training looks every token up once per epoch."""
+
+    def __init__(self, dim: int, layers: int, seed: int):
+        self.dim, self.layers, self.seed = dim, layers, seed
+        self._made: dict[str, np.ndarray] = {}
+
+    def lookup(self, sent_id: str, token_id: TokenId,
+               form: str | None = None) -> np.ndarray:
+        if form is None:
+            raise TypeError(f"a hash embedding needs the form of token "
+                            f"{token_id} in sentence {sent_id!r}")
+        key = f"{self.seed}\x00{sent_id}\x00{token_id}\x00{form}"
+        if key not in self._made:
+            vec = _hash_floats(key, self.layers * self.dim)
+            self._made[key] = vec.reshape(self.layers, self.dim) \
+                if self.layers > 1 else vec
+        return self._made[key]
 
 
 def read_sidecar(path) -> EmbeddingProvider:
@@ -102,35 +125,27 @@ def _consume_record(line, where, table, layers, dim):
     table[(sent_id, tid)] = vec
 
 
-def write_sidecar(path, provider: EmbeddingProvider) -> None:
+def write_sidecar(path, provider: EmbeddingProvider,
+                  corpus: list[Sentence]) -> None:
+    """Writes provider's vector of every token of corpus, each sentence
+    under its sentence_key."""
     with open(path, "w", encoding="utf-8") as fh:
         if provider.layers > 1:
             fh.write(f"layers={provider.layers} dim={provider.dim}\n")
-        for (sent_id, tid), vec in sorted(
-                provider.table.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            flat = vec.reshape(-1)
-            values = " ".join(repr(float(v)) for v in flat)
-            fh.write(f"{sent_id}\t{tid}\t{values}\n")
+        for index, sent in enumerate(corpus):
+            sid = sentence_key(sent, index)
+            for tok in sent.tokens:
+                vec = provider.lookup(sid, tok.id, tok.form)
+                values = " ".join(repr(float(v)) for v in vec.reshape(-1))
+                fh.write(f"{sid}\t{tok.id}\t{values}\n")
 
 
-def hash_provider(corpus: list[Sentence], dim: int = 16,
-                  layers: int = 1, seed: int = 0) -> EmbeddingProvider:
-    """Deterministic pseudo-random vectors derived from (seed, sentence key,
-    token id, form), the sentence key as sentence_key gives it.
-
-    Ships so that embedding-consuming models can run without any external
-    encoder.  Values are uniform in [-1, 1) and stable across runs and
-    platforms.
-    """
-    table: dict[tuple[str, TokenId], np.ndarray] = {}
-    for sid, sent in zip(sentence_keys(corpus), corpus):
-        for tok in sent.tokens:
-            key = f"{seed}\x00{sid}\x00{tok.id}\x00{tok.form}"
-            vec = _hash_floats(key, layers * dim)
-            if layers > 1:
-                vec = vec.reshape(layers, dim)
-            table[(sid, tok.id)] = vec
-    return EmbeddingProvider(table, dim=dim, layers=layers)
+def hash_provider(dim: int, layers: int = 1,
+                  seed: int = 0) -> EmbeddingProvider:
+    """Pseudo-random vectors of (seed, sentence key, token id, form), made
+    at the first lookup of each: uniform in [-1, 1), stable across runs and
+    platforms, for models to run without an external encoder."""
+    return _HashProvider(dim, layers, seed)
 
 
 def sentence_key(sent: Sentence, index: int) -> str:
@@ -139,18 +154,17 @@ def sentence_key(sent: Sentence, index: int) -> str:
     return sent.sent_id or str(index)
 
 
-def sentence_keys(corpus: list[Sentence]) -> list[str]:
-    """Each sentence's sentence_key.  A repeated key raises EmbeddingError:
-    the later sentence's vectors would replace the earlier one's."""
+def check_sentence_keys(corpus: list[Sentence], name: str) -> None:
+    """Raises EmbeddingError, naming the file name, if two sentences share
+    a sentence_key: the two could not be given vectors of their own."""
     first: dict[str, int] = {}
     for idx, sent in enumerate(corpus):
         sid = sentence_key(sent, idx)
         if sid in first:
-            raise EmbeddingError(f"sentences {first[sid] + 1} and {idx + 1} "
-                                 f"share the sent_id {sid!r}, which keys "
-                                 f"their embeddings")
+            raise EmbeddingError(f"{name}: sentences {first[sid] + 1} and "
+                                 f"{idx + 1} share the sent_id {sid!r}, which "
+                                 f"keys their embeddings")
         first[sid] = idx
-    return list(first)
 
 
 def _hash_floats(key: str, count: int) -> np.ndarray:

@@ -94,7 +94,8 @@ def featurize(sent: Sentence, by_id: dict[TokenId, Token],
                         fv.named[f"{role}:{feat}={feats[feat]}"] = 1.0
         if config.token_features and config.dense_tokens \
                 and provider is not None:
-            fv.dense = {role: provider.lookup(sid, tid) for role, tid in roles}
+            fv.dense = {role: provider.lookup(sid, tid, by_id[tid].form)
+                        for role, tid in roles}
         if config.tree_features:
             direction = _linear_direction(inst.target, inst.conj_head,
                                           inst.conj_dep)

@@ -361,7 +361,7 @@ def test_criterion_7_edge_predictor_properties():
                           ("fish", "NOUN", 1, "obj"),
                           ("chips", "NOUN", 1, "obj")], sent_id="fd")
     seed_deps(sent)
-    provider = hash_provider([sent], dim=3, layers=2, seed=7)
+    provider = hash_provider(dim=3, layers=2, seed=7)
     parser = new_parser(build_label_inventory([sent]), layers=2, dim=3,
                         hidden=4, seed=11)
     sentence_loss(parser, sent, provider).backward()
@@ -402,7 +402,7 @@ def test_criterion_7_edge_predictor_properties():
                             allow_empty_nodes=False)
         seed_deps(s)
         corpus.append(s)
-    provider = hash_provider(corpus, dim=24, layers=1)
+    provider = hash_provider(dim=24, layers=1)
     inventory = build_label_inventory(corpus)
     toy = new_parser(inventory, layers=1, dim=24, hidden=48, seed=0)
     cfg = ParserTrainConfig(batch_size=5, lr=1e-2, epochs=1, seed=0,

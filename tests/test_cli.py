@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import io
 import json
@@ -200,6 +201,23 @@ def test_missing_input_file_sets_exit_code(run, tmp_path):
     rc, _, err = run(["convert", "--in", missing])
     assert rc == 1
     assert missing in err
+
+
+@pytest.mark.parametrize("kind", ["sidecar", "model", "config", "out"])
+def test_a_file_that_cannot_be_opened_is_named_with_its_reason(run, tmp_path,
+                                                              kind):
+    missing = str(tmp_path / "no-such-dir" / "file")
+    argv = {
+        "sidecar": ["train-prop", "--kind", "mlp", "--train", FIG1,
+                    "--model", str(tmp_path / "m"), "--embeddings", missing],
+        "model": ["apply-prop", "--in", FIG1, "--model", missing],
+        "config": ["convert", "--in", FIG1, "--config", missing],
+        "out": ["convert", "--in", FIG1, "--out", missing],
+    }[kind]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"conjprop: error: {missing}: {os.strerror(errno.ENOENT)}")
 
 
 def test_parse_error_names_line(run, tmp_path):
@@ -429,19 +447,6 @@ def test_stats_between_rule_sets(run, tmp_path):
     assert total[:4] == ["total", "1", "0", "1"]
 
 
-def test_stats_scope_alias_matches_conjunct(run, tmp_path):
-    before = tmp_path / "rbc.conllu"
-    after = tmp_path / "rbc2.conllu"
-    run(["convert", "--mode", "rbc", "--in", FIG1, "--out", str(before)])
-    run(["convert", "--mode", "rbc2", "--in", FIG1, "--out", str(after)])
-    _, plain, _ = run(["stats", "--original", str(before),
-                       "--edited", str(after), "--scope", "conjunct"])
-    _, alias, _ = run(["stats", "--original", str(before),
-                       "--edited", str(after),
-                       "--scope", "conjunct-incident"])
-    assert plain == alias
-
-
 def test_convert_rerun_is_byte_identical(run, tmp_path):
     first = tmp_path / "a.conllu"
     second = tmp_path / "b.conllu"
@@ -636,7 +641,7 @@ def test_a_float64_parser_file_predicts_as_decode_does(run, tmp_path):
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
     corpus = parse_corpus(prop_training_text())
-    provider = hash_provider(corpus, dim=8, layers=2)
+    provider = hash_provider(dim=8, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=8,
                         hidden=16, seed=3, dtype=np.float64)
     train_epoch(parser, corpus, provider,
@@ -911,7 +916,7 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["evaluate", "--view", "fine"],
      "command line: view must be one of full, coarse, got 'fine'"),
     (["stats", "--scope", "nope"], "command line: scope must be one of "
-     "conjunct, conjunct-incident, all, got 'nope'"),
+     "conjunct, all, got 'nope'"),
 ])
 def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
     model = str(tmp_path / "m")

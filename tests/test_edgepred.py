@@ -62,7 +62,7 @@ def straight_line_probs(parser: EdgeParser, stacks: np.ndarray) -> np.ndarray:
 
 def test_zeroed_interactions_reduce_to_softmax_of_bias():
     sent = gold_sentence()
-    provider = hash_provider([sent], dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser([NO_EDGE, "a", "b"], layers=2, dim=4, hidden=5)
     parser.params["bilinear"].data[:] = 0.0
     parser.params["linear"].data[:] = 0.0
@@ -79,7 +79,7 @@ def test_decoded_graphs_reparse_without_self_loops():
     rng = random.Random(5)
     corpus = [random_sentence(rng, f"r{k}", allow_empty_nodes=k % 2 == 0)
               for k in range(25)]
-    provider = hash_provider(corpus, dim=4, layers=2, seed=1)
+    provider = hash_provider(dim=4, layers=2, seed=1)
     parser = new_parser([NO_EDGE, "dep", "obj"], layers=2, dim=4, hidden=6,
                         seed=2)
     # every pair prefers an edge, so the self-loop pairs do as well
@@ -96,11 +96,11 @@ def test_decoded_graphs_reparse_without_self_loops():
 
 def test_scores_match_straight_line_recomputation():
     sent = gold_sentence()
-    provider = hash_provider([sent], dim=5, layers=3, seed=2)
+    provider = hash_provider(dim=5, layers=3, seed=2)
     parser = new_parser([NO_EDGE, "obj", "root"], layers=3, dim=5,
                         hidden=6, seed=9)
     parser.params["mix_logits"].data[:] = [0.2, -0.4, 1.0]
-    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
+    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
                        for t in sent.words()])
     probs = score_pairs(parser, sent, provider)
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
@@ -108,13 +108,13 @@ def test_scores_match_straight_line_recomputation():
     # more labels and tokens, parameters far from the near-uniform start
     sent = make_sentence([(f"w{k}", "NOUN", 0 if k == 0 else 1, "obj")
                           for k in range(7)], sent_id="wide")
-    provider = hash_provider([sent], dim=5, layers=1, seed=3)
+    provider = hash_provider(dim=5, layers=1, seed=3)
     parser = new_parser([NO_EDGE] + [f"l{k}" for k in range(12)], layers=1,
                         dim=5, hidden=64, seed=8)
     rng = np.random.default_rng(1)
     for tensor in parser.params.values():
         tensor.data[...] = rng.normal(0.0, 0.5, tensor.data.shape)
-    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
+    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
                        for t in sent.words()])
     probs = score_pairs(parser, sent, provider)
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
@@ -124,14 +124,14 @@ def test_scores_match_straight_line_recomputation():
 def test_bilinear_starts_at_zero_and_one_batch_moves_every_slice(dtype):
     corpus = [gold_sentence(f"g{i}", extra_label) for i, extra_label
               in enumerate(("obj", "nsubj", "obl"))]
-    provider = hash_provider(corpus, dim=5, layers=3, seed=1)
+    provider = hash_provider(dim=5, layers=3, seed=1)
     parser = new_parser(build_label_inventory(corpus), layers=3, dim=5,
                         hidden=8, seed=2, dtype=dtype)
     bilinear = parser.params["bilinear"].data
     assert bilinear.dtype == dtype and not bilinear.any()
     # the untrained parser scores from its linear term and bias
     for k, sent in enumerate(corpus):
-        stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id)
+        stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
                            for t in sent.words()])
         probs = score_pairs(parser, sent, provider, k)
         assert np.abs(probs - straight_line_probs(parser, stacks)).max() \
@@ -155,7 +155,7 @@ def packed_setup(hidden=32):
     for sent in corpus:
         for t in sent.tokens:
             t.deps = [(t.head, t.deprel)]
-    provider = hash_provider(corpus, dim=5, layers=3, seed=4)
+    provider = hash_provider(dim=5, layers=3, seed=4)
     parser = new_parser(build_label_inventory(corpus) + ["x", "y"],
                         layers=3, dim=5, hidden=hidden, seed=3)
     rng = np.random.default_rng(2)
@@ -213,15 +213,14 @@ def test_packed_batch_gradient_is_the_sum_of_sentence_gradients():
 def test_train_parser_keeps_the_parameters_when_the_final_epoch_is_best(
         monkeypatch):
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     scores = iter([0.2, 0.5, 0.7])
     monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=6, seed=4)
     arrays = {name: t.data for name, t in parser.params.items()}
     train_parser(parser, corpus, provider,
-                 ParserTrainConfig(lr=1e-2, epochs=3, seed=4), dev=corpus,
-                 dev_provider=provider)
+                 ParserTrainConfig(lr=1e-2, epochs=3, seed=4), dev=corpus)
     # AdamW updates in place, and no snapshot replaced the arrays
     for name, tensor in parser.params.items():
         assert tensor.data is arrays[name]
@@ -298,7 +297,7 @@ def test_a_training_batch_allocates_less_than_the_bilinear_tensor():
 
 def test_label_distributions_sum_to_one():
     sent = gold_sentence()
-    provider = hash_provider([sent], dim=6, layers=1)
+    provider = hash_provider(dim=6, layers=1)
     parser = new_parser([NO_EDGE, "obj", "root", "nsubj"], layers=1, dim=6,
                         hidden=8, seed=4)
     probs = score_pairs(parser, sent, provider)
@@ -310,10 +309,10 @@ def test_permuting_tokens_permutes_score_slices():
         ("a", "NOUN", 0, "root"), ("b", "NOUN", 1, "obj"),
         ("c", "NOUN", 1, "obj"), ("d", "NOUN", 1, "obj"),
     ], sent_id="perm")
-    provider = hash_provider([sent], dim=4, layers=2, seed=5)
+    provider = hash_provider(dim=4, layers=2, seed=5)
     perm = [2, 0, 3, 1]
-    table = {("perm", T(k + 1)):
-             provider.table[("perm", T(perm[k] + 1))] for k in range(4)}
+    table = {("perm", T(k + 1)): provider.lookup(
+        "perm", T(perm[k] + 1), sent.tokens[perm[k]].form) for k in range(4)}
     shuffled = EmbeddingProvider(table, dim=4, layers=2)
 
     parser = new_parser([NO_EDGE, "x"], layers=2, dim=4, hidden=5, seed=6)
@@ -328,7 +327,7 @@ def test_permuting_tokens_permutes_score_slices():
 
 def test_all_parameter_gradients_match_finite_differences():
     corpus = [gold_sentence()]
-    provider = hash_provider(corpus, dim=3, layers=2, seed=7)
+    provider = hash_provider(dim=3, layers=2, seed=7)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=3,
                         hidden=4, seed=11)
     sentence_loss(parser, corpus[0], provider).backward()
@@ -360,7 +359,7 @@ def test_untrained_loss_is_near_uniform_cross_entropy():
     ], sent_id="u1")
     for t in sent.tokens:
         t.deps = [(t.head, t.deprel)]
-    provider = hash_provider([sent], dim=8, layers=2, seed=1)
+    provider = hash_provider(dim=8, layers=2, seed=1)
     parser = new_parser(build_label_inventory([sent]), layers=2, dim=8,
                         hidden=16, seed=0)
     loss = float(sentence_loss(parser, sent, provider).data)
@@ -370,9 +369,10 @@ def test_untrained_loss_is_near_uniform_cross_entropy():
 
 def test_one_hot_mixture_reproduces_a_single_layer_model():
     sent = gold_sentence()
-    two = hash_provider([sent], dim=4, layers=2, seed=3)
+    two = hash_provider(dim=4, layers=2, seed=3)
     one = EmbeddingProvider(
-        {key: stack[0] for key, stack in two.table.items()}, dim=4, layers=1)
+        {(sent.sent_id, t.id): two.lookup(sent.sent_id, t.id, t.form)[0]
+         for t in sent.tokens}, dim=4, layers=1)
 
     a = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=5,
                    seed=8)
@@ -437,7 +437,7 @@ def test_headless_fallback_picks_best_scoring_alternative():
 
 def test_decode_guarantees_a_head_for_every_token():
     sent = gold_sentence()
-    provider = hash_provider([sent], dim=4, layers=1)
+    provider = hash_provider(dim=4, layers=1)
     parser = new_parser([NO_EDGE, "dep", "obj"], layers=1, dim=4, hidden=5)
     parser.params["bilinear"].data[:] = 0.0
     parser.params["linear"].data[:] = 0.0
@@ -456,7 +456,7 @@ def test_decode_lexicalizes_placeholder_labels():
         ("and", "CCONJ", 6, "cc"),
         ("benches", "NOUN", 4, "conj"),
     ], sent_id="lex")
-    provider = hash_provider([sent], dim=4, layers=1)
+    provider = hash_provider(dim=4, layers=1)
     parser = new_parser([NO_EDGE, "obl:[case]"], layers=1, dim=4, hidden=5)
     parser.params["bilinear"].data[:] = 0.0
     parser.params["linear"].data[:] = 0.0
@@ -470,7 +470,7 @@ def test_decode_lexicalizes_placeholder_labels():
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=5, seed=1)
     before = {k: t.data.tobytes() for k, t in parser.params.items()}
@@ -482,7 +482,7 @@ def test_zero_learning_rate_leaves_parameters_bit_identical():
 
 def test_training_reduces_the_loss():
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=8, seed=2)
     cfg = ParserTrainConfig(lr=1e-2, token_mask_prob=0.0, layer_dropout=0.0,
@@ -496,15 +496,14 @@ def test_training_reduces_the_loss():
 
 def test_train_parser_restores_the_best_dev_epoch(monkeypatch):
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     labels = build_label_inventory(corpus)
     scores = iter([0.2, 0.5, 0.4, 0.3, 0.9])
     monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
     cfg = ParserTrainConfig(lr=1e-2, epochs=5, patience=2, seed=4)
     lines = []
     parser = new_parser(labels, layers=2, dim=4, hidden=6, seed=4)
-    train_parser(parser, corpus, provider, cfg, dev=corpus,
-                 dev_provider=provider, log=lines.append)
+    train_parser(parser, corpus, provider, cfg, dev=corpus, log=lines.append)
     assert lines[0].startswith("# parser labels ")
     assert [line.split(" dev-f1 ")[1] for line in lines[1:-1]] == [
         "20.00", "50.00", "40.00", "30.00"]
@@ -525,7 +524,7 @@ def test_train_parser_restores_the_best_dev_epoch(monkeypatch):
 
 def test_inference_is_deterministic():
     sent = gold_sentence()
-    provider = hash_provider([sent], dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=5)
     a = score_pairs(parser, sent, provider)
     b = score_pairs(parser, sent, provider)
@@ -534,7 +533,7 @@ def test_inference_is_deterministic():
 
 def test_save_load_round_trip(tmp_path):
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=5, seed=3)
     path = tmp_path / "parser.model"
@@ -560,14 +559,14 @@ def test_provider_shape_mismatch_raises():
     sent = gold_sentence()
     parser = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=5)
     with pytest.raises(EdgePredError, match="2x4"):
-        score_pairs(parser, sent, hash_provider([sent], dim=4, layers=1))
+        score_pairs(parser, sent, hash_provider(dim=4, layers=1))
     with pytest.raises(EdgePredError, match="2x4"):
-        score_pairs(parser, sent, hash_provider([sent], dim=3, layers=2))
+        score_pairs(parser, sent, hash_provider(dim=3, layers=2))
 
 
 def test_unknown_gold_label_raises():
     sent = gold_sentence(extra_label="xcomp")
-    provider = hash_provider([sent], dim=4, layers=1)
+    provider = hash_provider(dim=4, layers=1)
     parser = new_parser([NO_EDGE, "obj", "root"], layers=1, dim=4, hidden=5)
     with pytest.raises(EdgePredError, match="'xcomp'"):
         sentence_loss(parser, sent, provider)
@@ -607,7 +606,7 @@ def empty_node_sentence(sent_id="e1"):
 
 def test_training_skips_edges_that_touch_an_empty_node():
     corpus = [empty_node_sentence(f"e{i}") for i in range(3)]
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     labels = build_label_inventory(corpus)
     assert labels == [NO_EDGE, "obj", "root"]
     parser = new_parser(labels, layers=2, dim=4, hidden=6, seed=1)
@@ -621,7 +620,7 @@ def test_training_skips_edges_that_touch_an_empty_node():
 
 def test_decoding_keeps_the_deps_of_an_empty_node():
     sent = empty_node_sentence()
-    provider = hash_provider([sent], dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=6,
                         seed=1)
     decoded = decode(parser, sent, provider)
@@ -648,7 +647,7 @@ def test_a_parser_too_big_for_memory_is_refused_before_it_allocates(
 def test_training_that_exceeds_memory_fails_before_the_optimizer(
         monkeypatch):
     corpus = tiny_corpus()
-    provider = hash_provider(corpus, dim=4, layers=2)
+    provider = hash_provider(dim=4, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=6, seed=4)
     before = {name: t.data.copy() for name, t in parser.params.items()}
@@ -662,7 +661,7 @@ def test_training_that_exceeds_memory_fails_before_the_optimizer(
             f"hidden 6 with 3 labels needs {with_dev} bytes to train, more "
             f"than the {plain} bytes of physical memory")):
         train_parser(parser, corpus, provider, cfg, dev=corpus,
-                     dev_provider=provider, log=lines.append)
+                     log=lines.append)
     # nothing logged: the "# parser" line comes before the optimizer
     assert lines == []
     for name, tensor in parser.params.items():

@@ -3,26 +3,28 @@ import pytest
 
 from conjprop.conllu import TokenId
 from conjprop.embeddings import (
-    EmbeddingError, EmbeddingProvider, hash_provider, read_sidecar,
-    write_sidecar,
+    EmbeddingError, EmbeddingProvider, check_sentence_keys, hash_provider,
+    read_sidecar, write_sidecar,
 )
 
 
 def test_single_layer_sidecar_round_trip(tmp_path, fig1):
-    provider = hash_provider([fig1], dim=5, seed=1)
+    provider = hash_provider(dim=5, seed=1)
     path = tmp_path / "vectors.tsv"
-    write_sidecar(path, provider)
+    write_sidecar(path, provider, [fig1])
     again = read_sidecar(path)
     assert again.dim == 5
     assert again.layers == 1
-    for key, vec in provider.table.items():
-        assert np.array_equal(again.table[key], vec)
+    assert len(again.table) == len(fig1.tokens)
+    for tok in fig1.tokens:
+        assert np.array_equal(again.lookup(fig1.sent_id, tok.id),
+                              provider.lookup(fig1.sent_id, tok.id, tok.form))
 
 
 def test_multi_layer_sidecar_round_trip(tmp_path, fig1):
-    provider = hash_provider([fig1], dim=4, layers=3, seed=2)
+    provider = hash_provider(dim=4, layers=3, seed=2)
     path = tmp_path / "vectors.tsv"
-    write_sidecar(path, provider)
+    write_sidecar(path, provider, [fig1])
     text = path.read_text()
     assert text.startswith("layers=3 dim=4\n")
     again = read_sidecar(path)
@@ -30,18 +32,66 @@ def test_multi_layer_sidecar_round_trip(tmp_path, fig1):
     sid = fig1.sent_id
     stack = again.lookup_layers(sid, TokenId(1, 0))
     assert stack.shape == (3, 4)
-    assert np.array_equal(stack, provider.lookup_layers(sid, TokenId(1, 0)))
+    form = fig1.tokens[0].form
+    assert np.array_equal(stack,
+                          provider.lookup_layers(sid, TokenId(1, 0), form))
 
 
 def test_hash_provider_is_deterministic(fig1):
-    a = hash_provider([fig1], dim=8, seed=3)
-    b = hash_provider([fig1], dim=8, seed=3)
-    other = hash_provider([fig1], dim=8, seed=4)
-    key = (fig1.sent_id, TokenId(2, 0))
-    assert np.array_equal(a.table[key], b.table[key])
-    assert not np.array_equal(a.table[key], other.table[key])
-    values = np.concatenate(list(a.table.values()))
+    a = hash_provider(dim=8, seed=3)
+    b = hash_provider(dim=8, seed=3)
+    other = hash_provider(dim=8, seed=4)
+    key = (fig1.sent_id, TokenId(2, 0), fig1.tokens[1].form)
+    assert np.array_equal(a.lookup(*key), b.lookup(*key))
+    assert not np.array_equal(a.lookup(*key), other.lookup(*key))
+    values = np.concatenate([a.lookup(fig1.sent_id, t.id, t.form)
+                             for t in fig1.tokens])
     assert (values >= -1).all() and (values < 1).all()
+
+
+# (seed, sentence key, token id, form), the layer count, and the vector
+# hash_provider gives them, bit for bit: a change to the key or to the float
+# formula shows here
+PINNED = [
+    ((7, "pin", TokenId(2, 0), "purr"), 1,
+     [-0.9654851001298229, -0.7479563278233246, 0.9743631481247235]),
+    ((7, "pin", TokenId(2, 0), "purr"), 2,
+     [[-0.9654851001298229, -0.7479563278233246, 0.9743631481247235],
+      [0.4694955976279871, -0.30155518499738654, -0.00944506500791742]]),
+    ((0, "0", TokenId(1, 1), "purr"), 1,
+     [0.1665048897365573, -0.24040988396000895, -0.3953265740679667,
+      0.033090460584544124]),
+]
+
+
+@pytest.mark.parametrize("key, layers, expected", PINNED,
+                         ids=["layers1", "layers2", "empty-node"])
+def test_hash_vectors_are_pinned(key, layers, expected):
+    seed, sid, tid, form = key
+    dim = len(expected[0]) if layers > 1 else len(expected)
+    provider = hash_provider(dim=dim, layers=layers, seed=seed)
+    vec = provider.lookup(sid, tid, form)
+    assert vec.dtype == np.float64
+    assert vec.tolist() == expected
+
+
+def test_one_hash_provider_tells_forms_apart_under_one_key():
+    # a dev sentence may share a training sentence's key and token ids
+    provider = hash_provider(dim=4, seed=1)
+    cats = provider.lookup("s1", TokenId(1, 0), "cats")
+    dogs = provider.lookup("s1", TokenId(1, 0), "dogs")
+    assert not np.array_equal(cats, dogs)
+    assert np.array_equal(provider.lookup("s1", TokenId(1, 0), "cats"), cats)
+    fresh = hash_provider(dim=4, seed=1)
+    assert np.array_equal(fresh.lookup("s1", TokenId(1, 0), "dogs"), dogs)
+
+
+def test_a_hash_lookup_needs_the_form(fig1):
+    provider = hash_provider(dim=3)
+    with pytest.raises(TypeError, match="form of token 1 in sentence"):
+        provider.lookup(fig1.sent_id, TokenId(1, 0))
+    with pytest.raises(TypeError, match="form"):
+        provider.lookup_layers(fig1.sent_id, TokenId(1, 0))
 
 
 def test_a_repeated_key_is_rejected(tmp_path, fig1):
@@ -52,20 +102,21 @@ def test_a_repeated_key_is_rejected(tmp_path, fig1):
         read_sidecar(path)
     twin, unnamed = fig1.clone(), fig1.clone()
     unnamed.comments = []
-    with pytest.raises(EmbeddingError, match=r"sentences 1 and 2 share the "
-                                             f"sent_id '{fig1.sent_id}'"):
-        hash_provider([fig1, twin], dim=2)
+    with pytest.raises(EmbeddingError, match=r"c.conllu: sentences 1 and 2 "
+                                             f"share the sent_id "
+                                             f"'{fig1.sent_id}'"):
+        check_sentence_keys([fig1, twin], "c.conllu")
     # a sentence without a sent_id is keyed by its position
     twin.comments = ["# sent_id = 0"]
     with pytest.raises(EmbeddingError, match="sentences 1 and 2 share the "
                                              "sent_id '0'"):
-        hash_provider([unnamed, twin], dim=2)
-    table = hash_provider([fig1, unnamed], dim=2).table
-    assert len(table) == 2 * len(fig1.tokens)
+        check_sentence_keys([unnamed, twin], "c.conllu")
+    check_sentence_keys([fig1, unnamed], "c.conllu")
 
 
 def test_lookup_failure_names_sentence_and_token(fig1):
-    provider = hash_provider([fig1], dim=3)
+    provider = EmbeddingProvider({(fig1.sent_id, TokenId(1, 0)): np.zeros(3)},
+                                 dim=3)
     with pytest.raises(EmbeddingError) as err:
         provider.lookup("unknown-sentence", TokenId(1, 0))
     assert "unknown-sentence" in str(err.value)
@@ -75,8 +126,8 @@ def test_lookup_failure_names_sentence_and_token(fig1):
 
 
 def test_single_layer_lookup_gains_a_layer_axis(fig1):
-    provider = hash_provider([fig1], dim=6)
-    stack = provider.lookup_layers(fig1.sent_id, TokenId(1, 0))
+    provider = hash_provider(dim=6)
+    stack = provider.lookup_layers(fig1.sent_id, TokenId(1, 0), "form")
     assert stack.shape == (1, 6)
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conjprop.conllu import ROOT, TokenId
-from conjprop.embeddings import EmbeddingError, hash_provider
+from conjprop.embeddings import (EmbeddingError, EmbeddingProvider,
+                                  hash_provider)
 from conftest import make_sentence, working_instances
 from conjprop.graph import (
     InstanceConfig, basic_edges, conj_pairs, extract_instances, labels_match,
@@ -221,7 +222,7 @@ def test_feature_groups_toggle(fig1):
 
 
 def test_dense_vectors_only_with_provider(fig1):
-    provider = hash_provider([fig1], dim=4)
+    provider = hash_provider(dim=4)
     inst = basic_instances(fig1)[0]
     config = FeatureConfig(dense_tokens=True)
     fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
@@ -233,8 +234,9 @@ def test_dense_vectors_only_with_provider(fig1):
 
 
 def test_provider_lookup_failure_is_reported(fig1):
-    provider = hash_provider([fig1], dim=4)
-    provider.table.pop((fig1.sent_id, TokenId(4, 0)))
+    provider = EmbeddingProvider({(fig1.sent_id, t.id): np.zeros(4)
+                                  for t in fig1.tokens if t.id != T(4, 0)},
+                                 dim=4)
     inst = [i for i in basic_instances(fig1) if i.target == T(4, 0)][0]
     with pytest.raises(EmbeddingError, match="4"):
         featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
@@ -253,7 +255,7 @@ def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
     FeatureConfig(), FeatureConfig(dense_tokens=True, count_scalar=True)])
 def test_one_pass_matches_one_instance_at_a_time(name, config, request):
     sent = request.getfixturevalue(name)
-    provider = hash_provider([sent], dim=4)
+    provider = hash_provider(dim=4)
     instances = working_instances(sent)
     assert instances
     by_id = sent.token_by_id()
@@ -298,7 +300,7 @@ def test_vocabulary_and_vectorize_round_trip(fig1):
 
 
 def test_vectorize_appends_dense_blocks(fig1):
-    provider = hash_provider([fig1], dim=3)
+    provider = hash_provider(dim=3)
     inst = basic_instances(fig1)[0]
     fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
                    config=FeatureConfig(dense_tokens=True))[0]

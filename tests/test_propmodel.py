@@ -383,17 +383,17 @@ def test_dense_model_requires_matching_provider(fig1):
     model.dense_dim = 4
     with pytest.raises(ApplyError, match="provider"):
         apply_model(model, fig1)
-    wrong = hash_provider([fig1], dim=3)
+    wrong = hash_provider(dim=3)
     with pytest.raises(ApplyError, match="dimension 3"):
         apply_model(model, fig1, provider=wrong)
-    right = hash_provider([fig1], dim=4)
+    right = hash_provider(dim=4)
     out = apply_model(model, fig1, provider=right)
     assert len(added_edges(fig1, out)) == 3
 
 
 def test_dense_vectors_reach_the_feature_matrix():
     corpus = training_corpus()
-    provider = hash_provider(corpus, dim=5)
+    provider = hash_provider(dim=5)
     fc = FeatureConfig(dense_tokens=True)
     model = train_prop(corpus, "kernel", provider=provider, feature_config=fc)
     assert model.dense_dim == 5
