@@ -58,10 +58,6 @@ class Opt:
 _IN = Opt("in", default="-", help="input CoNLL-U file ('-' for stdin)")
 _OUT = Opt("out", default="-", help="output file ('-' for stdout)")
 _SEED = Opt("seed", "int", 0, "random seed")
-_HASH_DIM = Opt("hash-dim", "int", 0, "use built-in hash embeddings of this "
-                "dimension (0 = off)", low=0)
-_HASH_LAYERS = Opt("hash-layers", "int", 1, "layer count for hash embeddings",
-                   low=1)
 
 
 def _comma_list(text: str) -> list[str]:
@@ -71,7 +67,7 @@ def _comma_list(text: str) -> list[str]:
 def _features_fault(text: str) -> str:
     unknown = set(_comma_list(text)) - {"instance", "token", "tree"}
     if unknown:
-        return f"names unknown groups: {', '.join(sorted(unknown))}"
+        return f"names unknown groups: {', '.join(map(repr, sorted(unknown)))}"
     return ""
 
 
@@ -129,8 +125,7 @@ OPTIONS: dict[str, list[Opt]] = {
     "apply-prop": [
         _IN, _OUT,
         Opt("model", required=True, help="trained propagation model"),
-        Opt("embeddings", help="single-layer embedding sidecar file"),
-        _HASH_DIM,
+        Opt("embeddings", help="the sidecar the model was trained on"),
         Opt("fixpoint", "bool", False,
             "reapply the model until the graph stops changing"),
         Opt("fix", "bool", False,
@@ -140,7 +135,10 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("train", required=True, help="training corpus with gold deps"),
         Opt("model", required=True, help="model file to write"),
         Opt("embeddings", help="multi-layer embedding sidecar file"),
-        _HASH_DIM, _HASH_LAYERS,
+        Opt("hash-dim", "int", 0, "use built-in hash embeddings of this "
+            "dimension (0 = off)", low=0),
+        Opt("hash-layers", "int", 1, "layer count for hash embeddings",
+            low=1),
         Opt("dev", help="development corpus for early stopping"),
         Opt("patience", "int", 5, "early-stopping patience (with --dev)",
             low=1),
@@ -156,8 +154,7 @@ OPTIONS: dict[str, list[Opt]] = {
     "predict": [
         _IN, _OUT,
         Opt("model", required=True, help="trained edge-parser model"),
-        Opt("embeddings", help="multi-layer embedding sidecar file"),
-        _HASH_DIM, _HASH_LAYERS,
+        Opt("embeddings", help="the sidecar the model was trained on"),
     ],
     "evaluate": [
         Opt("system", required=True, help="system output CoNLL-U file"),
@@ -311,27 +308,37 @@ def _model_path(path: str) -> str:
     return path
 
 
-def _provider(cfg, corpus, path: str):
-    """The EmbeddingProvider --embeddings or --hash-dim names for corpus,
-    read from path, or None.  The parser's commands, which have
-    --hash-layers, need one and take any layer count; the classifiers'
-    take a single layer or none."""
+def _provider(cfg, corpus, path: str, record=None):
+    """The EmbeddingProvider for corpus, read from path, or None: the one a
+    trainer's --embeddings or --hash-dim names, or the one of the (kind,
+    layers, dim) record of a model file, whose sidecar --embeddings names.
+    The parser trainer needs vectors and takes any layer count; the others
+    take a sidecar of the record's layer count, 1 for a classifier."""
     from .embeddings import check_sentence_keys, hash_provider, read_sidecar
-    for_parser = "hash-layers" in cfg
-    if cfg["embeddings"] and cfg["hash-dim"]:
-        raise CliError("--embeddings and --hash-dim exclude each other")
-    if not (cfg["embeddings"] or cfg["hash-dim"]):
-        if for_parser:
+    sidecar, trains_parser = cfg["embeddings"], "hash-layers" in cfg
+    if record is None:
+        if sidecar and cfg["hash-dim"]:
+            raise CliError("--embeddings and --hash-dim exclude each other")
+        if trains_parser and not (sidecar or cfg["hash-dim"]):
             raise CliError("the edge parser needs embeddings: give "
                            "--embeddings or --hash-dim")
+        record = ("hash" if cfg["hash-dim"] else "sidecar" if sidecar
+                  else "none", cfg.get("hash-layers", 1), cfg["hash-dim"])
+    elif bool(sidecar) != (record[0] == "sidecar"):
+        need = "give its sidecar with" if record[0] == "sidecar" \
+            else "only a sidecar model takes"
+        raise CliError(f"{cfg['model']}: the model records vectors "
+                       f"{record[0]!r}; {need} --embeddings")
+    kind, layers, dim = record
+    if kind == "none":
         return None
     check_sentence_keys(corpus, _name(path))
-    if cfg["hash-dim"]:
-        return hash_provider(cfg["hash-dim"], cfg.get("hash-layers", 1))
-    provider = read_sidecar(cfg["embeddings"])
-    if provider.layers != 1 and not for_parser:
-        raise CliError(f"{cfg['embeddings']}: expected a single-layer "
-                       f"sidecar, found layers={provider.layers}")
+    if kind != "sidecar":
+        return hash_provider(dim, layers)
+    provider = read_sidecar(sidecar)
+    if provider.layers != layers and not trains_parser:
+        raise CliError(f"{sidecar}: expected a sidecar of {layers} layer(s), "
+                       f"found layers={provider.layers}")
     return provider
 
 
@@ -407,7 +414,8 @@ def cmd_apply_prop(cfg) -> None:
     from .propmodel import ApplyConfig, PropModel, apply_model
     corpus = _read_corpus(cfg["in"])
     model = PropModel.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus, cfg["in"])
+    provider = _provider(cfg, corpus, cfg["in"],
+                         (model.vectors, 1, model.dense_dim))
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
     _write_text(cfg["out"], write_corpus(
@@ -447,7 +455,8 @@ def cmd_predict(cfg) -> None:
     from .edgepred import EdgeParser, decode_corpus
     corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus, cfg["in"])
+    provider = _provider(cfg, corpus, cfg["in"],
+                         (parser.vectors, parser.layers, parser.dim))
     _write_text(cfg["out"], write_corpus(
         decode_corpus(parser, corpus, provider)))
 

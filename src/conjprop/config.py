@@ -23,6 +23,18 @@ class InputError(Exception):
     """Base of the bad-input errors of the numpy-backed modules."""
 
 
+class TrainingError(InputError):
+    """Training that cannot give a usable model."""
+
+
+def check_loss(loss) -> None:
+    """Raises TrainingError if a training loss is not finite: the run has
+    diverged, and its parameters are no model."""
+    if not math.isfinite(loss):
+        raise TrainingError(f"training diverged to a loss of {float(loss)}; "
+                            "a lower learning rate may help")
+
+
 class AlignmentError(ValueError):
     """Two corpora whose sentences do not pair up."""
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import InputError, physical_memory
+from .config import InputError, check_loss, physical_memory
 from .conllu import ROOT, Sentence, TokenId
-from .embeddings import EmbeddingProvider, sentence_key
+from .embeddings import KINDS, EmbeddingProvider, sentence_key
 from .evaluate import LabelScore
 from .labels import lexicalize_label
 from .modelfile import check_arrays, expect, load_model, require, save_model
@@ -56,6 +56,7 @@ class EdgeParser:
     dim: int
     hidden: int
     params: dict[str, Tensor] = field(default_factory=dict)
+    vectors: str = "hash"  # the provider kind; the trainers record theirs
 
     @property
     def label_index(self) -> dict[str, int]:
@@ -70,7 +71,8 @@ class EdgeParser:
 
     def save(self, path) -> None:
         meta = {"labels": self.labels, "layers": self.layers,
-                "dim": self.dim, "hidden": self.hidden}
+                "dim": self.dim, "hidden": self.hidden,
+                "vectors": self.vectors}
         arrays = {name: t.data for name, t in self.params.items()}
         save_model(path, "edge-parser", meta, arrays)
 
@@ -80,7 +82,7 @@ class EdgeParser:
         if kind != "edge-parser":
             raise EdgePredError(f"{path}: not an edge parser (kind {kind!r})")
         require(path, "edge-parser meta", meta,
-                ("labels", "layers", "dim", "hidden"))
+                ("labels", "layers", "dim", "hidden", "vectors"))
         labels, layers, dim, hidden = (meta[k] for k in
                                        ("labels", "layers", "dim", "hidden"))
         expect(path, isinstance(labels, list) and labels[:1] == [NO_EDGE]
@@ -90,10 +92,14 @@ class EdgeParser:
         for key in ("layers", "dim", "hidden"):
             expect(path, type(meta[key]) is int and meta[key] >= 1,
                    f"meta {key} must be an integer >= 1, got {meta[key]!r}")
+        expect(path, meta["vectors"] in KINDS,
+               f"meta vectors must be one of {', '.join(map(repr, KINDS))}, "
+               f"got {meta['vectors']!r}")
         shapes = param_shapes(len(labels), layers, dim, hidden)
         require(path, "edge-parser arrays", arrays, shapes)
         check_arrays(path, arrays, shapes)
-        parser = cls(labels=labels, layers=layers, dim=dim, hidden=hidden)
+        parser = cls(labels=labels, layers=layers, dim=dim, hidden=hidden,
+                     vectors=meta["vectors"])
         parser.params = {name: Tensor(arr, requires_grad=True)
                          for name, arr in arrays.items()}
         return parser
@@ -350,11 +356,14 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
     Each batch makes one forward pass and one backward pass; every
     sentence loss enters the gradient with weight 1/len(batch).  The
     bilinear tensor's gradient is formed and applied one label slice at a
-    time, so the whole of it never exists."""
+    time, so the whole of it never exists.  The parser records the
+    provider's kind as its vectors; a loss that is not finite raises
+    TrainingError."""
     if optimizer is None:
         optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    parser.vectors = provider.kind
     ctx = _TrainContext(rng=rng, cfg=cfg, bilinear_inputs=[])
     bilinear = parser.params["bilinear"]
     order = rng.permutation(len(corpus))
@@ -366,6 +375,7 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
                               provider, batch, ctx)
         for loss in losses:
             total += float(loss.data)
+        check_loss(total)
         functools.reduce(ad.add, losses).backward(
             np.array(1.0 / len(batch)))
         optimizer.step()
@@ -469,8 +479,10 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
     With a dev corpus, whose vectors provider gives too, training stops
     once cfg.patience epochs in a row have not raised the dev F1, and the
     parameters of the best dev epoch are put back; without one, every
-    epoch runs and the final parameters stay.  A footprint (train_footprint) beyond physical memory is an
-    error, raised before the optimizer allocates.
+    epoch runs and the final parameters stay.  A footprint
+    (train_footprint) beyond physical memory is an error, raised before the
+    optimizer allocates.  The parser records the provider's kind as its
+    vectors, as train_epoch does, even if no epoch runs.
     """
     param_bytes, footprint = train_footprint(
         len(parser.labels), parser.layers, parser.dim, parser.hidden,
@@ -478,6 +490,7 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
     _check_memory(footprint, "to train", len(parser.labels), parser.hidden)
     log(f"# parser labels {len(parser.labels)} param-bytes {param_bytes} "
         f"train-bytes {footprint} dtype {parser.dtype}")
+    parser.vectors = provider.kind
     optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     stopper = ad.EarlyStopping(parser.parameters(), cfg.patience)

@@ -25,7 +25,10 @@ class EmbeddingError(InputError):
 class EmbeddingProvider:
     """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors,
     held in a table.  Lookups also pass the token's form, which a table
-    ignores.  A provider read from a file names it in its lookup errors."""
+    ignores.  A provider read from a file names it in its lookup errors.
+    Models trained on a provider record its kind as their vectors."""
+
+    kind = "sidecar"
 
     def __init__(self, table: dict[tuple[str, TokenId], np.ndarray],
                  dim: int, layers: int = 1, path=None):
@@ -52,7 +55,10 @@ class EmbeddingProvider:
 
 class _HashProvider(EmbeddingProvider):
     """hash_provider's vectors, each made at its first lookup and kept:
-    training looks every token up once per epoch."""
+    training looks every token up once per epoch.  Vectors that change
+    change kind, so that models trained on the old ones are refused."""
+
+    kind = "hash"
 
     def __init__(self, dim: int, layers: int, seed: int):
         self.dim, self.layers, self.seed = dim, layers, seed
@@ -69,6 +75,10 @@ class _HashProvider(EmbeddingProvider):
             self._made[key] = vec.reshape(self.layers, self.dim) \
                 if self.layers > 1 else vec
         return self._made[key]
+
+
+# the vectors a model file may record, besides a classifier's "none"
+KINDS = (_HashProvider.kind, EmbeddingProvider.kind)
 
 
 def read_sidecar(path) -> EmbeddingProvider:

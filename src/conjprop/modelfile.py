@@ -46,7 +46,8 @@ def expect(path, ok: bool, message: str) -> None:
 def check_arrays(path, arrays: dict, shapes: dict,
                  dtypes: tuple[str, ...] = ("float32", "float64")) -> None:
     """Raises ModelFileError unless each array named in shapes has its
-    shape, and all of them share one dtype, one of dtypes."""
+    shape and finite values, and all of them share one dtype, one of
+    dtypes."""
     common = arrays[next(iter(shapes))].dtype
     wanted = (f", expected {dtypes[0]}" if len(dtypes) == 1
               else "; the arrays must be all " + " or all ".join(dtypes))
@@ -56,9 +57,12 @@ def check_arrays(path, arrays: dict, shapes: dict,
                f"array {name!r} has shape {arr.shape}, expected {shape}")
         expect(path, arr.dtype == common and common.name in dtypes,
                f"array {name!r} has dtype {arr.dtype}{wanted}")
+        expect(path, np.isfinite(arr).all(),
+               f"array {name!r} holds a non-finite value")
 
 
 def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Writes the file, unless an array is not finite: no loader takes it."""
     manifest = []
     blobs = []
     for name in sorted(arrays):
@@ -66,6 +70,8 @@ def save_model(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> No
         dtype = arr.dtype.name  # the same for either byte order
         if dtype not in _DTYPES:
             raise ModelFileError(f"array {name!r} has unsupported dtype {arr.dtype}")
+        expect(path, np.isfinite(arr).all(),
+               f"array {name!r} holds a non-finite value; nothing is written")
         # a view unless the byte order has to change
         arr = arr.astype(_DTYPES[dtype], copy=False)
         manifest.append({"name": name, "dtype": dtype,

@@ -17,9 +17,10 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .config import InputError
+from .config import InputError, TrainingError, check_loss
 from .conllu import Sentence
 from .converter import propagate, seeded, subject_label
+from .embeddings import KINDS
 from .evaluate import LabelScore
 from .graph import (
     SUBJECT_LABELS, InstanceConfig, basic_edges, coarse, conj_pairs,
@@ -30,7 +31,7 @@ from .instances import (
     featurize, vectorize,
 )
 from .modelfile import check_arrays, expect, load_model, require, save_model
-from .svm import SVMModel, TrainingError, train_svm
+from .svm import SVMModel, train_svm
 
 
 class ApplyError(InputError):
@@ -65,6 +66,7 @@ class PropModel:
     svm: SVMModel | None = None
     mlp: dict[str, np.ndarray] | None = None
     instance_config: InstanceConfig = InstanceConfig()
+    vectors: str = "none"  # the provider kind of the dense vectors, if any
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         """Kernels decide in float64, MLPs in the dtype of their weights."""
@@ -84,6 +86,7 @@ class PropModel:
             "features": asdict(self.feature_config),
             "outgoing_exclusions":
                 sorted(self.instance_config.outgoing_exclusions),
+            "vectors": self.vectors,
         }
         if self.kind == "kernel":
             arrays = {"support_vectors": self.svm.support_vectors,
@@ -98,13 +101,14 @@ class PropModel:
         kind, meta, arrays = load_model(path)
         if kind not in ("kernel", "mlp"):
             raise ApplyError(f"{path}: not a propagation model (kind {kind!r})")
-        require(path, f"{kind} model meta", meta,
-                ("vocab", "dense_dim", "features", "outgoing_exclusions"))
+        require(path, f"{kind} model meta", meta, ("vocab", "dense_dim",
+                "features", "outgoing_exclusions", "vectors"))
         require(path, f"{kind} model arrays", arrays,
                 ("support_vectors", "dual_coef", "bias") if kind == "kernel"
                 else ("w1", "b1", "w2", "b2", "w3", "b3"))
-        vocab, dense_dim, features, exclusions = (meta[k] for k in (
-            "vocab", "dense_dim", "features", "outgoing_exclusions"))
+        vocab, dense_dim, features, exclusions, vectors = (meta[k] for k in (
+            "vocab", "dense_dim", "features", "outgoing_exclusions",
+            "vectors"))
         expect(path, isinstance(vocab, dict)
                and all(type(i) is int for i in vocab.values())
                and sorted(vocab.values()) == list(range(len(vocab))),
@@ -120,10 +124,14 @@ class PropModel:
         expect(path, isinstance(exclusions, list)
                and all(isinstance(label, str) for label in exclusions),
                "meta outgoing_exclusions must be a list of strings")
+        expect(path, vectors == "none" if dense_dim == 0 else vectors in KINDS,
+               f"meta vectors must be 'none' with dense_dim 0, else one of "
+               f"{', '.join(map(repr, KINDS))}; got {vectors!r}")
         width = len(vocab) + len(DENSE_ROLES) * dense_dim
         model = cls(kind=kind, vocab=vocab, dense_dim=dense_dim,
                     feature_config=FeatureConfig(**features),
-                    instance_config=InstanceConfig(frozenset(exclusions)))
+                    instance_config=InstanceConfig(frozenset(exclusions)),
+                    vectors=vectors)
         if kind == "kernel":
             n_sv = arrays["dual_coef"].size
             check_arrays(path, arrays, {
@@ -187,6 +195,9 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
     n_holdout = int(round(opts.holdout * n)) if n >= 10 else 0
     holdout_idx = order[:n_holdout]
     train_idx = order[n_holdout:]
+    if n_holdout == n:
+        raise TrainingError(f"holdout {opts.holdout} holds out {n_holdout} "
+                            f"of {n} instances, leaving none to train on")
 
     params = {name: ad.Tensor(arr, requires_grad=True)
               for name, arr in _init_mlp(x.shape[1], opts.hidden_sizes,
@@ -198,6 +209,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
         for i in rng.permutation(len(train_idx)):
             idx = train_idx[i]
             loss = mlp_loss(params, x[idx], int(y[idx]), weight[idx])
+            check_loss(loss.data)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -221,7 +233,10 @@ def train_prop(corpus: list[Sentence], kind: str,
                log: Callable[[str], None] = lambda line: None) -> PropModel:
     """Trains a classifier on a corpus whose deps columns hold gold graphs.
     The kernel logs one "# svm" line with its solver state, the MLP one
-    "# epoch" line with its holdout macro-F1 per epoch."""
+    "# epoch" line with its holdout macro-F1 per epoch.  The model records
+    the kind of provider its dense vectors come from, or "none".  An MLP
+    whose holdout leaves no instance to train on, or whose loss stops being
+    finite, raises TrainingError."""
     opts = options or PropTrainOptions()
     fc = feature_config or default_feature_config(kind)
     instances, vectors = [], []
@@ -246,7 +261,8 @@ def train_prop(corpus: list[Sentence], kind: str,
               if opts.class_weights else np.ones(n))
 
     model = PropModel(kind=kind, vocab=vocab, dense_dim=dense_dim,
-                      feature_config=fc, instance_config=instance_config)
+                      feature_config=fc, instance_config=instance_config,
+                      vectors=provider.kind if dense_dim else "none")
     if kind == "kernel":
         model.svm = svm = train_svm(x, y, c=opts.c * weight, tol=opts.tol)
         log(f"# svm iterations {svm.iterations} support-vectors "

@@ -25,13 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InputError, physical_memory
+from .config import TrainingError, physical_memory
 
 MAX_ITER = 200_000
-
-
-class TrainingError(InputError):
-    pass
 
 
 def poly2_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

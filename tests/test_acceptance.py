@@ -494,7 +494,7 @@ def test_criterion_8_determinism(tmp_path):
              "--model", str(edge_model), "--hash-dim", "8",
              "--hidden", "8", "--epochs", "2", "--seed", "5"],
             ["predict", "--in", str(input_path), "--model", str(edge_model),
-             "--hash-dim", "8", "--out", str(predicted)],
+             "--out", str(predicted)],
         ):
             assert cli_main(argv) == 0, argv
         return [p.read_bytes() for p in (conv, prop_model, applied, report,

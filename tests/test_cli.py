@@ -10,6 +10,7 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -130,6 +131,9 @@ def test_convert_mode_always_runs(run):
     ["stats", "--original", FIG1, "--edited", FIG1, "--jobs", "2"],
     ["apply-prop", "--in", FIG1, "--model", FIG1, "--jobs", "2"],
     ["predict", "--in", FIG1, "--model", FIG1, "--jobs", "2"],
+    ["apply-prop", "--in", FIG1, "--model", FIG1, "--hash-dim", "8"],
+    ["predict", "--in", FIG1, "--model", FIG1, "--hash-dim", "8",
+     "--hash-layers", "2"],
 ])
 def test_removed_command_and_scorer_jobs_are_usage_errors(run, argv):
     with pytest.raises(SystemExit) as exit_:
@@ -543,7 +547,7 @@ def test_apply_prop_and_predict_ignore_jobs_in_a_config_file(run,
     for command, model in (("apply-prop", prop), ("predict", edge)):
         rc, out, err = run([command, "--config", str(cfg),
                             "--model", str(model)])
-        assert rc == 0 and "# jobs" not in err
+        assert rc == 0 and "# jobs" not in err and "# hash-dim" not in err
         assert len(parse_corpus(out)) == 8
 
 
@@ -562,7 +566,6 @@ def test_train_parser_and_predict(run, tmp_path):
     out1 = tmp_path / "pred1.conllu"
     out2 = tmp_path / "pred2.conllu"
     rc, _, _ = run(["predict", "--in", str(train), "--model", str(model),
-                    "--hash-dim", "8", "--hash-layers", "2",
                     "--out", str(out1)])
     assert rc == 0
     for line in out1.read_text().splitlines():
@@ -570,7 +573,7 @@ def test_train_parser_and_predict(run, tmp_path):
             assert line.split("\t")[8] != "_"
 
     run(["predict", "--in", str(train), "--model", str(model),
-         "--hash-dim", "8", "--hash-layers", "2", "--out", str(out2)])
+         "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -626,8 +629,7 @@ def test_train_parser_keeps_every_training_array_in_float32(
     assert snapshots and {a.dtype.name for a in snapshots} == {"float32"}
     _, _, arrays = load_model(model)
     assert {a.dtype.name for a in arrays.values()} == {"float32"}
-    rc, out, err = run(["predict", "--in", str(train), "--model", str(model),
-                        "--hash-dim", "8", "--hash-layers", "2"])
+    rc, out, err = run(["predict", "--in", str(train), "--model", str(model)])
     assert rc == 0, err
     assert len(parse_corpus(out)) == 8
 
@@ -650,8 +652,7 @@ def test_a_float64_parser_file_predicts_as_decode_does(run, tmp_path):
     parser.save(model)
     _, _, arrays = load_model(model)
     assert {a.dtype.name for a in arrays.values()} == {"float64"}
-    rc, out, err = run(["predict", "--in", str(train), "--model", str(model),
-                        "--hash-dim", "8", "--hash-layers", "2"])
+    rc, out, err = run(["predict", "--in", str(train), "--model", str(model)])
     assert rc == 0, err
     assert out == write_corpus(decode(parser, sent, provider, k)
                                for k, sent in enumerate(corpus))
@@ -683,14 +684,150 @@ def test_train_parser_fails_early_when_training_exceeds_ram(
 
 
 def test_predict_without_embeddings_is_an_error(run, tmp_path):
+    from conjprop.embeddings import hash_provider, write_sidecar
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
-    model = tmp_path / "edge.model"
+    vectors, model = tmp_path / "train.vec", tmp_path / "edge.model"
+    write_sidecar(vectors, hash_provider(dim=8, layers=2),
+                  parse_corpus(prop_training_text()))
     run(["train-parser", "--train", str(train), "--model", str(model),
-         "--hash-dim", "8", "--hidden", "8", "--epochs", "1"])
+         "--embeddings", str(vectors), "--hidden", "8", "--epochs", "1"])
     rc, _, err = run(["predict", "--in", str(train), "--model", str(model)])
     assert rc == 1
     assert "embeddings" in err
+
+
+def _training_sidecar(tmp_path, layers: int = 1):
+    """A sidecar of prop_training_text's tokens, with the given layers."""
+    from conjprop.embeddings import hash_provider, write_sidecar
+    path = tmp_path / f"train{layers}.vec"
+    write_sidecar(path, hash_provider(dim=4, layers=layers),
+                  parse_corpus(prop_training_text()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train-prop", "train-parser"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+def test_divergent_training_exits_1_and_writes_no_model(run, tmp_path,
+                                                        command):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    model = tmp_path / "m.model"
+    argv = [command, "--train", str(train), "--model", str(model),
+            "--lr", "1e30", "--epochs", "2"]
+    if command == "train-prop":
+        argv += ["--kind", "mlp", "--hidden", "16,8",
+                 "--embeddings", _training_sidecar(tmp_path)]
+    else:
+        argv += ["--hash-dim", "8", "--hidden", "8"]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert err.splitlines()[-1].startswith(
+        "conjprop: error: training diverged to a loss of "), err
+    assert not model.exists()
+
+
+def test_a_holdout_that_leaves_nothing_to_train_on_exits_1(run, tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    model = tmp_path / "m.model"
+    rc, _, err = run(["train-prop", "--kind", "mlp", "--hidden", "8,4",
+                      "--holdout", "0.99", "--train", str(train),
+                      "--model", str(model)])
+    assert rc == 1
+    assert re.search(r"conjprop: error: holdout 0.99 holds out (\d+) of "
+                     r"\1 instances, leaving none to train on\n$", err), err
+    assert not model.exists()
+
+
+def test_a_model_applies_with_the_vectors_its_file_records(run, tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    hashed, sidecar = tmp_path / "hashed.model", tmp_path / "sidecar.model"
+    vectors = _training_sidecar(tmp_path)
+    run(["train-prop", "--kind", "mlp", "--hidden", "8,4", "--epochs", "2",
+         "--hash-dim", "4", "--train", str(train), "--model", str(hashed)])
+    run(["train-prop", "--kind", "mlp", "--hidden", "8,4", "--epochs", "2",
+         "--embeddings", vectors, "--train", str(train),
+         "--model", str(sidecar)])
+    assert [load_model(m)[1]["vectors"] for m in (hashed, sidecar)] == [
+        "hash", "sidecar"]
+    rc, out, err = run(["apply-prop", "--model", str(hashed),
+                        "--in", str(train)])
+    assert rc == 0, err
+    rc, out, err = run(["apply-prop", "--model", str(sidecar),
+                        "--embeddings", vectors, "--in", str(train)])
+    assert rc == 0, err
+    assert len(parse_corpus(out)) == 8
+
+
+def test_the_python_api_writes_the_model_files_the_cli_writes(run,
+                                                              tmp_path):
+    import numpy as np
+    from dataclasses import replace
+    from conjprop.edgepred import (ParserTrainConfig, build_label_inventory,
+                                   new_parser, train_parser)
+    from conjprop.embeddings import hash_provider
+    from conjprop.instances import default_feature_config
+    from conjprop.propmodel import PropTrainOptions, train_prop
+    train = tmp_path / "train.conllu"
+    train.write_text(prop_training_text())
+    corpus = parse_corpus(prop_training_text())
+    cli_mlp, cli_parser = tmp_path / "cli.mlp", tmp_path / "cli.parser"
+    run(["train-prop", "--kind", "mlp", "--hidden", "8,4", "--epochs", "2",
+         "--hash-dim", "4", "--train", str(train), "--model", str(cli_mlp)])
+    run(["train-parser", "--hash-dim", "4", "--hash-layers", "2", "--hidden",
+         "8", "--epochs", "1", "--train", str(train),
+         "--model", str(cli_parser)])
+    mlp = train_prop(corpus, "mlp", PropTrainOptions(hidden_sizes=(8, 4),
+                                                     epochs=2),
+                     hash_provider(dim=4), replace(
+                         default_feature_config("mlp"), dense_tokens=True))
+    mlp.save(tmp_path / "api.mlp")
+    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
+                        hidden=8, dtype=np.float32)
+    train_parser(parser, corpus, hash_provider(dim=4, layers=2),
+                 ParserTrainConfig(epochs=1))
+    parser.save(tmp_path / "api.parser")
+    assert (tmp_path / "api.mlp").read_bytes() == cli_mlp.read_bytes()
+    assert (tmp_path / "api.parser").read_bytes() == cli_parser.read_bytes()
+
+
+@pytest.mark.parametrize("kind, vectors, sidecar_layers, message", [
+    ("mlp", "hash", 1, "the model records vectors 'hash'; only a sidecar "
+     "model takes --embeddings"),
+    ("kernel", "none", 1, "the model records vectors 'none'; only a sidecar "
+     "model takes --embeddings"),
+    ("mlp", "sidecar", None, "the model records vectors 'sidecar'; give its "
+     "sidecar with --embeddings"),
+    ("edge-parser", "hash", 1, "the model records vectors 'hash'; only a "
+     "sidecar model takes --embeddings"),
+    ("edge-parser", "sidecar", None, "the model records vectors 'sidecar'; "
+     "give its sidecar with --embeddings"),
+    ("mlp", "sidecar", 2, "expected a sidecar of 1 layer(s), found "
+     "layers=2"),
+    ("edge-parser", "sidecar", 2, "expected a sidecar of 1 layer(s), found "
+     "layers=2"),
+], ids=["hash-mlp-given-a-sidecar", "kernel-given-a-sidecar",
+        "sidecar-mlp-given-none", "hash-parser-given-a-sidecar",
+        "sidecar-parser-given-none", "mlp-given-two-layers",
+        "parser-given-two-layers"])
+def test_a_model_given_other_vectors_exits_1(run, tmp_path, kind, vectors,
+                                             sidecar_layers, message):
+    model = tmp_path / "m.model"
+    model.write_bytes(_arrays_model(kind, {"vectors": vectors}))
+    argv = _model_argv(kind, model)
+    if sidecar_layers:
+        from conjprop.embeddings import hash_provider, write_sidecar
+        side = tmp_path / "fig1.vec"
+        write_sidecar(side, hash_provider(dim=4 if kind == "edge-parser"
+                                          else 1, layers=sidecar_layers),
+                      read_file(FIG1))
+        argv += ["--embeddings", str(side)]
+    rc, _, err = run(argv)
+    assert rc == 1
+    where = side if message.startswith("expected") else model
+    assert err.splitlines()[-1] == f"conjprop: error: {where}: {message}"
 
 
 def test_train_parser_early_stopping_logs_dev_f1(run, tmp_path):
@@ -887,14 +1024,14 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["train-prop", "--tol", "-1"], "tol must be positive, got -1.0"),
     (["train-prop", "--kind", "mlp", "--hash-dim", "-3"],
      "hash-dim must be in [0, inf), got -3"),
-    (["apply-prop", "--hash-dim", "-1"], "hash-dim must be in [0, inf), got -1"),
+    (["train-prop", "--kind", "mlp", "--lr", "nan"],
+     "lr must be in [-inf, inf), got nan"),
     (["train-parser", "--hash-dim", "-1"],
      "hash-dim must be in [0, inf), got -1"),
     (["train-parser", "--hash-dim", "4", "--hash-layers", "0"],
      "hash-layers must be in [1, inf), got 0"),
-    (["predict", "--hash-dim", "-1"], "hash-dim must be in [0, inf), got -1"),
-    (["predict", "--hash-dim", "4", "--hash-layers", "0"],
-     "hash-layers must be in [1, inf), got 0"),
+    (["train-parser", "--lr", "nan"], "lr must be in [-inf, inf), got nan"),
+    (["train-prop", "--c", "nan"], "c must be in [-inf, inf), got nan"),
     (["train-prop", "--kind", "mlp", "--lr", "-1"],
      "lr must be positive, got -1.0"),
     (["train-prop", "--lr", "0"], "lr must be positive, got 0.0"),
@@ -937,7 +1074,8 @@ def test_out_of_range_option_is_an_error(run, tmp_path, argv, message):
      "hidden expects two comma-separated widths of at least 1, got '16,x'"),
     ("hidden", "16",
      "hidden expects two comma-separated widths of at least 1, got '16'"),
-    ("features", "instance,bogus,tree", "features names unknown groups: bogus"),
+    ("features", "instance,bogus,tree",
+     "features names unknown groups: 'bogus'"),
 ], ids=["hidden-not-int", "hidden-one-width", "features-unknown"])
 @pytest.mark.parametrize("in_file", [False, True],
                          ids=["command-line", "config-file"])
@@ -974,15 +1112,15 @@ def _model_file(header: dict, payload: bytes = b"") -> bytes:
 
 _GOOD_MODELS = {
     "kernel": ({"vocab": {"a": 0, "b": 1}, "dense_dim": 0, "features": {},
-                "outgoing_exclusions": ["cc"]},
+                "outgoing_exclusions": ["cc"], "vectors": "none"},
                {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
     "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
              "features": {"dense_tokens": True},
-             "outgoing_exclusions": []},
+             "outgoing_exclusions": [], "vectors": "hash"},
             {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
              "w3": (2, 2), "b3": (2,)}),
     "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
-                     "hidden": 3},
+                     "hidden": 3, "vectors": "hash"},
                     {"mix_logits": (1,), "root_embed": (4,),
                      "w_head": (4, 3), "b_head": (3,), "w_dep": (4, 3),
                      "b_dep": (3,), "bilinear": (2, 3, 3), "linear": (6, 2),
@@ -1125,14 +1263,13 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
     bad = tmp_path / "bad"
     bad.write_bytes(content)
     model = str(tmp_path / "m")
-    vectors, kernel, parser = (tmp_path / n for n in ("vec", "kernel", "par"))
+    vectors, mlp, parser = (tmp_path / n for n in ("vec", "mlp", "par"))
     vectors.write_text("s1\t1\t0.5\n")
-    kernel.write_bytes(_arrays_model("kernel"))
+    mlp.write_bytes(_arrays_model("mlp", {"vectors": "sidecar"}))
     parser.write_bytes(_arrays_model("edge-parser"))
     argv = {
         "prop-model": ["apply-prop", "--in", FIG1, "--model", str(bad)],
-        "parser-model": ["predict", "--in", FIG1, "--model", str(bad),
-                         "--hash-dim", "4"],
+        "parser-model": ["predict", "--in", FIG1, "--model", str(bad)],
         "sidecar": ["train-prop", "--train", FIG1, "--model", model,
                     "--embeddings", str(bad)],
         "parser-sidecar": ["train-parser", "--train", FIG1, "--model", model,
@@ -1141,9 +1278,9 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
         "hashed-corpus": ["train-prop", "--train", str(bad), "--model", model,
                           "--hash-dim", "4"],
         "sidecar-corpus": ["apply-prop", "--in", str(bad), "--model",
-                           str(kernel), "--embeddings", str(vectors)],
+                           str(mlp), "--embeddings", str(vectors)],
         "predicted-corpus": ["predict", "--in", str(bad), "--model",
-                             str(parser), "--hash-dim", "4"],
+                             str(parser)],
         "dev-corpus": ["train-parser", "--train", FIG1, "--dev", str(bad),
                        "--model", model, "--hash-dim", "4", "--hidden", "4",
                        "--epochs", "1"],
@@ -1155,11 +1292,8 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
 
 
 def _model_argv(kind: str, path) -> list[str]:
-    if kind == "edge-parser":
-        return ["predict", "--in", FIG1, "--model", str(path),
-                "--hash-dim", "4"]
-    argv = ["apply-prop", "--in", FIG1, "--model", str(path)]
-    return argv + (["--hash-dim", "1"] if kind == "mlp" else [])
+    command = "predict" if kind == "edge-parser" else "apply-prop"
+    return [command, "--in", FIG1, "--model", str(path)]
 
 
 @pytest.mark.parametrize("kind, dtype", [
@@ -1234,6 +1368,22 @@ def test_well_formed_model_files_load_and_run(run, tmp_path, kind, dtype):
      "array 'linear' has shape (3, 2), expected (6, 2)"),
     ("edge-parser", None, {"bias": (3,)},
      "array 'bias' has shape (3,), expected (2,)"),
+    ("kernel", {"vectors": None}, None,
+     "kernel model meta lacks the key(s) vectors"),
+    ("mlp", {"vectors": None}, None, "mlp model meta lacks the key(s) vectors"),
+    ("edge-parser", {"vectors": None}, None,
+     "edge-parser meta lacks the key(s) vectors"),
+    ("kernel", {"vectors": "hash"}, None,
+     "meta vectors must be 'none' with dense_dim 0, else one of 'hash', "
+     "'sidecar'; got 'hash'"),
+    ("mlp", {"vectors": "none"}, None,
+     "meta vectors must be 'none' with dense_dim 0, else one of 'hash', "
+     "'sidecar'; got 'none'"),
+    ("mlp", {"vectors": "hash0"}, None, "meta vectors must be 'none'"),
+    ("edge-parser", {"vectors": "none"}, None,
+     "meta vectors must be one of 'hash', 'sidecar', got 'none'"),
+    ("edge-parser", {"vectors": ["hash"]}, None,
+     "meta vectors must be one of 'hash', 'sidecar', got ['hash']"),
 ])
 def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
                                               shapes, where):
@@ -1243,6 +1393,19 @@ def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
     assert rc == 1
     assert f"conjprop: error: {bad}: {where}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["kernel", "mlp", "edge-parser"])
+def test_a_non_finite_array_exits_1(run, tmp_path, kind):
+    # the last array in the file is the last in name order; its last value
+    # becomes NaN
+    bad = tmp_path / "bad"
+    bad.write_bytes(_arrays_model(kind)[:-8] + struct.pack("<d", math.nan))
+    last = max(_GOOD_MODELS[kind][1])
+    rc, _, err = run(_model_argv(kind, bad))
+    assert rc == 1
+    assert err.splitlines()[-1] == (f"conjprop: error: {bad}: array "
+                                    f"{last!r} holds a non-finite value")
 
 
 WATCHED_MODULES = ("numpy", "conjprop.converter", "conjprop.evaluate")

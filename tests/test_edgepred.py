@@ -15,7 +15,9 @@ from conjprop.edgepred import (
     build_label_inventory, decode, decode_scores, mixture_weights,
     new_parser, score_pairs, sentence_loss, train_epoch, train_parser,
 )
-from conjprop.embeddings import EmbeddingProvider, hash_provider
+from conjprop.config import TrainingError
+from conjprop.embeddings import (EmbeddingProvider, hash_provider,
+                                  read_sidecar, write_sidecar)
 from conjprop.modelfile import save_model
 
 T = TokenId
@@ -713,3 +715,34 @@ def test_train_footprint_in_float32_counts_four_bytes_per_element():
         param_bytes, 4 * param_bytes + grads + scratch)
     assert 2 * param_bytes == edgepred.train_footprint(
         len(labels), 2, 4, 6, True)[0]
+
+
+def test_training_records_the_kind_of_its_provider(tmp_path):
+    corpus = tiny_corpus()
+    write_sidecar(tmp_path / "tiny.vec", hash_provider(dim=4, layers=2),
+                  corpus)
+    sidecar = read_sidecar(tmp_path / "tiny.vec")
+    labels = build_label_inventory(corpus)
+    # train_parser records it even when no epoch runs
+    untrained = new_parser(labels, layers=2, dim=4, hidden=5)
+    train_parser(untrained, corpus, sidecar, ParserTrainConfig(epochs=0))
+    untrained.save(tmp_path / "p.model")
+    assert EdgeParser.load(tmp_path / "p.model").vectors == "sidecar"
+    # and train_epoch records the provider it was given last
+    parser = new_parser(labels, layers=2, dim=4, hidden=5)
+    train_epoch(parser, corpus, sidecar, ParserTrainConfig())
+    assert parser.vectors == "sidecar"
+    train_epoch(parser, corpus, hash_provider(dim=4, layers=2),
+                ParserTrainConfig())
+    assert parser.vectors == "hash"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+def test_a_diverging_parser_raises_training_error():
+    corpus = tiny_corpus()
+    # float32, as train-parser trains, overflows where float64 does not
+    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
+                        hidden=5, dtype=np.float32)
+    with pytest.raises(TrainingError, match="training diverged"):
+        train_parser(parser, corpus, hash_provider(dim=4, layers=2),
+                     ParserTrainConfig(lr=1e30, batch_size=1, epochs=3))

@@ -1,5 +1,6 @@
 """Byte-level mutations of fixture files through the command line,
-in-process: a CoNLL-U file, a sidecar and a model file's header.
+in-process: a CoNLL-U file, a sidecar, a model file's header and config
+files.
 
 Every run must exit 0, or exit 1 with a "conjprop: error:" line; an
 exception escaping main is the traceback a user would see.  The examples
@@ -52,6 +53,17 @@ SIDECAR_PIECES = [b"\t", b"\n", b" ", b"-", b".", b"e", b"e999", b"nan",
 HEADER_PIECES = [b'"', b"{", b"}", b"[", b"]", b",", b":", b"0", b"-1",
                  b"1e999", b"null", b"true", b'"float32"', b'"int64"',
                  b'"mlp"', b'"edge-parser"', b'"nbytes"', b"\n", b"\xff"]
+
+# config files hold no paths, which the command line gives: a mutated path
+# could name any file.  The pieces are keys, values and line syntax.
+CONVERT_CONFIG = b"# a run\nmode = rbc2\njobs = 1\n"
+TRAIN_CONFIG = (b"kind = mlp\nhidden = 4,4\nepochs = 1\nhash-dim = 2\n"
+                b"holdout = 0.1\nlr = 0.001\nfeatures = instance,token,tree\n"
+                b"class-weights = false\nseed = 3\n")
+CONFIG_PIECES = [b"=", b" ", b"\n", b"\r", b"#", b",", b"-", b".", b"0",
+                 b"1", b"e30", b"nan", b"inf", b"true", b"mode", b"jobs",
+                 b"kind", b"kernel", b"rbc2+fix", b"hidden", b"hash-dim",
+                 b"holdout", b"lr", b"tree", b"\xff", b"\xc3"]
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=120,
@@ -137,3 +149,24 @@ def test_mutated_kernel_header_through_apply_prop(workdir, data):
         edits_of(header, HEADER_PIECES, b",:[{"))) + b"\n" + body)
     run_main(["apply-prop", "--model", str(src), "--fixpoint", "--in", FIG3C,
               "--out", str(workdir / "header-out.conllu")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_config_through_convert(workdir, data):
+    src = workdir / "convert.cfg"
+    src.write_bytes(mutate(CONVERT_CONFIG, data.draw(
+        edits_of(CONVERT_CONFIG, CONFIG_PIECES, b"=\n"))))
+    run_main(["convert", "--config", str(src), "--in", FIG3C,
+              "--out", str(workdir / "config-out.conllu")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_config_through_train_prop(workdir, data):
+    src = workdir / "train.cfg"
+    src.write_bytes(mutate(TRAIN_CONFIG, data.draw(
+        edits_of(TRAIN_CONFIG, CONFIG_PIECES, b"=\n"))))
+    run_main(["train-prop", "--config", str(src), "--train",
+              str(workdir / "gold.conllu"),
+              "--model", str(workdir / "config.model")])

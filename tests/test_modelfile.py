@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conjprop.edgepred import NO_EDGE, EdgeParser, new_parser
-from conjprop.modelfile import ModelFileError, load_model, save_model
+from conjprop.modelfile import (ModelFileError, check_arrays, load_model,
+                                save_model)
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -190,3 +191,15 @@ def test_array_bytes_match_a_tobytes_construction(tmp_path):
     _, _, loaded = load_model(path)
     for name, arr in arrays.items():
         assert np.array_equal(loaded[name], arr)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_array_is_neither_written_nor_accepted(tmp_path, value):
+    path = tmp_path / "m.model"
+    arrays = {"a": np.array([1.0, value]), "b": np.zeros(2)}
+    with pytest.raises(ModelFileError, match="array 'a' holds a non-finite"):
+        save_model(path, "kernel", {}, arrays)
+    assert not path.exists()
+    with pytest.raises(ModelFileError, match="array 'a' holds a non-finite"):
+        check_arrays(path, arrays, {"b": (2,), "a": (2,)})
+    check_arrays(path, arrays, {"b": (2,)})

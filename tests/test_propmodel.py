@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_sentence, random_sentence
 from conjprop import autodiff as ad, graph, propmodel
 from conjprop.converter import always_baseline, added_edges
-from conjprop.embeddings import hash_provider, read_sidecar
+from conjprop.embeddings import hash_provider, read_sidecar, write_sidecar
 from conjprop.graph import (
     DEFAULT_OUTGOING_EXCLUSIONS, Edge, InstanceConfig, basic_edges, coarse,
     conj_pairs, enhanced_edges, extract_instances,
@@ -448,3 +448,33 @@ def test_unnamed_sentences_key_dense_vectors_by_position(tmp_path):
     for i, (sent, twin) in enumerate(zip(corpus, named)):
         assert apply_model(model, sent, provider, index=i).tokens == \
             apply_model(reference, twin, provider).tokens
+
+
+def test_the_model_records_the_kind_of_its_dense_vectors(tmp_path):
+    corpus = training_corpus()
+    write_sidecar(tmp_path / "train.vec", hash_provider(dim=3), corpus)
+    dense = FeatureConfig(dense_tokens=True)
+    for provider, fc, want in (
+            (None, dense, "none"),
+            (hash_provider(dim=3), dense, "hash"),
+            (read_sidecar(tmp_path / "train.vec"), dense, "sidecar"),
+            # vectors that the features leave out are not recorded
+            (hash_provider(dim=3), FeatureConfig(), "none")):
+        model = train_prop(corpus, "kernel", provider=provider,
+                           feature_config=fc)
+        assert model.vectors == want
+        model.save(tmp_path / "m.model")
+        assert PropModel.load(tmp_path / "m.model").vectors == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+def test_a_diverging_mlp_raises_training_error():
+    options = PropTrainOptions(hidden_sizes=(8, 4), lr=1e30, epochs=3)
+    with pytest.raises(TrainingError, match="training diverged"):
+        train_prop(training_corpus(), "mlp", options)
+
+
+def test_an_mlp_holdout_that_leaves_nothing_to_train_on_raises():
+    options = PropTrainOptions(hidden_sizes=(8, 4), holdout=0.999)
+    with pytest.raises(TrainingError, match="leaving none to train on"):
+        train_prop(training_corpus(), "mlp", options)
