@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator
 
@@ -241,13 +241,13 @@ def resolve_options(args: argparse.Namespace) -> dict[str, object]:
                 raise ConfigError(
                     f"{where}: {opt.name} must be one of "
                     f"{', '.join(opt.choices)}, got {value!r}")
+            fault = opt.fault(value) if opt.fault else ""
+            if fault:
+                raise ConfigError(f"{where}: {opt.name} {fault}")
             if opt.kind in ("int", "float") \
                     and not opt.low <= value < opt.below:
                 raise ConfigError(f"{where}: {opt.name} must be in "
                                   f"[{opt.low}, {opt.below}), got {value}")
-            fault = opt.fault(value) if opt.fault else ""
-            if fault:
-                raise ConfigError(f"{where}: {opt.name} {fault}")
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -383,22 +383,14 @@ def cmd_convert(cfg) -> None:
     _write_text(cfg["out"], out)
 
 
-def _feature_setup(kind: str, features_text: str, with_dense: bool):
-    groups = set(_comma_list(features_text))
-    from .instances import default_feature_config
-    fc = default_feature_config(kind)
-    fc = replace(fc, token_features="token" in groups,
-                 tree_features="tree" in groups)
-    if with_dense:
-        fc = replace(fc, dense_tokens=True)
-    return fc
-
-
 def cmd_train_prop(cfg) -> None:
+    from .instances import FeatureConfig
     from .propmodel import PropTrainOptions, train_prop
     corpus = _read_corpus(cfg["train"])
     provider = _provider(cfg, corpus, cfg["train"])
-    fc = _feature_setup(cfg["kind"], cfg["features"], provider is not None)
+    groups = _comma_list(cfg["features"])
+    fc = FeatureConfig(token_features="token" in groups,
+                       tree_features="tree" in groups)
     options = PropTrainOptions(
         c=cfg["c"], tol=cfg["tol"], class_weights=cfg["class-weights"],
         epochs=cfg["epochs"],

@@ -347,6 +347,7 @@ def sentence_loss(parser: EdgeParser, sent: Sentence,
     return batch_losses(parser, [sent], provider, [index], ctx)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_loss reports divergence
 def train_epoch(parser: EdgeParser, corpus: list[Sentence],
                 provider: EmbeddingProvider, cfg: ParserTrainConfig,
                 optimizer: ad.AdamW | None = None,
@@ -457,6 +458,7 @@ def _edge_key_set(sent: Sentence) -> set:
             if head in regular}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as train_epoch
 def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
             provider: EmbeddingProvider, batch_size: int) -> float:
     """F1 of the decoded enhanced edges between regular tokens."""

@@ -12,7 +12,6 @@ from .conllu import ROOT, Sentence, Token, TokenId
 SUBJECT_LABELS = frozenset({"nsubj", "csubj"})
 
 # labels of the conjunction head's outgoing edges that are no candidates
-# unless an InstanceConfig says otherwise
 DEFAULT_OUTGOING_EXCLUSIONS = frozenset({"cc", "conj", "punct", "mark"})
 
 INCOMING = "incoming"
@@ -59,11 +58,6 @@ def conj_pairs(sent: Sentence) -> list[tuple[TokenId, TokenId]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    outgoing_exclusions: frozenset[str] = DEFAULT_OUTGOING_EXCLUSIONS
-
-
 @dataclass
 class PropagationInstance:
     conj_head: TokenId
@@ -97,18 +91,18 @@ def labels_match(candidate: str, gold_label: str) -> bool:
 
 def extract_instances(sent: Sentence, pairs: list[tuple[TokenId, TokenId]],
                       edges: Iterable[tuple[TokenId, TokenId, str]],
-                      config: InstanceConfig = InstanceConfig(),
                       gold: bool = False) -> list[PropagationInstance]:
     """One instance per (head, dep, label) of edges incident to gov, for
     each of sent's conj_pairs (gov, dep) in the order given: the edges out
     of gov, then those into it, each sorted.  Left out are outgoing edges
-    whose full or coarse label is excluded, the root attachment (head ROOT
-    or label root), and copies onto dep that would be self-loops.  With
+    whose full or coarse label is in DEFAULT_OUTGOING_EXCLUSIONS, the root
+    attachment (head ROOT or label root), and copies onto dep that would be
+    self-loops.  With
     gold, an instance is positive if sent's own DEPS hold its edge at the
     conjunct under a label that labels_match; else its gold stays None."""
     govs = {gov for gov, _ in pairs}
     incident = sorted(e for e in edges if e[0] in govs or e[1] in govs)
-    excluded = config.outgoing_exclusions
+    excluded = DEFAULT_OUTGOING_EXCLUSIONS
     out: list[PropagationInstance] = []
     for gov, dep in pairs:
         out.extend(PropagationInstance(gov, dep, tid, label, OUTGOING)

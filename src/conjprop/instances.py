@@ -5,9 +5,10 @@ conjunction head be copied onto one of its conjuncts?  They are listed by
 graph.extract_instances, which the rules decide over too, without numpy.
 Instances hold token ids only; the sentence they came from is passed
 along beside them, so featurize encodes all of one sentence's instances
-in one pass.  Features cover the candidate link itself,
-morphology and optional dense vectors for the three involved tokens, and
-structure read off the basic tree.
+in one pass.  Features cover the candidate link itself, the three involved
+tokens (morphology for the kernel, dense vectors when a provider gives
+them) and structure read off the basic tree; the model kind fixes how
+each group is encoded, and FeatureConfig switches the groups on and off.
 """
 
 from __future__ import annotations
@@ -27,27 +28,10 @@ DENSE_ROLES = ("head", "dep", "target")
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Which feature groups to compute.
-
-    Candidate label and direction are always included.  Morphology one-hots
-    and dense token vectors are both token features; defaults per model kind
-    come from default_feature_config.
-    """
+    """The feature groups that --features names.  The instance group,
+    candidate label and direction, is always included."""
     token_features: bool = True
     tree_features: bool = True
-    morphology: bool = True
-    dense_tokens: bool = False
-    count_scalar: bool = False
-
-
-def default_feature_config(kind: str) -> FeatureConfig:
-    if kind == "kernel":
-        return FeatureConfig(morphology=True, dense_tokens=False,
-                             count_scalar=False)
-    if kind == "mlp":
-        return FeatureConfig(morphology=False, dense_tokens=True,
-                             count_scalar=True)
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 @dataclass
@@ -67,14 +51,18 @@ def _linear_direction(target: TokenId, head: TokenId, dep: TokenId) -> str:
 
 
 def featurize(sent: Sentence, by_id: dict[TokenId, Token],
-              instances: list[PropagationInstance],
+              instances: list[PropagationInstance], kind: str = "kernel",
               provider: EmbeddingProvider | None = None,
               config: FeatureConfig = FeatureConfig(),
               index: int = 0) -> list[FeatureVector]:
-    """The feature vectors of instances, all taken from sent, whose
-    token_by_id is by_id and which sits at position index of its corpus
-    (the key of its dense vectors if it has no sent_id).  Each instance's
-    vector depends on that instance alone."""
+    """The feature vectors that a model of kind reads for instances, all
+    taken from sent, whose token_by_id is by_id and which sits at position
+    index of its corpus (the key of its dense vectors if it has no
+    sent_id).  The token group holds morphology one-hots for the kernel
+    and, with a provider, dense vectors for either kind; the tree group
+    counts the coordination's items one-hot for the kernel and as a scalar
+    for the MLP.  Each instance's vector depends on that instance alone."""
+    mlp = kind == "mlp"
     sid = sentence_key(sent, index)
     children: dict[TokenId, list[str]] = {}
     for t in sent.tokens:
@@ -86,14 +74,13 @@ def featurize(sent: Sentence, by_id: dict[TokenId, Token],
                             f"direction={inst.direction}": 1.0})
         roles = (("head", inst.conj_head), ("dep", inst.conj_dep),
                  ("target", inst.target))
-        if config.token_features and config.morphology:
+        if config.token_features and not mlp:
             for role, tid in roles:
                 feats = by_id[tid].feats
                 for feat in MORPH_FEATURES:
                     if feat in feats:
                         fv.named[f"{role}:{feat}={feats[feat]}"] = 1.0
-        if config.token_features and config.dense_tokens \
-                and provider is not None:
+        if config.token_features and provider is not None:
             fv.dense = {role: provider.lookup(sid, tid, by_id[tid].form)
                         for role, tid in roles}
         if config.tree_features:
@@ -109,7 +96,7 @@ def featurize(sent: Sentence, by_id: dict[TokenId, Token],
             for label in dep_out:
                 fv.named[f"dep-out={label}"] = 1.0
             items = 1 + sum(map(is_conj_label, head_out))
-            if config.count_scalar:
+            if mlp:
                 fv.named["coord-items"] = float(items)
             else:
                 fv.named[f"coord-items={items}"] = 1.0
@@ -125,10 +112,9 @@ def build_vocabulary(vectors: list[FeatureVector]) -> dict[str, int]:
 def vectorize(vectors: list[FeatureVector], vocab: dict[str, int],
               dense_dim: int) -> np.ndarray:
     """Fixed-width encoding, one row per vector: vocabulary slots, then
-    head/dep/target vectors.
+    head/dep/target vectors of dense_dim each, if the vector has them.
 
-    Feature names absent from the vocabulary are dropped; a dense role
-    missing from a vector stays zero.
+    Feature names absent from the vocabulary are dropped.
     """
     out = np.zeros((len(vectors), len(vocab) + len(DENSE_ROLES) * dense_dim))
     for row, fv in zip(out, vectors):
@@ -136,13 +122,7 @@ def vectorize(vectors: list[FeatureVector], vocab: dict[str, int],
             idx = vocab.get(name)
             if idx is not None:
                 row[idx] = value
-        for k, role in enumerate(DENSE_ROLES):
-            vec = fv.dense.get(role)
-            if vec is None or not dense_dim:
-                continue
-            if vec.shape[-1] != dense_dim:
-                raise ValueError(f"dense vector for {role!r} has dimension "
-                                 f"{vec.shape[-1]}, model expects {dense_dim}")
-            start = len(vocab) + k * dense_dim
-            row[start:start + dense_dim] = vec
+        if fv.dense:
+            row[len(vocab):] = np.concatenate(
+                [fv.dense[role] for role in DENSE_ROLES])
     return out

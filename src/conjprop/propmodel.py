@@ -23,12 +23,11 @@ from .converter import propagate, seeded, subject_label
 from .embeddings import KINDS
 from .evaluate import LabelScore
 from .graph import (
-    SUBJECT_LABELS, InstanceConfig, basic_edges, coarse, conj_pairs,
-    enhanced_edges, extract_instances,
+    DEFAULT_OUTGOING_EXCLUSIONS, SUBJECT_LABELS, basic_edges, coarse,
+    conj_pairs, enhanced_edges, extract_instances,
 )
 from .instances import (
-    DENSE_ROLES, FeatureConfig, default_feature_config, build_vocabulary,
-    featurize, vectorize,
+    DENSE_ROLES, FeatureConfig, build_vocabulary, featurize, vectorize,
 )
 from .modelfile import check_arrays, expect, load_model, require, save_model
 from .svm import SVMModel, train_svm
@@ -65,7 +64,6 @@ class PropModel:
     feature_config: FeatureConfig
     svm: SVMModel | None = None
     mlp: dict[str, np.ndarray] | None = None
-    instance_config: InstanceConfig = InstanceConfig()
     vectors: str = "none"  # the provider kind of the dense vectors, if any
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
@@ -84,8 +82,6 @@ class PropModel:
             "vocab": self.vocab,
             "dense_dim": self.dense_dim,
             "features": asdict(self.feature_config),
-            "outgoing_exclusions":
-                sorted(self.instance_config.outgoing_exclusions),
             "vectors": self.vectors,
         }
         if self.kind == "kernel":
@@ -101,14 +97,13 @@ class PropModel:
         kind, meta, arrays = load_model(path)
         if kind not in ("kernel", "mlp"):
             raise ApplyError(f"{path}: not a propagation model (kind {kind!r})")
-        require(path, f"{kind} model meta", meta, ("vocab", "dense_dim",
-                "features", "outgoing_exclusions", "vectors"))
+        require(path, f"{kind} model meta", meta,
+                ("vocab", "dense_dim", "features", "vectors"))
         require(path, f"{kind} model arrays", arrays,
                 ("support_vectors", "dual_coef", "bias") if kind == "kernel"
                 else ("w1", "b1", "w2", "b2", "w3", "b3"))
-        vocab, dense_dim, features, exclusions, vectors = (meta[k] for k in (
-            "vocab", "dense_dim", "features", "outgoing_exclusions",
-            "vectors"))
+        vocab, dense_dim, features, vectors = (meta[k] for k in (
+            "vocab", "dense_dim", "features", "vectors"))
         expect(path, isinstance(vocab, dict)
                and all(type(i) is int for i in vocab.values())
                and sorted(vocab.values()) == list(range(len(vocab))),
@@ -116,21 +111,29 @@ class PropModel:
         expect(path, type(dense_dim) is int and dense_dim >= 0,
                f"meta dense_dim must be an integer >= 0, got {dense_dim!r}")
         names = [f.name for f in fields(FeatureConfig)]
+        # earlier files also record what the code now fixes, and load if
+        # they hold it; they set dense_tokens for every MLP, even at 0
+        fixed = {"morphology": kind == "kernel", "count_scalar": kind == "mlp",
+                 "dense_tokens": dense_dim > 0 or None}
         expect(path, isinstance(features, dict)
-               and all(k in names and type(v) is bool
+               and all(k in names + list(fixed) and type(v) is bool
                        for k, v in features.items()),
                f"meta features must map some of {', '.join(names)} to "
                f"true or false, got {features!r}")
-        expect(path, isinstance(exclusions, list)
-               and all(isinstance(label, str) for label in exclusions),
-               "meta outgoing_exclusions must be a list of strings")
+        for key, want in fixed.items():
+            expect(path, want is None or features.get(key, want) == want,
+                   f"meta features {key} must be {str(want).lower()} "
+                   f"(kind {kind}, dense_dim {dense_dim})")
+        exclusions = sorted(DEFAULT_OUTGOING_EXCLUSIONS)
+        expect(path, meta.get("outgoing_exclusions", exclusions) == exclusions,
+               f"meta outgoing_exclusions must be the fixed list {exclusions}")
         expect(path, vectors == "none" if dense_dim == 0 else vectors in KINDS,
                f"meta vectors must be 'none' with dense_dim 0, else one of "
                f"{', '.join(map(repr, KINDS))}; got {vectors!r}")
         width = len(vocab) + len(DENSE_ROLES) * dense_dim
         model = cls(kind=kind, vocab=vocab, dense_dim=dense_dim,
-                    feature_config=FeatureConfig(**features),
-                    instance_config=InstanceConfig(frozenset(exclusions)),
+                    feature_config=FeatureConfig(
+                        **{k: features[k] for k in names if k in features}),
                     vectors=vectors)
         if kind == "kernel":
             n_sv = arrays["dual_coef"].size
@@ -185,6 +188,7 @@ def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
     return ad.mul(ad.getitem(log_probs, (0, target)), -weight)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_loss reports divergence
 def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
                opts: PropTrainOptions,
                log: Callable[[str], None]) -> dict[str, np.ndarray]:
@@ -228,29 +232,30 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
 def train_prop(corpus: list[Sentence], kind: str,
                options: PropTrainOptions | None = None,
                provider=None,
-               feature_config: FeatureConfig | None = None,
-               instance_config: InstanceConfig = InstanceConfig(),
+               feature_config: FeatureConfig = FeatureConfig(),
                log: Callable[[str], None] = lambda line: None) -> PropModel:
     """Trains a classifier on a corpus whose deps columns hold gold graphs.
     The kernel logs one "# svm" line with its solver state, the MLP one
     "# epoch" line with its holdout macro-F1 per epoch.  The model records
-    the kind of provider its dense vectors come from, or "none".  An MLP
+    the kind of provider its dense vectors come from, or "none": it reads
+    the provider's vectors if the token features are on.  An MLP
     whose holdout leaves no instance to train on, or whose loss stops being
     finite, raises TrainingError."""
+    if kind not in ("kernel", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
     opts = options or PropTrainOptions()
-    fc = feature_config or default_feature_config(kind)
     instances, vectors = [], []
     for index, sent in enumerate(corpus):
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
-                                  instance_config, gold=True)
+                                  gold=True)
         instances.extend(found)
-        vectors.extend(featurize(sent, sent.token_by_id(), found, provider,
-                                 fc, index))
+        vectors.extend(featurize(sent, sent.token_by_id(), found, kind,
+                                 provider, feature_config, index))
     if not instances:
         raise TrainingError("no propagation instances in the training data")
     vocab = build_vocabulary(vectors)
-    dense_dim = provider.dim if (provider is not None and fc.dense_tokens
-                                 and fc.token_features) else 0
+    dense_dim = provider.dim if (provider is not None
+                                 and feature_config.token_features) else 0
     x = vectorize(vectors, vocab, dense_dim)
     y = np.array([bool(inst.gold) for inst in instances])
     if y.all() or not y.any():
@@ -261,46 +266,43 @@ def train_prop(corpus: list[Sentence], kind: str,
               if opts.class_weights else np.ones(n))
 
     model = PropModel(kind=kind, vocab=vocab, dense_dim=dense_dim,
-                      feature_config=fc, instance_config=instance_config,
+                      feature_config=feature_config,
                       vectors=provider.kind if dense_dim else "none")
     if kind == "kernel":
         model.svm = svm = train_svm(x, y, c=opts.c * weight, tol=opts.tol)
         log(f"# svm iterations {svm.iterations} support-vectors "
             f"{len(svm.dual_coef)} gap {svm.gap:.6g}")
-    elif kind == "mlp":
-        model.mlp = _train_mlp(x, y, weight, opts, log)
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
+        model.mlp = _train_mlp(x, y, weight, opts, log)
     return model
 
 
 def apply_model(model: PropModel, sent: Sentence, provider=None,
                 config: ApplyConfig = ApplyConfig(),
                 index: int = 0) -> Sentence:
-    """A copy of sent with an enhanced edge for every instance, under the
-    model's own outgoing exclusions, that the model accepts.  The fix sends
-    subject labels through the converter's passive/imperative adjustments;
-    otherwise candidate labels are copied verbatim."""
-    needs_dense = (model.dense_dim > 0 and model.feature_config.dense_tokens
-                   and model.feature_config.token_features)
-    if needs_dense:
-        if provider is None:
-            raise ApplyError(
-                f"model expects dense vectors of dimension {model.dense_dim} "
-                "but no embedding provider was given")
-        if provider.dim != model.dense_dim:
-            raise ApplyError(
-                f"embedding dimension {provider.dim} does not match the "
-                f"model's expected {model.dense_dim}")
+    """A copy of sent with an enhanced edge for every instance that the
+    model accepts.  The fix sends subject labels through the converter's
+    passive/imperative adjustments; otherwise candidate labels are copied
+    verbatim.  A provider is needed, and used, only when the model reads
+    dense vectors."""
+    if not model.dense_dim:
+        provider = None
+    elif provider is None:
+        raise ApplyError(
+            f"model expects dense vectors of dimension {model.dense_dim} "
+            "but no embedding provider was given")
+    elif provider.dim != model.dense_dim:
+        raise ApplyError(
+            f"embedding dimension {provider.dim} does not match the "
+            f"model's expected {model.dense_dim}")
 
     basic = basic_edges(sent)
 
     def decide(work, by_id, pairs):
-        instances = extract_instances(
-            work, pairs, basic | enhanced_edges(work), model.instance_config)
+        instances = extract_instances(work, pairs, basic | enhanced_edges(work))
         if not instances:
             return
-        x = vectorize(featurize(work, by_id, instances, provider,
+        x = vectorize(featurize(work, by_id, instances, model.kind, provider,
                                 model.feature_config, index),
                       model.vocab, model.dense_dim)
         for inst in compress(instances, model.predict(x)):

@@ -707,9 +707,7 @@ def _training_sidecar(tmp_path, layers: int = 1):
 
 
 @pytest.mark.parametrize("command", ["train-prop", "train-parser"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
-def test_divergent_training_exits_1_and_writes_no_model(run, tmp_path,
-                                                        command):
+def test_divergent_training_exits_1_and_writes_no_model(tmp_path, command):
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
     model = tmp_path / "m.model"
@@ -720,10 +718,13 @@ def test_divergent_training_exits_1_and_writes_no_model(run, tmp_path,
                  "--embeddings", _training_sidecar(tmp_path)]
     else:
         argv += ["--hash-dim", "8", "--hidden", "8"]
-    rc, _, err = run(argv)
-    assert rc == 1
-    assert err.splitlines()[-1].startswith(
-        "conjprop: error: training diverged to a loss of "), err
+    # a fresh interpreter prints numpy's warnings, if any, to stderr; its
+    # last line names the loaded modules
+    proc = _fresh_main(argv)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-2].startswith(
+        "conjprop: error: training diverged to a loss of "), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not model.exists()
 
 
@@ -764,11 +765,9 @@ def test_a_model_applies_with_the_vectors_its_file_records(run, tmp_path):
 def test_the_python_api_writes_the_model_files_the_cli_writes(run,
                                                               tmp_path):
     import numpy as np
-    from dataclasses import replace
     from conjprop.edgepred import (ParserTrainConfig, build_label_inventory,
                                    new_parser, train_parser)
     from conjprop.embeddings import hash_provider
-    from conjprop.instances import default_feature_config
     from conjprop.propmodel import PropTrainOptions, train_prop
     train = tmp_path / "train.conllu"
     train.write_text(prop_training_text())
@@ -781,8 +780,7 @@ def test_the_python_api_writes_the_model_files_the_cli_writes(run,
          "--model", str(cli_parser)])
     mlp = train_prop(corpus, "mlp", PropTrainOptions(hidden_sizes=(8, 4),
                                                      epochs=2),
-                     hash_provider(dim=4), replace(
-                         default_feature_config("mlp"), dense_tokens=True))
+                     hash_provider(dim=4))
     mlp.save(tmp_path / "api.mlp")
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=8, dtype=np.float32)
@@ -1025,13 +1023,13 @@ def test_crlf_corpus_reads_like_lf(run, tmp_path):
     (["train-prop", "--kind", "mlp", "--hash-dim", "-3"],
      "hash-dim must be in [0, inf), got -3"),
     (["train-prop", "--kind", "mlp", "--lr", "nan"],
-     "lr must be in [-inf, inf), got nan"),
+     "lr must be positive, got nan"),
     (["train-parser", "--hash-dim", "-1"],
      "hash-dim must be in [0, inf), got -1"),
     (["train-parser", "--hash-dim", "4", "--hash-layers", "0"],
      "hash-layers must be in [1, inf), got 0"),
-    (["train-parser", "--lr", "nan"], "lr must be in [-inf, inf), got nan"),
-    (["train-prop", "--c", "nan"], "c must be in [-inf, inf), got nan"),
+    (["train-parser", "--lr", "nan"], "lr must be positive, got nan"),
+    (["train-prop", "--c", "nan"], "c must be positive, got nan"),
     (["train-prop", "--kind", "mlp", "--lr", "-1"],
      "lr must be positive, got -1.0"),
     (["train-prop", "--lr", "0"], "lr must be positive, got 0.0"),
@@ -1112,11 +1110,10 @@ def _model_file(header: dict, payload: bytes = b"") -> bytes:
 
 _GOOD_MODELS = {
     "kernel": ({"vocab": {"a": 0, "b": 1}, "dense_dim": 0, "features": {},
-                "outgoing_exclusions": ["cc"], "vectors": "none"},
+                "vectors": "none"},
                {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
     "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
-             "features": {"dense_tokens": True},
-             "outgoing_exclusions": [], "vectors": "hash"},
+             "features": {"tree_features": False}, "vectors": "hash"},
             {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
              "w3": (2, 2), "b3": (2,)}),
     "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
@@ -1173,7 +1170,7 @@ def _arrays_model(kind: str, meta: dict | None = None,
                        bytes(sum(e["nbytes"] for e in entries)))
 
 
-_PROP_META = {"vocab": {}, "dense_dim": 0, "outgoing_exclusions": []}
+_PROP_META = {"vocab": {}, "dense_dim": 0}
 _TOKEN = "{}\tw\tw\tX\t_\t_\t{}\tdep\t{}\t_\n"
 _SENT_START = "# sent_id = s1\n" + _TOKEN.format(1, 0, "_")
 _REPEATED_ID = ((_SENT_START + "\n") * 2).encode()
@@ -1320,9 +1317,11 @@ def test_well_formed_model_files_load_and_run(run, tmp_path, kind, dtype):
      "meta dense_dim must be an integer >= 0, got -1"),
     ("kernel", {"dense_dim": 1.0}, None, "meta dense_dim must be an integer"),
     ("kernel", {"outgoing_exclusions": "cc"}, None,
-     "meta outgoing_exclusions must be a list of strings"),
+     "meta outgoing_exclusions must be the fixed list ['cc', 'conj', "
+     "'mark', 'punct']"),
     ("kernel", {"outgoing_exclusions": [1]}, None,
-     "meta outgoing_exclusions must be a list of strings"),
+     "meta outgoing_exclusions must be the fixed list ['cc', 'conj', "
+     "'mark', 'punct']"),
     ("kernel", {"vocab": {"a": 0, "b": 2}}, None,
      "meta vocab must number its features"),
     ("kernel", {"vocab": ["a", "b"]}, None,
@@ -1406,6 +1405,120 @@ def test_a_non_finite_array_exits_1(run, tmp_path, kind):
     assert rc == 1
     assert err.splitlines()[-1] == (f"conjprop: error: {bad}: array "
                                     f"{last!r} holds a non-finite value")
+
+
+def _morphology_training_text() -> str:
+    """prop_training_text with FEATS on its nouns and verbs."""
+    return prop_training_text().replace(
+        "PROPN\t_\t_", "PROPN\t_\tNumber=Sing").replace(
+        "VERB\t_\t_", "VERB\t_\tVerbForm=Fin")
+
+
+def _train_prop_argv(kind: str, train, model, *args: str) -> list[str]:
+    return ["train-prop", "--kind", kind, "--hidden", "4,2", "--epochs", "1",
+            "--train", str(train), "--model", str(model), *args]
+
+
+@pytest.mark.parametrize("kind", ["kernel", "mlp"])
+@pytest.mark.parametrize("groups", [
+    "instance", "instance,token", "instance,tree", "instance,token,tree"])
+def test_features_choose_the_feature_families_of_each_kind(run, tmp_path,
+                                                           kind, groups):
+    train, model = tmp_path / "train.conllu", tmp_path / "m.model"
+    train.write_text(_morphology_training_text())
+    rc, _, err = run(_train_prop_argv(kind, train, model, "--features",
+                                      groups, "--hash-dim", "4"))
+    assert rc == 0, err
+    meta = load_model(model)[1]
+    vocab = meta["vocab"]
+    token, tree = "token" in groups, "tree" in groups
+
+    def family(prefix: str) -> bool:
+        return any(name.startswith(prefix) for name in vocab)
+
+    assert family("label=") and family("direction=")
+    assert family("head:VerbForm=") == (token and kind == "kernel")
+    assert family("lindir=") == family("head-out=") == tree
+    assert family("coord-items=") == (tree and kind == "kernel")
+    assert ("coord-items" in vocab) == (tree and kind == "mlp")
+    assert meta["dense_dim"] == (4 if token else 0)
+    assert meta["vectors"] == ("hash" if token else "none")
+
+
+def _with_meta(path, **meta) -> bytes:
+    """The model file at path with its header meta updated."""
+    head, _, arrays = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["meta"].update(meta)
+    return json.dumps(header).encode() + b"\n" + arrays
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("kernel", []),
+    ("kernel", ["--hash-dim", "4"]),
+    ("kernel", ["--features", "instance,tree", "--hash-dim", "4"]),
+    ("mlp", []),
+    ("mlp", ["--hash-dim", "4"]),
+    ("mlp", ["--features", "instance,tree", "--hash-dim", "4"]),
+], ids=["kernel", "kernel-hash", "kernel-tree-hash", "mlp", "mlp-hash",
+        "mlp-tree-hash"])
+def test_a_model_file_of_the_earlier_format_applies_as_the_new_one(
+        run, tmp_path, kind, args):
+    train, new = tmp_path / "train.conllu", tmp_path / "new.model"
+    train.write_text(_morphology_training_text())
+    rc, _, err = run(_train_prop_argv(kind, train, new, *args))
+    assert rc == 0, err
+    meta = load_model(new)[1]
+    assert set(meta) == {"vocab", "dense_dim", "features", "vectors"}
+    assert set(meta["features"]) == {"token_features", "tree_features"}
+    # earlier versions also wrote the fixed exclusion list and the
+    # switches that the kind fixes; dense_tokens was true for every MLP
+    # and for a kernel given vectors, even where dense_dim is 0
+    old = tmp_path / "old.model"
+    old.write_bytes(_with_meta(
+        new, outgoing_exclusions=["cc", "conj", "mark", "punct"],
+        features={**meta["features"], "morphology": kind == "kernel",
+                  "count_scalar": kind == "mlp",
+                  "dense_tokens": kind == "mlp" or "--hash-dim" in args}))
+    outputs = []
+    for model in (new, old):
+        rc, out, err = run(["apply-prop", "--model", str(model), "--fixpoint",
+                            "--in", str(train)])
+        assert rc == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind, meta, shapes, message", [
+    ("kernel", {"features": {"morphology": False}}, None,
+     "meta features morphology must be true (kind kernel, dense_dim 0)"),
+    ("mlp", {"features": {"morphology": True}}, None,
+     "meta features morphology must be false (kind mlp, dense_dim 1)"),
+    ("kernel", {"features": {"count_scalar": True}}, None,
+     "meta features count_scalar must be false (kind kernel, dense_dim 0)"),
+    ("mlp", {"features": {"count_scalar": False}}, None,
+     "meta features count_scalar must be true (kind mlp, dense_dim 1)"),
+    ("mlp", {"features": {"dense_tokens": False}}, None,
+     "meta features dense_tokens must be true (kind mlp, dense_dim 1)"),
+    ("kernel", {"features": {"dense_tokens": False}, "dense_dim": 1,
+                "vectors": "hash"}, {"support_vectors": (2, 5)},
+     "meta features dense_tokens must be true (kind kernel, dense_dim 1)"),
+    ("kernel", {"outgoing_exclusions": ["cc", "conj", "punct"]}, None,
+     "meta outgoing_exclusions must be the fixed list ['cc', 'conj', "
+     "'mark', 'punct']"),
+    ("mlp", {"outgoing_exclusions": []}, None,
+     "meta outgoing_exclusions must be the fixed list ['cc', 'conj', "
+     "'mark', 'punct']"),
+], ids=["kernel-morphology", "mlp-morphology", "kernel-count-scalar",
+        "mlp-count-scalar", "mlp-dense-tokens", "kernel-dense-tokens",
+        "kernel-exclusions", "mlp-exclusions"])
+def test_an_earlier_setting_the_code_no_longer_takes_exits_1(
+        run, tmp_path, kind, meta, shapes, message):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_arrays_model(kind, meta, shapes))
+    rc, _, err = run(_model_argv(kind, bad))
+    assert rc == 1
+    assert err.splitlines()[-1] == f"conjprop: error: {bad}: {message}"
 
 
 WATCHED_MODULES = ("numpy", "conjprop.converter", "conjprop.evaluate")

@@ -737,7 +737,7 @@ def test_training_records_the_kind_of_its_provider(tmp_path):
     assert parser.vectors == "hash"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # check_loss reports
 def test_a_diverging_parser_raises_training_error():
     corpus = tiny_corpus()
     # float32, as train-parser trains, overflows where float64 does not

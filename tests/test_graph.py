@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from conjprop.conllu import ROOT, Sentence, Token, TokenId
 from conjprop.graph import (
-    INCOMING, OUTGOING, Edge, InstanceConfig, PropagationInstance,
-    basic_edges, coarse, conj_pairs, conjunct_ids, enhanced_edges,
-    extract_instances, has_subject, is_conj_label, propagated_links,
+    DEFAULT_OUTGOING_EXCLUSIONS, INCOMING, OUTGOING, Edge,
+    PropagationInstance, basic_edges, coarse, conj_pairs, conjunct_ids,
+    enhanced_edges, extract_instances, has_subject, is_conj_label,
+    propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -111,11 +112,6 @@ def test_conj_pairs_fig3c(fig3c):
     assert conjunct_ids(fig3c) == {TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
 
 
-# every outgoing label is a candidate, so only the ROOT/root filter and
-# the self-loop exclusion are at work
-ALL_LABELS = InstanceConfig(frozenset())
-
-
 def instance(gov, dep, target, label, direction):
     return PropagationInstance(TokenId(gov), TokenId(dep), TokenId(target),
                                label, direction)
@@ -123,14 +119,13 @@ def instance(gov, dep, target, label, direction):
 
 def test_extract_instances_fig3c(fig3c):
     # pair (1, 4) has no outgoing candidate: 1's only dependent is 4 itself;
-    # 5's root attachment is no candidate either
-    assert extract_instances(fig3c, conj_pairs(fig3c), basic_edges(fig3c),
-                             ALL_LABELS) == [
+    # 5's root attachment is no candidate either, nor is its punct
+    assert extract_instances(fig3c, conj_pairs(fig3c),
+                             basic_edges(fig3c)) == [
         instance(1, 4, 5, "nsubj", INCOMING),
         instance(5, 10, 1, "nsubj", OUTGOING),
         instance(5, 10, 7, "obj", OUTGOING),
         instance(5, 10, 8, "advmod", OUTGOING),
-        instance(5, 10, 14, "punct", OUTGOING),
     ]
 
 
@@ -144,15 +139,16 @@ def test_extract_instances_order_and_no_self_loops():
         ("c", "NOUN", 1, "conj"),
         ("saw", "VERB", 0, "root"),
     ])
-    # enhanced extras: 3 -> 1 would be a self-loop at 3 but not at 5
-    edges = basic_edges(sent) | {edge(3, 1, "nmod"), edge(1, 6, "acl")}
+    # enhanced extras: 3 -> 1 and 1 -> 3 would be self-loops at 3 but not
+    # at 5; 1's conj edges are no candidates
+    edges = basic_edges(sent) | {edge(3, 1, "nmod"), edge(1, 3, "obj"),
+                                 edge(1, 6, "acl")}
     found = extract_instances(sent, conj_pairs(sent),
-                              sorted(edges, reverse=True), ALL_LABELS)
+                              sorted(edges, reverse=True))
     assert found == [
-        instance(1, 3, 5, "conj", OUTGOING),
         instance(1, 3, 6, "acl", OUTGOING),
         instance(1, 3, 6, "nsubj", INCOMING),
-        instance(1, 5, 3, "conj", OUTGOING),
+        instance(1, 5, 3, "obj", OUTGOING),
         instance(1, 5, 6, "acl", OUTGOING),
         instance(1, 5, 3, "nmod", INCOMING),
         instance(1, 5, 6, "nsubj", INCOMING),
@@ -166,11 +162,8 @@ def test_extract_instances_order_and_no_self_loops():
         assert copy.head != copy.dep
 
 
-@pytest.mark.parametrize("config", [ALL_LABELS, InstanceConfig()],
-                         ids=["all-labels", "default"])
-def test_extract_instances_match_a_naive_enumeration_on_random_sentences(
-        config):
-    excluded = config.outgoing_exclusions
+def test_extract_instances_match_a_naive_enumeration_on_random_sentences():
+    excluded = DEFAULT_OUTGOING_EXCLUSIONS
     rng = random.Random(13)
     for i in range(300):
         sent = perturb_enhanced(rng, random_sentence(rng, f"c{i}"))
@@ -190,11 +183,10 @@ def test_extract_instances_match_a_naive_enumeration_on_random_sentences(
                     want.append(PropagationInstance(
                         gov, dep, far, e.label,
                         OUTGOING if outgoing else INCOMING))
-        assert extract_instances(sent, conj_pairs(sent), edges,
-                                 config) == want
+        assert extract_instances(sent, conj_pairs(sent), edges) == want
         # plain tuples give the same list
         assert extract_instances(sent, conj_pairs(sent),
-                                 [tuple(e) for e in edges], config) == want
+                                 [tuple(e) for e in edges]) == want
 
 
 # (empty node?, HEAD, DEPREL); a missing DEPREL comes with a missing HEAD

@@ -6,12 +6,12 @@ from conjprop.embeddings import (EmbeddingError, EmbeddingProvider,
                                   hash_provider)
 from conftest import make_sentence, working_instances
 from conjprop.graph import (
-    InstanceConfig, basic_edges, conj_pairs, extract_instances, labels_match,
+    basic_edges, conj_pairs, extract_instances, labels_match,
 )
 from conjprop.instances import (
-    FeatureConfig, build_vocabulary, default_feature_config, featurize,
-    vectorize,
+    FeatureConfig, build_vocabulary, featurize, vectorize,
 )
+from conjprop.propmodel import train_prop
 
 T = TokenId
 
@@ -20,10 +20,9 @@ def by_target(instances):
     return {(i.target, i.direction): i for i in instances}
 
 
-def basic_instances(sent, config=InstanceConfig(), gold=False):
+def basic_instances(sent, gold=False):
     """sent's instances over its basic layer, as training extracts them."""
-    return extract_instances(sent, conj_pairs(sent), basic_edges(sent),
-                             config, gold)
+    return extract_instances(sent, conj_pairs(sent), basic_edges(sent), gold)
 
 
 def test_fig1_yields_three_gold_positive_instances(fig1_gold):
@@ -54,12 +53,6 @@ def test_sentence_without_conj_yields_nothing():
 def test_punct_cc_conj_mark_edges_are_not_candidates(fig1):
     labels = {i.candidate_label for i in basic_instances(fig1)}
     assert labels == {"nsubj", "obj", "obl"}
-
-
-def test_exclusion_list_is_configurable(fig1):
-    config = InstanceConfig(outgoing_exclusions=frozenset({"conj"}))
-    labels = {i.candidate_label for i in basic_instances(fig1, config)}
-    assert "punct" in labels
 
 
 def test_incoming_edge_becomes_an_instance():
@@ -192,8 +185,7 @@ def test_coordination_item_count():
     inst = basic_instances(sent)[0]
     fv = featurize(sent, sent.token_by_id(), [inst])[0]
     assert fv.named["coord-items=4"] == 1.0
-    scalar = featurize(sent, sent.token_by_id(), [inst],
-                       config=FeatureConfig(count_scalar=True))[0]
+    scalar = featurize(sent, sent.token_by_id(), [inst], "mlp")[0]
     assert scalar.named["coord-items"] == 4.0
 
 
@@ -224,13 +216,16 @@ def test_feature_groups_toggle(fig1):
 def test_dense_vectors_only_with_provider(fig1):
     provider = hash_provider(dim=4)
     inst = basic_instances(fig1)[0]
-    config = FeatureConfig(dense_tokens=True)
-    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
-                   config=config)[0]
+    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider)[0]
     assert set(fv.dense) == {"head", "dep", "target"}
     assert fv.dense["head"].shape == (4,)
-    without = featurize(fig1, fig1.token_by_id(), [inst], config=config)[0]
+    without = featurize(fig1, fig1.token_by_id(), [inst])[0]
     assert without.dense == {}
+    # the vectors are token features
+    for kind in ("kernel", "mlp"):
+        no_tokens = featurize(fig1, fig1.token_by_id(), [inst], kind,
+                              provider, FeatureConfig(token_features=False))
+        assert no_tokens[0].dense == {}
 
 
 def test_provider_lookup_failure_is_reported(fig1):
@@ -239,8 +234,7 @@ def test_provider_lookup_failure_is_reported(fig1):
                                  dim=4)
     inst = [i for i in basic_instances(fig1) if i.target == T(4, 0)][0]
     with pytest.raises(EmbeddingError, match="4"):
-        featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
-                  config=FeatureConfig(dense_tokens=True))
+        featurize(fig1, fig1.token_by_id(), [inst], provider=provider)
 
 
 def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
@@ -252,33 +246,41 @@ def test_featurize_ignores_enhanced_layer(fig1, fig1_gold):
 
 @pytest.mark.parametrize("name", ["fig1", "fig3a", "fig3c"])
 @pytest.mark.parametrize("config", [
-    FeatureConfig(), FeatureConfig(dense_tokens=True, count_scalar=True)])
+    FeatureConfig(), FeatureConfig(tree_features=False)])
 def test_one_pass_matches_one_instance_at_a_time(name, config, request):
     sent = request.getfixturevalue(name)
     provider = hash_provider(dim=4)
     instances = working_instances(sent)
     assert instances
     by_id = sent.token_by_id()
-    together = featurize(sent, by_id, instances, provider, config)
-    assert len(together) == len(instances)
-    for inst, fv in zip(instances, together):
-        alone = featurize(sent, by_id, [inst], provider, config)[0]
-        assert fv.named == alone.named
-        assert fv.dense.keys() == alone.dense.keys()
-        for role, vec in fv.dense.items():
-            assert np.array_equal(vec, alone.dense[role])
-    assert featurize(sent, by_id, [], provider, config) == []
+    for kind in ("kernel", "mlp"):
+        together = featurize(sent, by_id, instances, kind, provider, config)
+        assert len(together) == len(instances)
+        for inst, fv in zip(instances, together):
+            alone = featurize(sent, by_id, [inst], kind, provider, config)[0]
+            assert fv.named == alone.named
+            assert fv.dense.keys() == alone.dense.keys()
+            for role, vec in fv.dense.items():
+                assert np.array_equal(vec, alone.dense[role])
+        assert featurize(sent, by_id, [], kind, provider, config) == []
 
 
-def test_default_feature_configs_follow_model_kinds():
-    kernel = default_feature_config("kernel")
-    assert kernel.morphology and not kernel.dense_tokens
-    assert not kernel.count_scalar
-    mlp = default_feature_config("mlp")
-    assert mlp.dense_tokens and not mlp.morphology
-    assert mlp.count_scalar
-    with pytest.raises(ValueError):
-        default_feature_config("forest")
+def test_default_feature_configs_follow_model_kinds(fig3a):
+    # the kernel reads morphology and counts the items one-hot, the MLP
+    # reads no morphology and counts them as a scalar
+    inst = basic_instances(fig3a)[0]
+    by_id = fig3a.token_by_id()
+    kernel, = featurize(fig3a, by_id, [inst], "kernel")
+    mlp, = featurize(fig3a, by_id, [inst], "mlp")
+    morphology = {n for n in kernel.named if ":" in n.split("=")[0]}
+    assert {n.split(":")[0] for n in morphology} == {"head", "dep", "target"}
+    assert not any(":" in n.split("=")[0] for n in mlp.named)
+    assert kernel.named["coord-items=2"] == 1.0
+    assert mlp.named["coord-items"] == 2.0
+    assert set(kernel.named) - morphology - {"coord-items=2"} == \
+        set(mlp.named) - {"coord-items"}
+    with pytest.raises(ValueError, match="unknown model kind 'forest'"):
+        train_prop([fig3a], "forest")
 
 
 def test_vocabulary_and_vectorize_round_trip(fig1):
@@ -302,11 +304,10 @@ def test_vocabulary_and_vectorize_round_trip(fig1):
 def test_vectorize_appends_dense_blocks(fig1):
     provider = hash_provider(dim=3)
     inst = basic_instances(fig1)[0]
-    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider,
-                   config=FeatureConfig(dense_tokens=True))[0]
+    fv = featurize(fig1, fig1.token_by_id(), [inst], provider=provider)[0]
     vocab = build_vocabulary([fv])
     x = vectorize([fv], vocab, dense_dim=3)
     assert x.shape == (1, len(vocab) + 9)
-    assert np.array_equal(x[0, len(vocab):len(vocab) + 3], fv.dense["head"])
-    with pytest.raises(ValueError, match="dimension"):
-        vectorize([fv], vocab, dense_dim=2)
+    for k, role in enumerate(("head", "dep", "target")):
+        start = len(vocab) + 3 * k
+        assert np.array_equal(x[0, start:start + 3], fv.dense[role])

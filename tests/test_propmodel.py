@@ -12,8 +12,7 @@ from conjprop import autodiff as ad, graph, propmodel
 from conjprop.converter import always_baseline, added_edges
 from conjprop.embeddings import hash_provider, read_sidecar, write_sidecar
 from conjprop.graph import (
-    DEFAULT_OUTGOING_EXCLUSIONS, Edge, InstanceConfig, basic_edges, coarse,
-    conj_pairs, enhanced_edges, extract_instances,
+    Edge, basic_edges, coarse, conj_pairs, enhanced_edges, extract_instances,
 )
 from conjprop.instances import FeatureConfig, featurize, vectorize
 from conjprop.modelfile import load_model
@@ -141,7 +140,7 @@ def test_mlp_logs_its_holdout_f1_every_epoch():
     for index, sent in enumerate(corpus):
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
                                   gold=True)
-        vectors.extend(featurize(sent, sent.token_by_id(), found,
+        vectors.extend(featurize(sent, sent.token_by_id(), found, model.kind,
                                  config=model.feature_config, index=index))
         gold.extend(bool(inst.gold) for inst in found)
     x = vectorize(vectors, model.vocab, 0)
@@ -241,18 +240,6 @@ def test_imperative_suppression_follows_fix_flag(fig3b):
                            config=ApplyConfig(passive_imperative_fix=True)))
     assert not any(e.label.startswith("nsubj") and e.dep == T(1, 0)
                    for e in fixed)
-
-
-def test_apply_honours_the_saved_outgoing_exclusions(fig1, tmp_path):
-    everything = added_edges(fig1, apply_model(constant_model(True), fig1))
-    assert any(coarse(e.label) == "obj" for e in everything)
-    model = constant_model(True)
-    model.instance_config = InstanceConfig(
-        DEFAULT_OUTGOING_EXCLUSIONS | {"obj"})
-    model.save(tmp_path / "m.model")
-    loaded = PropModel.load(tmp_path / "m.model")
-    added = added_edges(fig1, apply_model(loaded, fig1))
-    assert added == {e for e in everything if coarse(e.label) != "obj"}
 
 
 def test_kernel_save_load_is_bit_identical(tmp_path):
@@ -378,8 +365,7 @@ def test_mlp_gradients_match_finite_differences():
 
 
 def test_dense_model_requires_matching_provider(fig1):
-    fc = FeatureConfig(dense_tokens=True, morphology=False)
-    model = constant_model(True, feature_config=fc, width=12)
+    model = constant_model(True, width=12)
     model.dense_dim = 4
     with pytest.raises(ApplyError, match="provider"):
         apply_model(model, fig1)
@@ -394,8 +380,7 @@ def test_dense_model_requires_matching_provider(fig1):
 def test_dense_vectors_reach_the_feature_matrix():
     corpus = training_corpus()
     provider = hash_provider(dim=5)
-    fc = FeatureConfig(dense_tokens=True)
-    model = train_prop(corpus, "kernel", provider=provider, feature_config=fc)
+    model = train_prop(corpus, "kernel", provider=provider)
     assert model.dense_dim == 5
     assert model.svm.support_vectors.shape[1] == len(model.vocab) + 15
 
@@ -438,10 +423,8 @@ def test_unnamed_sentences_key_dense_vectors_by_position(tmp_path):
     named = [sent.clone() for sent in corpus]
     for i, sent in enumerate(named):
         sent.comments = [f"# sent_id = {i}"]
-    fc = FeatureConfig(dense_tokens=True)
-    model = train_prop(corpus, "kernel", provider=provider, feature_config=fc)
-    reference = train_prop(named, "kernel", provider=provider,
-                           feature_config=fc)
+    model = train_prop(corpus, "kernel", provider=provider)
+    reference = train_prop(named, "kernel", provider=provider)
     assert np.array_equal(model.svm.support_vectors,
                           reference.svm.support_vectors)
     assert np.array_equal(model.svm.dual_coef, reference.svm.dual_coef)
@@ -453,13 +436,13 @@ def test_unnamed_sentences_key_dense_vectors_by_position(tmp_path):
 def test_the_model_records_the_kind_of_its_dense_vectors(tmp_path):
     corpus = training_corpus()
     write_sidecar(tmp_path / "train.vec", hash_provider(dim=3), corpus)
-    dense = FeatureConfig(dense_tokens=True)
     for provider, fc, want in (
-            (None, dense, "none"),
-            (hash_provider(dim=3), dense, "hash"),
-            (read_sidecar(tmp_path / "train.vec"), dense, "sidecar"),
+            (None, FeatureConfig(), "none"),
+            (hash_provider(dim=3), FeatureConfig(), "hash"),
+            (read_sidecar(tmp_path / "train.vec"), FeatureConfig(), "sidecar"),
             # vectors that the features leave out are not recorded
-            (hash_provider(dim=3), FeatureConfig(), "none")):
+            (hash_provider(dim=3), FeatureConfig(token_features=False),
+             "none")):
         model = train_prop(corpus, "kernel", provider=provider,
                            feature_config=fc)
         assert model.vectors == want
@@ -467,7 +450,7 @@ def test_the_model_records_the_kind_of_its_dense_vectors(tmp_path):
         assert PropModel.load(tmp_path / "m.model").vectors == want
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # check_loss reports
 def test_a_diverging_mlp_raises_training_error():
     options = PropTrainOptions(hidden_sizes=(8, 4), lr=1e30, epochs=3)
     with pytest.raises(TrainingError, match="training diverged"):
