@@ -387,8 +387,9 @@ def cmd_train_prop(cfg) -> None:
     from .instances import FeatureConfig
     from .propmodel import PropTrainOptions, train_prop
     corpus = _read_corpus(cfg["train"])
-    provider = _provider(cfg, corpus, cfg["train"])
     groups = _comma_list(cfg["features"])
+    provider = _provider(cfg, corpus, cfg["train"]) if "token" in groups \
+        else None  # only the token group reads vectors
     fc = FeatureConfig(token_features="token" in groups,
                        tree_features="tree" in groups)
     options = PropTrainOptions(
@@ -416,30 +417,18 @@ def cmd_apply_prop(cfg) -> None:
 
 
 def cmd_train_parser(cfg) -> None:
-    import numpy as np
-    from .edgepred import (ParserTrainConfig, build_label_inventory,
-                           new_parser, train_parser)
+    from .edgepred import ParserTrainConfig, train_parser
     from .embeddings import check_sentence_keys
-    from .labels import delexicalize_corpus
     corpus = _read_corpus(cfg["train"])
-    if cfg["delexicalize"]:
-        corpus, inventory = delexicalize_corpus(corpus)
-        _log(f"# delexicalized label inventory: {len(inventory)} labels")
     provider = _provider(cfg, corpus, cfg["train"])
-    parser = new_parser(build_label_inventory(corpus),
-                        layers=provider.layers, dim=provider.dim,
-                        hidden=cfg["hidden"], seed=cfg["seed"],
-                        dtype=np.float32)
-    train_cfg = ParserTrainConfig(batch_size=cfg["batch"], lr=cfg["lr"],
-                                  epochs=cfg["epochs"],
-                                  patience=cfg["patience"], seed=cfg["seed"])
     dev = None
     if cfg["dev"]:
         dev = _read_corpus(cfg["dev"])
-        if cfg["delexicalize"]:
-            dev, _ = delexicalize_corpus(dev)
         check_sentence_keys(dev, _name(cfg["dev"]))
-    train_parser(parser, corpus, provider, train_cfg, dev, log=_log)
+    parser = train_parser(corpus, provider, ParserTrainConfig(
+        batch_size=cfg["batch"], lr=cfg["lr"], epochs=cfg["epochs"],
+        patience=cfg["patience"], seed=cfg["seed"], hidden=cfg["hidden"],
+        delexicalize=cfg["delexicalize"]), dev, log=_log)
     parser.save(_model_path(cfg["model"]))
 
 

@@ -5,7 +5,9 @@ dedicated no-edge label; the root is an extra head position 0 with a
 learned embedding.  Token vectors are a learned scalar mixture over the
 provider's layers.  Training minimizes cross-entropy against the gold
 enhanced graph; decoding writes the argmax graph into the deps columns,
-guaranteeing every token at least one head via a fallback.
+guaranteeing every token at least one head via a fallback.  train_parser
+builds a float32 parser sized by its vectors and config; delexicalized, it
+learns placeholder labels, which decoding fills in from the graph.
 
 Edges touching empty nodes cannot be scored by the pair grid; they are
 ignored during training and empty nodes keep their deps at decoding.
@@ -26,7 +28,7 @@ from .config import InputError, check_loss, physical_memory
 from .conllu import ROOT, Sentence, TokenId
 from .embeddings import KINDS, EmbeddingProvider, sentence_key
 from .evaluate import LabelScore
-from .labels import lexicalize_label
+from .labels import delexicalize_corpus, lexicalize_label
 from .modelfile import check_arrays, expect, load_model, require, save_model
 
 NO_EDGE = "∅"
@@ -47,6 +49,8 @@ class ParserTrainConfig:
     epochs: int = 10
     patience: int = 5
     seed: int = 0
+    hidden: int = 1024
+    delexicalize: bool = False
 
 
 @dataclass
@@ -472,20 +476,27 @@ def _dev_f1(parser: EdgeParser, corpus: list[Sentence],
     return sc.f1
 
 
-def train_parser(parser: EdgeParser, corpus: list[Sentence],
-                 provider: EmbeddingProvider, cfg: ParserTrainConfig,
-                 dev: list[Sentence] | None = None,
-                 log: Callable[[str], None] = lambda line: None) -> None:
-    """Trains for up to cfg.epochs epochs, one "# ..." log line per event.
+def train_parser(corpus: list[Sentence], provider: EmbeddingProvider,
+                 cfg: ParserTrainConfig, dev: list[Sentence] | None = None,
+                 log: Callable[[str], None] = lambda line: None
+                 ) -> EdgeParser:
+    """A float32 parser of width cfg.hidden over the provider's layers,
+    trained for up to cfg.epochs epochs, one "# ..." log line per event.
 
-    With a dev corpus, whose vectors provider gives too, training stops
-    once cfg.patience epochs in a row have not raised the dev F1, and the
-    parameters of the best dev epoch are put back; without one, every
-    epoch runs and the final parameters stay.  A footprint
-    (train_footprint) beyond physical memory is an error, raised before the
-    optimizer allocates.  The parser records the provider's kind as its
-    vectors, as train_epoch does, even if no epoch runs.
+    cfg.delexicalize puts placeholders into the training corpus's labels
+    (delexicalize_corpus).  With a dev corpus, scored as given in the labels
+    that decoding writes, training stops once cfg.patience epochs in a row
+    have not raised the dev F1, and the best dev epoch's parameters are
+    put back; without one, every epoch runs.  The provider gives the dev
+    vectors too.  Parameters or a footprint (train_footprint) beyond
+    physical memory are an error, raised before the optimizer allocates.
+    The parser records the provider's kind as its vectors.
     """
+    if cfg.delexicalize:
+        corpus, inventory = delexicalize_corpus(corpus)
+        log(f"# delexicalized label inventory: {len(inventory)} labels")
+    parser = new_parser(build_label_inventory(corpus), provider.layers,
+                        provider.dim, cfg.hidden, cfg.seed, np.float32)
     param_bytes, footprint = train_footprint(
         len(parser.labels), parser.layers, parser.dim, parser.hidden,
         snapshot=dev is not None and cfg.epochs > 1, dtype=parser.dtype)
@@ -507,3 +518,4 @@ def train_parser(parser: EdgeParser, corpus: list[Sentence],
             log(f"# stopping early at epoch {epoch}")
             break
     stopper.restore()
+    return parser

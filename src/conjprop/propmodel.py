@@ -71,7 +71,7 @@ class PropModel:
         if self.kind == "kernel":
             return self.svm.decision_function(x)
         x = np.atleast_2d(np.asarray(x, dtype=self.mlp["w1"].dtype))
-        logits = _mlp_forward(self.mlp, x)
+        logits = _mlp_logits(self.mlp, x).data
         return logits[:, 1] - logits[:, 0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -150,12 +150,6 @@ class PropModel:
         return model
 
 
-def _mlp_forward(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    h = np.maximum(x @ params["w1"] + params["b1"], 0.0)
-    h = np.maximum(h @ params["w2"] + params["b2"], 0.0)
-    return h @ params["w3"] + params["b3"]
-
-
 def _macro_f1(pred: np.ndarray, gold: np.ndarray) -> float:
     return sum(LabelScore(tp=int(np.sum((pred == cls) & (gold == cls))),
                           n_sys=int(np.sum(pred == cls)),
@@ -177,13 +171,17 @@ def _init_mlp(in_dim: int, hidden: tuple[int, int], rng: np.random.Generator,
             for name, shape in _mlp_shapes(in_dim, hidden).items()}
 
 
+def _mlp_logits(params: dict, x: np.ndarray) -> ad.Tensor:
+    """Logits (rows, 2) of x; params are arrays, or tape tensors to train."""
+    h = ad.relu(ad.matmul(x, params["w1"]) + params["b1"])
+    h = ad.relu(ad.matmul(h, params["w2"]) + params["b2"])
+    return ad.matmul(h, params["w3"]) + params["b3"]
+
+
 def mlp_loss(params: dict[str, ad.Tensor], x: np.ndarray,
              target: int, weight: float = 1.0) -> ad.Tensor:
     """Cross-entropy of one instance; params are tape tensors."""
-    xs = ad.Tensor(x.reshape(1, -1))
-    h = ad.relu(ad.matmul(xs, params["w1"]) + params["b1"])
-    h = ad.relu(ad.matmul(h, params["w2"]) + params["b2"])
-    logits = ad.matmul(h, params["w3"]) + params["b3"]
+    logits = _mlp_logits(params, x.reshape(1, -1))
     log_probs = ad.log_softmax(logits, axis=-1)
     return ad.mul(ad.getitem(log_probs, (0, target)), -weight)
 
@@ -219,8 +217,8 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
             optimizer.step()
         if n_holdout == 0:
             continue
-        snapshot = {k: t.data for k, t in params.items()}
-        pred = _mlp_forward(snapshot, x[holdout_idx])
+        pred = _mlp_logits({k: t.data for k, t in params.items()},
+                           x[holdout_idx]).data
         f1 = _macro_f1(pred[:, 1] >= pred[:, 0], y[holdout_idx])
         log(f"# epoch {epoch} holdout-f1 {100 * f1:.2f}")
         if stopper.update(f1, final=epoch == opts.epochs):

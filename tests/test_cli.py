@@ -184,6 +184,43 @@ def test_env_var_names_default_config(run, tmp_path, monkeypatch):
     assert "5:obl|7:obl" in out
 
 
+def test_the_cli_defaults_are_the_library_defaults(monkeypatch):
+    from dataclasses import asdict
+    from conjprop.edgepred import ParserTrainConfig
+    from conjprop.instances import FeatureConfig
+    from conjprop.propmodel import ApplyConfig, PropTrainOptions
+    monkeypatch.delenv("CONJPROP_CONFIG", raising=False)
+
+    def defaults(*argv):
+        return cli.resolve_options(cli.build_parser().parse_args(argv))
+
+    prop = defaults("train-prop", "--train", "t", "--model", "m")
+    assert asdict(PropTrainOptions()) == {
+        "c": prop["c"], "tol": prop["tol"],
+        "class_weights": prop["class-weights"], "epochs": prop["epochs"],
+        "lr": prop["lr"], "patience": prop["patience"],
+        "holdout": prop["holdout"],
+        "hidden_sizes": tuple(int(w) for w in prop["hidden"].split(",")),
+        "seed": prop["seed"]}
+    groups = prop["features"].split(",")
+    assert asdict(FeatureConfig()) == {"token_features": "token" in groups,
+                                       "tree_features": "tree" in groups}
+    parser = defaults("train-parser", "--train", "t", "--model", "m")
+    library = asdict(ParserTrainConfig())
+    for name in ("token_mask_prob", "layer_dropout", "output_dropout",
+                 "fnn_dropout"):  # no option sets these
+        del library[name]
+    assert library == {
+        "batch_size": parser["batch"], "lr": parser["lr"],
+        "epochs": parser["epochs"], "patience": parser["patience"],
+        "seed": parser["seed"], "hidden": parser["hidden"],
+        "delexicalize": parser["delexicalize"]}
+    apply = defaults("apply-prop", "--model", "m")
+    assert asdict(ApplyConfig()) == {
+        "passive_imperative_fix": apply["fix"],
+        "iterate_to_fixpoint": apply["fixpoint"]}
+
+
 def test_malformed_config_names_file_and_line(run, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode = rbc\nthis line has no equals sign\n")
@@ -764,9 +801,7 @@ def test_a_model_applies_with_the_vectors_its_file_records(run, tmp_path):
 
 def test_the_python_api_writes_the_model_files_the_cli_writes(run,
                                                               tmp_path):
-    import numpy as np
-    from conjprop.edgepred import (ParserTrainConfig, build_label_inventory,
-                                   new_parser, train_parser)
+    from conjprop.edgepred import ParserTrainConfig, train_parser
     from conjprop.embeddings import hash_provider
     from conjprop.propmodel import PropTrainOptions, train_prop
     train = tmp_path / "train.conllu"
@@ -782,11 +817,9 @@ def test_the_python_api_writes_the_model_files_the_cli_writes(run,
                                                      epochs=2),
                      hash_provider(dim=4))
     mlp.save(tmp_path / "api.mlp")
-    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
-                        hidden=8, dtype=np.float32)
-    train_parser(parser, corpus, hash_provider(dim=4, layers=2),
-                 ParserTrainConfig(epochs=1))
-    parser.save(tmp_path / "api.parser")
+    train_parser(corpus, hash_provider(dim=4, layers=2),
+                 ParserTrainConfig(hidden=8, epochs=1)).save(
+        tmp_path / "api.parser")
     assert (tmp_path / "api.mlp").read_bytes() == cli_mlp.read_bytes()
     assert (tmp_path / "api.parser").read_bytes() == cli_parser.read_bytes()
 
@@ -1443,6 +1476,30 @@ def test_features_choose_the_feature_families_of_each_kind(run, tmp_path,
     assert ("coord-items" in vocab) == (tree and kind == "mlp")
     assert meta["dense_dim"] == (4 if token else 0)
     assert meta["vectors"] == ("hash" if token else "none")
+
+
+@pytest.mark.parametrize("vectors", [["--hash-dim", "8"],
+                                     ["--embeddings", "missing.vec"]],
+                         ids=["hash", "sidecar"])
+def test_a_classifier_without_token_features_reads_no_vectors(run, tmp_path,
+                                                              vectors):
+    train, model = tmp_path / "train.conllu", tmp_path / "m.model"
+    # the second sentence repeats the first one's sent_id, which would key
+    # two sentences' vectors alike
+    train.write_text(prop_training_text().replace("sent_id = ow0",
+                                                  "sent_id = sh0"))
+    vectors = [str(tmp_path / v) if v.endswith(".vec") else v
+               for v in vectors]
+    rc, _, err = run(_train_prop_argv("mlp", train, model, "--features",
+                                      "instance,tree", *vectors))
+    assert rc == 0, err
+    meta = load_model(model)[1]
+    assert (meta["dense_dim"], meta["vectors"]) == (0, "none")
+    rc, _, err = run(_train_prop_argv("mlp", train, model, *vectors))
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"conjprop: error: {train}: sentences 1 and 2 share the sent_id "
+        "'sh0', which keys their embeddings")
 
 
 def _with_meta(path, **meta) -> bytes:

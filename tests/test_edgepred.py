@@ -18,6 +18,7 @@ from conjprop.edgepred import (
 from conjprop.config import TrainingError
 from conjprop.embeddings import (EmbeddingProvider, hash_provider,
                                   read_sidecar, write_sidecar)
+from conjprop.labels import delexicalize_corpus
 from conjprop.modelfile import save_model
 
 T = TokenId
@@ -218,12 +219,19 @@ def test_train_parser_keeps_the_parameters_when_the_final_epoch_is_best(
     provider = hash_provider(dim=4, layers=2)
     scores = iter([0.2, 0.5, 0.7])
     monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
-    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
-                        hidden=6, seed=4)
-    arrays = {name: t.data for name, t in parser.params.items()}
-    train_parser(parser, corpus, provider,
-                 ParserTrainConfig(lr=1e-2, epochs=3, seed=4), dev=corpus)
+    arrays = {}
+    real_new_parser = edgepred.new_parser
+
+    def new_parser_kept(*args):
+        parser = real_new_parser(*args)
+        arrays.update((name, t.data) for name, t in parser.params.items())
+        return parser
+
+    monkeypatch.setattr(edgepred, "new_parser", new_parser_kept)
+    parser = train_parser(corpus, provider, ParserTrainConfig(
+        lr=1e-2, epochs=3, seed=4, hidden=6), dev=corpus)
     # AdamW updates in place, and no snapshot replaced the arrays
+    assert arrays
     for name, tensor in parser.params.items():
         assert tensor.data is arrays[name]
 
@@ -499,13 +507,12 @@ def test_training_reduces_the_loss():
 def test_train_parser_restores_the_best_dev_epoch(monkeypatch):
     corpus = tiny_corpus()
     provider = hash_provider(dim=4, layers=2)
-    labels = build_label_inventory(corpus)
     scores = iter([0.2, 0.5, 0.4, 0.3, 0.9])
     monkeypatch.setattr(edgepred, "_dev_f1", lambda *args: next(scores))
-    cfg = ParserTrainConfig(lr=1e-2, epochs=5, patience=2, seed=4)
+    cfg = ParserTrainConfig(lr=1e-2, epochs=5, patience=2, seed=4, hidden=6)
     lines = []
-    parser = new_parser(labels, layers=2, dim=4, hidden=6, seed=4)
-    train_parser(parser, corpus, provider, cfg, dev=corpus, log=lines.append)
+    parser = train_parser(corpus, provider, cfg, dev=corpus,
+                          log=lines.append)
     assert lines[0].startswith("# parser labels ")
     assert [line.split(" dev-f1 ")[1] for line in lines[1:-1]] == [
         "20.00", "50.00", "40.00", "30.00"]
@@ -513,15 +520,50 @@ def test_train_parser_restores_the_best_dev_epoch(monkeypatch):
 
     # decoding the dev set draws no random numbers, so two epochs without
     # a dev set reach the parameters of the best epoch
-    again = new_parser(labels, layers=2, dim=4, hidden=6, seed=4)
     plain = []
-    train_parser(again, corpus, provider,
-                 ParserTrainConfig(lr=1e-2, epochs=2, seed=4),
-                 log=plain.append)
+    again = train_parser(corpus, provider,
+                         ParserTrainConfig(lr=1e-2, epochs=2, seed=4,
+                                           hidden=6), log=plain.append)
     assert [line.split(" loss ")[0] for line in plain[1:]] == [
         "# epoch 1", "# epoch 2"]
     for name, tensor in parser.params.items():
         assert tensor.data.tobytes() == again.params[name].data.tobytes()
+
+
+def test_dev_f1_scores_the_labels_that_decoding_writes(monkeypatch):
+    sent = make_sentence([
+        ("Paul", "PROPN", 2, "nsubj"),
+        ("sat", "VERB", 0, "root"),
+        ("on", "ADP", 4, "case"),
+        ("chairs", "NOUN", 2, "obl"),
+        ("and", "CCONJ", 6, "cc"),
+        ("benches", "NOUN", 4, "conj"),
+    ], sent_id="lex")
+    for t in sent.tokens:
+        t.deps = [(t.head, t.deprel)]
+    by_id = sent.token_by_id()
+    by_id[T(4)].deps = [(T(2), "obl:on")]
+    by_id[T(6)].deps = [(T(2), "obl:on"), (T(4), "conj:and")]
+    corpus = [sent]
+    delexicalized, _ = delexicalize_corpus(corpus)
+    gold = iter(delexicalized)
+    real_forward = edgepred._forward_scores
+
+    def perfect_when_decoding(parser, batch, ctx=None):
+        if ctx is not None:
+            return real_forward(parser, batch, ctx)
+        # a score grid that puts the gold placeholder label on every pair
+        return [ad.Tensor(50.0 * np.eye(len(parser.labels))[
+            _gold_grid(parser, next(gold))]) for _ in batch]
+
+    monkeypatch.setattr(edgepred, "_forward_scores", perfect_when_decoding)
+    lines = []
+    parser = train_parser(corpus, hash_provider(dim=4, layers=1),
+                          ParserTrainConfig(epochs=1, hidden=5,
+                                            delexicalize=True),
+                          dev=corpus, log=lines.append)
+    assert {"obl:[case]", "conj:[cc]"} <= set(parser.labels)
+    assert lines[-1].endswith(" dev-f1 100.00")
 
 
 def test_inference_is_deterministic():
@@ -650,27 +692,22 @@ def test_training_that_exceeds_memory_fails_before_the_optimizer(
         monkeypatch):
     corpus = tiny_corpus()
     provider = hash_provider(dim=4, layers=2)
-    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
-                        hidden=6, seed=4)
-    before = {name: t.data.copy() for name, t in parser.params.items()}
-    param_bytes, plain = edgepred.train_footprint(3, 2, 4, 6, False)
-    _, with_dev = edgepred.train_footprint(3, 2, 4, 6, True)
+    param_bytes, plain = edgepred.train_footprint(3, 2, 4, 6, False,
+                                                  np.float32)
+    _, with_dev = edgepred.train_footprint(3, 2, 4, 6, True, np.float32)
     monkeypatch.setattr(edgepred, "physical_memory", lambda: plain)
-    cfg = ParserTrainConfig(lr=1e-2, epochs=2, seed=4)
+    cfg = ParserTrainConfig(lr=1e-2, epochs=2, seed=4, hidden=6)
     lines = []
     # the early-stopping snapshot is one parameter copy more
     with pytest.raises(EdgePredError, match=(
             f"hidden 6 with 3 labels needs {with_dev} bytes to train, more "
             f"than the {plain} bytes of physical memory")):
-        train_parser(parser, corpus, provider, cfg, dev=corpus,
-                     log=lines.append)
+        train_parser(corpus, provider, cfg, dev=corpus, log=lines.append)
     # nothing logged: the "# parser" line comes before the optimizer
     assert lines == []
-    for name, tensor in parser.params.items():
-        assert tensor.data.tobytes() == before[name].tobytes()
-    train_parser(parser, corpus, provider, cfg, log=lines.append)
+    train_parser(corpus, provider, cfg, log=lines.append)
     assert lines[0] == (f"# parser labels 3 param-bytes {param_bytes} "
-                        f"train-bytes {plain} dtype float64")
+                        f"train-bytes {plain} dtype float32")
 
 
 def test_a_float32_parser_starts_from_the_float64_draws_cast():
@@ -724,9 +761,8 @@ def test_training_records_the_kind_of_its_provider(tmp_path):
     sidecar = read_sidecar(tmp_path / "tiny.vec")
     labels = build_label_inventory(corpus)
     # train_parser records it even when no epoch runs
-    untrained = new_parser(labels, layers=2, dim=4, hidden=5)
-    train_parser(untrained, corpus, sidecar, ParserTrainConfig(epochs=0))
-    untrained.save(tmp_path / "p.model")
+    train_parser(corpus, sidecar, ParserTrainConfig(epochs=0, hidden=5)).save(
+        tmp_path / "p.model")
     assert EdgeParser.load(tmp_path / "p.model").vectors == "sidecar"
     # and train_epoch records the provider it was given last
     parser = new_parser(labels, layers=2, dim=4, hidden=5)
@@ -740,9 +776,8 @@ def test_training_records_the_kind_of_its_provider(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # check_loss reports
 def test_a_diverging_parser_raises_training_error():
     corpus = tiny_corpus()
-    # float32, as train-parser trains, overflows where float64 does not
-    parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
-                        hidden=5, dtype=np.float32)
+    # float32, as train_parser trains, overflows where float64 does not
     with pytest.raises(TrainingError, match="training diverged"):
-        train_parser(parser, corpus, hash_provider(dim=4, layers=2),
-                     ParserTrainConfig(lr=1e30, batch_size=1, epochs=3))
+        train_parser(corpus, hash_provider(dim=4, layers=2),
+                     ParserTrainConfig(lr=1e30, batch_size=1, epochs=3,
+                                       hidden=5))

@@ -18,7 +18,7 @@ from conjprop.instances import FeatureConfig, featurize, vectorize
 from conjprop.modelfile import load_model
 from conjprop.propmodel import (
     ApplyConfig, ApplyError, PropModel, PropTrainOptions, _macro_f1,
-    _mlp_forward, apply_model, mlp_loss, train_prop,
+    _mlp_logits, apply_model, mlp_loss, train_prop,
 )
 from conjprop.svm import SVMModel, TrainingError
 from conjprop.conllu import ROOT, TokenId, parse_corpus, write_corpus
@@ -297,7 +297,7 @@ def test_a_float64_mlp_file_decides_in_float64(tmp_path):
     assert {a.dtype.name for a in again.mlp.values()} == {"float64"}
     rng = np.random.default_rng(2)
     probe = rng.normal(size=(10, len(model.vocab)))
-    logits = _mlp_forward(model.mlp, probe)
+    logits = _mlp_logits(model.mlp, probe).data
     decision = again.decision_function(probe)
     assert decision.dtype == np.float64
     assert decision.tobytes() == (logits[:, 1] - logits[:, 0]).tobytes()
