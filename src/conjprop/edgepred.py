@@ -7,7 +7,8 @@ provider's layers.  Training minimizes cross-entropy against the gold
 enhanced graph; decoding writes the argmax graph into the deps columns,
 guaranteeing every token at least one head via a fallback.  train_parser
 builds a float32 parser sized by its vectors and config; delexicalized, it
-learns placeholder labels, which decoding fills in from the graph.
+learns placeholder labels, which decoding fills in from the graph.  Its
+token masking and dropout rates are the constants below, not settings.
 
 Edges touching empty nodes cannot be scored by the pair grid; they are
 ignored during training and empty nodes keep their deps at decoding.
@@ -34,6 +35,13 @@ from .modelfile import check_arrays, expect, load_model, require, save_model
 NO_EDGE = "∅"
 
 
+# Training's regularization, drawn per sentence from the run's rng in this
+# order: the mixture's layers, the tokens, the mixed vectors' units, then
+# the head and dependent projections' units.
+LAYER_DROPOUT, TOKEN_MASK_PROB = 0.1, 0.15
+OUTPUT_DROPOUT, FNN_DROPOUT = 0.5, 0.33
+
+
 class EdgePredError(InputError):
     pass
 
@@ -42,10 +50,6 @@ class EdgePredError(InputError):
 class ParserTrainConfig:
     batch_size: int = 5
     lr: float = 5e-6
-    token_mask_prob: float = 0.15
-    layer_dropout: float = 0.1
-    output_dropout: float = 0.5
-    fnn_dropout: float = 0.33
     epochs: int = 10
     patience: int = 5
     seed: int = 0
@@ -194,70 +198,64 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
     return np.stack(stacks, dtype=parser.dtype)  # (n, layers, dim)
 
 
-@dataclass
-class _TrainContext:
-    rng: np.random.Generator
-    cfg: ParserTrainConfig
-    # a list: the bilinear tensor is then a constant on the tape, and each
-    # forward pass appends its input rows and output, for train_epoch
-    bilinear_inputs: list[tuple[Tensor, Tensor]] | None = None
-
-
 def _encode(parser: EdgeParser, stacks: np.ndarray,
-            ctx: _TrainContext | None) -> tuple[Tensor, Tensor]:
+            rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
     """Head (n+1, hidden) and dependent (n, hidden) vectors of one sentence
-    on the tape.  With a training context, token masking and the three
-    dropouts are applied; without one the pass is deterministic."""
+    on the tape.  Given an rng, token masking and the three dropouts are
+    drawn from it; without one the pass draws nothing."""
     p = parser.params
     n = stacks.shape[0]
 
     mix_logits = p["mix_logits"]
-    if ctx is not None and ctx.cfg.layer_dropout > 0 and parser.layers > 1:
-        keep = ctx.rng.random(parser.layers) >= ctx.cfg.layer_dropout
+    if rng is not None and parser.layers > 1:
+        keep = rng.random(parser.layers) >= LAYER_DROPOUT
         if not keep.any():
             keep[:] = True
         mix_logits = mix_logits + np.where(keep, 0.0, -1e30)
     weights = ad.softmax_tensor(mix_logits)
 
-    if ctx is not None and ctx.cfg.token_mask_prob > 0:
-        masked = ctx.rng.random(n) < ctx.cfg.token_mask_prob
-        stacks = stacks * ~masked[:, None, None]
+    if rng is not None:
+        stacks = stacks * (rng.random(n) >= TOKEN_MASK_PROB)[:, None, None]
 
     # every contraction is a (broadcast) matmul, so it runs on BLAS
     mix = ad.reshape(weights, (1, parser.layers))
     tokens = ad.reshape(ad.matmul(mix, Tensor(stacks)), (n, parser.dim))
     root = ad.reshape(p["root_embed"], (1, parser.dim))
     reps = ad.concat([root, tokens], axis=0)  # (n+1, dim)
-    if ctx is not None:
-        reps = _dropout(reps, ctx.cfg.output_dropout, ctx.rng)
+    if rng is not None:
+        reps = _dropout(reps, OUTPUT_DROPOUT, rng)
 
     h_head = ad.relu(ad.matmul(reps, p["w_head"]) + p["b_head"])
     h_dep_in = ad.getitem(reps, slice(1, None))
     h_dep = ad.relu(ad.matmul(h_dep_in, p["w_dep"]) + p["b_dep"])
-    if ctx is not None:
-        h_head = _dropout(h_head, ctx.cfg.fnn_dropout, ctx.rng)
-        h_dep = _dropout(h_dep, ctx.cfg.fnn_dropout, ctx.rng)
+    if rng is not None:
+        h_head = _dropout(h_head, FNN_DROPOUT, rng)
+        h_dep = _dropout(h_dep, FNN_DROPOUT, rng)
     return h_head, h_dep
 
 
 def _forward_scores(parser: EdgeParser, batch: list[np.ndarray],
-                    ctx: _TrainContext | None = None) -> list[Tensor]:
+                    rng: np.random.Generator | None = None,
+                    bilinear_inputs: list[tuple[Tensor, Tensor]] | None = None
+                    ) -> list[Tensor]:
     """Score tensors (n+1, n, |labels|) on the tape, one per token stack.
 
     The sentences are encoded one by one, so the random draws come in
     sentence order.  Their head rows are then packed, so the labels x
     hidden^2 bilinear tensor is read once per batch, forward and backward.
+    Given a bilinear_inputs list, the bilinear tensor is a constant on the
+    tape, and the packed rows and their product are appended to the list.
     """
     p = parser.params
     hidden = parser.hidden
     n_labels = len(parser.labels)
-    encoded = [_encode(parser, stacks, ctx) for stacks in batch]
+    encoded = [_encode(parser, stacks, rng) for stacks in batch]
     packed = ad.concat([h_head for h_head, _ in encoded], axis=0)
-    if ctx is None or ctx.bilinear_inputs is None:
+    if bilinear_inputs is None:
         part = ad.matmul(packed, p["bilinear"])  # (labels, rows, hidden)
     else:
         part = ad.matmul(packed, Tensor(p["bilinear"].data))
-        ctx.bilinear_inputs.append((packed, part))
+        bilinear_inputs.append((packed, part))
     w_lin_head = ad.getitem(p["linear"], slice(0, hidden))
     w_lin_dep = ad.getitem(p["linear"], slice(hidden, None))
     out = []
@@ -277,10 +275,7 @@ def _forward_scores(parser: EdgeParser, batch: list[np.ndarray],
 
 
 def _dropout(t: Tensor, prob: float, rng: np.random.Generator) -> Tensor:
-    if prob <= 0:
-        return t
-    mask = (rng.random(t.data.shape) >= prob) / (1.0 - prob)
-    return ad.mul(t, mask)
+    return ad.mul(t, (rng.random(t.data.shape) >= prob) / (1.0 - prob))
 
 
 def mixture_weights(parser: EdgeParser) -> np.ndarray:
@@ -301,8 +296,8 @@ def _gold_grid(parser: EdgeParser, sent: Sentence) -> np.ndarray:
 
     Position 0 is root; only regular tokens take part.  Edges whose label
     is missing from the inventory are an error; edges touching empty nodes
-    are skipped.  Where a pair carries several gold edges the label that
-    sorts first wins.
+    are skipped.  Where a pair carries several gold edges, the label that
+    sorts first wins, whatever their order in the DEPS column.
     """
     words = sent.words()
     position = {t.id: i + 1 for i, t in enumerate(words)}
@@ -319,20 +314,23 @@ def _gold_grid(parser: EdgeParser, sent: Sentence) -> np.ndarray:
                     f"label {label!r} in sentence {sent.sent_id!r} is not "
                     "in the model inventory")
             i = position[head]
-            if grid[i, j] == 0:
+            if grid[i, j] == 0 or index[label] < grid[i, j]:
                 grid[i, j] = index[label]
     return grid
 
 
 def batch_losses(parser: EdgeParser, sents: list[Sentence],
                  provider: EmbeddingProvider, indices: list[int],
-                 ctx: _TrainContext | None = None) -> list[Tensor]:
+                 rng: np.random.Generator | None = None,
+                 bilinear_inputs: list[tuple[Tensor, Tensor]] | None = None
+                 ) -> list[Tensor]:
     """Per sentence, the mean cross-entropy over its (n+1) x n ordered
     pairs; all on one tape, so one backward serves the batch."""
     batch = [_token_stacks(parser, sent, provider, index)
              for sent, index in zip(sents, indices)]
     losses = []
-    for sent, scores in zip(sents, _forward_scores(parser, batch, ctx)):
+    for sent, scores in zip(sents, _forward_scores(parser, batch, rng,
+                                                   bilinear_inputs)):
         grid = _gold_grid(parser, sent)
         n_plus, n = grid.shape
         onehot = np.zeros((n_plus, n, len(parser.labels)), parser.dtype)
@@ -346,30 +344,26 @@ def batch_losses(parser: EdgeParser, sents: list[Sentence],
 
 def sentence_loss(parser: EdgeParser, sent: Sentence,
                   provider: EmbeddingProvider, index: int = 0,
-                  ctx: _TrainContext | None = None) -> Tensor:
+                  rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over all (n+1) x n ordered pairs."""
-    return batch_losses(parser, [sent], provider, [index], ctx)[0]
+    return batch_losses(parser, [sent], provider, [index], rng)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # check_loss reports divergence
 def train_epoch(parser: EdgeParser, corpus: list[Sentence],
                 provider: EmbeddingProvider, cfg: ParserTrainConfig,
-                optimizer: ad.AdamW | None = None,
-                rng: np.random.Generator | None = None) -> float:
+                optimizer: ad.AdamW, rng: np.random.Generator) -> float:
     """One pass of shuffled mini-batch updates; returns the mean loss.
 
-    Each batch makes one forward pass and one backward pass; every
-    sentence loss enters the gradient with weight 1/len(batch).  The
-    bilinear tensor's gradient is formed and applied one label slice at a
-    time, so the whole of it never exists.  The parser records the
-    provider's kind as its vectors; a loss that is not finite raises
-    TrainingError."""
-    if optimizer is None:
-        optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    The optimizer and rng are the run's: its epochs share Adam's moments
+    and one stream of shuffles and dropout draws.  Each batch makes one
+    forward and one backward pass; every sentence loss enters the gradient
+    with weight 1/len(batch).  The bilinear tensor's gradient is formed and
+    applied one label slice at a time, so the whole of it never exists.
+    The parser records the provider's kind as its vectors; a loss that is
+    not finite raises TrainingError."""
     parser.vectors = provider.kind
-    ctx = _TrainContext(rng=rng, cfg=cfg, bilinear_inputs=[])
+    bilinear_inputs: list[tuple[Tensor, Tensor]] = []
     bilinear = parser.params["bilinear"]
     order = rng.permutation(len(corpus))
     total = 0.0
@@ -377,14 +371,14 @@ def train_epoch(parser: EdgeParser, corpus: list[Sentence],
         batch = [int(idx) for idx in order[start:start + cfg.batch_size]]
         optimizer.zero_grad()
         losses = batch_losses(parser, [corpus[idx] for idx in batch],
-                              provider, batch, ctx)
+                              provider, batch, rng, bilinear_inputs)
         for loss in losses:
             total += float(loss.data)
         check_loss(total)
         functools.reduce(ad.add, losses).backward(
             np.array(1.0 / len(batch)))
         optimizer.step()
-        packed, part = ctx.bilinear_inputs.pop()
+        packed, part = bilinear_inputs.pop()
         for label in range(len(parser.labels)):
             optimizer.update(bilinear, packed.data.T @ part.grad[label],
                              label)

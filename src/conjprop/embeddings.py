@@ -29,6 +29,7 @@ class EmbeddingProvider:
     Models trained on a provider record its kind as their vectors."""
 
     kind = "sidecar"
+    path = None
 
     def __init__(self, table: dict[tuple[str, TokenId], np.ndarray],
                  dim: int, layers: int = 1, path=None):
@@ -82,7 +83,7 @@ KINDS = (_HashProvider.kind, EmbeddingProvider.kind)
 
 
 def read_sidecar(path) -> EmbeddingProvider:
-    """Reads a sidecar file, either single-layer or with a layers= header."""
+    """Reads a sidecar of finite values, with or without a layers= header."""
     table: dict[tuple[str, TokenId], np.ndarray] = {}
     layers = 1
     dim = None
@@ -124,6 +125,9 @@ def _consume_record(line, where, table, layers, dim):
         vec = np.array([float(v) for v in values.split()], dtype=np.float64)
     except ValueError as err:
         raise EmbeddingError(f"{where}: {err}") from None
+    if not np.isfinite(vec).all():
+        bad = values.split()[np.isfinite(vec).argmin()]
+        raise EmbeddingError(f"{where}: value {bad!r} is not a finite number")
     if dim is not None and vec.size != layers * dim:
         raise EmbeddingError(
             f"{where}: expected {layers * dim} values, got {vec.size}")

@@ -124,15 +124,6 @@ def extract_instances(sent: Sentence, pairs: list[tuple[TokenId, TokenId]],
     return out
 
 
-def conjunct_ids(sent: Sentence) -> set[TokenId]:
-    """Every token that is the gov or the dep of some basic conj edge: the
-    pairs of conj_pairs, read straight from the columns without the sort."""
-    return {tid for t in sent.tokens
-            if t.head is not None and is_conj_label(t.deprel)
-            and t.head != ROOT and not t.id.minor
-            for tid in (t.head, t.id)}
-
-
 def propagated_links(sent: Sentence) -> set[Edge]:
     """Enhanced edges absent from the basic layer and incident to a conjunct.
 
@@ -140,7 +131,7 @@ def propagated_links(sent: Sentence) -> set[Edge]:
     edge counts as propagated. Edges labeled conj (any subtype) are excluded.
     A sentence without a basic conj edge has no conjunct, so no link.
     """
-    conjuncts = conjunct_ids(sent)
+    conjuncts = {tid for pair in conj_pairs(sent) for tid in pair}
     if not conjuncts:
         return set()
     # plain (head, dep, label) tuples hash and compare equal to Edges

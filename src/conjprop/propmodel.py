@@ -37,6 +37,14 @@ class ApplyError(InputError):
     """Model and inputs disagree (missing provider, wrong vector width)."""
 
 
+def _check_one_layer(provider, error: type[InputError]) -> None:
+    """Raises error, naming the provider's file, if it gives several layers."""
+    if provider is not None and provider.layers != 1:
+        where = f"{provider.path}: " if provider.path is not None else ""
+        raise error(f"{where}a classifier reads one vector per token, not "
+                    f"{provider.layers} layers")
+
+
 @dataclass
 class PropTrainOptions:
     c: float = 1.0
@@ -236,12 +244,15 @@ def train_prop(corpus: list[Sentence], kind: str,
     The kernel logs one "# svm" line with its solver state, the MLP one
     "# epoch" line with its holdout macro-F1 per epoch.  The model records
     the kind of provider its dense vectors come from, or "none": it reads
-    the provider's vectors if the token features are on.  An MLP
-    whose holdout leaves no instance to train on, or whose loss stops being
-    finite, raises TrainingError."""
+    the provider's vectors if the token features are on.  Vectors of
+    several layers, an MLP whose holdout leaves no instance to train on, or
+    one whose loss stops being finite, raise TrainingError."""
     if kind not in ("kernel", "mlp"):
         raise ValueError(f"unknown model kind {kind!r}")
     opts = options or PropTrainOptions()
+    if not feature_config.token_features:
+        provider = None
+    _check_one_layer(provider, TrainingError)
     instances, vectors = [], []
     for index, sent in enumerate(corpus):
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
@@ -252,8 +263,7 @@ def train_prop(corpus: list[Sentence], kind: str,
     if not instances:
         raise TrainingError("no propagation instances in the training data")
     vocab = build_vocabulary(vectors)
-    dense_dim = provider.dim if (provider is not None
-                                 and feature_config.token_features) else 0
+    dense_dim = provider.dim if provider is not None else 0
     x = vectorize(vectors, vocab, dense_dim)
     y = np.array([bool(inst.gold) for inst in instances])
     if y.all() or not y.any():
@@ -282,14 +292,15 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
     model accepts.  The fix sends subject labels through the converter's
     passive/imperative adjustments; otherwise candidate labels are copied
     verbatim.  A provider is needed, and used, only when the model reads
-    dense vectors."""
+    dense vectors, and it must give one layer."""
     if not model.dense_dim:
         provider = None
     elif provider is None:
         raise ApplyError(
             f"model expects dense vectors of dimension {model.dense_dim} "
             "but no embedding provider was given")
-    elif provider.dim != model.dense_dim:
+    _check_one_layer(provider, ApplyError)
+    if provider is not None and provider.dim != model.dense_dim:
         raise ApplyError(
             f"embedding dimension {provider.dim} does not match the "
             f"model's expected {model.dense_dim}")

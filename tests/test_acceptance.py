@@ -24,6 +24,7 @@ import pytest
 from conftest import load_fig, make_sentence, random_sentence, \
     perturb_enhanced, seed_deps
 from test_cli import prop_input_text, prop_training_text
+from test_edgepred import without_regularization
 
 from conjprop import autodiff as ad
 from conjprop.cli import main as cli_main
@@ -355,7 +356,7 @@ def test_criterion_6_kernel_beats_rule_converter_on_treebank():
 
 # ------------------------------------------------------------- criterion 7
 
-def test_criterion_7_edge_predictor_properties():
+def test_criterion_7_edge_predictor_properties(monkeypatch):
     # gradients against central differences on a 3-token instance
     sent = make_sentence([("ate", "VERB", 0, "root"),
                           ("fish", "NOUN", 1, "obj"),
@@ -405,9 +406,8 @@ def test_criterion_7_edge_predictor_properties():
     provider = hash_provider(dim=24, layers=1)
     inventory = build_label_inventory(corpus)
     toy = new_parser(inventory, layers=1, dim=24, hidden=48, seed=0)
-    cfg = ParserTrainConfig(batch_size=5, lr=1e-2, epochs=1, seed=0,
-                            token_mask_prob=0.0, layer_dropout=0.0,
-                            output_dropout=0.0, fnn_dropout=0.0)
+    cfg = ParserTrainConfig(batch_size=5, lr=1e-2, epochs=1, seed=0)
+    without_regularization(monkeypatch)
     optimizer = ad.AdamW(toy.parameters(), lr=cfg.lr)
     gen = np.random.default_rng(0)
 

@@ -206,11 +206,7 @@ def test_the_cli_defaults_are_the_library_defaults(monkeypatch):
     assert asdict(FeatureConfig()) == {"token_features": "token" in groups,
                                        "tree_features": "tree" in groups}
     parser = defaults("train-parser", "--train", "t", "--model", "m")
-    library = asdict(ParserTrainConfig())
-    for name in ("token_mask_prob", "layer_dropout", "output_dropout",
-                 "fnn_dropout"):  # no option sets these
-        del library[name]
-    assert library == {
+    assert asdict(ParserTrainConfig()) == {
         "batch_size": parser["batch"], "lr": parser["lr"],
         "epochs": parser["epochs"], "patience": parser["patience"],
         "seed": parser["seed"], "hidden": parser["hidden"],
@@ -673,6 +669,7 @@ def test_train_parser_keeps_every_training_array_in_float32(
 
 def test_a_float64_parser_file_predicts_as_decode_does(run, tmp_path):
     import numpy as np
+    from conjprop.autodiff import AdamW
     from conjprop.conllu import write_corpus
     from conjprop.edgepred import (ParserTrainConfig, build_label_inventory,
                                    decode, new_parser, train_epoch)
@@ -683,8 +680,8 @@ def test_a_float64_parser_file_predicts_as_decode_does(run, tmp_path):
     provider = hash_provider(dim=8, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=8,
                         hidden=16, seed=3, dtype=np.float64)
-    train_epoch(parser, corpus, provider,
-                ParserTrainConfig(lr=1e-2, batch_size=3))
+    train_epoch(parser, corpus, provider, ParserTrainConfig(batch_size=3),
+                AdamW(parser.parameters(), lr=1e-2), np.random.default_rng(0))
     model = tmp_path / "edge.model"
     parser.save(model)
     _, _, arrays = load_model(model)
@@ -1281,13 +1278,20 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
     ("predicted-corpus", (_SENT_START + "\n# sent_id = s2\n"
                           "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
      ":4: sentence has no word lines"),
+    # a value that is not a finite number, read to train and to apply
+    *((kind, f"s1\t1\t0.5\ns1\t2\t{value}\n".encode(),
+       f":2: value {value!r} is not a finite number")
+      for kind in ("sidecar", "applied-sidecar")
+      for value in ("nan", "-inf", "1e400")),
 ], ids=["no-arrays", "int8", "entry-keys", "nbytes", "kernel-meta",
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
         "kernel-float32", "mlp-mixed-dtypes", "mlp-int64", "sidecar-value",
         "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
         "sidecar-repeat", "sidecar-missing-token", "hash-repeated-id", "sidecar-repeated-id",
         "predict-repeated-id", "dev-repeated-id", "out-of-order",
-        "non-contiguous", "dangling-head", "dangling-deps", "id", "no-words"])
+        "non-contiguous", "dangling-head", "dangling-deps", "id", "no-words",
+        *(f"{kind}-{value}" for kind in ("sidecar", "applied-sidecar")
+          for value in ("nan", "-inf", "1e400"))])
 def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                                            where):
     bad = tmp_path / "bad"
@@ -1309,6 +1313,8 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
                           "--hash-dim", "4"],
         "sidecar-corpus": ["apply-prop", "--in", str(bad), "--model",
                            str(mlp), "--embeddings", str(vectors)],
+        "applied-sidecar": ["apply-prop", "--in", FIG1, "--model", str(mlp),
+                            "--embeddings", str(bad)],
         "predicted-corpus": ["predict", "--in", str(bad), "--model",
                              str(parser)],
         "dev-corpus": ["train-parser", "--train", FIG1, "--dev", str(bad),

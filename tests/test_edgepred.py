@@ -141,7 +141,9 @@ def test_bilinear_starts_at_zero_and_one_batch_moves_every_slice(dtype):
             < (1e-6 if dtype == np.float32 else 1e-12)
 
     train_epoch(parser, corpus, provider,
-                ParserTrainConfig(batch_size=len(corpus), lr=1e-2))
+                ParserTrainConfig(batch_size=len(corpus)),
+                ad.AdamW(parser.parameters(), lr=1e-2),
+                np.random.default_rng(0))
     assert parser.params["bilinear"].data is bilinear
     slices = [s.tobytes() for s in bilinear]
     # each label's slice has left zero, each along its own gradient
@@ -192,21 +194,20 @@ def test_decode_corpus_matches_decode(batch_size):
 def test_packed_batch_gradient_is_the_sum_of_sentence_gradients():
     corpus, provider, parser = packed_setup()
     # dropouts and token masking on: the draws must come in sentence order
-    cfg = ParserTrainConfig(token_mask_prob=0.3)
     weight = np.array(1.0 / len(corpus))
 
-    ctx = edgepred._TrainContext(rng=np.random.default_rng(5), cfg=cfg)
     losses = edgepred.batch_losses(parser, corpus, provider,
-                                   list(range(len(corpus))), ctx)
+                                   list(range(len(corpus))),
+                                   np.random.default_rng(5))
     functools.reduce(ad.add, losses).backward(weight)
     packed = {k: t.grad for k, t in parser.params.items()}
 
     # the loop that trained before packing: one backward per sentence
     for t in parser.params.values():
         t.grad = None
-    ctx = edgepred._TrainContext(rng=np.random.default_rng(5), cfg=cfg)
+    rng = np.random.default_rng(5)
     for k, sent in enumerate(corpus):
-        loss = sentence_loss(parser, sent, provider, k, ctx)
+        loss = sentence_loss(parser, sent, provider, k, rng)
         assert abs(float(loss.data) - float(losses[k].data)) <= 1e-12
         loss.backward(weight)
     for name, tensor in parser.params.items():
@@ -259,7 +260,7 @@ def test_sliced_bilinear_updates_match_adamw_step_over_the_tape_gradient():
                                t.data.copy(), requires_grad=True)
                                for name, t in parser.params.items()})
     # dropouts and token masking on; two epochs of two batches of two
-    cfg = ParserTrainConfig(batch_size=2, lr=1e-2, token_mask_prob=0.3)
+    cfg = ParserTrainConfig(batch_size=2, lr=1e-2)
     optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
     rng = np.random.default_rng(5)
     for _ in range(2):
@@ -272,12 +273,11 @@ def test_sliced_bilinear_updates_match_adamw_step_over_the_tape_gradient():
     batches = 0
     for _ in range(2):
         order = rng.permutation(len(corpus))
-        ctx = edgepred._TrainContext(rng=rng, cfg=cfg)
         for start in range(0, len(order), cfg.batch_size):
             batch = [int(k) for k in order[start:start + cfg.batch_size]]
             optimizer.zero_grad()
             losses = edgepred.batch_losses(
-                reference, [corpus[k] for k in batch], provider, batch, ctx)
+                reference, [corpus[k] for k in batch], provider, batch, rng)
             functools.reduce(ad.add, losses).backward(
                 np.array(1.0 / len(batch)))
             assert reference.params["bilinear"].grad is not None
@@ -484,23 +484,33 @@ def test_zero_learning_rate_leaves_parameters_bit_identical():
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=5, seed=1)
     before = {k: t.data.tobytes() for k, t in parser.params.items()}
-    cfg = ParserTrainConfig(lr=0.0, epochs=1)
-    train_epoch(parser, corpus, provider, cfg)
+    train_epoch(parser, corpus, provider, ParserTrainConfig(),
+                ad.AdamW(parser.parameters(), lr=0.0),
+                np.random.default_rng(0))
     after = {k: t.data.tobytes() for k, t in parser.params.items()}
     assert before == after
 
 
-def test_training_reduces_the_loss():
+def without_regularization(monkeypatch):
+    """Sets the parser's token masking and dropout rates to 0."""
+    for name in ("TOKEN_MASK_PROB", "LAYER_DROPOUT", "OUTPUT_DROPOUT",
+                 "FNN_DROPOUT"):
+        monkeypatch.setattr(edgepred, name, 0.0)
+
+
+def test_training_reduces_the_loss(monkeypatch):
+    without_regularization(monkeypatch)
     corpus = tiny_corpus()
     provider = hash_provider(dim=4, layers=2)
     parser = new_parser(build_label_inventory(corpus), layers=2, dim=4,
                         hidden=8, seed=2)
-    cfg = ParserTrainConfig(lr=1e-2, token_mask_prob=0.0, layer_dropout=0.0,
-                            output_dropout=0.0, fnn_dropout=0.0)
-    first = train_epoch(parser, corpus, provider, cfg)
+    cfg = ParserTrainConfig()
+    optimizer = ad.AdamW(parser.parameters(), lr=1e-2)
+    rng = np.random.default_rng(0)
+    first = train_epoch(parser, corpus, provider, cfg, optimizer, rng)
     last = first
     for _ in range(4):
-        last = train_epoch(parser, corpus, provider, cfg)
+        last = train_epoch(parser, corpus, provider, cfg, optimizer, rng)
     assert last < first
 
 
@@ -549,9 +559,9 @@ def test_dev_f1_scores_the_labels_that_decoding_writes(monkeypatch):
     gold = iter(delexicalized)
     real_forward = edgepred._forward_scores
 
-    def perfect_when_decoding(parser, batch, ctx=None):
-        if ctx is not None:
-            return real_forward(parser, batch, ctx)
+    def perfect_when_decoding(parser, batch, rng=None, bilinear_inputs=None):
+        if rng is not None:
+            return real_forward(parser, batch, rng, bilinear_inputs)
         # a score grid that puts the gold placeholder label on every pair
         return [ad.Tensor(50.0 * np.eye(len(parser.labels))[
             _gold_grid(parser, next(gold))]) for _ in batch]
@@ -627,6 +637,18 @@ def test_gold_grid_keeps_the_first_sorted_label_per_pair():
     assert grid[0, 1] == 0
 
 
+def test_gold_grid_does_not_depend_on_the_deps_order():
+    grids = []
+    for deps in (["nsubj", "nsubj:xsubj"], ["nsubj:xsubj", "nsubj"]):
+        sent = gold_sentence()
+        sent.token_by_id()[T(2)].deps = [(T(1), label) for label in deps]
+        parser = new_parser([NO_EDGE, "nsubj", "nsubj:xsubj", "obj", "root"],
+                            layers=1, dim=4, hidden=5)
+        grids.append(_gold_grid(parser, sent))
+    assert grids[0][1, 1] == grids[1][1, 1] == 1  # nsubj
+    assert (grids[0] == grids[1]).all()
+
+
 def test_label_inventory_skips_empty_node_edges():
     sent = gold_sentence()
     sent.tokens.insert(2, Token(
@@ -659,7 +681,9 @@ def test_training_skips_edges_that_touch_an_empty_node():
     losses = edgepred.batch_losses(parser, corpus, provider, [0, 1, 2])
     assert all(np.isfinite(loss.data) for loss in losses)
     assert np.isfinite(train_epoch(parser, corpus, provider,
-                                   ParserTrainConfig(lr=1e-2, batch_size=2)))
+                                   ParserTrainConfig(batch_size=2),
+                                   ad.AdamW(parser.parameters(), lr=1e-2),
+                                   np.random.default_rng(0)))
 
 
 def test_decoding_keeps_the_deps_of_an_empty_node():
@@ -766,10 +790,13 @@ def test_training_records_the_kind_of_its_provider(tmp_path):
     assert EdgeParser.load(tmp_path / "p.model").vectors == "sidecar"
     # and train_epoch records the provider it was given last
     parser = new_parser(labels, layers=2, dim=4, hidden=5)
-    train_epoch(parser, corpus, sidecar, ParserTrainConfig())
+    cfg = ParserTrainConfig()
+    optimizer = ad.AdamW(parser.parameters(), lr=cfg.lr)
+    rng = np.random.default_rng(0)
+    train_epoch(parser, corpus, sidecar, cfg, optimizer, rng)
     assert parser.vectors == "sidecar"
-    train_epoch(parser, corpus, hash_provider(dim=4, layers=2),
-                ParserTrainConfig())
+    train_epoch(parser, corpus, hash_provider(dim=4, layers=2), cfg,
+                optimizer, rng)
     assert parser.vectors == "hash"
 
 

@@ -5,12 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conjprop.conllu import ROOT, Sentence, Token, TokenId
+from conjprop.conllu import ROOT, TokenId
 from conjprop.graph import (
     DEFAULT_OUTGOING_EXCLUSIONS, INCOMING, OUTGOING, Edge,
-    PropagationInstance, basic_edges, coarse, conj_pairs, conjunct_ids,
-    enhanced_edges, extract_instances, has_subject, is_conj_label,
-    propagated_links,
+    PropagationInstance, basic_edges, coarse, conj_pairs, enhanced_edges,
+    extract_instances, has_subject, is_conj_label, propagated_links,
 )
 from conftest import make_sentence, perturb_enhanced, random_sentence
 
@@ -109,7 +108,8 @@ def test_relabeled_edge_counts_as_propagated(fig3a):
 
 def test_conj_pairs_fig3c(fig3c):
     assert conj_pairs(fig3c) == [(TokenId(1), TokenId(4)), (TokenId(5), TokenId(10))]
-    assert conjunct_ids(fig3c) == {TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
+    assert {tid for pair in conj_pairs(fig3c) for tid in pair} == {
+        TokenId(1), TokenId(4), TokenId(5), TokenId(10)}
 
 
 def instance(gov, dep, target, label, direction):
@@ -187,26 +187,6 @@ def test_extract_instances_match_a_naive_enumeration_on_random_sentences():
         # plain tuples give the same list
         assert extract_instances(sent, conj_pairs(sent),
                                  [tuple(e) for e in edges]) == want
-
-
-# (empty node?, HEAD, DEPREL); a missing DEPREL comes with a missing HEAD
-_COLUMNS = st.tuples(
-    st.booleans(),
-    st.sampled_from([None, ROOT, TokenId(1), TokenId(2), TokenId(2, 1)]),
-    st.sampled_from([None, "conj", "conj:and", "conj:", "conjx", ":conj",
-                     "nsubj", "root"]),
-).filter(lambda c: c[1] is None or c[2] is not None)
-
-
-@given(st.lists(_COLUMNS, max_size=8))
-def test_conjunct_ids_are_the_tokens_of_conj_pairs(columns):
-    sent = Sentence(tokens=[
-        Token(id=TokenId(i, int(empty)), form="w", lemma="w", upos="X",
-              xpos="_", feats={}, head=head, deprel=deprel, deps=[],
-              misc="_")
-        for i, (empty, head, deprel) in enumerate(columns, start=1)])
-    assert conjunct_ids(sent) == {tid for pair in conj_pairs(sent)
-                                  for tid in pair}
 
 
 def test_conj_subtype_counts():

@@ -377,6 +377,28 @@ def test_dense_model_requires_matching_provider(fig1):
     assert len(added_edges(fig1, out)) == 3
 
 
+def test_classifiers_refuse_a_provider_of_several_layers(fig1, tmp_path):
+    corpus = training_corpus()
+    write_sidecar(tmp_path / "two.vec", hash_provider(dim=4, layers=2),
+                  corpus)
+    for provider, where in ((hash_provider(dim=4, layers=2), ""),
+                            (read_sidecar(tmp_path / "two.vec"),
+                             f"{tmp_path / 'two.vec'}: ")):
+        message = re.escape(f"{where}a classifier reads one vector per "
+                            "token, not 2 layers")
+        for kind in ("kernel", "mlp"):
+            with pytest.raises(TrainingError, match=f"^{message}$"):
+                train_prop(corpus, kind, provider=provider)
+        model = constant_model(True, width=12)
+        model.dense_dim = 4
+        with pytest.raises(ApplyError, match=f"^{message}$"):
+            apply_model(model, fig1, provider=provider)
+    # without the token features the provider is not read
+    assert train_prop(corpus, "kernel", provider=provider,
+                      feature_config=FeatureConfig(token_features=False)
+                      ).vectors == "none"
+
+
 def test_dense_vectors_reach_the_feature_matrix():
     corpus = training_corpus()
     provider = hash_provider(dim=5)
