@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator
 
-from .config import (AlignmentError, ConfigError, InputError, parse_value,
-                     read_config_file)
+from .config import (AlignmentError, ConfigError, InputError, TrainingError,
+                     parse_value, read_config_file)
 from .conllu import ParseError, Sentence, decode_utf8, iter_corpus, \
     parse_corpus, split_text, write_corpus
 
@@ -312,16 +312,13 @@ def _provider(cfg, corpus, path: str, record=None):
     """The EmbeddingProvider for corpus, read from path, or None: the one a
     trainer's --embeddings or --hash-dim names, or the one of the (kind,
     layers, dim) record of a model file, whose sidecar --embeddings names.
-    The parser trainer needs vectors and takes any layer count; the others
-    take a sidecar of the record's layer count, 1 for a classifier."""
+    That sidecar must fit the record (EmbeddingProvider.check), whatever
+    the corpus; a trainer's sidecar is checked by the trainer."""
     from .embeddings import check_sentence_keys, hash_provider, read_sidecar
-    sidecar, trains_parser = cfg["embeddings"], "hash-layers" in cfg
+    sidecar, of_model = cfg["embeddings"], record is not None
     if record is None:
         if sidecar and cfg["hash-dim"]:
             raise CliError("--embeddings and --hash-dim exclude each other")
-        if trains_parser and not (sidecar or cfg["hash-dim"]):
-            raise CliError("the edge parser needs embeddings: give "
-                           "--embeddings or --hash-dim")
         record = ("hash" if cfg["hash-dim"] else "sidecar" if sidecar
                   else "none", cfg.get("hash-layers", 1), cfg["hash-dim"])
     elif bool(sidecar) != (record[0] == "sidecar"):
@@ -336,9 +333,8 @@ def _provider(cfg, corpus, path: str, record=None):
     if kind != "sidecar":
         return hash_provider(dim, layers)
     provider = read_sidecar(sidecar)
-    if provider.layers != layers and not trains_parser:
-        raise CliError(f"{sidecar}: expected a sidecar of {layers} layer(s), "
-                       f"found layers={provider.layers}")
+    if of_model:
+        provider.check(layers, dim)
     return provider
 
 
@@ -398,7 +394,11 @@ def cmd_train_prop(cfg) -> None:
         lr=cfg["lr"], patience=cfg["patience"], holdout=cfg["holdout"],
         hidden_sizes=tuple(int(w) for w in _comma_list(cfg["hidden"])),
         seed=cfg["seed"])
-    model = train_prop(corpus, cfg["kind"], options, provider, fc, log=_log)
+    try:
+        model = train_prop(corpus, cfg["kind"], options, provider, fc,
+                           log=_log)
+    except TrainingError as err:
+        raise TrainingError(f"{_name(cfg['train'])}: {err}") from None
     model.save(_model_path(cfg["model"]))
     _log(f"# trained {cfg['kind']} model on {len(corpus)} sentences")
 
@@ -419,6 +419,9 @@ def cmd_apply_prop(cfg) -> None:
 def cmd_train_parser(cfg) -> None:
     from .edgepred import ParserTrainConfig, train_parser
     from .embeddings import check_sentence_keys
+    if not (cfg["embeddings"] or cfg["hash-dim"]):
+        raise CliError("the edge parser needs embeddings: give "
+                       "--embeddings or --hash-dim")
     corpus = _read_corpus(cfg["train"])
     provider = _provider(cfg, corpus, cfg["train"])
     dev = None
@@ -445,7 +448,8 @@ def cmd_predict(cfg) -> None:
 def cmd_evaluate(cfg) -> None:
     from .evaluate import format_score, score
     report = score(_stream(cfg["system"]), _stream(cfg["gold"]),
-                   keep_subtypes=frozenset(_comma_list(cfg["keep-subtypes"])))
+                   frozenset(_comma_list(cfg["keep-subtypes"])),
+                   (_name(cfg["system"]), _name(cfg["gold"])))
     _write_text(cfg["out"],
                 format_score(report, cfg["view"], cfg["records"]) + "\n")
 
@@ -470,7 +474,8 @@ def cmd_agree(cfg) -> None:
 def cmd_stats(cfg) -> None:
     from .evaluate import diff_stats, format_diff
     report = diff_stats(_stream(cfg["original"]), _stream(cfg["edited"]),
-                        scope=cfg["scope"])
+                        cfg["scope"],
+                        (_name(cfg["original"]), _name(cfg["edited"])))
     _write_text(cfg["out"], format_diff(report, cfg["records"]) + "\n")
 
 

@@ -189,13 +189,11 @@ def new_parser(labels: list[str], layers: int, dim: int,
 
 def _token_stacks(parser: EdgeParser, sent: Sentence,
                   provider: EmbeddingProvider, index: int = 0) -> np.ndarray:
-    if provider.layers != parser.layers or provider.dim != parser.dim:
-        raise EdgePredError(
-            f"provider supplies {provider.layers} layers of dimension "
-            f"{provider.dim}, model expects {parser.layers}x{parser.dim}")
+    """The (n, layers, dim) vectors of sent's words; the provider must fit."""
+    provider.check(parser.layers, parser.dim)
     sid = sentence_key(sent, index)
-    stacks = [provider.lookup_layers(sid, t.id, t.form) for t in sent.words()]
-    return np.stack(stacks, dtype=parser.dtype)  # (n, layers, dim)
+    return np.stack([provider.lookup(sid, t.id, t.form) for t in sent.words()],
+                    dtype=parser.dtype).reshape(-1, parser.layers, parser.dim)
 
 
 def _encode(parser: EdgeParser, stacks: np.ndarray,

@@ -6,6 +6,8 @@ predictor) start with a header line "layers=L dim=D" and store L*D floats
 per record; single-layer files have no header and a fixed dimension
 inferred from the first record.  One hash provider serves any corpus.
 Both kinds find a sentence's vectors by its key, which must be distinct.
+EmbeddingProvider.check is the one test that a provider fits the model
+reading it: a classifier reads 1 layer, a parser its recorded layers x dim.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ class EmbeddingProvider:
         self.layers = layers
         self.path = path
 
+    def check(self, layers: int, dim: int | None = None) -> None:
+        """Raises EmbeddingError, naming the provider's file, unless it
+        gives layers vectors per token, each of dimension dim (None: any)."""
+        if self.layers != layers or dim not in (None, self.dim):
+            where = f"{self.path}: " if self.path is not None else ""
+            want = "" if dim is None else f" of dimension {dim}"
+            raise EmbeddingError(
+                f"{where}the vectors have {self.layers} layer(s) of dimension "
+                f"{self.dim}; the model reads {layers} layer(s){want}")
+
     def lookup(self, sent_id: str, token_id: TokenId,
                form: str | None = None) -> np.ndarray:
         key = (sent_id, token_id)
@@ -46,12 +58,6 @@ class EmbeddingProvider:
             raise EmbeddingError(f"{where}no embedding for token {token_id} "
                                  f"in sentence {sent_id!r}")
         return self.table[key]
-
-    def lookup_layers(self, sent_id: str, token_id: TokenId,
-                      form: str | None = None) -> np.ndarray:
-        """Returns shape (layers, dim); a single-layer vector gains an axis."""
-        vec = self.lookup(sent_id, token_id, form)
-        return vec.reshape(1, -1) if vec.ndim == 1 else vec
 
 
 class _HashProvider(EmbeddingProvider):
@@ -83,7 +89,8 @@ KINDS = (_HashProvider.kind, EmbeddingProvider.kind)
 
 
 def read_sidecar(path) -> EmbeddingProvider:
-    """Reads a sidecar of finite values, with or without a layers= header."""
+    """Reads a sidecar of finite values, at least one per record, with or
+    without a layers= header."""
     table: dict[tuple[str, TokenId], np.ndarray] = {}
     layers = 1
     dim = None
@@ -131,6 +138,8 @@ def _consume_record(line, where, table, layers, dim):
     if dim is not None and vec.size != layers * dim:
         raise EmbeddingError(
             f"{where}: expected {layers * dim} values, got {vec.size}")
+    if not vec.size:
+        raise EmbeddingError(f"{where}: expected at least one value, got 0")
     if layers > 1:
         vec = vec.reshape(layers, -1)
     if (sent_id, tid) in table:

@@ -8,6 +8,7 @@ header or as tab-separated records."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -30,38 +31,42 @@ def _records(corpus: Iterable[Sentence], scope="conjunct") -> list[tuple]:
             for s in corpus]
 
 
-def align_corpora(a: list[tuple], b: list[tuple]):
+def align_corpora(a: list[tuple], b: list[tuple],
+                  names: tuple[str, str] = ("first", "second")):
     """Pair up sentence records by sent_id when available, else by position.
 
     Returns (i, j) for each a[i] aligned with b[j], in the order of a.
     Token counts must match per pair; mismatched or duplicated ids raise
-    AlignmentError naming the offenders.
+    AlignmentError naming the offenders under the names of a and b.
     """
     a_ids = [r[0] for r in a]
     b_ids = [r[0] for r in b]
     if all(i is not None for i in a_ids) and all(i is not None for i in b_ids):
-        if len(set(a_ids)) != len(a_ids) or len(set(b_ids)) != len(b_ids):
-            raise AlignmentError("duplicate sent_id values")
+        for ids, name in zip((a_ids, b_ids), names):
+            if len(set(ids)) != len(ids):
+                sid = next(i for i, n in Counter(ids).items() if n > 1)
+                raise AlignmentError(f"{name}: sent_id {sid!r} is repeated")
         a_set, b_set = set(a_ids), set(b_ids)
         only_a = [i for i in a_ids if i not in b_set]
         only_b = [i for i in b_ids if i not in a_set]
         if only_a or only_b:
-            raise AlignmentError(
-                f"sentence ids do not match: only in first={only_a[:10]}, "
-                f"only in second={only_b[:10]}")
+            raise AlignmentError("sentence ids do not match: " + "; ".join(
+                f"only in {name}: {ids[:10]}"
+                for name, ids in zip(names, (only_a, only_b)) if ids))
         b_pos = {sid: j for j, sid in enumerate(b_ids)}
         pairs = [(i, b_pos[sid]) for i, sid in enumerate(a_ids)]
     else:
         if len(a) != len(b):
             raise AlignmentError(
-                f"corpora differ in length ({len(a)} vs {len(b)}) and lack sent_id")
+                f"{names[0]} and {names[1]} differ in length ({len(a)} vs "
+                f"{len(b)}) and lack sent_id")
         pairs = [(k, k) for k in range(len(a))]
         a_ids = range(len(a))  # messages name sentences by position
     for i, j in pairs:
         if a[i][1] != b[j][1]:
             raise AlignmentError(
-                f"sentence {a_ids[i]}: token count differs "
-                f"({a[i][1]} vs {b[j][1]})")
+                f"sentence {a_ids[i]}: token count differs ({a[i][1]} in "
+                f"{names[0]}, {b[j][1]} in {names[1]})")
     return pairs
 
 
@@ -93,18 +98,20 @@ class EvalReport:
 
 
 def score(system: Iterable[Sentence], gold: Iterable[Sentence],
-          keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
+          keep_subtypes: frozenset[str] = frozenset(),
+          names: tuple[str, str] = ("system", "gold")) -> EvalReport:
     """Precision/recall/F1 over the propagated links of aligned sentences.
 
     keep_subtypes lists full labels kept apart in the coarse rollup;
-    every other label collapses to its coarse form there.
+    every other label collapses to its coarse form there.  Alignment
+    errors give the two corpora their names.
     """
-    return _score(_records(system), _records(gold), keep_subtypes)
+    return _score(_records(system), _records(gold), names, keep_subtypes)
 
 
-def _score(system: list[tuple], gold: list[tuple],
+def _score(system: list[tuple], gold: list[tuple], names: tuple[str, str],
            keep_subtypes: frozenset[str] = frozenset()) -> EvalReport:
-    pairs = align_corpora(system, gold)
+    pairs = align_corpora(system, gold, names)
     overall = LabelScore()
     per_label: dict[str, LabelScore] = {}
     coarse_scores: dict[str, LabelScore] = {}
@@ -162,7 +169,8 @@ def agreement_matrix(corpora: list[Iterable[Sentence]],
     if len(set(names)) != len(names):
         raise ValueError(f"corpus names repeat: {names}")
     records = [_records(corpus) for corpus in corpora]
-    pairwise = {(names[gi], names[si]): _score(system, gold)
+    pairwise = {(names[gi], names[si]):
+                _score(system, gold, (names[si], names[gi]))
                 for gi, gold in enumerate(records)
                 for si, system in enumerate(records) if gi != si}
     return AgreementReport(names=list(names), pairwise=pairwise)
@@ -184,17 +192,18 @@ class DiffReport(LabelDiff):
 
 
 def diff_stats(original: Iterable[Sentence], edited: Iterable[Sentence],
-               scope: str = "conjunct") -> DiffReport:
+               scope: str = "conjunct",
+               names: tuple[str, str] = ("original", "edited")) -> DiffReport:
     """Added/removed edge counts per label between two corpus versions.
 
     Scope "conjunct" compares propagated-link sets; "all" compares the union
     of basic and enhanced triples, so a basic fix mirrored in DEPS counts once.
     The total column reports occurrences of the label in the original corpus
-    within the same scope.
+    within the same scope.  Alignment errors give the two their names.
     """
     original, edited = _records(original, scope), _records(edited, scope)
     report = DiffReport(scope=scope)
-    for i, j in align_corpora(original, edited):
+    for i, j in align_corpora(original, edited, names):
         before, after = original[i][2], edited[j][2]
         touched: set[str] = set()
         for e in after - before:

@@ -34,15 +34,7 @@ from .svm import SVMModel, train_svm
 
 
 class ApplyError(InputError):
-    """Model and inputs disagree (missing provider, wrong vector width)."""
-
-
-def _check_one_layer(provider, error: type[InputError]) -> None:
-    """Raises error, naming the provider's file, if it gives several layers."""
-    if provider is not None and provider.layers != 1:
-        where = f"{provider.path}: " if provider.path is not None else ""
-        raise error(f"{where}a classifier reads one vector per token, not "
-                    f"{provider.layers} layers")
+    """A file of another kind, or a dense model given no provider."""
 
 
 @dataclass
@@ -244,15 +236,17 @@ def train_prop(corpus: list[Sentence], kind: str,
     The kernel logs one "# svm" line with its solver state, the MLP one
     "# epoch" line with its holdout macro-F1 per epoch.  The model records
     the kind of provider its dense vectors come from, or "none": it reads
-    the provider's vectors if the token features are on.  Vectors of
-    several layers, an MLP whose holdout leaves no instance to train on, or
-    one whose loss stops being finite, raise TrainingError."""
+    the provider's vectors, of one layer (EmbeddingProvider.check), if the
+    token features are on.  Data without instances or of one class, an
+    MLP whose holdout leaves no instance to train on, or one whose loss
+    stops being finite, raise TrainingError."""
     if kind not in ("kernel", "mlp"):
         raise ValueError(f"unknown model kind {kind!r}")
     opts = options or PropTrainOptions()
     if not feature_config.token_features:
         provider = None
-    _check_one_layer(provider, TrainingError)
+    elif provider is not None:
+        provider.check(1)
     instances, vectors = [], []
     for index, sent in enumerate(corpus):
         found = extract_instances(sent, conj_pairs(sent), basic_edges(sent),
@@ -292,18 +286,16 @@ def apply_model(model: PropModel, sent: Sentence, provider=None,
     model accepts.  The fix sends subject labels through the converter's
     passive/imperative adjustments; otherwise candidate labels are copied
     verbatim.  A provider is needed, and used, only when the model reads
-    dense vectors, and it must give one layer."""
+    dense vectors, and it must give one layer of the model's dense_dim
+    (EmbeddingProvider.check)."""
     if not model.dense_dim:
         provider = None
     elif provider is None:
         raise ApplyError(
             f"model expects dense vectors of dimension {model.dense_dim} "
             "but no embedding provider was given")
-    _check_one_layer(provider, ApplyError)
-    if provider is not None and provider.dim != model.dense_dim:
-        raise ApplyError(
-            f"embedding dimension {provider.dim} does not match the "
-            f"model's expected {model.dense_dim}")
+    else:
+        provider.check(1, model.dense_dim)
 
     basic = basic_edges(sent)
 

@@ -756,8 +756,11 @@ def test_divergent_training_exits_1_and_writes_no_model(tmp_path, command):
     # last line names the loaded modules
     proc = _fresh_main(argv)
     assert proc.returncode == 1
+    # train-prop names its training file in every training fault
+    where = f"{train}: " if command == "train-prop" else ""
     assert proc.stderr.splitlines()[-2].startswith(
-        "conjprop: error: training diverged to a loss of "), proc.stderr
+        f"conjprop: error: {where}training diverged to a loss of "), \
+        proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not model.exists()
 
@@ -770,8 +773,9 @@ def test_a_holdout_that_leaves_nothing_to_train_on_exits_1(run, tmp_path):
                       "--holdout", "0.99", "--train", str(train),
                       "--model", str(model)])
     assert rc == 1
-    assert re.search(r"conjprop: error: holdout 0.99 holds out (\d+) of "
-                     r"\1 instances, leaving none to train on\n$", err), err
+    assert re.search(rf"conjprop: error: {re.escape(str(train))}: holdout "
+                     r"0.99 holds out (\d+) of \1 instances, leaving none to "
+                     r"train on\n$", err), err
     assert not model.exists()
 
 
@@ -832,10 +836,10 @@ def test_the_python_api_writes_the_model_files_the_cli_writes(run,
      "sidecar model takes --embeddings"),
     ("edge-parser", "sidecar", None, "the model records vectors 'sidecar'; "
      "give its sidecar with --embeddings"),
-    ("mlp", "sidecar", 2, "expected a sidecar of 1 layer(s), found "
-     "layers=2"),
-    ("edge-parser", "sidecar", 2, "expected a sidecar of 1 layer(s), found "
-     "layers=2"),
+    ("mlp", "sidecar", 2, "the vectors have 2 layer(s) of dimension 1; "
+     "the model reads 1 layer(s) of dimension 1"),
+    ("edge-parser", "sidecar", 2, "the vectors have 2 layer(s) of dimension "
+     "4; the model reads 1 layer(s) of dimension 4"),
 ], ids=["hash-mlp-given-a-sidecar", "kernel-given-a-sidecar",
         "sidecar-mlp-given-none", "hash-parser-given-a-sidecar",
         "sidecar-parser-given-none", "mlp-given-two-layers",
@@ -854,8 +858,95 @@ def test_a_model_given_other_vectors_exits_1(run, tmp_path, kind, vectors,
         argv += ["--embeddings", str(side)]
     rc, _, err = run(argv)
     assert rc == 1
-    where = side if message.startswith("expected") else model
+    where = side if message.startswith("the vectors") else model
     assert err.splitlines()[-1] == f"conjprop: error: {where}: {message}"
+
+
+# the model each command gives its sidecar, and the (layers, dim) of a
+# sidecar with the wrong layer count or the wrong dimension for it; a
+# trainer takes any dimension but 0, a sidecar of records without values
+_MISFITS = {"apply-prop": ((2, 1), (1, 3)), "predict": ((2, 4), (1, 3)),
+            "train-prop": ((2, 4), (1, 0))}
+
+
+@pytest.mark.parametrize("input_", ["empty", "one-sentence"])
+@pytest.mark.parametrize("misfit", [0, 1], ids=["layers", "dim"])
+@pytest.mark.parametrize("command", list(_MISFITS))
+def test_a_sidecar_that_does_not_fit_exits_1_naming_it(run, tmp_path,
+                                                       command, misfit,
+                                                       input_):
+    from conjprop.embeddings import hash_provider, write_sidecar
+    corpus = tmp_path / "in.conllu"
+    corpus.write_text("" if input_ == "empty" else Path(FIG1).read_text())
+    side = tmp_path / "misfit.vec"
+    layers, dim = _MISFITS[command][misfit]
+    if dim:
+        write_sidecar(side, hash_provider(dim, layers), read_file(FIG1))
+    else:
+        side.write_text("".join(f"{sent.sent_id}\t{tok.id}\t\n"
+                                for sent in read_file(FIG1)
+                                for tok in sent.tokens))
+    model = tmp_path / "m.model"
+    if command == "train-prop":
+        argv = [command, "--kind", "mlp", "--hidden", "4,2", "--epochs", "1",
+                "--train", str(corpus), "--model", str(model)]
+    else:
+        model.write_bytes(_arrays_model(
+            "edge-parser" if command == "predict" else "mlp",
+            {"vectors": "sidecar"}))
+        argv = [command, "--in", str(corpus), "--model", str(model)]
+    rc, out, err = run(argv + ["--embeddings", str(side)])
+    assert rc == 1, err
+    assert err.splitlines()[-1].startswith(f"conjprop: error: {side}:"), err
+    assert out == ""
+
+
+@pytest.mark.parametrize("train, message", [
+    ("", "no propagation instances in the training data"),
+    (prop_input_text(), "training data contains a single class"),
+], ids=["no-instances", "one-class"])
+def test_a_training_data_fault_names_the_training_file(run, tmp_path, train,
+                                                       message):
+    path = tmp_path / "train.conllu"
+    path.write_text(train)
+    model = tmp_path / "m.model"
+    rc, _, err = run(["train-prop", "--train", str(path),
+                      "--model", str(model)])
+    assert rc == 1
+    assert err.splitlines()[-1] == f"conjprop: error: {path}: {message}"
+    assert not model.exists()
+
+
+def _with_ids(path, ids):
+    """Writes one-word sentences with the given sent_ids to path."""
+    word = _TOKEN.format(1, 0, "_")
+    path.write_text("".join(f"# sent_id = {sid}\n{word}\n" for sid in ids))
+    return str(path)
+
+
+def test_alignment_faults_name_the_files(run, tmp_path):
+    sys_ = _with_ids(tmp_path / "sys.conllu", ["a", "s", "b"])
+    gold = _with_ids(tmp_path / "gold.conllu", ["s", "c"])
+    twice = _with_ids(tmp_path / "twice.conllu", ["s", "c", "s"])
+    mismatch = (f"sentence ids do not match: only in {sys_}: ['a', 'b']; "
+                f"only in {gold}: ['c']")
+    for argv, message in [
+        (["evaluate", "--system", sys_, "--gold", gold], mismatch),
+        (["stats", "--original", sys_, "--edited", gold], mismatch),
+        (["evaluate", "--system", gold, "--gold", twice],
+         f"{twice}: sent_id 's' is repeated"),
+        (["stats", "--original", twice, "--edited", gold],
+         f"{twice}: sent_id 's' is repeated"),
+        # agree names a pair by the corpus names it prints
+        (["agree", "--files", f"{gold},{sys_}", "--names", "g,s"],
+         "sentence ids do not match: only in s: ['a', 'b']; only in g: "
+         "['c']"),
+        (["agree", "--files", f"{gold},{twice}"],
+         "twice: sent_id 's' is repeated"),
+    ]:
+        rc, _, err = run(argv)
+        assert rc == 1
+        assert err.splitlines()[-1] == f"conjprop: error: {message}"
 
 
 def test_train_parser_early_stopping_logs_dev_f1(run, tmp_path):
@@ -1164,9 +1255,10 @@ def test_train_prop_kernel_fails_early_when_its_matrix_exceeds_ram(
     rc, _, err = run(["train-prop", "--train", str(train), "--model",
                       str(model)])
     assert rc == 1
-    assert re.search(r"conjprop: error: the kernel SVM on (\d+) instances "
-                     r"needs (\d+) bytes for its kernel matrix, more than "
-                     r"the 1000 bytes of physical memory", err), err
+    assert re.search(rf"conjprop: error: {re.escape(str(train))}: the kernel "
+                     r"SVM on (\d+) instances needs (\d+) bytes for its "
+                     r"kernel matrix, more than the 1000 bytes of physical "
+                     r"memory", err), err
     n, needed = map(int, re.search(r"on (\d+) .* needs (\d+)", err).groups())
     assert needed == 8 * n * n > 1000
     assert "Traceback" not in err

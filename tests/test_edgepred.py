@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,8 @@ from conjprop.edgepred import (
     new_parser, score_pairs, sentence_loss, train_epoch, train_parser,
 )
 from conjprop.config import TrainingError
-from conjprop.embeddings import (EmbeddingProvider, hash_provider,
-                                  read_sidecar, write_sidecar)
+from conjprop.embeddings import (EmbeddingError, EmbeddingProvider,
+                                  hash_provider, read_sidecar, write_sidecar)
 from conjprop.labels import delexicalize_corpus
 from conjprop.modelfile import save_model
 
@@ -37,6 +38,14 @@ def gold_sentence(sent_id="g1", extra_label="obj"):
 
 def tiny_corpus():
     return [gold_sentence(f"g{i}") for i in range(3)]
+
+
+def word_stacks(provider: EmbeddingProvider, sent) -> np.ndarray:
+    """The provider's vectors of sent's words, shape (n, layers, dim)."""
+    words = sent.words()
+    return np.stack([provider.lookup(sent.sent_id, t.id, t.form)
+                     for t in words]).reshape(len(words), provider.layers,
+                                              provider.dim)
 
 
 def straight_line_probs(parser: EdgeParser, stacks: np.ndarray) -> np.ndarray:
@@ -103,8 +112,7 @@ def test_scores_match_straight_line_recomputation():
     parser = new_parser([NO_EDGE, "obj", "root"], layers=3, dim=5,
                         hidden=6, seed=9)
     parser.params["mix_logits"].data[:] = [0.2, -0.4, 1.0]
-    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
-                       for t in sent.words()])
+    stacks = word_stacks(provider, sent)
     probs = score_pairs(parser, sent, provider)
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
 
@@ -117,8 +125,7 @@ def test_scores_match_straight_line_recomputation():
     rng = np.random.default_rng(1)
     for tensor in parser.params.values():
         tensor.data[...] = rng.normal(0.0, 0.5, tensor.data.shape)
-    stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
-                       for t in sent.words()])
+    stacks = word_stacks(provider, sent)
     probs = score_pairs(parser, sent, provider)
     assert np.abs(probs - straight_line_probs(parser, stacks)).max() < 1e-12
 
@@ -134,8 +141,7 @@ def test_bilinear_starts_at_zero_and_one_batch_moves_every_slice(dtype):
     assert bilinear.dtype == dtype and not bilinear.any()
     # the untrained parser scores from its linear term and bias
     for k, sent in enumerate(corpus):
-        stacks = np.stack([provider.lookup_layers(sent.sent_id, t.id, t.form)
-                           for t in sent.words()])
+        stacks = word_stacks(provider, sent)
         probs = score_pairs(parser, sent, provider, k)
         assert np.abs(probs - straight_line_probs(parser, stacks)).max() \
             < (1e-6 if dtype == np.float32 else 1e-12)
@@ -612,10 +618,11 @@ def test_load_rejects_other_model_kinds(tmp_path):
 def test_provider_shape_mismatch_raises():
     sent = gold_sentence()
     parser = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=5)
-    with pytest.raises(EdgePredError, match="2x4"):
-        score_pairs(parser, sent, hash_provider(dim=4, layers=1))
-    with pytest.raises(EdgePredError, match="2x4"):
-        score_pairs(parser, sent, hash_provider(dim=3, layers=2))
+    for layers, dim in ((1, 4), (2, 3)):
+        with pytest.raises(EmbeddingError, match=re.escape(
+                f"the vectors have {layers} layer(s) of dimension {dim}; "
+                "the model reads 2 layer(s) of dimension 4")):
+            score_pairs(parser, sent, hash_provider(dim=dim, layers=layers))
 
 
 def test_unknown_gold_label_raises():

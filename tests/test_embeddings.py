@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conjprop.conllu import TokenId
+from conjprop.edgepred import _token_stacks, new_parser
 from conjprop.embeddings import (
     EmbeddingError, EmbeddingProvider, check_sentence_keys, hash_provider,
     read_sidecar, write_sidecar,
@@ -30,11 +33,10 @@ def test_multi_layer_sidecar_round_trip(tmp_path, fig1):
     again = read_sidecar(path)
     assert again.layers == 3 and again.dim == 4
     sid = fig1.sent_id
-    stack = again.lookup_layers(sid, TokenId(1, 0))
+    stack = again.lookup(sid, TokenId(1, 0))
     assert stack.shape == (3, 4)
     form = fig1.tokens[0].form
-    assert np.array_equal(stack,
-                          provider.lookup_layers(sid, TokenId(1, 0), form))
+    assert np.array_equal(stack, provider.lookup(sid, TokenId(1, 0), form))
 
 
 def test_hash_provider_is_deterministic(fig1):
@@ -91,7 +93,7 @@ def test_a_hash_lookup_needs_the_form(fig1):
     with pytest.raises(TypeError, match="form of token 1 in sentence"):
         provider.lookup(fig1.sent_id, TokenId(1, 0))
     with pytest.raises(TypeError, match="form"):
-        provider.lookup_layers(fig1.sent_id, TokenId(1, 0))
+        hash_provider(dim=3, layers=2).lookup(fig1.sent_id, TokenId(1, 0))
 
 
 def test_a_repeated_key_is_rejected(tmp_path, fig1):
@@ -126,9 +128,45 @@ def test_lookup_failure_names_sentence_and_token(fig1):
 
 
 def test_single_layer_lookup_gains_a_layer_axis(fig1):
+    # a one-layer vector has shape (dim,); the parser reads it as (1, dim)
     provider = hash_provider(dim=6)
-    stack = provider.lookup_layers(fig1.sent_id, TokenId(1, 0), "form")
-    assert stack.shape == (1, 6)
+    assert provider.lookup(fig1.sent_id, TokenId(1, 0), "form").shape == (6,)
+    parser = new_parser(["∅", "root"], layers=1, dim=6, hidden=2)
+    assert _token_stacks(parser, fig1, provider).shape == (
+        len(fig1.words()), 1, 6)
+
+
+@pytest.mark.parametrize("layers, dim", [(1, None), (1, 4), (2, 4)])
+def test_a_fitting_provider_passes_the_check(layers, dim):
+    hash_provider(dim=4, layers=layers).check(layers, dim)
+
+
+@pytest.mark.parametrize("layers, dim, reads", [
+    (1, None, "1 layer(s)"), (2, 4, "2 layer(s) of dimension 4"),
+    (3, 3, "3 layer(s) of dimension 3"), (1, 4, "1 layer(s) of dimension 4"),
+], ids=["layers", "dim", "layers-at-dim", "both"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["hash", "sidecar"])
+def test_check_names_the_sidecar_and_both_shapes(tmp_path, fig1, layers,
+                                                 dim, reads, from_file):
+    provider = hash_provider(dim=3, layers=2)
+    where = ""
+    if from_file:
+        write_sidecar(tmp_path / "v.vec", provider, [fig1])
+        provider = read_sidecar(tmp_path / "v.vec")
+        where = f"{tmp_path / 'v.vec'}: "
+    with pytest.raises(EmbeddingError) as err:
+        provider.check(layers, dim)
+    assert str(err.value) == (f"{where}the vectors have 2 layer(s) of "
+                              f"dimension 3; the model reads {reads}")
+
+
+def test_a_record_without_values_is_refused(tmp_path):
+    # it would set the dimension of a headerless sidecar to 0
+    path = tmp_path / "empty-vectors.tsv"
+    path.write_text("s1\t1\t\ns1\t2\t\n")
+    with pytest.raises(EmbeddingError, match=re.escape(
+            f"{path}:1: expected at least one value, got 0")):
+        read_sidecar(path)
 
 
 def test_malformed_sidecar_lines_are_reported(tmp_path):

@@ -350,7 +350,32 @@ def test_alignment_mismatch_lists_first_ten_ids_in_input_order():
     a_only = [f"a{k}" for k in (12, 3, 7, 1, 9, 11, 4, 8, 2, 10, 6, 5)]
     b_only = [f"b{k}" for k in (2, 1)]
     with pytest.raises(AlignmentError) as err:
-        align_corpora(corpus(["s"] + a_only), corpus(b_only + ["s"]))
+        align_corpora(corpus(["s"] + a_only), corpus(b_only + ["s"]),
+                      ("sys.conllu", "gold.conllu"))
     assert str(err.value) == (
-        f"sentence ids do not match: only in first={a_only[:10]}, "
-        f"only in second={b_only}")
+        f"sentence ids do not match: only in sys.conllu: {a_only[:10]}; "
+        f"only in gold.conllu: {b_only}")
+    # a file with no id of its own is not listed
+    with pytest.raises(AlignmentError) as err:
+        align_corpora(corpus(["s", "t"]), corpus(["s"]))
+    assert str(err.value) == "sentence ids do not match: only in first: ['t']"
+
+
+def test_alignment_faults_name_the_corpus_they_are_in():
+    def corpus(ids, tokens=1):
+        return [_record(make_sentence([("x", "NOUN", 0, "root")] * tokens,
+                                      sent_id=i)) for i in ids]
+    names = ("a.conllu", "b.conllu")
+    for a, b, message in [
+        (corpus(["s", "t", "s", "t"]), corpus(["s"]),
+         "a.conllu: sent_id 's' is repeated"),
+        (corpus(["s", "t"]), corpus(["t", "s", "t"]),
+         "b.conllu: sent_id 't' is repeated"),
+        (corpus(["s"]), corpus(["s"], tokens=2),
+         "sentence s: token count differs (1 in a.conllu, 2 in b.conllu)"),
+        ([(None, 1, set())], [(None, 1, set())] * 2,
+         "a.conllu and b.conllu differ in length (1 vs 2) and lack sent_id"),
+    ]:
+        with pytest.raises(AlignmentError) as err:
+            align_corpora(a, b, names)
+        assert str(err.value) == message

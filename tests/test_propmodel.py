@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_sentence, random_sentence
 from conjprop import autodiff as ad, graph, propmodel
 from conjprop.converter import always_baseline, added_edges
-from conjprop.embeddings import hash_provider, read_sidecar, write_sidecar
+from conjprop.embeddings import (EmbeddingError, hash_provider, read_sidecar,
+                                  write_sidecar)
 from conjprop.graph import (
     Edge, basic_edges, coarse, conj_pairs, enhanced_edges, extract_instances,
 )
@@ -370,7 +371,9 @@ def test_dense_model_requires_matching_provider(fig1):
     with pytest.raises(ApplyError, match="provider"):
         apply_model(model, fig1)
     wrong = hash_provider(dim=3)
-    with pytest.raises(ApplyError, match="dimension 3"):
+    with pytest.raises(EmbeddingError, match=re.escape(
+            "the vectors have 1 layer(s) of dimension 3; the model reads 1 "
+            "layer(s) of dimension 4") + "$"):
         apply_model(model, fig1, provider=wrong)
     right = hash_provider(dim=4)
     out = apply_model(model, fig1, provider=right)
@@ -384,14 +387,15 @@ def test_classifiers_refuse_a_provider_of_several_layers(fig1, tmp_path):
     for provider, where in ((hash_provider(dim=4, layers=2), ""),
                             (read_sidecar(tmp_path / "two.vec"),
                              f"{tmp_path / 'two.vec'}: ")):
-        message = re.escape(f"{where}a classifier reads one vector per "
-                            "token, not 2 layers")
+        has = f"{where}the vectors have 2 layer(s) of dimension 4"
         for kind in ("kernel", "mlp"):
-            with pytest.raises(TrainingError, match=f"^{message}$"):
+            with pytest.raises(EmbeddingError, match=re.escape(
+                    f"{has}; the model reads 1 layer(s)") + "$"):
                 train_prop(corpus, kind, provider=provider)
         model = constant_model(True, width=12)
         model.dense_dim = 4
-        with pytest.raises(ApplyError, match=f"^{message}$"):
+        with pytest.raises(EmbeddingError, match=re.escape(
+                f"{has}; the model reads 1 layer(s) of dimension 4") + "$"):
             apply_model(model, fig1, provider=provider)
     # without the token features the provider is not read
     assert train_prop(corpus, "kernel", provider=provider,
