@@ -5,8 +5,8 @@ in order of precedence: the command line, a key-value config file (--config,
 or the CONJPROP_CONFIG environment variable for a default path), and the
 built-in default.  The fully resolved configuration is logged to stderr as
 "# key = value" lines, so a run can be reproduced from its log.  Paths given
-as "-" read stdin or write stdout.  The text commands stream their input;
-every command writes its output once, at the end.
+as "-" read stdin or write stdout.  Every command but the trainers streams
+its input, and writes its output once, at the end.
 """
 
 from __future__ import annotations
@@ -285,13 +285,19 @@ def _read_text(path: str) -> tuple[str, str]:
     return decode_utf8(raw, name), name
 
 
-def _read_corpus(path: str) -> list[Sentence]:
-    return parse_corpus(*_read_text(path))
+def _read_corpus(path: str, keyed=False) -> list[Sentence]:
+    """_stream's sentences, parsed at once into the list a trainer needs."""
+    return list(_stream(path, keyed, parse_corpus))
 
 
-def _stream(path: str) -> Iterator[Sentence]:
-    """The file's sentences one at a time; the file is read on first use."""
-    yield from iter_corpus(*_read_text(path))
+def _stream(path: str, keyed=False, parse=iter_corpus) -> Iterator[Sentence]:
+    """The file's sentences one at a time; the file is read on first use.
+    Keyed, check_sentence_keys checks each sentence's key as it arrives."""
+    sentences = parse(*_read_text(path))
+    if keyed:  # only the commands that read vectors load embeddings
+        from .embeddings import check_sentence_keys
+        sentences = check_sentence_keys(sentences, _name(path))
+    yield from sentences
 
 
 def _write_text(path: str, text: str) -> None:
@@ -308,17 +314,16 @@ def _model_path(path: str) -> str:
     return path
 
 
-def _provider(cfg, corpus, path: str, record=None):
-    """The EmbeddingProvider for corpus, read from path, or None: the one a
-    trainer's --embeddings or --hash-dim names, or the one of the (kind,
-    layers, dim) record of a model file, whose sidecar --embeddings names.
-    That sidecar must fit the record (EmbeddingProvider.check), whatever
-    the corpus; a trainer's sidecar is checked by the trainer."""
-    from .embeddings import check_sentence_keys, hash_provider, read_sidecar
+def _provider(cfg, record=None):
+    """The EmbeddingProvider, or None, that a trainer's --embeddings or
+    --hash-dim names, or a model file's (kind, layers, dim) record, whose
+    sidecar --embeddings names and must fit (EmbeddingProvider.check)."""
+    from .embeddings import hash_provider, read_sidecar
     sidecar, of_model = cfg["embeddings"], record is not None
     if record is None:
-        if sidecar and cfg["hash-dim"]:
-            raise CliError("--embeddings and --hash-dim exclude each other")
+        if sidecar and (cfg["hash-dim"] or cfg.get("hash-layers", 1) != 1):
+            raise CliError("--embeddings excludes --hash-dim and "
+                           "--hash-layers: the sidecar gives its own shape")
         record = ("hash" if cfg["hash-dim"] else "sidecar" if sidecar
                   else "none", cfg.get("hash-layers", 1), cfg["hash-dim"])
     elif bool(sidecar) != (record[0] == "sidecar"):
@@ -329,7 +334,6 @@ def _provider(cfg, corpus, path: str, record=None):
     kind, layers, dim = record
     if kind == "none":
         return None
-    check_sentence_keys(corpus, _name(path))
     if kind != "sidecar":
         return hash_provider(dim, layers)
     provider = read_sidecar(sidecar)
@@ -382,18 +386,17 @@ def cmd_convert(cfg) -> None:
 def cmd_train_prop(cfg) -> None:
     from .instances import FeatureConfig
     from .propmodel import PropTrainOptions, train_prop
-    corpus = _read_corpus(cfg["train"])
     groups = _comma_list(cfg["features"])
-    provider = _provider(cfg, corpus, cfg["train"]) if "token" in groups \
-        else None  # only the token group reads vectors
-    fc = FeatureConfig(token_features="token" in groups,
-                       tree_features="tree" in groups)
+    vectors = "token" in groups  # only the token group reads vectors
+    corpus = _read_corpus(cfg["train"], keyed=vectors and bool(
+        cfg["embeddings"] or cfg["hash-dim"]))
+    provider = _provider(cfg) if vectors else None
+    fc = FeatureConfig(token_features=vectors, tree_features="tree" in groups)
     options = PropTrainOptions(
         c=cfg["c"], tol=cfg["tol"], class_weights=cfg["class-weights"],
-        epochs=cfg["epochs"],
-        lr=cfg["lr"], patience=cfg["patience"], holdout=cfg["holdout"],
-        hidden_sizes=tuple(int(w) for w in _comma_list(cfg["hidden"])),
-        seed=cfg["seed"])
+        epochs=cfg["epochs"], lr=cfg["lr"], patience=cfg["patience"],
+        holdout=cfg["holdout"], seed=cfg["seed"],
+        hidden_sizes=tuple(int(w) for w in _comma_list(cfg["hidden"])))
     try:
         model = train_prop(corpus, cfg["kind"], options, provider, fc,
                            log=_log)
@@ -405,44 +408,39 @@ def cmd_train_prop(cfg) -> None:
 
 def cmd_apply_prop(cfg) -> None:
     from .propmodel import ApplyConfig, PropModel, apply_model
-    corpus = _read_corpus(cfg["in"])
     model = PropModel.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus, cfg["in"],
-                         (model.vectors, 1, model.dense_dim))
+    provider = _provider(cfg, (model.vectors, 1, model.dense_dim))
     apply_cfg = ApplyConfig(passive_imperative_fix=cfg["fix"],
                             iterate_to_fixpoint=cfg["fixpoint"])
     _write_text(cfg["out"], write_corpus(
         apply_model(model, sent, provider, apply_cfg, index=i)
-        for i, sent in enumerate(corpus)))
+        for i, sent in enumerate(_stream(cfg["in"], provider is not None))))
 
 
 def cmd_train_parser(cfg) -> None:
-    from .edgepred import ParserTrainConfig, train_parser
-    from .embeddings import check_sentence_keys
+    from .edgepred import EdgePredError, ParserTrainConfig, train_parser
     if not (cfg["embeddings"] or cfg["hash-dim"]):
         raise CliError("the edge parser needs embeddings: give "
                        "--embeddings or --hash-dim")
-    corpus = _read_corpus(cfg["train"])
-    provider = _provider(cfg, corpus, cfg["train"])
-    dev = None
-    if cfg["dev"]:
-        dev = _read_corpus(cfg["dev"])
-        check_sentence_keys(dev, _name(cfg["dev"]))
-    parser = train_parser(corpus, provider, ParserTrainConfig(
-        batch_size=cfg["batch"], lr=cfg["lr"], epochs=cfg["epochs"],
-        patience=cfg["patience"], seed=cfg["seed"], hidden=cfg["hidden"],
-        delexicalize=cfg["delexicalize"]), dev, log=_log)
+    corpus = _read_corpus(cfg["train"], keyed=True)
+    provider = _provider(cfg)
+    dev = _read_corpus(cfg["dev"], keyed=True) if cfg["dev"] else None
+    try:
+        parser = train_parser(corpus, provider, ParserTrainConfig(
+            batch_size=cfg["batch"], lr=cfg["lr"], epochs=cfg["epochs"],
+            patience=cfg["patience"], seed=cfg["seed"], hidden=cfg["hidden"],
+            delexicalize=cfg["delexicalize"]), dev, log=_log)
+    except (TrainingError, EdgePredError) as err:
+        raise type(err)(f"{_name(cfg['train'])}: {err}") from None
     parser.save(_model_path(cfg["model"]))
 
 
 def cmd_predict(cfg) -> None:
     from .edgepred import EdgeParser, decode_corpus
-    corpus = _read_corpus(cfg["in"])
     parser = EdgeParser.load(_model_path(cfg["model"]))
-    provider = _provider(cfg, corpus, cfg["in"],
-                         (parser.vectors, parser.layers, parser.dim))
+    provider = _provider(cfg, (parser.vectors, parser.layers, parser.dim))
     _write_text(cfg["out"], write_corpus(
-        decode_corpus(parser, corpus, provider)))
+        decode_corpus(parser, _stream(cfg["in"], keyed=True), provider)))
 
 
 def cmd_evaluate(cfg) -> None:

@@ -17,9 +17,10 @@ ignored during training and empty nodes keep their deps at decoding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -418,18 +419,17 @@ def decode(parser: EdgeParser, sent: Sentence, provider: EmbeddingProvider,
                         score_pairs(parser, sent, provider, index))
 
 
-def decode_corpus(parser: EdgeParser, corpus: list[Sentence],
+def decode_corpus(parser: EdgeParser, corpus: Iterable[Sentence],
                   provider: EmbeddingProvider,
                   batch_size: int = ParserTrainConfig.batch_size
                   ) -> Iterator[Sentence]:
-    """decode for every sentence, batch_size of them scored in one pass."""
-    for start in range(0, len(corpus), batch_size):
-        sents = corpus[start:start + batch_size]
-        batch = [_token_stacks(parser, sent, provider, start + k)
-                 for k, sent in enumerate(sents)]
-        for sent, scores in zip(sents, _forward_scores(parser, batch)):
-            yield _write_graph(parser, sent,
-                               ad.softmax(scores.data, axis=-1))
+    """decode for every sentence of corpus, any iterable, as it arrives,
+    batch_size of them scored in one pass; each is keyed by its position."""
+    indexed = enumerate(corpus)
+    while batch := list(itertools.islice(indexed, batch_size)):
+        stacks = [_token_stacks(parser, s, provider, k) for k, s in batch]
+        for (_, sent), scores in zip(batch, _forward_scores(parser, stacks)):
+            yield _write_graph(parser, sent, ad.softmax(scores.data, axis=-1))
 
 
 def _write_graph(parser: EdgeParser, sent: Sentence,

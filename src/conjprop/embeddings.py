@@ -13,6 +13,7 @@ reading it: a classifier reads 1 layer, a parser its recorded layers x dim.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -177,17 +178,18 @@ def sentence_key(sent: Sentence, index: int) -> str:
     return sent.sent_id or str(index)
 
 
-def check_sentence_keys(corpus: list[Sentence], name: str) -> None:
-    """Raises EmbeddingError, naming the file name, if two sentences share
-    a sentence_key: the two could not be given vectors of their own."""
+def check_sentence_keys(sentences: Iterable[Sentence],
+                        name: str) -> Iterator[Sentence]:
+    """sentences, lazily; raises EmbeddingError, naming the file name, at
+    the first to share a sentence_key, for the two would share vectors."""
     first: dict[str, int] = {}
-    for idx, sent in enumerate(corpus):
+    for idx, sent in enumerate(sentences):
         sid = sentence_key(sent, idx)
-        if sid in first:
+        if first.setdefault(sid, idx) != idx:
             raise EmbeddingError(f"{name}: sentences {first[sid] + 1} and "
                                  f"{idx + 1} share the sent_id {sid!r}, which "
                                  f"keys their embeddings")
-        first[sid] = idx
+        yield sent
 
 
 def _hash_floats(key: str, count: int) -> np.ndarray:

@@ -704,9 +704,10 @@ def test_train_parser_fails_early_when_training_exceeds_ram(
                       str(model), "--hash-dim", "8", "--hidden", "256",
                       "--epochs", "1"])
     assert rc == 1
-    assert re.search(r"conjprop: error: hidden 256 with \d+ "
-                     r"labels needs \d+ bytes to train, more than the "
-                     r"4096000 bytes of physical memory", err), err
+    # train-parser names its training file in every training fault
+    assert re.search(rf"conjprop: error: {re.escape(str(train))}: hidden "
+                     r"256 with \d+ labels needs \d+ bytes to train, more "
+                     r"than the 4096000 bytes of physical memory", err), err
     assert "Traceback" not in err
     assert not model.exists()
     # the same run fits once the footprint does
@@ -740,6 +741,33 @@ def _training_sidecar(tmp_path, layers: int = 1):
     return str(path)
 
 
+@pytest.mark.parametrize("option, value", [("hash-layers", "3"),
+                                           ("hash-dim", "4")])
+@pytest.mark.parametrize("source", ["command-line", "config"])
+def test_a_sidecar_parser_refuses_the_hash_options(run, tmp_path, option,
+                                                   value, source):
+    # a sidecar gives its own layers and dim: a hash option would go unused
+    train, model = tmp_path / "train.conllu", tmp_path / "m.model"
+    train.write_text(prop_training_text())
+    argv = ["train-parser", "--train", str(train), "--model", str(model),
+            "--embeddings", _training_sidecar(tmp_path, 2), "--hidden", "8",
+            "--epochs", "1"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        rc, _, err = run(argv + ["--config", str(cfg)])
+    else:
+        rc, _, err = run(argv + [f"--{option}", value])
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        "conjprop: error: --embeddings excludes --hash-dim and "
+        "--hash-layers: the sidecar gives its own shape")
+    assert not model.exists()
+    # at their defaults the hash options stay out of the way
+    rc, _, err = run(argv + ["--hash-layers", "1", "--hash-dim", "0"])
+    assert rc == 0, err
+
+
 @pytest.mark.parametrize("command", ["train-prop", "train-parser"])
 def test_divergent_training_exits_1_and_writes_no_model(tmp_path, command):
     train = tmp_path / "train.conllu"
@@ -756,10 +784,9 @@ def test_divergent_training_exits_1_and_writes_no_model(tmp_path, command):
     # last line names the loaded modules
     proc = _fresh_main(argv)
     assert proc.returncode == 1
-    # train-prop names its training file in every training fault
-    where = f"{train}: " if command == "train-prop" else ""
+    # both trainers name their training file in every training fault
     assert proc.stderr.splitlines()[-2].startswith(
-        f"conjprop: error: {where}training diverged to a loss of "), \
+        f"conjprop: error: {train}: training diverged to a loss of "), \
         proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not model.exists()
@@ -1417,6 +1444,34 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
     assert rc == 1
     assert f"conjprop: error: {bad}{where}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, kind", [("apply-prop", "mlp"),
+                                           ("predict", "edge-parser")])
+def test_a_streaming_command_reads_its_model_before_its_input(
+        run, tmp_path, command, kind):
+    model, corpus = tmp_path / "m", tmp_path / "in.conllu"
+    model.write_bytes(_model_file({"arrays": None}))
+    corpus.write_text(_SENT_START + _TOKEN.format(3, 1, "_") + "\n")
+    argv = [command, "--in", str(corpus), "--model", str(model)]
+    if kind == "mlp":
+        argv += ["--embeddings", str(tmp_path / "vec")]
+        (tmp_path / "vec").write_text("s0\t1\t0.5\ns1\t1\t0.5\n")
+    rc, out, err = run(argv)
+    assert rc == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        f"conjprop: error: {model}: header lacks the key(s) arrays")
+    # with a good model, a key repeated after the first sentence leaves no
+    # partial output
+    model.write_bytes(_arrays_model(kind, {"vectors": "sidecar"}
+                                    if kind == "mlp" else None))
+    corpus.write_bytes(_SENT_START.replace("s1", "s0").encode() + b"\n"
+                       + _REPEATED_ID)
+    rc, out, err = run(argv)
+    assert rc == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        f"conjprop: error: {corpus}: sentences 2 and 3 share the sent_id "
+        "'s1', which keys their embeddings")
 
 
 def _model_argv(kind: str, path) -> list[str]:

@@ -197,6 +197,26 @@ def test_decode_corpus_matches_decode(batch_size):
         decode(parser, sent, provider, k) for k, sent in enumerate(corpus))
 
 
+def test_decode_corpus_decodes_a_stream_as_its_list():
+    _, provider, parser = packed_setup()
+    # 7 sentences without a sent_id, each keyed by its corpus position, so
+    # the second batch of 5 must go on counting from 5
+    corpus = [make_sentence([("w0", "NOUN", 0, "root")]
+                            + [(f"w{k}", "NOUN", 1, "obj")
+                               for k in range(1, length)])
+              for length in (4, 3, 5, 2, 4, 3, 5)]
+    for sent in corpus:
+        sent.comments = []
+    listed = write_corpus(edgepred.decode_corpus(parser, corpus, provider, 5))
+    streamed = write_corpus(edgepred.decode_corpus(
+        parser, (sent for sent in corpus), provider, 5))
+    assert streamed == listed == write_corpus(
+        decode(parser, sent, provider, k) for k, sent in enumerate(corpus))
+    # an index that restarted with each batch would change what is decoded
+    assert write_corpus([decode(parser, corpus[6], provider, 1)]) != \
+        write_corpus([decode(parser, corpus[6], provider, 6)])
+
+
 def test_packed_batch_gradient_is_the_sum_of_sentence_gradients():
     corpus, provider, parser = packed_setup()
     # dropouts and token masking on: the draws must come in sentence order

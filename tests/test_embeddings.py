@@ -107,13 +107,23 @@ def test_a_repeated_key_is_rejected(tmp_path, fig1):
     with pytest.raises(EmbeddingError, match=r"c.conllu: sentences 1 and 2 "
                                              f"share the sent_id "
                                              f"'{fig1.sent_id}'"):
-        check_sentence_keys([fig1, twin], "c.conllu")
+        list(check_sentence_keys([fig1, twin], "c.conllu"))
     # a sentence without a sent_id is keyed by its position
     twin.comments = ["# sent_id = 0"]
     with pytest.raises(EmbeddingError, match="sentences 1 and 2 share the "
                                              "sent_id '0'"):
-        check_sentence_keys([unnamed, twin], "c.conllu")
-    check_sentence_keys([fig1, unnamed], "c.conllu")
+        list(check_sentence_keys([unnamed, twin], "c.conllu"))
+    assert list(check_sentence_keys([fig1, unnamed], "c.conllu")) == [
+        fig1, unnamed]
+
+
+def test_the_key_check_is_a_lazy_filter(fig1):
+    twin = fig1.clone()
+    checked = check_sentence_keys(iter([fig1, twin]), "c.conllu")
+    # sentence 1 comes out before sentence 2's repeated key raises
+    assert next(checked) is fig1
+    with pytest.raises(EmbeddingError, match="c.conllu: sentences 1 and 2 "):
+        next(checked)
 
 
 def test_lookup_failure_names_sentence_and_token(fig1):
