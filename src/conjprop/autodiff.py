@@ -249,21 +249,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def getitem(a, key) -> Tensor:
+    # ints and slices give a view, which repeats no element, so += is exact
+    if not all(isinstance(k, (slice, int, type(None), type(Ellipsis)))
+               for k in (key if isinstance(key, tuple) else (key,))):
+        raise TypeError(f"getitem takes ints and slices, got {key!r}")
     a = _as_tensor(a)
-    data = a.data[key]
-
-    basic = all(isinstance(k, (slice, int, type(None), type(Ellipsis)))
-                for k in (key if isinstance(key, tuple) else (key,)))
 
     def backward(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        if basic:  # a view: no index repeats
-            a.grad[key] += g
-        else:
-            np.add.at(a.grad, key, g)
+        a.grad[key] += g
 
-    return _make(data, (a,), backward)
+    return _make(a.data[key], (a,), backward)
 
 
 def softmax_tensor(logits, axis: int = -1) -> Tensor:

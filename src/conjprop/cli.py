@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .config import (AlignmentError, ConfigError, InputError, TrainingError,
                      parse_value, read_config_file)
@@ -285,18 +285,19 @@ def _read_text(path: str) -> tuple[str, str]:
     return decode_utf8(raw, name), name
 
 
-def _read_corpus(path: str, keyed=False) -> list[Sentence]:
+def _read_corpus(path: str, sidecar=None, training=()) -> list[Sentence]:
     """_stream's sentences, parsed at once into the list a trainer needs."""
-    return list(_stream(path, keyed, parse_corpus))
+    return list(_stream(path, sidecar, parse_corpus, training))
 
 
-def _stream(path: str, keyed=False, parse=iter_corpus) -> Iterator[Sentence]:
+def _stream(path: str, sidecar=None, parse=iter_corpus, training=()):
     """The file's sentences one at a time; the file is read on first use.
-    Keyed, check_sentence_keys checks each sentence's key as it arrives."""
+    Given the sidecar that keys their vectors, check_sentence_keys checks
+    each key as it arrives, against the earlier ones and training's."""
     sentences = parse(*_read_text(path))
-    if keyed:  # only the commands that read vectors load embeddings
+    if sidecar:  # only the commands that read a sidecar load embeddings
         from .embeddings import check_sentence_keys
-        sentences = check_sentence_keys(sentences, _name(path))
+        sentences = check_sentence_keys(sentences, _name(path), training)
     yield from sentences
 
 
@@ -324,7 +325,7 @@ def _provider(cfg, record=None):
         if sidecar and (cfg["hash-dim"] or cfg.get("hash-layers", 1) != 1):
             raise CliError("--embeddings excludes --hash-dim and "
                            "--hash-layers: the sidecar gives its own shape")
-        record = ("hash" if cfg["hash-dim"] else "sidecar" if sidecar
+        record = ("hash2" if cfg["hash-dim"] else "sidecar" if sidecar
                   else "none", cfg.get("hash-layers", 1), cfg["hash-dim"])
     elif bool(sidecar) != (record[0] == "sidecar"):
         need = "give its sidecar with" if record[0] == "sidecar" \
@@ -388,8 +389,7 @@ def cmd_train_prop(cfg) -> None:
     from .propmodel import PropTrainOptions, train_prop
     groups = _comma_list(cfg["features"])
     vectors = "token" in groups  # only the token group reads vectors
-    corpus = _read_corpus(cfg["train"], keyed=vectors and bool(
-        cfg["embeddings"] or cfg["hash-dim"]))
+    corpus = _read_corpus(cfg["train"], vectors and cfg["embeddings"])
     provider = _provider(cfg) if vectors else None
     fc = FeatureConfig(token_features=vectors, tree_features="tree" in groups)
     options = PropTrainOptions(
@@ -414,7 +414,7 @@ def cmd_apply_prop(cfg) -> None:
                             iterate_to_fixpoint=cfg["fixpoint"])
     _write_text(cfg["out"], write_corpus(
         apply_model(model, sent, provider, apply_cfg, index=i)
-        for i, sent in enumerate(_stream(cfg["in"], provider is not None))))
+        for i, sent in enumerate(_stream(cfg["in"], cfg["embeddings"]))))
 
 
 def cmd_train_parser(cfg) -> None:
@@ -422,9 +422,10 @@ def cmd_train_parser(cfg) -> None:
     if not (cfg["embeddings"] or cfg["hash-dim"]):
         raise CliError("the edge parser needs embeddings: give "
                        "--embeddings or --hash-dim")
-    corpus = _read_corpus(cfg["train"], keyed=True)
+    corpus = _read_corpus(cfg["train"], cfg["embeddings"])
     provider = _provider(cfg)
-    dev = _read_corpus(cfg["dev"], keyed=True) if cfg["dev"] else None
+    dev = _read_corpus(cfg["dev"], cfg["embeddings"], corpus) \
+        if cfg["dev"] else None
     try:
         parser = train_parser(corpus, provider, ParserTrainConfig(
             batch_size=cfg["batch"], lr=cfg["lr"], epochs=cfg["epochs"],
@@ -439,8 +440,8 @@ def cmd_predict(cfg) -> None:
     from .edgepred import EdgeParser, decode_corpus
     parser = EdgeParser.load(_model_path(cfg["model"]))
     provider = _provider(cfg, (parser.vectors, parser.layers, parser.dim))
-    _write_text(cfg["out"], write_corpus(
-        decode_corpus(parser, _stream(cfg["in"], keyed=True), provider)))
+    _write_text(cfg["out"], write_corpus(decode_corpus(
+        parser, _stream(cfg["in"], cfg["embeddings"]), provider)))
 
 
 def cmd_evaluate(cfg) -> None:

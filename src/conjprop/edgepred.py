@@ -65,7 +65,7 @@ class EdgeParser:
     dim: int
     hidden: int
     params: dict[str, Tensor] = field(default_factory=dict)
-    vectors: str = "hash"  # the provider kind; the trainers record theirs
+    vectors: str = "hash2"  # the provider kind; the trainers record theirs
 
     @property
     def label_index(self) -> dict[str, int]:
@@ -193,7 +193,7 @@ def _token_stacks(parser: EdgeParser, sent: Sentence,
     """The (n, layers, dim) vectors of sent's words; the provider must fit."""
     provider.check(parser.layers, parser.dim)
     sid = sentence_key(sent, index)
-    return np.stack([provider.lookup(sid, t.id, t.form) for t in sent.words()],
+    return np.stack([provider.lookup(sid, t.id, t) for t in sent.words()],
                     dtype=parser.dtype).reshape(-1, parser.layers, parser.dim)
 
 

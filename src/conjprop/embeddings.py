@@ -1,24 +1,25 @@
-"""Token embeddings: sidecar files, and hash vectors made at first lookup.
+"""Token embeddings: sidecar files, and hash vectors of a token's columns.
 
 Sidecar files carry one record per token: sentence id, token id, and the
 vector values as text floats.  Multi-layer files (used by the edge
 predictor) start with a header line "layers=L dim=D" and store L*D floats
 per record; single-layer files have no header and a fixed dimension
-inferred from the first record.  One hash provider serves any corpus.
-Both kinds find a sentence's vectors by its key, which must be distinct.
+inferred from the first record; they key vectors by sentence, and the
+keys must be distinct.  A hash vector is a function of its token alone.
 EmbeddingProvider.check is the one test that a provider fits the model
 reading it: a classifier reads 1 layer, a parser its recorded layers x dim.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .config import InputError
-from .conllu import Sentence, TokenId, decode_utf8, parse_token_id
+from .conllu import Sentence, Token, TokenId, decode_utf8, parse_token_id
 
 
 class EmbeddingError(InputError):
@@ -27,9 +28,9 @@ class EmbeddingError(InputError):
 
 class EmbeddingProvider:
     """Maps (sent_id, token_id) to a vector, or to a stack of layer vectors,
-    held in a table.  Lookups also pass the token's form, which a table
-    ignores.  A provider read from a file names it in its lookup errors.
-    Models trained on a provider record its kind as their vectors."""
+    held in a table.  Lookups also pass the Token, which a table ignores.
+    A provider read from a file names it in its lookup errors.  Models
+    trained on a provider record its kind as their vectors."""
 
     kind = "sidecar"
     path = None
@@ -52,7 +53,7 @@ class EmbeddingProvider:
                 f"{self.dim}; the model reads {layers} layer(s){want}")
 
     def lookup(self, sent_id: str, token_id: TokenId,
-               form: str | None = None) -> np.ndarray:
+               token: Token | None = None) -> np.ndarray:
         key = (sent_id, token_id)
         if key not in self.table:
             where = f"{self.path}: " if self.path is not None else ""
@@ -62,27 +63,24 @@ class EmbeddingProvider:
 
 
 class _HashProvider(EmbeddingProvider):
-    """hash_provider's vectors, each made at its first lookup and kept:
-    training looks every token up once per epoch.  Vectors that change
-    change kind, so that models trained on the old ones are refused."""
+    """hash_provider's vectors.  Vectors that change change kind, so that
+    models trained on the old ones are refused."""
 
-    kind = "hash"
+    kind = "hash2"
 
     def __init__(self, dim: int, layers: int, seed: int):
-        self.dim, self.layers, self.seed = dim, layers, seed
-        self._made: dict[str, np.ndarray] = {}
+        self.dim, self.layers = dim, layers
+        self._part = functools.cache(lambda field, value: _hash_floats(
+            f"{seed}\x00{field}\x00{value}", layers * dim))
 
     def lookup(self, sent_id: str, token_id: TokenId,
-               form: str | None = None) -> np.ndarray:
-        if form is None:
-            raise TypeError(f"a hash embedding needs the form of token "
-                            f"{token_id} in sentence {sent_id!r}")
-        key = f"{self.seed}\x00{sent_id}\x00{token_id}\x00{form}"
-        if key not in self._made:
-            vec = _hash_floats(key, self.layers * self.dim)
-            self._made[key] = vec.reshape(self.layers, self.dim) \
-                if self.layers > 1 else vec
-        return self._made[key]
+               token: Token) -> np.ndarray:
+        vec = sum(self._part(*field) for field in (
+            ("FORM", token.form), ("UPOS", token.upos), ("ID", str(token.id)),
+            ("HEAD", "_" if token.head is None else str(token.head)),
+            ("DEPREL", "_" if token.deprel is None else token.deprel))
+        ) / np.sqrt(5)
+        return vec.reshape(self.layers, self.dim) if self.layers > 1 else vec
 
 
 # the vectors a model file may record, besides a classifier's "none"
@@ -159,16 +157,18 @@ def write_sidecar(path, provider: EmbeddingProvider,
         for index, sent in enumerate(corpus):
             sid = sentence_key(sent, index)
             for tok in sent.tokens:
-                vec = provider.lookup(sid, tok.id, tok.form)
+                vec = provider.lookup(sid, tok.id, tok)
                 values = " ".join(repr(float(v)) for v in vec.reshape(-1))
                 fh.write(f"{sid}\t{tok.id}\t{values}\n")
 
 
 def hash_provider(dim: int, layers: int = 1,
                   seed: int = 0) -> EmbeddingProvider:
-    """Pseudo-random vectors of (seed, sentence key, token id, form), made
-    at the first lookup of each: uniform in [-1, 1), stable across runs and
-    platforms, for models to run without an external encoder."""
+    """Pseudo-random vectors of a token alone, for models to run without an
+    external encoder: the sum over sqrt(5) of a part per FORM, UPOS, ID,
+    HEAD and DEPREL as CoNLL-U spells them, hashed under seed to values in
+    [-1, 1).  A part is made once and kept, so the cache is bounded by the
+    vocabulary."""
     return _HashProvider(dim, layers, seed)
 
 
@@ -178,13 +178,20 @@ def sentence_key(sent: Sentence, index: int) -> str:
     return sent.sent_id or str(index)
 
 
-def check_sentence_keys(sentences: Iterable[Sentence],
-                        name: str) -> Iterator[Sentence]:
+def check_sentence_keys(sentences: Iterable[Sentence], name: str,
+                        training=()) -> Iterator[Sentence]:
     """sentences, lazily; raises EmbeddingError, naming the file name, at
-    the first to share a sentence_key, for the two would share vectors."""
+    the first to share a sentence_key with an earlier one or with one of
+    training, for the two would share a sidecar's vectors."""
+    trained = {sentence_key(s, i): i for i, s in enumerate(training)}
     first: dict[str, int] = {}
     for idx, sent in enumerate(sentences):
         sid = sentence_key(sent, idx)
+        if sid in trained:
+            raise EmbeddingError(
+                f"{name}: sentence {idx + 1} shares the sent_id {sid!r} with "
+                f"training sentence {trained[sid] + 1}, which keys their "
+                f"embeddings")
         if first.setdefault(sid, idx) != idx:
             raise EmbeddingError(f"{name}: sentences {first[sid] + 1} and "
                                  f"{idx + 1} share the sent_id {sid!r}, which "

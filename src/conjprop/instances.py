@@ -57,11 +57,11 @@ def featurize(sent: Sentence, by_id: dict[TokenId, Token],
               index: int = 0) -> list[FeatureVector]:
     """The feature vectors that a model of kind reads for instances, all
     taken from sent, whose token_by_id is by_id and which sits at position
-    index of its corpus (the key of its dense vectors if it has no
-    sent_id).  The token group holds morphology one-hots for the kernel
-    and, with a provider, dense vectors for either kind; the tree group
-    counts the coordination's items one-hot for the kernel and as a scalar
-    for the MLP.  Each instance's vector depends on that instance alone."""
+    index of its corpus (a sidecar's key if it has no sent_id).  The token
+    group holds morphology one-hots for the kernel and, with a provider,
+    dense vectors for either kind; the tree group counts the coordination's
+    items one-hot for the kernel and as a scalar for the MLP.  Each
+    instance's vector depends on that instance alone."""
     mlp = kind == "mlp"
     sid = sentence_key(sent, index)
     children: dict[TokenId, list[str]] = {}
@@ -81,7 +81,7 @@ def featurize(sent: Sentence, by_id: dict[TokenId, Token],
                     if feat in feats:
                         fv.named[f"{role}:{feat}={feats[feat]}"] = 1.0
         if config.token_features and provider is not None:
-            fv.dense = {role: provider.lookup(sid, tid, by_id[tid].form)
+            fv.dense = {role: provider.lookup(sid, tid, by_id[tid])
                         for role, tid in roles}
         if config.tree_features:
             direction = _linear_direction(inst.target, inst.conj_head,

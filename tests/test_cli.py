@@ -817,7 +817,7 @@ def test_a_model_applies_with_the_vectors_its_file_records(run, tmp_path):
          "--embeddings", vectors, "--train", str(train),
          "--model", str(sidecar)])
     assert [load_model(m)[1]["vectors"] for m in (hashed, sidecar)] == [
-        "hash", "sidecar"]
+        "hash2", "sidecar"]
     rc, out, err = run(["apply-prop", "--model", str(hashed),
                         "--in", str(train)])
     assert rc == 0, err
@@ -853,13 +853,13 @@ def test_the_python_api_writes_the_model_files_the_cli_writes(run,
 
 
 @pytest.mark.parametrize("kind, vectors, sidecar_layers, message", [
-    ("mlp", "hash", 1, "the model records vectors 'hash'; only a sidecar "
+    ("mlp", "hash2", 1, "the model records vectors 'hash2'; only a sidecar "
      "model takes --embeddings"),
     ("kernel", "none", 1, "the model records vectors 'none'; only a sidecar "
      "model takes --embeddings"),
     ("mlp", "sidecar", None, "the model records vectors 'sidecar'; give its "
      "sidecar with --embeddings"),
-    ("edge-parser", "hash", 1, "the model records vectors 'hash'; only a "
+    ("edge-parser", "hash2", 1, "the model records vectors 'hash2'; only a "
      "sidecar model takes --embeddings"),
     ("edge-parser", "sidecar", None, "the model records vectors 'sidecar'; "
      "give its sidecar with --embeddings"),
@@ -1261,11 +1261,11 @@ _GOOD_MODELS = {
                 "vectors": "none"},
                {"support_vectors": (2, 2), "dual_coef": (2,), "bias": (1,)}),
     "mlp": ({"vocab": {"a": 0}, "dense_dim": 1,
-             "features": {"tree_features": False}, "vectors": "hash"},
+             "features": {"tree_features": False}, "vectors": "hash2"},
             {"w1": (4, 3), "b1": (3,), "w2": (3, 2), "b2": (2,),
              "w3": (2, 2), "b3": (2,)}),
     "edge-parser": ({"labels": ["∅", "nsubj"], "layers": 1, "dim": 4,
-                     "hidden": 3, "vectors": "hash"},
+                     "hidden": 3, "vectors": "hash2"},
                     {"mix_logits": (1,), "root_embed": (4,),
                      "w_head": (4, 3), "b_head": (3,), "w_dep": (4, 3),
                      "b_dep": (3,), "bilinear": (2, 3, 3), "linear": (6, 2),
@@ -1376,10 +1376,7 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
      ":2: repeated record for token 1 in sentence 's1'"),
     # a well-formed sidecar that lacks the corpus's tokens
     ("sidecar", b"s1\t1\t0.1 0.2\n", ": no embedding for token "),
-    ("hashed-corpus", _REPEATED_ID, _SHARED_KEY),
     ("sidecar-corpus", _REPEATED_ID, _SHARED_KEY),
-    ("predicted-corpus", _REPEATED_ID, _SHARED_KEY),
-    ("dev-corpus", _REPEATED_ID, _SHARED_KEY),
     # sentence-level errors name the token's own line
     ("corpus", (_SENT_START + "1.2\te\te\tX\t_\t_\t_\t_\t_\t_\n"
                 "1.1\te\te\tX\t_\t_\t_\t_\t_\t_\n\n").encode(),
@@ -1406,8 +1403,8 @@ _SHARED_KEY = ": sentences 1 and 2 share the sent_id 's1'"
         "mlp-meta", "parser-meta", "parser-int64", "parser-mixed-dtypes",
         "kernel-float32", "mlp-mixed-dtypes", "mlp-int64", "sidecar-value",
         "sidecar-layers", "sidecar-no-dim", "sidecar-negative",
-        "sidecar-repeat", "sidecar-missing-token", "hash-repeated-id", "sidecar-repeated-id",
-        "predict-repeated-id", "dev-repeated-id", "out-of-order",
+        "sidecar-repeat", "sidecar-missing-token", "sidecar-repeated-id",
+        "out-of-order",
         "non-contiguous", "dangling-head", "dangling-deps", "id", "no-words",
         *(f"{kind}-{value}" for kind in ("sidecar", "applied-sidecar")
           for value in ("nan", "-inf", "1e400"))])
@@ -1428,22 +1425,91 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
         "parser-sidecar": ["train-parser", "--train", FIG1, "--model", model,
                            "--embeddings", str(bad)],
         "corpus": ["convert", "--in", str(bad)],
-        "hashed-corpus": ["train-prop", "--train", str(bad), "--model", model,
-                          "--hash-dim", "4"],
         "sidecar-corpus": ["apply-prop", "--in", str(bad), "--model",
                            str(mlp), "--embeddings", str(vectors)],
         "applied-sidecar": ["apply-prop", "--in", FIG1, "--model", str(mlp),
                             "--embeddings", str(bad)],
         "predicted-corpus": ["predict", "--in", str(bad), "--model",
                              str(parser)],
-        "dev-corpus": ["train-parser", "--train", FIG1, "--dev", str(bad),
-                       "--model", model, "--hash-dim", "4", "--hidden", "4",
-                       "--epochs", "1"],
     }[kind]
     rc, _, err = run(argv)
     assert rc == 1
     assert f"conjprop: error: {bad}{where}" in err
     assert "Traceback" not in err
+
+
+def _repeated_training_text() -> str:
+    """prop_training_text with every sentence under the sent_id s1."""
+    return re.sub(r"sent_id = \w+", "sent_id = s1", prop_training_text())
+
+
+@pytest.mark.parametrize("kind", ["train-prop", "apply-prop", "train-parser",
+                                  "dev", "predict"],
+                         ids=["hash-repeated-id", "apply-repeated-id",
+                              "parser-repeated-id", "dev-repeated-id",
+                              "predict-repeated-id"])
+def test_hash_vectors_take_a_corpus_that_repeats_a_sent_id(run, tmp_path,
+                                                           kind):
+    # a hash vector is a function of its token alone, so no sentence can
+    # be handed another's vectors, whatever the keys
+    repeated, train = tmp_path / "repeated", tmp_path / "train"
+    repeated.write_text(_repeated_training_text())
+    train.write_text(prop_training_text())
+    model, mlp, parser = (str(tmp_path / n) for n in ("m", "mlp", "par"))
+    Path(mlp).write_bytes(_arrays_model("mlp"))
+    Path(parser).write_bytes(_arrays_model("edge-parser"))
+    parser_args = ["--model", model, "--hash-dim", "4", "--hidden", "4",
+                   "--epochs", "1"]
+    argv = {
+        "train-prop": _train_prop_argv("mlp", repeated, model, "--hash-dim",
+                                       "4"),
+        "apply-prop": ["apply-prop", "--in", str(repeated), "--model", mlp],
+        "train-parser": ["train-parser", "--train", str(repeated),
+                         *parser_args],
+        # the dev corpus repeats its own key and the training corpus's
+        "dev": ["train-parser", "--train", str(train), "--dev",
+                str(repeated), *parser_args],
+        "predict": ["predict", "--in", str(repeated), "--model", parser],
+    }[kind]
+    rc, out, err = run(argv)
+    assert rc == 0, err
+    if kind in ("apply-prop", "predict"):
+        assert len(parse_corpus(out)) == 8
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["sent-id", "position"])
+def test_a_sidecar_dev_corpus_may_not_share_a_training_key(run, tmp_path,
+                                                           named):
+    # a sidecar holds one vector per key: a dev sentence under a training
+    # sentence's key would be scored on that sentence's vectors
+    from conjprop.embeddings import hash_provider, write_sidecar
+    train, dev, vec = (tmp_path / n for n in ("train", "dev", "vec"))
+    text = prop_training_text()
+    if not named:  # each sentence is keyed by its position
+        text = re.sub(r"# sent_id = \w+\n", "", text)
+    train.write_text(text)
+    dev_text = OWN_SUBJECT.format(i=9).replace("sent_id = ow9",
+                                               "sent_id = sh0")
+    key = "sh0"
+    if not named:
+        dev_text, key = re.sub(r"# sent_id = \w+\n", "", dev_text), "0"
+    dev.write_text(dev_text)
+    corpus = parse_corpus(text) + parse_corpus(OWN_SUBJECT.format(i=9))
+    write_sidecar(vec, hash_provider(dim=4), corpus)
+    argv = ["train-parser", "--train", str(train), "--dev", str(dev),
+            "--embeddings", str(vec), "--model", str(tmp_path / "m"),
+            "--hidden", "4", "--epochs", "1"]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert err.splitlines()[-1] == (
+        f"conjprop: error: {dev}: sentence 1 shares the sent_id {key!r} "
+        f"with training sentence 1, which keys their embeddings")
+    assert not (tmp_path / "m").exists()
+    # under a key of its own, the dev sentence is scored on its own vectors
+    dev.write_text(OWN_SUBJECT.format(i=9))
+    rc, _, err = run(argv)
+    assert rc == 0, err
+    assert "dev-f1" in err
 
 
 @pytest.mark.parametrize("command, kind", [("apply-prop", "mlp"),
@@ -1453,18 +1519,17 @@ def test_a_streaming_command_reads_its_model_before_its_input(
     model, corpus = tmp_path / "m", tmp_path / "in.conllu"
     model.write_bytes(_model_file({"arrays": None}))
     corpus.write_text(_SENT_START + _TOKEN.format(3, 1, "_") + "\n")
-    argv = [command, "--in", str(corpus), "--model", str(model)]
-    if kind == "mlp":
-        argv += ["--embeddings", str(tmp_path / "vec")]
-        (tmp_path / "vec").write_text("s0\t1\t0.5\ns1\t1\t0.5\n")
+    argv = [command, "--in", str(corpus), "--model", str(model),
+            "--embeddings", str(tmp_path / "vec")]
+    values = "0.5" if kind == "mlp" else "0.5 0.5 0.5 0.5"
+    (tmp_path / "vec").write_text(f"s0\t1\t{values}\ns1\t1\t{values}\n")
     rc, out, err = run(argv)
     assert rc == 1 and out == ""
     assert err.splitlines()[-1] == (
         f"conjprop: error: {model}: header lacks the key(s) arrays")
-    # with a good model, a key repeated after the first sentence leaves no
-    # partial output
-    model.write_bytes(_arrays_model(kind, {"vectors": "sidecar"}
-                                    if kind == "mlp" else None))
+    # with a good sidecar model, a key repeated after the first sentence
+    # leaves no partial output
+    model.write_bytes(_arrays_model(kind, {"vectors": "sidecar"}))
     corpus.write_bytes(_SENT_START.replace("s1", "s0").encode() + b"\n"
                        + _REPEATED_ID)
     rc, out, err = run(argv)
@@ -1558,17 +1623,24 @@ def test_well_formed_model_files_load_and_run(run, tmp_path, kind, dtype):
     ("mlp", {"vectors": None}, None, "mlp model meta lacks the key(s) vectors"),
     ("edge-parser", {"vectors": None}, None,
      "edge-parser meta lacks the key(s) vectors"),
-    ("kernel", {"vectors": "hash"}, None,
-     "meta vectors must be 'none' with dense_dim 0, else one of 'hash', "
-     "'sidecar'; got 'hash'"),
+    ("kernel", {"vectors": "hash2"}, None,
+     "meta vectors must be 'none' with dense_dim 0, else one of 'hash2', "
+     "'sidecar'; got 'hash2'"),
     ("mlp", {"vectors": "none"}, None,
-     "meta vectors must be 'none' with dense_dim 0, else one of 'hash', "
+     "meta vectors must be 'none' with dense_dim 0, else one of 'hash2', "
      "'sidecar'; got 'none'"),
     ("mlp", {"vectors": "hash0"}, None, "meta vectors must be 'none'"),
     ("edge-parser", {"vectors": "none"}, None,
-     "meta vectors must be one of 'hash', 'sidecar', got 'none'"),
+     "meta vectors must be one of 'hash2', 'sidecar', got 'none'"),
     ("edge-parser", {"vectors": ["hash"]}, None,
-     "meta vectors must be one of 'hash', 'sidecar', got ['hash']"),
+     "meta vectors must be one of 'hash2', 'sidecar', got ['hash']"),
+    # "hash" named the earlier vectors of (seed, sentence key, token id,
+    # form): a model trained on them would be misapplied to today's
+    ("mlp", {"vectors": "hash"}, None,
+     "meta vectors must be 'none' with dense_dim 0, else one of 'hash2', "
+     "'sidecar'; got 'hash'"),
+    ("edge-parser", {"vectors": "hash"}, None,
+     "meta vectors must be one of 'hash2', 'sidecar', got 'hash'"),
 ])
 def test_damaged_model_meta_and_arrays_exit_1(run, tmp_path, kind, meta,
                                               shapes, where):
@@ -1628,7 +1700,7 @@ def test_features_choose_the_feature_families_of_each_kind(run, tmp_path,
     assert family("coord-items=") == (tree and kind == "kernel")
     assert ("coord-items" in vocab) == (tree and kind == "mlp")
     assert meta["dense_dim"] == (4 if token else 0)
-    assert meta["vectors"] == ("hash" if token else "none")
+    assert meta["vectors"] == ("hash2" if token else "none")
 
 
 @pytest.mark.parametrize("vectors", [["--hash-dim", "8"],
@@ -1638,7 +1710,7 @@ def test_a_classifier_without_token_features_reads_no_vectors(run, tmp_path,
                                                               vectors):
     train, model = tmp_path / "train.conllu", tmp_path / "m.model"
     # the second sentence repeats the first one's sent_id, which would key
-    # two sentences' vectors alike
+    # two sentences' sidecar vectors alike
     train.write_text(prop_training_text().replace("sent_id = ow0",
                                                   "sent_id = sh0"))
     vectors = [str(tmp_path / v) if v.endswith(".vec") else v
@@ -1649,6 +1721,9 @@ def test_a_classifier_without_token_features_reads_no_vectors(run, tmp_path,
     meta = load_model(model)[1]
     assert (meta["dense_dim"], meta["vectors"]) == (0, "none")
     rc, _, err = run(_train_prop_argv("mlp", train, model, *vectors))
+    if vectors[0] == "--hash-dim":  # hash vectors are keyed by nothing
+        assert rc == 0, err
+        return
     assert rc == 1
     assert err.splitlines()[-1] == (
         f"conjprop: error: {train}: sentences 1 and 2 share the sent_id "
@@ -1711,7 +1786,7 @@ def test_a_model_file_of_the_earlier_format_applies_as_the_new_one(
     ("mlp", {"features": {"dense_tokens": False}}, None,
      "meta features dense_tokens must be true (kind mlp, dense_dim 1)"),
     ("kernel", {"features": {"dense_tokens": False}, "dense_dim": 1,
-                "vectors": "hash"}, {"support_vectors": (2, 5)},
+                "vectors": "hash2"}, {"support_vectors": (2, 5)},
      "meta features dense_tokens must be true (kind kernel, dense_dim 1)"),
     ("kernel", {"outgoing_exclusions": ["cc", "conj", "punct"]}, None,
      "meta outgoing_exclusions must be the fixed list ['cc', 'conj', "

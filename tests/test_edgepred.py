@@ -43,7 +43,7 @@ def tiny_corpus():
 def word_stacks(provider: EmbeddingProvider, sent) -> np.ndarray:
     """The provider's vectors of sent's words, shape (n, layers, dim)."""
     words = sent.words()
-    return np.stack([provider.lookup(sent.sent_id, t.id, t.form)
+    return np.stack([provider.lookup(sent.sent_id, t.id, t)
                      for t in words]).reshape(len(words), provider.layers,
                                               provider.dim)
 
@@ -198,9 +198,13 @@ def test_decode_corpus_matches_decode(batch_size):
 
 
 def test_decode_corpus_decodes_a_stream_as_its_list():
-    _, provider, parser = packed_setup()
-    # 7 sentences without a sent_id, each keyed by its corpus position, so
-    # the second batch of 5 must go on counting from 5
+    _, _, parser = packed_setup()
+    # 7 sentences without a sent_id, each keyed by its corpus position in a
+    # sidecar's table, so the second batch of 5 must go on counting from 5
+    rng = np.random.default_rng(9)
+    provider = EmbeddingProvider({(str(k), T(i)): rng.normal(size=(3, 5))
+                                  for k in range(7) for i in range(1, 6)},
+                                 dim=5, layers=3)
     corpus = [make_sentence([("w0", "NOUN", 0, "root")]
                             + [(f"w{k}", "NOUN", 1, "obj")
                                for k in range(1, length)])
@@ -348,7 +352,7 @@ def test_permuting_tokens_permutes_score_slices():
     provider = hash_provider(dim=4, layers=2, seed=5)
     perm = [2, 0, 3, 1]
     table = {("perm", T(k + 1)): provider.lookup(
-        "perm", T(perm[k] + 1), sent.tokens[perm[k]].form) for k in range(4)}
+        "perm", T(perm[k] + 1), sent.tokens[perm[k]]) for k in range(4)}
     shuffled = EmbeddingProvider(table, dim=4, layers=2)
 
     parser = new_parser([NO_EDGE, "x"], layers=2, dim=4, hidden=5, seed=6)
@@ -407,7 +411,7 @@ def test_one_hot_mixture_reproduces_a_single_layer_model():
     sent = gold_sentence()
     two = hash_provider(dim=4, layers=2, seed=3)
     one = EmbeddingProvider(
-        {(sent.sent_id, t.id): two.lookup(sent.sent_id, t.id, t.form)[0]
+        {(sent.sent_id, t.id): two.lookup(sent.sent_id, t.id, t)[0]
          for t in sent.tokens}, dim=4, layers=1)
 
     a = new_parser([NO_EDGE, "obj", "root"], layers=2, dim=4, hidden=5,
@@ -824,7 +828,7 @@ def test_training_records_the_kind_of_its_provider(tmp_path):
     assert parser.vectors == "sidecar"
     train_epoch(parser, corpus, hash_provider(dim=4, layers=2), cfg,
                 optimizer, rng)
-    assert parser.vectors == "hash"
+    assert parser.vectors == "hash2"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # check_loss reports

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conjprop.conllu import TokenId
+from conjprop.conllu import Token, TokenId
 from conjprop.edgepred import _token_stacks, new_parser
 from conjprop.embeddings import (
     EmbeddingError, EmbeddingProvider, check_sentence_keys, hash_provider,
@@ -21,7 +21,7 @@ def test_single_layer_sidecar_round_trip(tmp_path, fig1):
     assert len(again.table) == len(fig1.tokens)
     for tok in fig1.tokens:
         assert np.array_equal(again.lookup(fig1.sent_id, tok.id),
-                              provider.lookup(fig1.sent_id, tok.id, tok.form))
+                              provider.lookup(fig1.sent_id, tok.id, tok))
 
 
 def test_multi_layer_sidecar_round_trip(tmp_path, fig1):
@@ -35,65 +35,120 @@ def test_multi_layer_sidecar_round_trip(tmp_path, fig1):
     sid = fig1.sent_id
     stack = again.lookup(sid, TokenId(1, 0))
     assert stack.shape == (3, 4)
-    form = fig1.tokens[0].form
-    assert np.array_equal(stack, provider.lookup(sid, TokenId(1, 0), form))
+    assert np.array_equal(stack, provider.lookup(sid, TokenId(1, 0),
+                                                 fig1.tokens[0]))
 
 
 def test_hash_provider_is_deterministic(fig1):
     a = hash_provider(dim=8, seed=3)
     b = hash_provider(dim=8, seed=3)
     other = hash_provider(dim=8, seed=4)
-    key = (fig1.sent_id, TokenId(2, 0), fig1.tokens[1].form)
+    key = (fig1.sent_id, TokenId(2, 0), fig1.tokens[1])
     assert np.array_equal(a.lookup(*key), b.lookup(*key))
     assert not np.array_equal(a.lookup(*key), other.lookup(*key))
-    values = np.concatenate([a.lookup(fig1.sent_id, t.id, t.form)
+    values = np.concatenate([a.lookup(fig1.sent_id, t.id, t)
                              for t in fig1.tokens])
-    assert (values >= -1).all() and (values < 1).all()
+    # five parts uniform in [-1, 1), summed over sqrt(5)
+    assert (np.abs(values) < np.sqrt(5)).all()
 
 
-# (seed, sentence key, token id, form), the layer count, and the vector
-# hash_provider gives them, bit for bit: a change to the key or to the float
-# formula shows here
+def _token(tid, head, deprel, form="purr", upos="VERB") -> Token:
+    return Token(tid, form, form, upos, "_", {}, head, deprel, [], "_")
+
+
+# (seed, token), the layer count, and the vector hash_provider gives the
+# token under any sentence key, bit for bit: a change to the fields, their
+# spelling or the float formula shows here.  An empty node's HEAD and
+# DEPREL are spelled "_", as CoNLL-U writes them.
 PINNED = [
-    ((7, "pin", TokenId(2, 0), "purr"), 1,
-     [-0.9654851001298229, -0.7479563278233246, 0.9743631481247235]),
-    ((7, "pin", TokenId(2, 0), "purr"), 2,
-     [[-0.9654851001298229, -0.7479563278233246, 0.9743631481247235],
-      [0.4694955976279871, -0.30155518499738654, -0.00944506500791742]]),
-    ((0, "0", TokenId(1, 1), "purr"), 1,
-     [0.1665048897365573, -0.24040988396000895, -0.3953265740679667,
-      0.033090460584544124]),
+    ((7, _token(TokenId(2, 0), TokenId(1, 0), "conj")), 1,
+     [-0.49978196394736984, -0.11084288151219006, -0.10553168739217521]),
+    ((7, _token(TokenId(2, 0), TokenId(1, 0), "conj")), 2,
+     [[-0.49978196394736984, -0.11084288151219006, -0.10553168739217521],
+      [0.39605382141725926, 0.20203542922998566, 0.7750009534610718]]),
+    ((0, _token(TokenId(1, 1), None, None)), 1,
+     [0.14338325067883387, -0.6704366224612424, -0.46300004739986217,
+      0.3414840300517864]),
 ]
 
 
 @pytest.mark.parametrize("key, layers, expected", PINNED,
                          ids=["layers1", "layers2", "empty-node"])
 def test_hash_vectors_are_pinned(key, layers, expected):
-    seed, sid, tid, form = key
+    from conjprop.embeddings import _hash_floats
+    seed, tok = key
     dim = len(expected[0]) if layers > 1 else len(expected)
     provider = hash_provider(dim=dim, layers=layers, seed=seed)
-    vec = provider.lookup(sid, tid, form)
+    vec = provider.lookup("pin", tok.id, tok)
     assert vec.dtype == np.float64
     assert vec.tolist() == expected
+    # the formula: one part per field, summed in this order, over sqrt(5)
+    head = "_" if tok.head is None else str(tok.head)
+    parts = [_hash_floats(f"{seed}\x00{field}\x00{value}", layers * dim)
+             for field, value in (("FORM", tok.form), ("UPOS", tok.upos),
+                                  ("ID", str(tok.id)), ("HEAD", head),
+                                  ("DEPREL", tok.deprel or "_"))]
+    assert (sum(parts) / np.sqrt(5)).reshape(vec.shape).tolist() == expected
 
 
 def test_one_hash_provider_tells_forms_apart_under_one_key():
-    # a dev sentence may share a training sentence's key and token ids
     provider = hash_provider(dim=4, seed=1)
-    cats = provider.lookup("s1", TokenId(1, 0), "cats")
-    dogs = provider.lookup("s1", TokenId(1, 0), "dogs")
+    cats = provider.lookup("s1", TokenId(1, 0), _token(TokenId(1, 0), TokenId(
+        0, 0), "root", form="cats"))
+    dogs = provider.lookup("s1", TokenId(1, 0), _token(TokenId(1, 0), TokenId(
+        0, 0), "root", form="dogs"))
     assert not np.array_equal(cats, dogs)
-    assert np.array_equal(provider.lookup("s1", TokenId(1, 0), "cats"), cats)
     fresh = hash_provider(dim=4, seed=1)
-    assert np.array_equal(fresh.lookup("s1", TokenId(1, 0), "dogs"), dogs)
+    assert np.array_equal(fresh.lookup("s1", TokenId(1, 0), _token(TokenId(
+        1, 0), TokenId(0, 0), "root", form="dogs")), dogs)
+
+
+def test_a_hash_vector_is_a_function_of_its_token(fig1):
+    provider = hash_provider(dim=4, layers=2, seed=3)
+    parser = new_parser(["∅", "root"], layers=2, dim=4, hidden=2)
+    twin, repeated, unnamed = fig1.clone(), fig1.clone(), fig1.clone()
+    twin.comments = ["# sent_id = other"]
+    unnamed.comments = []
+    base = _token_stacks(parser, fig1, provider, 0)
+    # a distinct sent_id, the same sent_id again, no sent_id, and other
+    # corpus positions all give the same vectors
+    for sent, index in ((twin, 0), (repeated, 0), (unnamed, 0),
+                        (unnamed, 7), (fig1, 3)):
+        assert np.array_equal(_token_stacks(parser, sent, provider, index),
+                              base)
+    # each of the five fields changes the vector; the other columns do not
+    tok = fig1.tokens[1]
+    vec = provider.lookup("any", tok.id, tok)
+    for change in ({"form": "x"}, {"upos": "X"}, {"id": TokenId(9, 0)},
+                   {"head": TokenId(9, 0)}, {"deprel": "x"}):
+        other = fig1.clone().tokens[1]
+        for name, value in change.items():
+            setattr(other, name, value)
+        assert not np.array_equal(provider.lookup("any", tok.id, other), vec)
+    other = fig1.clone().tokens[1]
+    other.lemma, other.xpos, other.feats = "x", "X", {"X": "y"}
+    other.deps, other.misc = [(TokenId(9, 0), "x")], "X=y"
+    assert np.array_equal(provider.lookup("any", tok.id, other), vec)
+
+
+def test_the_hash_cache_is_bounded_by_the_vocabulary(fig1):
+    one, many = hash_provider(dim=4), hash_provider(dim=4)
+    parser = new_parser(["∅", "root"], layers=1, dim=4, hidden=2)
+    _token_stacks(parser, fig1, one, 0)
+    for index in range(1000):
+        sent = fig1.clone()
+        sent.comments = [f"# sent_id = s{index}"]
+        _token_stacks(parser, sent, many, index)
+    assert 0 < many._part.cache_info().currsize \
+        == one._part.cache_info().currsize <= 5 * len(fig1.words())
 
 
 def test_a_hash_lookup_needs_the_form(fig1):
-    provider = hash_provider(dim=3)
-    with pytest.raises(TypeError, match="form of token 1 in sentence"):
-        provider.lookup(fig1.sent_id, TokenId(1, 0))
-    with pytest.raises(TypeError, match="form"):
-        hash_provider(dim=3, layers=2).lookup(fig1.sent_id, TokenId(1, 0))
+    # the form comes with the token, whose other fields the vector reads too
+    for layers in (1, 2):
+        with pytest.raises(TypeError, match="argument: 'token'"):
+            hash_provider(dim=3, layers=layers).lookup(fig1.sent_id,
+                                                       TokenId(1, 0))
 
 
 def test_a_repeated_key_is_rejected(tmp_path, fig1):
@@ -140,7 +195,8 @@ def test_lookup_failure_names_sentence_and_token(fig1):
 def test_single_layer_lookup_gains_a_layer_axis(fig1):
     # a one-layer vector has shape (dim,); the parser reads it as (1, dim)
     provider = hash_provider(dim=6)
-    assert provider.lookup(fig1.sent_id, TokenId(1, 0), "form").shape == (6,)
+    assert provider.lookup(fig1.sent_id, TokenId(1, 0),
+                           fig1.tokens[0]).shape == (6,)
     parser = new_parser(["∅", "root"], layers=1, dim=6, hidden=2)
     assert _token_stacks(parser, fig1, provider).shape == (
         len(fig1.words()), 1, 6)

@@ -464,7 +464,7 @@ def test_the_model_records_the_kind_of_its_dense_vectors(tmp_path):
     write_sidecar(tmp_path / "train.vec", hash_provider(dim=3), corpus)
     for provider, fc, want in (
             (None, FeatureConfig(), "none"),
-            (hash_provider(dim=3), FeatureConfig(), "hash"),
+            (hash_provider(dim=3), FeatureConfig(), "hash2"),
             (read_sidecar(tmp_path / "train.vec"), FeatureConfig(), "sidecar"),
             # vectors that the features leave out are not recorded
             (hash_provider(dim=3), FeatureConfig(token_features=False),
