@@ -1438,11 +1438,6 @@ def test_bad_input_exits_1_naming_the_file(run, tmp_path, kind, content,
     assert "Traceback" not in err
 
 
-def _repeated_training_text() -> str:
-    """prop_training_text with every sentence under the sent_id s1."""
-    return re.sub(r"sent_id = \w+", "sent_id = s1", prop_training_text())
-
-
 @pytest.mark.parametrize("kind", ["train-prop", "apply-prop", "train-parser",
                                   "dev", "predict"],
                          ids=["hash-repeated-id", "apply-repeated-id",
@@ -1453,7 +1448,8 @@ def test_hash_vectors_take_a_corpus_that_repeats_a_sent_id(run, tmp_path,
     # a hash vector is a function of its token alone, so no sentence can
     # be handed another's vectors, whatever the keys
     repeated, train = tmp_path / "repeated", tmp_path / "train"
-    repeated.write_text(_repeated_training_text())
+    repeated.write_text(re.sub(r"sent_id = \w+", "sent_id = s1",
+                               prop_training_text()))
     train.write_text(prop_training_text())
     model, mlp, parser = (str(tmp_path / n) for n in ("m", "mlp", "par"))
     Path(mlp).write_bytes(_arrays_model("mlp"))
